@@ -214,10 +214,8 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
         const = SymbolicConstant.from_rational(0)
-        for k in range(n + 1):
-            const = const + (
-                rational_const(math.comb(n, k)) * neg_log ** (n - k) * gamma_deriv_at(k, point)
-            )
+        for k in range(n + 1):  # Horner in -log_mu
+            const = const * neg_log + math.comb(n, k) * gamma_deriv_at(k, point)
         exponent = spec.s.value + pf.power - pf.mu_power
         terms.append((exponent, rational_const(pf.coeff) * const))
     return ClosedForm(terms)

@@ -4,8 +4,20 @@ Every closed form produced by this package has its constant part in the
 polynomial ring Q[gamma, log_mu, log2, sqrt_pi, zeta(2), zeta(3), ...].
 The ring is purely formal: the generators are treated as algebraically
 independent, and pi^2 is always carried as 6*zeta(2) (a pi^2-flavoured
-rendering exists for display only).  All values are immutable and all
-operations are pure, so they are safe to share between threads.
+rendering exists for display only).
+
+An element is stored densely: a dict from exponent vectors to
+coefficients.  Entry i of a vector is the exponent of generator i in the
+order gamma, log_mu, log2, sqrt_pi, zeta(2), zeta(3), ... (indices 0, 1,
+2, 3, 4, 5, ...), with trailing zeros trimmed; a coefficient is a plain
+int while it is integral and a Fraction otherwise.  Multiplying monomials
+adds vectors, and equality is dict equality.  The graded-lexicographic
+term order is needed only to render, serialise or evaluate, so it is
+computed on first use and cached on the instance, as is the hash.
+
+All values are immutable and all operations are pure.  The two caches are
+filled idempotently (any thread computes the same value), so values are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -14,8 +26,10 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from functools import lru_cache
+from itertools import chain
+from operator import add
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 #: Coefficient field.  ``fractions.Fraction`` already guarantees the
 #: invariants we need: arbitrary precision, positive denominator, fully
@@ -114,9 +128,14 @@ def generator_from_name(name: str) -> Generator:
     raise ValueError(f"unknown generator name {name!r}")
 
 
-# Exponent maps are stored as tuples of (generator, exponent), sorted by
+# Public exponent maps are tuples of (generator, exponent), sorted by
 # generator, with all exponents strictly positive.
 Powers = tuple[tuple[Generator, int], ...]
+
+# Internal exponent vectors: entry i is the exponent of the generator with
+# index i (see ``_index``), trailing zeros trimmed, so each monomial has
+# exactly one vector and the constant monomial is ().
+Exponents = tuple[int, ...]
 
 
 class Monomial(NamedTuple):
@@ -124,74 +143,108 @@ class Monomial(NamedTuple):
     powers: Powers
 
 
-def _merge_powers(a: Powers, b: Powers) -> Powers:
-    merged: dict[Generator, int] = dict(a)
-    for g, e in b:
-        merged[g] = merged.get(g, 0) + e
-    return tuple(sorted(merged.items(), key=lambda item: item[0].sort_key))
+def _index(g: Generator) -> int:
+    """Dense position: gamma, log_mu, log2, sqrt_pi, zeta(2), ... -> 0, 1, 2, 3, 4, ..."""
+    return g.k + 2 if g.kind is GeneratorKind.ZETA else int(g.kind)
 
 
-def _powers_cmp(pa: Powers, pb: Powers) -> int:
-    """Graded-lexicographic order, biggest monomial first.
-
-    Higher total degree sorts first; ties are broken by the earliest
-    generator at which the exponents differ, larger exponent first.
-    """
-    da = sum(e for _, e in pa)
-    db = sum(e for _, e in pb)
-    if da != db:
-        return db - da
-    ia = ib = 0
-    while ia < len(pa) or ib < len(pb):
-        ga = pa[ia][0].sort_key if ia < len(pa) else None
-        gb = pb[ib][0].sort_key if ib < len(pb) else None
-        if ga == gb:
-            ea, eb = pa[ia][1], pb[ib][1]
-            if ea != eb:
-                return eb - ea
-            ia += 1
-            ib += 1
-        elif gb is None or (ga is not None and ga < gb):
-            return -1  # pa has a positive exponent on an earlier generator
-        else:
-            return 1
-    return 0
+@lru_cache(maxsize=None)
+def _generator_at(i: int) -> Generator:
+    if i < GeneratorKind.ZETA:
+        return Generator(GeneratorKind(i))
+    return zeta_gen(i - 2)
 
 
-_POWERS_SORT_KEY = cmp_to_key(_powers_cmp)
+def _vector(powers: Powers) -> Exponents:
+    v: list[int] = []
+    for g, e in powers:
+        i = _index(g)
+        if i >= len(v):
+            v.extend([0] * (i + 1 - len(v)))
+        v[i] += e
+    return _trim(tuple(v))
+
+
+def _trim(e: Exponents) -> Exponents:
+    n = len(e)
+    while n and not e[n - 1]:
+        n -= 1
+    return e[:n]
+
+
+def _grlex_key(item: tuple[Exponents, Scalar]) -> tuple[int, Exponents]:
+    # Sorted in reverse: higher total degree first, then the larger exponent
+    # at the first generator where two vectors differ.  On trimmed vectors of
+    # equal degree neither is a proper prefix of the other, so plain tuple
+    # comparison breaks the tie exactly like the generator-by-generator walk.
+    return (sum(item[0]), item[0])
+
+
+def _padded(items, width: int) -> list[tuple[Exponents, Scalar]]:
+    return [(e + (0,) * (width - len(e)), c) for e, c in items]
+
+
+def _canonical(acc: dict) -> dict:
+    """Canonical copy of an accumulator: zeros dropped, vectors trimmed,
+    integral coefficients stored as int."""
+    d = {}
+    for e, c in acc.items():
+        if c:
+            if e and not e[-1]:
+                e = _trim(e)
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            d[e] = c
+    return d
+
+
+def _wrap(d: dict) -> "SymbolicConstant":
+    # Internal constructor: ``d`` is already canonical, so __init__ is skipped.
+    obj = object.__new__(SymbolicConstant)
+    object.__setattr__(obj, "_d", d)
+    return obj
 
 
 class SymbolicConstant:
     """An element of the generator ring in canonical combined form.
 
-    Canonical form: like monomials combined, zero coefficients dropped,
-    terms sorted graded-lexicographically.  The empty term list is exactly
-    zero.  Instances are immutable and hashable.
+    Canonical form: like monomials combined, zero coefficients dropped.  The
+    public view (``terms``) lists monomials graded-lexicographically, biggest
+    first.  The empty term list is exactly zero.  Instances are immutable and
+    hashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_d", "_items", "_hash")
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
-        combined: dict[Powers, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         if terms:
             for powers, coeff in terms.items():
                 if coeff:
-                    combined[powers] = combined.get(powers, Fraction(0)) + coeff
-        cleaned = [
-            Monomial(c, p) for p, c in combined.items() if c
-        ]
-        cleaned.sort(key=lambda m: _POWERS_SORT_KEY(m.powers))
-        object.__setattr__(self, "_terms", tuple(cleaned))
+                    e = _vector(powers)
+                    acc[e] = acc.get(e, 0) + coeff
+        object.__setattr__(self, "_d", _canonical(acc))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicConstant is immutable")
+
+    def _sorted_items(self) -> tuple[tuple[Exponents, Scalar], ...]:
+        """(vector, coeff) pairs in term order, computed once and cached."""
+        try:
+            return self._items
+        except AttributeError:
+            items = tuple(sorted(self._d.items(), key=_grlex_key, reverse=True))
+            object.__setattr__(self, "_items", items)
+            return items
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "SymbolicConstant":
         v = Fraction(value)
-        return cls({(): v} if v else {})
+        if v.denominator == 1:
+            v = v.numerator
+        return _wrap({(): v} if v else {})
 
     @classmethod
     def from_generator(cls, g: Generator, exponent: int = 1) -> "SymbolicConstant":
@@ -199,33 +252,36 @@ class SymbolicConstant:
             raise ValueError("generator exponents must be nonnegative")
         if exponent == 0:
             return cls.from_rational(1)
-        return cls({((g, exponent),): Fraction(1)})
+        return _wrap({(0,) * _index(g) + (exponent,): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
-        return self._terms
+        return tuple(
+            Monomial(Fraction(c), tuple((_generator_at(i), k) for i, k in enumerate(e) if k))
+            for e, c in self._sorted_items()
+        )
 
     def __iter__(self) -> Iterator[Monomial]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._d
 
     def generators(self) -> set[Generator]:
-        return {g for m in self._terms for g, _ in m.powers}
+        return {_generator_at(i) for e in self._d for i, k in enumerate(e) if k}
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; raises if any generator appears."""
-        if not self._terms:
+        if not self._d:
             return Fraction(0)
-        if len(self._terms) == 1 and not self._terms[0].powers:
-            return self._terms[0].coeff
+        if len(self._d) == 1 and () in self._d:
+            return Fraction(self._d[()])
         raise ValueError(f"not a rational constant: {self}")
 
     # -- ring operations ---------------------------------------------------
@@ -238,19 +294,27 @@ class SymbolicConstant:
             return SymbolicConstant.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
+    def _scaled(self, s: Scalar) -> "SymbolicConstant":
+        if not s:
+            return ZERO
+        return _wrap(_canonical({e: c * s for e, c in self._d.items()}))
+
     def __add__(self, other) -> "SymbolicConstant":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = {m.powers: m.coeff for m in self._terms}
-        for m in other._terms:
-            acc[m.powers] = acc.get(m.powers, Fraction(0)) + m.coeff
-        return SymbolicConstant(acc)
+        a, b = self._d, other._d
+        if len(a) < len(b):
+            a, b = b, a
+        acc = dict(a)
+        for e, c in b.items():
+            acc[e] = acc.get(e, 0) + c
+        return _wrap(_canonical(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicConstant":
-        return SymbolicConstant({m.powers: -m.coeff for m in self._terms})
+        return _wrap({e: -c for e, c in self._d.items()})
 
     def __sub__(self, other) -> "SymbolicConstant":
         other = self._coerce(other)
@@ -262,15 +326,16 @@ class SymbolicConstant:
         return (-self) + other
 
     def __mul__(self, other) -> "SymbolicConstant":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, SymbolicConstant):
             return NotImplemented
-        acc: dict[Powers, Fraction] = {}
-        for ma in self._terms:
-            for mb in other._terms:
-                powers = _merge_powers(ma.powers, mb.powers)
-                acc[powers] = acc.get(powers, Fraction(0)) + ma.coeff * mb.coeff
-        return SymbolicConstant(acc)
+        a, b = self._d, other._d
+        if len(b) == 1 and () in b:
+            return self._scaled(b[()])
+        if len(a) == 1 and () in a:
+            return other._scaled(a[()])
+        return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -279,55 +344,76 @@ class SymbolicConstant:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a symbolic constant by zero")
-            return self * SymbolicConstant.from_rational(Fraction(1) / Fraction(other))
+            return self._scaled(Fraction(1) / Fraction(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "SymbolicConstant":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = SymbolicConstant.from_rational(1)  # 0**0 == 1 (empty product)
-        for _ in range(exponent):
-            result = result * self
+        result = ONE  # 0**0 == 1 (empty product)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SymbolicConstant.from_rational(other)
+            return self._d == ({(): other} if other else {})
         if not isinstance(other, SymbolicConstant):
             return NotImplemented
-        return self._terms == other._terms
+        return self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self._d.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, g: Generator, replacement) -> "SymbolicConstant":
         """Replace a generator by a scalar or another ring element."""
         rep = self._coerce(replacement)
-        out = SymbolicConstant.from_rational(0)
-        for m in self._terms:
-            exp = 0
-            rest: list[tuple[Generator, int]] = []
-            for gen, e in m.powers:
-                if gen == g:
-                    exp = e
-                else:
-                    rest.append((gen, e))
-            part = SymbolicConstant({tuple(rest): m.coeff})
-            out = out + part * rep**exp
-        return out
+        if rep is NotImplemented:
+            raise TypeError(f"cannot substitute {type(replacement).__name__} for a generator")
+        i = _index(g)
+        groups: dict[int, dict[Exponents, Scalar]] = {}  # exponent of g -> the rest
+        for e, c in self._d.items():
+            k = e[i] if i < len(e) else 0
+            if k:
+                e = _trim(e[:i] + (0,) + e[i + 1 :])
+            groups.setdefault(k, {})[e] = c
+        parts = []
+        power, done = ONE, 0
+        for k in sorted(groups):
+            for _ in range(k - done):
+                power = power * rep
+            done = k
+            parts.append((1, _wrap(groups[k]), power))
+        return sum_of_products(parts)
 
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
         """Floating value; compensated (Kahan) summation over monomials."""
+        values: dict[int, float] = {}
         total = 0.0
         comp = 0.0
-        for m in self._terms:
-            v = float(m.coeff)
-            for g, e in m.powers:
-                if g not in bindings:
-                    raise MissingBindingError(g)
-                v *= bindings[g] ** e
+        for e, c in self._sorted_items():
+            v = float(c)
+            for i, k in enumerate(e):
+                if k:
+                    x = values.get(i)
+                    if x is None:
+                        g = _generator_at(i)
+                        if g not in bindings:
+                            raise MissingBindingError(g)
+                        x = values[i] = bindings[g]
+                    v *= x**k
             y = v - comp
             t = total + y
             comp = (t - total) - y
@@ -353,19 +439,22 @@ class SymbolicConstant:
             if LOG_MU not in delta_form.generators() and EULER_GAMMA in delta_form.generators():
                 const = delta_form
                 gamma_name = "delta"
-        if not const._terms:
+        if not const._d:
             return "0"
+        zeta2 = _index(zeta_gen(2))
         parts: list[str] = []
-        for i, m in enumerate(const._terms):
-            coeff = m.coeff
+        for j, (vec, coeff) in enumerate(const._sorted_items()):
             factors: list[str] = []
             # display order: descending generator order within the monomial
-            for g, e in reversed(m.powers):
-                if paper_style and g.kind is GeneratorKind.ZETA and g.k == 2:
+            for i in range(len(vec) - 1, -1, -1):
+                e = vec[i]
+                if not e:
+                    continue
+                if paper_style and i == zeta2:
                     coeff = coeff / Fraction(6**e)
                     factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
                     continue
-                name = gamma_name if g.kind is GeneratorKind.EULER_GAMMA else g.name
+                name = gamma_name if i == 0 else _generator_at(i).name
                 factors.append(name if e == 1 else f"{name}^{e}")
             negative = coeff < 0
             mag = -coeff if negative else coeff
@@ -375,7 +464,7 @@ class SymbolicConstant:
                 body = "*".join(factors)
             else:
                 body = f"{mag}*" + "*".join(factors)
-            if i == 0:
+            if j == 0:
                 parts.append(f"-{body}" if negative else body)
             else:
                 parts.append(f" - {body}" if negative else f" + {body}")
@@ -391,11 +480,11 @@ class SymbolicConstant:
 
     def to_json(self) -> dict:
         terms = []
-        for m in self._terms:
-            powers = {g.name: e for g, e in reversed(m.powers)}
+        for e, c in self._sorted_items():
+            powers = {_generator_at(i).name: e[i] for i in range(len(e) - 1, -1, -1) if e[i]}
             terms.append(
                 {
-                    "coeff": f"{m.coeff.numerator}/{m.coeff.denominator}",
+                    "coeff": f"{c.numerator}/{c.denominator}",
                     "powers": powers,
                 }
             )
@@ -409,17 +498,36 @@ class SymbolicConstant:
         for item in data["terms"]:
             num, _, den = item["coeff"].partition("/")
             coeff = Fraction(int(num), int(den) if den else 1)
-            powers = tuple(
-                sorted(
-                    ((generator_from_name(name), int(e)) for name, e in item["powers"].items()),
-                    key=lambda p: p[0].sort_key,
-                )
-            )
+            powers = tuple((generator_from_name(name), int(e)) for name, e in item["powers"].items())
             for _, e in powers:
                 if e <= 0:
                     raise ValueError("exponents must be positive integers")
             acc[powers] = acc.get(powers, Fraction(0)) + coeff
         return cls(acc)
+
+
+def sum_of_products(
+    triples: Iterable[tuple[Scalar, SymbolicConstant, SymbolicConstant]],
+) -> SymbolicConstant:
+    """Exact sum of ``c * a * b`` over the triples, accumulated in one dict.
+
+    Vectors are zero-padded to one common width while accumulating, so a
+    monomial product is a plain element-wise tuple add.
+    """
+    items = [(c, a._d, b._d) for c, a, b in triples if c]
+    width = max((len(e) for _, a, b in items for e in chain(a, b)), default=0)
+    acc: dict[Exponents, Scalar] = {}
+    get = acc.get
+    for c, a, b in items:
+        if len(a) > len(b):
+            a, b = b, a
+        pb = _padded(b.items(), width)
+        for ea, ca in _padded(a.items(), width):
+            ca *= c
+            for eb, cb in pb:
+                e = tuple(map(add, ea, eb))
+                acc[e] = get(e, 0) + ca * cb
+    return _wrap(_canonical(acc))
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

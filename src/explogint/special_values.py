@@ -30,6 +30,7 @@ from .ring import (
     SQRT_PI_CONST,
     SymbolicConstant,
     rational_const,
+    sum_of_products,
     zeta_const,
 )
 
@@ -135,12 +136,9 @@ def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
     if k == 0:
         return gamma_at(x)
     j = k - 1
-    total = SymbolicConstant.from_rational(0)
-    for i in range(j + 1):
-        total = total + (
-            rational_const(math.comb(j, i)) * psi_deriv_at(j - i, x) * gamma_deriv_at(i, x)
-        )
-    return total
+    return sum_of_products(
+        (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
+    )
 
 
 def psi_at(x: ArgPoint) -> SymbolicConstant:

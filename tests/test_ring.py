@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -33,12 +34,14 @@ DELTA = GAMMA + LOG_MU_CONST
 GEN_POOL = [EULER_GAMMA, LOG_MU, LOG2, SQRT_PI, zeta_gen(2), zeta_gen(3)]
 
 
-def random_constant(rng, max_terms=4, num_bound=10**6, den_bound=1000, max_exp=3):
+def random_constant(
+    rng, max_terms=4, num_bound=10**6, den_bound=1000, max_exp=3, pool=GEN_POOL
+):
     total = rational_const(0)
     for _ in range(rng.randint(0, max_terms)):
         coeff = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
         term = rational_const(coeff)
-        for g in rng.sample(GEN_POOL, rng.randint(0, 4)):
+        for g in rng.sample(pool, rng.randint(0, 4)):
             term = term * SymbolicConstant.from_generator(g, rng.randint(1, max_exp))
         total = total + term
     return total
@@ -186,6 +189,96 @@ class TestRingAxioms:
             a = random_constant(rng)
             rebuilt = SymbolicConstant({m.powers: m.coeff for m in a.terms})
             assert rebuilt.terms == a.terms
+
+
+class TestPower:
+    def test_repeated_squaring_matches_repeated_multiplication(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            a = random_constant(rng, max_terms=3, max_exp=2)
+            product = rational_const(1)
+            for k in range(8):
+                assert a**k == product
+                product = product * a
+
+
+# --- kernel against the sorted-tuple reference ------------------------------
+
+
+def _powers_cmp(pa, pb):
+    """Reference term order: the comparator the sorted-tuple kernel used.
+
+    Graded-lexicographic, biggest monomial first: higher total degree sorts
+    first; ties are broken by the earliest generator at which the exponents
+    differ, larger exponent first.
+    """
+    da = sum(e for _, e in pa)
+    db = sum(e for _, e in pb)
+    if da != db:
+        return db - da
+    ia = ib = 0
+    while ia < len(pa) or ib < len(pb):
+        ga = pa[ia][0].sort_key if ia < len(pa) else None
+        gb = pb[ib][0].sort_key if ib < len(pb) else None
+        if ga == gb:
+            ea, eb = pa[ia][1], pb[ib][1]
+            if ea != eb:
+                return eb - ea
+            ia += 1
+            ib += 1
+        elif gb is None or (ga is not None and ga < gb):
+            return -1  # pa has a positive exponent on an earlier generator
+        else:
+            return 1
+    return 0
+
+
+WIDE_POOL = GEN_POOL + [zeta_gen(k) for k in range(4, 31)]
+
+
+def kernel_draws(seed, count=300, den_bound=1000):
+    """Random constants over every generator kind and zeta(2..30), plus
+    products of them (many terms of equal degree, so the tie-break matters)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = random_constant(rng, max_terms=6, den_bound=den_bound, pool=WIDE_POOL)
+        yield a
+        yield a * random_constant(rng, max_terms=3, den_bound=den_bound, pool=WIDE_POOL)
+
+
+class TestKernelAgainstReference:
+    def test_term_order_matches_reference_comparator(self):
+        rng = random.Random(5)
+        for c in kernel_draws(11):
+            powers = [m.powers for m in c.terms]
+            shuffled = rng.sample(powers, len(powers))
+            assert powers == sorted(shuffled, key=cmp_to_key(_powers_cmp))
+
+    def test_every_public_coefficient_is_a_fraction(self):
+        for c in kernel_draws(12, den_bound=3):
+            assert all(type(m.coeff) is Fraction for m in c.terms)
+        assert type(rational_const(3).as_rational()) is Fraction
+
+    def test_int_and_fraction_coefficients_are_one_value(self):
+        for c in kernel_draws(13, den_bound=3):
+            as_fraction = SymbolicConstant({m.powers: m.coeff for m in c.terms})
+            as_int = SymbolicConstant(
+                {m.powers: int(m.coeff) if m.coeff.denominator == 1 else m.coeff for m in c.terms}
+            )
+            assert as_int == as_fraction == c
+            assert hash(as_int) == hash(as_fraction) == hash(c)
+        halved = (2 * GAMMA) * Fraction(1, 2)
+        assert halved == GAMMA and hash(halved) == hash(GAMMA)
+        assert rational_const(Fraction(6, 2)) == 3
+        assert hash(rational_const(3)) == hash(rational_const(Fraction(3)))
+
+    def test_public_constructor_round_trips_through_terms(self):
+        rng = random.Random(6)
+        for c in kernel_draws(14):
+            items = [(m.powers, m.coeff) for m in c.terms]
+            rebuilt = SymbolicConstant(dict(rng.sample(items, len(items))))
+            assert rebuilt.terms == c.terms
+            assert rebuilt == c
 
 
 # --- grading -----------------------------------------------------------------
