@@ -7,9 +7,10 @@ Four commands:
     catalog          run the nine-formula table catalog over a mu grid
     weight           weight-homogeneity table for integral e^-x (ln x)^n dx
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
-error.  JSON reports are deterministic: fixed field order, floats rounded
-to 12 significant digits.
+Each command declares only the flags it reads, so any other flag is a
+usage error.  Exit codes: 0 all checks passed, 1 a verification failed,
+2 usage or parse error.  JSON reports are deterministic: fixed field order,
+floats rounded to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,29 +31,7 @@ from .parser import (
     parse_integrand,
     to_integral_spec,
 )
-from .ring import Grade, MissingBindingError, grade
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-10
-    mu_grid: tuple = DEFAULT_MU_GRID
-    max_n: int = 4
-    output: str = "text"  # "text" | "json"
-    zeta_max: int = 12
-    paper_style: bool = False
-
-    def __post_init__(self) -> None:
-        if self.tolerance < 1e-13:
-            raise ValueError("tolerance must be at least 1e-13")
-        if not self.mu_grid:
-            raise ValueError("the mu grid must be nonempty")
-        if any(m <= 0 for m in self.mu_grid):
-            raise ValueError("mu values must be positive")
-        if self.max_n < 0:
-            raise ValueError("max-n must be nonnegative")
-        if self.zeta_max < 2:
-            raise ValueError("zeta-max must be at least 2")
+from .ring import Grade, grade
 
 
 def _round12(x: float) -> float:
@@ -65,9 +43,9 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _print_error(message: str, config: RunConfig, source: Optional[str] = None,
+def _print_error(message: str, as_json: bool, source: Optional[str] = None,
                  position: Optional[int] = None) -> None:
-    if config.output == "json":
+    if as_json:
         doc = {"error": message}
         if position is not None:
             doc["position"] = position
@@ -93,19 +71,19 @@ def _spec_summary(spec) -> dict:
     }
 
 
-def cmd_eval(expr: str, config: RunConfig) -> int:
-    ast = parse_integrand(expr)
+def cmd_eval(args: argparse.Namespace) -> int:
+    ast = parse_integrand(args.expr)
     spec = to_integral_spec(ast)
     closed = eval_general(spec)
     doc = {
         "integrand": ast_to_text(ast),
         "spec": _spec_summary(spec),
-        "closed_form": closed.render(paper_style=config.paper_style),
+        "closed_form": closed.render(paper_style=args.paper_style),
         "closed_form_json": closed.to_json(),
     }
     if spec.mu == 1:
-        doc["at_mu_1"] = closed.at_mu_one().render(paper_style=config.paper_style)
-    if config.output == "json":
+        doc["at_mu_1"] = closed.at_mu_one().render(paper_style=args.paper_style)
+    if args.json:
         _emit_json(doc)
         return 0
     print(f"integrand   : {doc['integrand']}")
@@ -118,20 +96,25 @@ def cmd_eval(expr: str, config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(expr: str, config: RunConfig) -> int:
-    ast = parse_integrand(expr)
+def cmd_verify(args: argparse.Namespace) -> int:
+    ast = parse_integrand(args.expr)
     spec = to_integral_spec(ast)
-    closed = eval_general(spec)
-    table = compute_constants(config.zeta_max)
     mu = float(spec.mu)
+    # First, so that a bad --tol is rejected before the exact engine runs.
+    quad = quadrature(spec, mu, rel_tol=args.tol)
+    closed = eval_general(spec)
+    # The table holds zeta(2) up to the largest zeta(k) the closed form names
+    # (Generator.k is 0 for the other generators).
+    table = compute_constants(
+        max([2] + [g.k for _, const in closed.terms for g in const.generators()])
+    )
     closed_value = closed.evaluate(mu, table.bindings())
-    quad = quadrature(spec, mu, rel_tol=config.tolerance)
     rel_err = abs(closed_value - quad.value) / max(abs(closed_value), 1e-300)
-    passed = quad.converged and rel_err <= 10.0 * config.tolerance
+    passed = quad.converged and rel_err <= 10.0 * args.tol
     if spec.mu == 1:
-        shown_form = closed.at_mu_one().render(paper_style=config.paper_style)
+        shown_form = closed.at_mu_one().render(paper_style=args.paper_style)
     else:
-        shown_form = closed.render(paper_style=config.paper_style)
+        shown_form = closed.render(paper_style=args.paper_style)
     doc = {
         "integrand": ast_to_text(ast),
         "closed_form": shown_form,
@@ -143,7 +126,7 @@ def cmd_verify(expr: str, config: RunConfig) -> int:
         "rel_err": _round12(rel_err),
         "status": "pass" if passed else "fail",
     }
-    if config.output == "json":
+    if args.json:
         _emit_json(doc)
     else:
         print(f"integrand   : {doc['integrand']}")
@@ -156,16 +139,17 @@ def cmd_verify(expr: str, config: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_catalog(config: RunConfig) -> int:
-    table = compute_constants(config.zeta_max)
-    checks = run_catalog(
-        table=table,
-        mu_grid=config.mu_grid,
-        max_n=config.max_n,
-        quad_tol=config.tolerance,
-    )
+def _max_n(args: argparse.Namespace) -> int:
+    if args.max_n < 0:
+        raise ValueError("max-n must be nonnegative")
+    return args.max_n
+
+
+def cmd_catalog(args: argparse.Namespace) -> int:
+    mu_grid = args.mu or DEFAULT_MU_GRID
+    checks = run_catalog(mu_grid=mu_grid, max_n=_max_n(args), quad_tol=args.tol)
     all_pass = all(c.status == "pass" for c in checks)
-    if config.output == "json":
+    if args.json:
         report = []
         for c in checks:
             d = c.report_dict()
@@ -173,7 +157,7 @@ def cmd_catalog(config: RunConfig) -> int:
             report.append(d)
         _emit_json(report)
         return 0 if all_pass else 1
-    if config.paper_style:
+    if args.paper_style:
         from .catalog import catalog as _entries
 
         for entry in _entries():
@@ -188,20 +172,20 @@ def cmd_catalog(config: RunConfig) -> int:
         )
     n_pass = sum(1 for c in checks if c.status == "pass")
     print(f"{n_pass}/{len(checks)} catalog checks passed "
-          f"(mu grid: {', '.join(str(m) for m in config.mu_grid)})")
+          f"(mu grid: {', '.join(str(m) for m in mu_grid)})")
     return 0 if all_pass else 1
 
 
-def cmd_weight(config: RunConfig) -> int:
+def cmd_weight(args: argparse.Namespace) -> int:
     rows = []
     all_pass = True
-    for n in range(config.max_n + 1):
+    for n in range(_max_n(args) + 1):
         g = grade(eval_In(n))
         expected = Grade("homogeneous", Fraction(n))
         ok = g == expected
         all_pass = all_pass and ok
         rows.append({"n": n, "grade": str(g), "status": "pass" if ok else "fail"})
-    if config.output == "json":
+    if args.json:
         _emit_json(rows)
         return 0 if all_pass else 1
     for row in rows:
@@ -218,75 +202,40 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_mu: bool = False) -> None:
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="quadrature tolerance (default 1e-10); verification passes at 10*tol")
-        if with_mu:
-            p.add_argument("--mu", type=float, action="append", default=None,
-                           help="mu grid value (repeatable; default 0.5 1 2 10)")
-        p.add_argument("--max-n", type=int, default=4, help="largest log power / x power")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--zeta-max", type=int, default=12,
-                       help="largest zeta index in the numeric constants table")
-        p.add_argument("--paper-style", action="store_true",
-                       help="render constants in delta / pi^2 table style")
-
     p_eval = sub.add_parser("eval", help="print the exact closed form of an integrand")
     p_eval.add_argument("expr")
-    add_common(p_eval)
-
     p_verify = sub.add_parser("verify", help="check a closed form against quadrature")
     p_verify.add_argument("expr")
-    add_common(p_verify)
-
     p_catalog = sub.add_parser("catalog", help="verify the nine table formulas")
-    add_common(p_catalog, with_mu=True)
-
+    p_catalog.add_argument("--mu", type=float, action="append", default=None,
+                           help="mu grid value (repeatable; default 0.5 1 2 10)")
     p_weight = sub.add_parser("weight", help="weight homogeneity of Gamma^(n)(1)")
-    add_common(p_weight)
 
+    for p in (p_verify, p_catalog):
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="quadrature tolerance (default 1e-10); verification passes at 10*tol")
+    for p in (p_catalog, p_weight):
+        p.add_argument("--max-n", type=int, default=4, help="largest log power / x power")
+    for p in (p_eval, p_verify, p_catalog, p_weight):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+    for p in (p_eval, p_verify, p_catalog):
+        p.add_argument("--paper-style", action="store_true",
+                       help="render constants in delta / pi^2 table style")
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = RunConfig(
-            tolerance=args.tol,
-            mu_grid=tuple(args.mu) if getattr(args, "mu", None) else DEFAULT_MU_GRID,
-            max_n=args.max_n,
-            output="json" if args.json else "text",
-            zeta_max=args.zeta_max,
-            paper_style=args.paper_style,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+_COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "catalog": cmd_catalog, "weight": cmd_weight}
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return cmd_eval(args.expr, config)
-        if args.command == "verify":
-            return cmd_verify(args.expr, config)
-        if args.command == "catalog":
-            return cmd_catalog(config)
-        if args.command == "weight":
-            return cmd_weight(config)
-        raise AssertionError(f"unknown command {args.command!r}")  # pragma: no cover
-    except IntegrandSyntaxError as exc:
-        _print_error(str(exc), config, source=getattr(args, "expr", None),
-                     position=exc.position)
-        return 2
-    except UnsupportedIntegrandError as exc:
-        _print_error(str(exc), config, source=getattr(args, "expr", None),
-                     position=exc.position)
-        return 2
-    except MissingBindingError as exc:
-        _print_error(f"{exc}; increase --zeta-max", config)
+        return _COMMANDS[args.command](args)
+    except (IntegrandSyntaxError, UnsupportedIntegrandError) as exc:
+        _print_error(str(exc), args.json, source=args.expr, position=exc.position)
         return 2
     except ValueError as exc:
-        _print_error(str(exc), config)
+        _print_error(str(exc), args.json)
         return 2
 
 

@@ -190,22 +190,6 @@ def eval_In(n: int) -> SymbolicConstant:
     return gamma_deriv_at(n, ArgPoint.of(1))
 
 
-def eval_Jn(n: int) -> ClosedForm:
-    """integral_0^inf e^(-mu x) (ln x)^n dx as a closed form in mu.
-
-    Substituting mu*x for x turns the integral into (1/mu) times a binomial
-    combination of the Gamma derivatives at 1:
-        (1/mu) sum_m C(n,m) I_m (-ln mu)^(n-m).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = SymbolicConstant.from_rational(0)
-    neg_log = -LOG_MU_CONST
-    for m in range(n + 1):
-        total = total + rational_const(math.comb(n, m)) * eval_In(m) * neg_log ** (n - m)
-    return ClosedForm([(Fraction(1), total)])
-
-
 def eval_general(spec: IntegralSpec) -> ClosedForm:
     """Closed form of the integral described by ``spec``; mu stays symbolic."""
     n = spec.log_power

@@ -27,15 +27,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
-
-#: Coefficient field.  ``fractions.Fraction`` already guarantees the
-#: invariants we need: arbitrary precision, positive denominator, fully
-#: reduced, and zero stored as 0/1.  Division by zero raises
-#: ``ZeroDivisionError``.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -269,12 +263,11 @@ class SymbolicConstant:
     def __bool__(self) -> bool:
         return bool(self._d)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._d
-
     def generators(self) -> set[Generator]:
-        return {_generator_at(i) for e in self._d for i, k in enumerate(e) if k}
+        used: set[int] = set()
+        for e in self._d:
+            used.update(compress(range(len(e)), e))
+        return {_generator_at(i) for i in used}
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; raises if any generator appears."""
@@ -585,7 +578,7 @@ def grade(const: SymbolicConstant) -> Grade:
     zeta values; any occurrence of log_mu, log2 or sqrt_pi makes the
     expression ungradable.
     """
-    if const.is_zero:
+    if not const:
         return Grade(HOMOGENEOUS, None)
     weights: set[Fraction] = set()
     for m in const.terms:

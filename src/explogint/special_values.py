@@ -139,7 +139,3 @@ def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
     return sum_of_products(
         (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
     )
-
-
-def psi_at(x: ArgPoint) -> SymbolicConstant:
-    return psi_deriv_at(0, x)

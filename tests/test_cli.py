@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, deterministic JSON."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -59,6 +60,12 @@ class TestVerify:
         monkeypatch.setattr(cli, "quadrature", never_converges)
         assert main(["verify", "exp(-x)*log(x)"]) == 1
 
+    def test_zeta_table_covers_high_log_powers(self, capsys):
+        # I_13 and I_14 name zeta(13) and zeta(14); verify sizes its table to them
+        for n in (13, 14):
+            assert main(["verify", f"exp(-x)*log(x)^{n}", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
 
 class TestErrorPaths:
     def test_syntax_error_exits_two(self, capsys):
@@ -85,10 +92,6 @@ class TestErrorPaths:
         assert main(["eval", "sin(x)", "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert "error" in doc and "position" in doc
-
-    def test_missing_zeta_binding_exits_two(self, capsys):
-        assert main(["verify", "exp(-x)*log(x)^8", "--zeta-max", "5"]) == 2
-        assert "zeta-max" in capsys.readouterr().err
 
 
 class TestWeight:
@@ -136,6 +139,36 @@ class TestCatalog:
         assert main(["catalog", "--mu", "1", "--max-n", "1", "--json"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFlags:
+    def test_each_command_declares_only_the_flags_it_reads(self):
+        parser = cli.build_arg_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "eval": {"--json", "--paper-style"},
+            "verify": {"--tol", "--json", "--paper-style"},
+            "catalog": {"--mu", "--tol", "--max-n", "--json", "--paper-style"},
+            "weight": {"--max-n", "--json"},
+        }
+
+    def test_unread_flag_is_usage_error(self):
+        for argv in (
+            ["eval", "exp(-x)", "--tol", "1e-8"],
+            ["weight", "--paper-style"],
+            ["verify", "exp(-x)", "--zeta-max", "5"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "explogint", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, argv
+            assert "unrecognized arguments" in proc.stderr
 
 
 class TestConsoleEntry:

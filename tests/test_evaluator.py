@@ -1,5 +1,6 @@
 """Closed-form evaluation: I_n, J_n, the general reduction, ClosedForm."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from explogint.evaluator import (
     PrefactorTerm,
     eval_general,
     eval_In,
-    eval_Jn,
 )
 from explogint.ring import (
     EULER_GAMMA,
@@ -28,6 +28,11 @@ from explogint.special_values import ArgPoint, gamma_at, gamma_deriv_at, harmoni
 
 HALF = Fraction(1, 2)
 DELTA = GAMMA + LOG_MU_CONST
+
+
+def J(n):
+    """integral_0^inf e^(-mu x) (ln x)^n dx through the general reduction."""
+    return eval_general(IntegralSpec.simple(1, n))
 
 
 class TestIn:
@@ -54,26 +59,32 @@ class TestIn:
 
 class TestJn:
     def test_base_case(self):
-        assert eval_Jn(0) == ClosedForm([(Fraction(1), rational_const(1))])
+        assert J(0) == ClosedForm([(Fraction(1), rational_const(1))])
 
     def test_first_is_minus_delta_over_mu(self):
-        assert eval_Jn(1) == ClosedForm([(Fraction(1), -DELTA)])
+        assert J(1) == ClosedForm([(Fraction(1), -DELTA)])
 
     def test_second_matches_table_form(self):
         # (1/mu)(pi^2/6 + delta^2) with pi^2/6 carried as zeta(2)
-        assert eval_Jn(2) == ClosedForm([(Fraction(1), zeta_const(2) + DELTA**2)])
+        assert J(2) == ClosedForm([(Fraction(1), zeta_const(2) + DELTA**2)])
 
     def test_third_matches_table_form(self):
         bracket = DELTA**3 + 3 * zeta_const(2) * DELTA + 2 * zeta_const(3)
-        assert eval_Jn(3) == ClosedForm([(Fraction(1), -bracket)])
+        assert J(3) == ClosedForm([(Fraction(1), -bracket)])
 
     def test_specializes_to_In(self):
         for n in range(9):
-            assert eval_Jn(n).at_mu_one() == eval_In(n)
+            assert J(n).at_mu_one() == eval_In(n)
 
     def test_agrees_with_general_reduction(self):
+        # mu*x -> x turns J_n into (1/mu) sum_m C(n,m) I_m (-ln mu)^(n-m)
         for n in range(9):
-            assert eval_Jn(n) == eval_general(IntegralSpec.simple(1, n))
+            total = sum(
+                (rational_const(math.comb(n, m)) * eval_In(m) * (-LOG_MU_CONST) ** (n - m)
+                 for m in range(n + 1)),
+                rational_const(0),
+            )
+            assert J(n) == ClosedForm([(Fraction(1), total)])
 
 
 class TestGeneral:
@@ -158,19 +169,17 @@ class TestClosedForm:
         assert a == b
 
     def test_evaluate_binds_mu_both_ways(self, table):
-        import math
-
-        cf = eval_Jn(1)  # -(gamma + ln mu)/mu
+        cf = J(1)  # -(gamma + ln mu)/mu
         for mu in (0.5, 1.0, 2.0, 10.0):
             expected = -(table.gamma + math.log(mu)) / mu
             assert abs(cf.evaluate(mu, table.bindings()) - expected) < 1e-14
 
     def test_evaluate_rejects_bad_mu(self, table):
         with pytest.raises(ValueError):
-            eval_Jn(1).evaluate(0.0, table.bindings())
+            J(1).evaluate(0.0, table.bindings())
 
     def test_render(self):
-        assert eval_Jn(1).render() == "mu^(-1) * (-gamma - log_mu)"
+        assert J(1).render() == "mu^(-1) * (-gamma - log_mu)"
         assert ClosedForm([]).render() == "0"
 
     def test_render_exponent_edge_cases(self):
@@ -179,14 +188,14 @@ class TestClosedForm:
 
     def test_json_round_trip(self):
         for n in range(4):
-            cf = eval_Jn(n)
+            cf = J(n)
             assert ClosedForm.from_json(cf.to_json()) == cf
         spec = IntegralSpec.simple(Fraction(7, 2), 2)
         cf = eval_general(spec)
         assert ClosedForm.from_json(cf.to_json()) == cf
 
     def test_scaled_and_add(self):
-        cf = eval_Jn(0)
+        cf = J(0)
         doubled = cf.scaled(rational_const(2))
         assert doubled == cf + cf
 

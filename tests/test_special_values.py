@@ -21,7 +21,6 @@ from explogint.special_values import (
     gamma_deriv_at,
     harmonic,
     odd_harmonic,
-    psi_at,
     psi_deriv_at,
 )
 
@@ -73,7 +72,7 @@ class TestCombinatorialHelpers:
 
 class TestPsiValues:
     def test_psi_at_one(self):
-        assert psi_at(ArgPoint.of(1)) == -GAMMA
+        assert psi_deriv_at(0, ArgPoint.of(1)) == -GAMMA
 
     def test_psi_prime_at_one(self):
         assert psi_deriv_at(1, ArgPoint.of(1)) == zeta_const(2)
@@ -87,11 +86,11 @@ class TestPsiValues:
             - 2 * LOG2_CONST
             + rational_const(2 * (1 + Fraction(1, 3) + Fraction(1, 5)))
         )
-        assert psi_at(ArgPoint.of(Fraction(7, 2))) == expected
+        assert psi_deriv_at(0, ArgPoint.of(Fraction(7, 2))) == expected
 
     def test_psi_at_integers_is_harmonic_shift(self):
         for n in range(1, 10):
-            assert psi_at(ArgPoint.of(n)) == -GAMMA + rational_const(harmonic(n - 1))
+            assert psi_deriv_at(0, ArgPoint.of(n)) == -GAMMA + rational_const(harmonic(n - 1))
 
     def test_psi_prime_at_half(self):
         # zeta(2, 1/2) = 3 zeta(2)
@@ -100,7 +99,7 @@ class TestPsiValues:
     def test_functional_equation_symbolically(self):
         for twice in range(1, 21):
             x = ArgPoint(twice)
-            lhs = psi_at(x.shifted(1)) - psi_at(x)
+            lhs = psi_deriv_at(0, x.shifted(1)) - psi_deriv_at(0, x)
             assert lhs == rational_const(1 / x.value)
 
     def test_derivative_shift_identity(self):
@@ -199,4 +198,4 @@ class TestGammaDerivatives:
     def test_gamma_prime_is_gamma_times_psi(self):
         for twice in range(1, 13):
             x = ArgPoint(twice)
-            assert gamma_deriv_at(1, x) == gamma_at(x) * psi_at(x)
+            assert gamma_deriv_at(1, x) == gamma_at(x) * psi_deriv_at(0, x)
