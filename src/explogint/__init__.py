@@ -11,8 +11,8 @@ high-accuracy quadrature and direct special-function numerics.
 
 from .evaluator import IntegralSpec, eval_general, eval_In
 from .oracle import compute_constants, quadrature
-from .parser import parse_integrand, to_integral_spec
-from .ring import grade, parse_constant
+from .parser import parse_constant, parse_integrand, to_integral_spec
+from .ring import grade
 
 __version__ = "0.1.0"
 

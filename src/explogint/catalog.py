@@ -64,7 +64,6 @@ class CatalogEntry:
     integrand: str
     closed: str
     param_name: Optional[str]  # "n", "nu", or None
-    mu_fixed: Optional[Fraction]
     build: Callable[[Param], IntegralSpec]
     printed_form: Callable[[Param], ClosedForm]
 
@@ -75,7 +74,6 @@ def _entry_4331_1() -> CatalogEntry:
         integrand="exp(-mu*x) * log(x)",
         closed="-delta/mu,  delta = gamma + ln mu",
         param_name=None,
-        mu_fixed=None,
         build=lambda _p: IntegralSpec.simple(1, 1),
         printed_form=lambda _p: ClosedForm([(Fraction(1), -_DELTA)]),
     )
@@ -87,7 +85,6 @@ def _entry_4335_1() -> CatalogEntry:
         integrand="exp(-mu*x) * log(x)^2",
         closed="(1/mu) [pi^2/6 + delta^2]",
         param_name=None,
-        mu_fixed=None,
         build=lambda _p: IntegralSpec.simple(1, 2),
         printed_form=lambda _p: ClosedForm([(Fraction(1), _PI2 / 6 + _DELTA**2)]),
     )
@@ -100,7 +97,6 @@ def _entry_4335_3() -> CatalogEntry:
         integrand="exp(-mu*x) * log(x)^3",
         closed="-(1/mu) [delta^3 + (1/2) pi^2 delta + 2 zeta(3)]",
         param_name=None,
-        mu_fixed=None,
         build=lambda _p: IntegralSpec.simple(1, 3),
         printed_form=lambda _p: ClosedForm(
             [(Fraction(1), -(_DELTA**3 + _PI2 * _DELTA / 2 + rational_const(2) * zeta_const(3)))]
@@ -118,7 +114,6 @@ def _entry_4352_1() -> CatalogEntry:
         integrand="x^(nu-1) * exp(-mu*x) * log(x)",
         closed="mu^(-nu) Gamma(nu) (psi(nu) - ln mu)",
         param_name="nu",
-        mu_fixed=None,
         build=lambda nu: IntegralSpec.simple(nu, 1),
         printed_form=printed,
     )
@@ -135,7 +130,6 @@ def _entry_4352_2() -> CatalogEntry:
         integrand="x^(n) * exp(-mu*x) * log(x)",
         closed="n!/mu^(n+1) (sum_{k<=n} 1/k - gamma - ln mu)",
         param_name="n",
-        mu_fixed=None,
         build=lambda n: IntegralSpec.simple(n + 1, 1),
         printed_form=printed,
     )
@@ -159,7 +153,6 @@ def _entry_4352_3() -> CatalogEntry:
         integrand="x^(n-1/2) * exp(-mu*x) * log(x)",
         closed="sqrt(pi)(2n-1)!!/(2^n mu^(n+1/2)) [2 sum_{k<=n} 1/(2k-1) - gamma - ln(4 mu)]",
         param_name="n",
-        mu_fixed=None,
         build=lambda n: IntegralSpec.simple(ArgPoint(2 * n + 1), 1),
         printed_form=printed,
     )
@@ -174,7 +167,6 @@ def _entry_4352_4() -> CatalogEntry:
         integrand="x^(nu-1) * exp(-x) * log(x)",
         closed="Gamma'(nu)",
         param_name="nu",
-        mu_fixed=Fraction(1),
         build=lambda nu: IntegralSpec.simple(nu, 1, mu=1),
         printed_form=printed,
     )
@@ -193,7 +185,6 @@ def _entry_4353_1() -> CatalogEntry:
         integrand="(x - nu) * x^(nu-1) * exp(-x) * log(x)",
         closed="Gamma(nu)",
         param_name="nu",
-        mu_fixed=Fraction(1),
         build=build,
         printed_form=printed,
     )
@@ -217,7 +208,6 @@ def _entry_4353_2() -> CatalogEntry:
         integrand="(mu*x - n - 1/2) * x^(n-1/2) * exp(-mu*x) * log(x)",
         closed="(2n-1)!!/(2 mu)^n sqrt(pi/mu)",
         param_name="n",
-        mu_fixed=None,
         build=build,
         printed_form=printed,
     )
@@ -296,10 +286,10 @@ def check_entry(
     computed = eval_general(spec)
     printed = entry.printed_form(param)
 
-    if entry.mu_fixed is not None:
+    if spec.mu is not None:
         # mu is pinned (always to 1 in this catalog): compare specialized constants.
         symbolic_equal = computed.at_mu_one() == printed.at_mu_one()
-        mu_values = [float(entry.mu_fixed)]
+        mu_values = [float(spec.mu)]
     else:
         symbolic_equal = computed == printed
         mu_values = list(mu_grid)

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import DEFAULT_MU_GRID, run_catalog
+from .catalog import DEFAULT_MU_GRID, catalog, run_catalog
 from .evaluator import eval_In, eval_general
 from .oracle import compute_constants, quadrature
 from .parser import (
@@ -157,12 +157,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             report.append(d)
         _emit_json(report)
         return 0 if all_pass else 1
-    if args.paper_style:
-        from .catalog import catalog as _entries
-
-        for entry in _entries():
-            print(f"{entry.id:<9} {entry.integrand}  =  {entry.closed}")
-        print()
+    for entry in catalog():
+        print(f"{entry.id:<9} {entry.integrand}  =  {entry.closed}")
+    print()
     for c in checks:
         params = " ".join(f"{k}={v}" for k, v in c.params.items())
         sym = "ok " if c.symbolic_equal else "BAD"
@@ -218,7 +215,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=int, default=4, help="largest log power / x power")
     for p in (p_eval, p_verify, p_catalog, p_weight):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-    for p in (p_eval, p_verify, p_catalog):
+    for p in (p_eval, p_verify):
         p.add_argument("--paper-style", action="store_true",
                        help="render constants in delta / pi^2 table style")
     return parser

@@ -1,6 +1,8 @@
-"""Recursive-descent parser for the integrand expression language.
+"""Recursive-descent parser for the two text languages: integrands and constants.
 
-Grammar (whitespace between tokens is ignored):
+Both share one tokenizer, one cursor and one error type,
+:class:`IntegrandSyntaxError`, which carries the position of the offending
+token.  Integrand grammar (whitespace between tokens is ignored):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -17,6 +19,20 @@ class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parsing yields an expression tree;
 normalization either maps the tree onto a single
 :class:`~explogint.evaluator.IntegralSpec` or rejects it with a diagnostic
 naming the offending factor.
+
+The constant language is the display form of
+:meth:`~explogint.ring.SymbolicConstant.render`, read back by
+:func:`parse_constant`.  Its numbers are integers only:
+
+    constant := [ '-' ] cterm (('+' | '-') cterm)*
+    cterm    := cfactor ('*' cfactor)*
+    cfactor  := integer [ '/' integer ]
+              | name [ '^' integer ]
+              | 'zeta' '(' integer ')' [ '^' integer ]
+    name     := 'gamma' | 'log_mu' | 'log2' | 'sqrt_pi' | 'delta' | 'pi'
+
+``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only
+(pi^2 enters the ring as 6*zeta(2)).
 """
 
 from __future__ import annotations
@@ -27,6 +43,16 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .evaluator import IntegralSpec, PrefactorTerm
+from .ring import (
+    GAMMA,
+    LOG_MU_CONST,
+    ONE,
+    SymbolicConstant,
+    generator_from_name,
+    rational_const,
+    sum_of_products,
+    zeta_const,
+)
 from .special_values import ArgPoint
 
 
@@ -309,6 +335,53 @@ class _Parser:
                 raise IntegrandSyntaxError(p_tok.position, "a positive exponent", p_tok.text)
         return LogFactor(power)
 
+    # cterm := cfactor ('*' cfactor)*
+    def parse_constant_term(self) -> SymbolicConstant:
+        product = self.parse_constant_factor()
+        while self.peek().kind == "op" and self.peek().text == "*":
+            self.advance()
+            product = product * self.parse_constant_factor()
+        return product
+
+    def parse_constant_factor(self) -> SymbolicConstant:
+        tok = self.peek()
+        if tok.kind == "number":
+            return rational_const(self.parse_rational())
+        if tok.kind != "name":
+            raise IntegrandSyntaxError(tok.position, "a number or a constant", self._describe(tok))
+        self.advance()
+        if tok.text == "zeta":
+            self.expect_op("(")
+            k_tok = self.advance()
+            if k_tok.kind != "number" or int(k_tok.text) < 2:
+                raise IntegrandSyntaxError(k_tok.position, "a zeta index >= 2", self._describe(k_tok))
+            self.expect_op(")")
+            base = zeta_const(int(k_tok.text))
+        elif tok.text == "delta":
+            base = GAMMA + LOG_MU_CONST
+        elif tok.text == "pi":
+            base = 6 * zeta_const(2)  # pi^2; the exponent is halved below
+        else:
+            try:
+                base = SymbolicConstant.from_generator(generator_from_name(tok.text))
+            except ValueError:
+                raise IntegrandSyntaxError(tok.position, "a constant", self._describe(tok)) from None
+        exponent = 1
+        if self.peek().kind == "op" and self.peek().text == "^":
+            self.advance()
+            e_tok = self.advance()
+            if e_tok.kind != "number":
+                raise IntegrandSyntaxError(e_tok.position, "an integer exponent", self._describe(e_tok))
+            exponent = int(e_tok.text)
+        if tok.text == "pi":
+            if exponent % 2:
+                raise IntegrandSyntaxError(
+                    tok.position, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi",
+                    f"'pi^{exponent}'",
+                )
+            exponent //= 2
+        return base**exponent
+
 
 def parse_integrand(text: str) -> Node:
     """Parse the expression language; raises with a position on failure."""
@@ -318,6 +391,34 @@ def parse_integrand(text: str) -> Node:
     if tok.kind != "end":
         raise IntegrandSyntaxError(tok.position, "end of input", parser._describe(tok))
     return node
+
+
+def parse_constant(text: str) -> SymbolicConstant:
+    """Parse the display form produced by :meth:`SymbolicConstant.render`.
+
+    Accepts the plain and the paper-style spellings (``delta``, even powers
+    of ``pi``); raises :class:`IntegrandSyntaxError` with a position on
+    failure.
+    """
+    parser = _Parser(text)
+    for tok in parser.tokens:
+        if tok.kind == "number" and "." in tok.text:
+            raise IntegrandSyntaxError(tok.position, "an integer", f"'{tok.text}'")
+    sign = 1
+    if parser.peek().kind == "op" and parser.peek().text == "-":
+        parser.advance()
+        sign = -1
+    # Collected and summed in one dict: adding term by term copies the
+    # growing sum once per term.
+    terms = []
+    while True:
+        terms.append((sign, parser.parse_constant_term(), ONE))
+        tok = parser.advance()
+        if tok.kind == "end":
+            return sum_of_products(terms)
+        if tok.kind != "op" or tok.text not in ("+", "-"):
+            raise IntegrandSyntaxError(tok.position, "'+', '-' or end of input", parser._describe(tok))
+        sign = 1 if tok.text == "+" else -1
 
 
 # --- normalization ----------------------------------------------------------

@@ -6,6 +6,11 @@ The ring is purely formal: the generators are treated as algebraically
 independent, and pi^2 is always carried as 6*zeta(2) (a pi^2-flavoured
 rendering exists for display only).
 
+This module holds the algebra, the weight grading, the display form
+(``render``) and JSON.  Reading the display form back is
+:func:`explogint.parser.parse_constant`, which shares the integrand
+language's tokenizer and diagnostics.
+
 An element is stored densely: a dict from exponent vectors to
 coefficients.  Entry i of a vector is the exponent of generator i in the
 order gamma, log_mu, log2, sqrt_pi, zeta(2), zeta(3), ... (indices 0, 1,
@@ -560,10 +565,6 @@ class Grade:
     kind: str
     weight: Optional[Fraction] = None
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.kind == HOMOGENEOUS
-
     def __str__(self) -> str:
         if self.kind == HOMOGENEOUS:
             w = "any" if self.weight is None else str(self.weight)
@@ -581,143 +582,15 @@ def grade(const: SymbolicConstant) -> Grade:
     if not const:
         return Grade(HOMOGENEOUS, None)
     weights: set[Fraction] = set()
-    for m in const.terms:
+    for e in const._d:
         w = Fraction(0)
-        for g, e in m.powers:
-            gw = g.weight
-            if gw is None:
-                return Grade(UNGRADABLE)
-            w += gw * e
+        for i, k in enumerate(e):
+            if k:
+                gw = _generator_at(i).weight
+                if gw is None:
+                    return Grade(UNGRADABLE)
+                w += gw * k
         weights.add(w)
     if len(weights) == 1:
         return Grade(HOMOGENEOUS, weights.pop())
     return Grade(INHOMOGENEOUS)
-
-
-# ---------------------------------------------------------------------------
-# Parsing of rendered constants (round-trip partner of render/to_json)
-# ---------------------------------------------------------------------------
-
-_CONST_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
-)
-
-
-class ConstantParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class _ConstTokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        m = _CONST_TOKEN.match(self.text, self.pos)
-        if m is None:
-            if self.text[self.pos :].strip():
-                raise ConstantParseError("unexpected character", self.pos)
-            return ("end", "", len(self.text))
-        for kind in ("number", "name", "op"):
-            value = m.group(kind)
-            if value is not None:
-                return (kind, value, m.end())
-        raise ConstantParseError("unexpected character", self.pos)  # pragma: no cover
-
-    def next(self) -> tuple[str, str]:
-        kind, value, end = self.peek()
-        self.pos = end
-        return kind, value
-
-    def expect_op(self, op: str) -> None:
-        kind, value = self.next()
-        if kind != "op" or value != op:
-            raise ConstantParseError(f"expected {op!r}", self.pos)
-
-
-def parse_constant(text: str) -> SymbolicConstant:
-    """Parse the display form produced by :meth:`SymbolicConstant.render`.
-
-    Also accepts the paper-style spellings: ``delta`` for gamma + log_mu and
-    ``pi`` with even exponents (pi^2 enters as 6*zeta(2)).
-    """
-    toks = _ConstTokens(text)
-    result = ZERO
-    sign = 1
-    kind, value, end = toks.peek()
-    if kind == "op" and value == "-":
-        toks.next()
-        sign = -1
-    while True:
-        result = result + sign * _parse_const_term(toks)
-        kind, value, _ = toks.peek()
-        if kind == "end":
-            return result
-        if kind == "op" and value in "+-":
-            toks.next()
-            sign = 1 if value == "+" else -1
-        else:
-            raise ConstantParseError("expected '+' or '-'", toks.pos)
-
-
-def _parse_const_term(toks: _ConstTokens) -> SymbolicConstant:
-    product = _parse_const_factor(toks)
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value == "*":
-            toks.next()
-            product = product * _parse_const_factor(toks)
-        else:
-            return product
-
-
-def _parse_const_factor(toks: _ConstTokens) -> SymbolicConstant:
-    kind, value = toks.next()
-    if kind == "number":
-        numer = int(value)
-        kind, nxt, end = toks.peek()
-        if kind == "op" and nxt == "/":
-            toks.next()
-            k2, v2 = toks.next()
-            if k2 != "number":
-                raise ConstantParseError("expected denominator", toks.pos)
-            if int(v2) == 0:
-                raise ConstantParseError("zero denominator", toks.pos)
-            return rational_const(Fraction(numer, int(v2)))
-        return rational_const(numer)
-    if kind != "name":
-        raise ConstantParseError("expected a number or generator name", toks.pos)
-    if value == "zeta":
-        toks.expect_op("(")
-        k2, v2 = toks.next()
-        if k2 != "number":
-            raise ConstantParseError("expected zeta index", toks.pos)
-        toks.expect_op(")")
-        base = zeta_const(int(v2))
-    elif value == "delta":
-        base = GAMMA + LOG_MU_CONST
-    elif value == "pi":
-        base = None  # handled below: pi is only legal with even exponents
-    else:
-        try:
-            base = SymbolicConstant.from_generator(generator_from_name(value))
-        except ValueError:
-            raise ConstantParseError(f"unknown constant {value!r}", toks.pos) from None
-    exponent = 1
-    kind, nxt, _ = toks.peek()
-    if kind == "op" and nxt == "^":
-        toks.next()
-        k2, v2 = toks.next()
-        if k2 != "number":
-            raise ConstantParseError("expected integer exponent", toks.pos)
-        exponent = int(v2)
-    if base is None:
-        if exponent % 2 != 0:
-            raise ConstantParseError(
-                "pi requires an even exponent (pi^2 = 6*zeta(2)); use sqrt_pi", toks.pos
-            )
-        half = exponent // 2
-        return rational_const(Fraction(6**half)) * zeta_const(2) ** half
-    return base**exponent

@@ -1,10 +1,12 @@
-"""The package's public names are exactly the API README documents."""
+"""The package's public names and modules are exactly those README documents."""
 
+import re
 from pathlib import Path
 
 import explogint
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 DOCUMENTED = [
     "IntegralSpec",
@@ -30,3 +32,11 @@ def test_readme_library_section_names_every_export():
     library = text[text.index("## Library"):text.index("## Tests")]
     for name in DOCUMENTED:
         assert name in library, name
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text[text.index("## Layout"):text.index("## Scope notes")]
+    listed = set(re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "explogint").glob("*.py")}
+    assert listed == modules - {"__init__", "__main__"}

@@ -1,5 +1,6 @@
 """The nine-formula catalog: symbolic equality and numeric verification."""
 
+import dataclasses
 from fractions import Fraction
 
 from explogint.catalog import (
@@ -66,14 +67,8 @@ class TestIndividualEntries:
     def test_transcription_catches_typos(self, table):
         # a deliberately wrong printed form must fail the symbolic check
         entry = catalog()[0]
-        broken = type(entry)(
-            id=entry.id,
-            integrand=entry.integrand,
-            closed=entry.closed,
-            param_name=entry.param_name,
-            mu_fixed=entry.mu_fixed,
-            build=entry.build,
-            printed_form=lambda _p: entry.printed_form(None).scaled(rational_const(2)),
+        broken = dataclasses.replace(
+            entry, printed_form=lambda _p: entry.printed_form(None).scaled(rational_const(2))
         )
         check = check_entry(broken, None, table, mu_grid=(1.0,))
         assert not check.symbolic_equal

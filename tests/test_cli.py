@@ -152,7 +152,7 @@ class TestFlags:
         assert flags == {
             "eval": {"--json", "--paper-style"},
             "verify": {"--tol", "--json", "--paper-style"},
-            "catalog": {"--mu", "--tol", "--max-n", "--json", "--paper-style"},
+            "catalog": {"--mu", "--tol", "--max-n", "--json"},
             "weight": {"--max-n", "--json"},
         }
 
@@ -160,6 +160,7 @@ class TestFlags:
         for argv in (
             ["eval", "exp(-x)", "--tol", "1e-8"],
             ["weight", "--paper-style"],
+            ["catalog", "--paper-style"],
             ["verify", "exp(-x)", "--zeta-max", "5"],
         ):
             proc = subprocess.run(

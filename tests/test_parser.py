@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from explogint.evaluator import PrefactorTerm
+from explogint.evaluator import IntegralSpec, PrefactorTerm, eval_general
 from explogint.parser import (
     ExpFactor,
     IntegrandSyntaxError,
@@ -17,6 +17,7 @@ from explogint.parser import (
     VarX,
     XPower,
     ast_to_text,
+    parse_constant,
     parse_integrand,
     to_integral_spec,
 )
@@ -210,3 +211,28 @@ class TestUnsupportedClass:
     def test_diagnostic_names_offender(self):
         with pytest.raises(UnsupportedIntegrandError, match=r"x\^\(1/3\)"):
             to_integral_spec(parse_integrand("x^(1/3)*exp(-x)"))
+
+
+class TestConstantLanguage:
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("gamma + tau", 8),  # unknown constant
+            ("2*pi^3", 2),  # pi takes even exponents only
+            ("1.5*gamma", 0),  # constants have integer numbers only
+            ("gamma +", 7),  # missing term
+            ("3/0", 2),  # zero denominator
+            ("zeta(x)", 5),  # zeta index must be an integer
+        ],
+    )
+    def test_rejection_names_the_offending_token(self, text, position):
+        with pytest.raises(IntegrandSyntaxError) as exc_info:
+            parse_constant(text)
+        assert exc_info.value.position == position
+
+    @pytest.mark.parametrize("paper_style", [False, True])
+    def test_deep_closed_form_round_trips(self, paper_style):
+        # s = 7/2, n = 14: one constant of 4542 monomials
+        closed = eval_general(IntegralSpec.simple(ArgPoint.of(Fraction(7, 2)), 14))
+        (const,) = [c for _, c in closed.terms]
+        assert parse_constant(const.render(paper_style=paper_style)) == const

@@ -7,6 +7,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from explogint import parse_constant
 from explogint.ring import (
     EULER_GAMMA,
     GAMMA,
@@ -22,7 +23,6 @@ from explogint.ring import (
     MissingBindingError,
     SymbolicConstant,
     grade,
-    parse_constant,
     rational_const,
     zeta_const,
     zeta_gen,
