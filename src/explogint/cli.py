@@ -8,15 +8,18 @@ Four commands:
     weight           weight-homogeneity table for integral e^-x (ln x)^n dx
 
 Each command declares only the flags it reads, so any other flag is a
-usage error.  Exit codes: 0 all checks passed, 1 a verification failed,
-2 usage or parse error.  JSON reports are deterministic: fixed field order,
-floats rounded to 12 significant digits.
+usage error.  Exit codes: 0 all checks passed, 1 a verification failed
+or stdout was closed early (no traceback), 2 usage or parse error.  JSON
+reports are deterministic: fixed field order, floats rounded to 12
+significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -191,6 +194,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="explogint",
@@ -236,8 +240,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
-def console_main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
+def console_main() -> None:  # pragma: no cover - runs in subprocess tests
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush cannot raise again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,12 @@ with respect to s and expanding with the Leibniz rule gives
     integral (ln x)^n x^(s-1) e^(-mu x) dx
         = mu^(-s) sum_k C(n,k) (-ln mu)^(n-k) Gamma^(k)(s),
 
-which is what :func:`eval_general` assembles term by term.  mu stays
-symbolic throughout: a closed form is a sum of (mu-exponent, constant)
-pairs where the constant may mention the log_mu generator.
+which is what :func:`eval_general` assembles.  Gamma^(k)(s) never mentions
+log_mu, so term k owns exactly the monomials whose log_mu exponent is n-k:
+each Gamma^(k) block is written straight into one dict at that exponent
+(:func:`explogint.ring.with_log_mu_powers`) and no ring product is formed.
+mu stays symbolic throughout: a closed form is a sum of (mu-exponent,
+constant) pairs where the constant may mention the log_mu generator.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .ring import (
-    LOG_MU,
-    LOG_MU_CONST,
-    Generator,
-    SymbolicConstant,
-    rational_const,
-)
+from .ring import LOG_MU, Generator, SymbolicConstant, with_log_mu_powers
 from .special_values import ArgPoint, gamma_deriv_at
 
 
@@ -97,7 +94,8 @@ class ClosedForm:
         acc: dict[Fraction, SymbolicConstant] = {}
         for exponent, const in terms:
             e = Fraction(exponent)
-            acc[e] = acc.get(e, SymbolicConstant.from_rational(0)) + const
+            prev = acc.get(e)
+            acc[e] = const if prev is None else prev + const
         cleaned = [(e, c) for e, c in acc.items() if c]
         cleaned.sort(key=lambda item: item[0])
         object.__setattr__(self, "_terms", tuple(cleaned))
@@ -193,13 +191,13 @@ def eval_In(n: int) -> SymbolicConstant:
 def eval_general(spec: IntegralSpec) -> ClosedForm:
     """Closed form of the integral described by ``spec``; mu stays symbolic."""
     n = spec.log_power
-    neg_log = -LOG_MU_CONST
     terms: list[tuple[Fraction, SymbolicConstant]] = []
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
-        const = SymbolicConstant.from_rational(0)
-        for k in range(n + 1):  # Horner in -log_mu
-            const = const * neg_log + math.comb(n, k) * gamma_deriv_at(k, point)
-        exponent = spec.s.value + pf.power - pf.mu_power
-        terms.append((exponent, rational_const(pf.coeff) * const))
+        # Gamma^(k) never mentions log_mu, so block k is placed at log_mu^(n-k).
+        const = with_log_mu_powers(
+            (pf.coeff * (-1) ** (n - k) * math.comb(n, k), n - k, gamma_deriv_at(k, point))
+            for k in range(n + 1)
+        )
+        terms.append((spec.s.value + pf.power - pf.mu_power, const))
     return ClosedForm(terms)

@@ -528,6 +528,31 @@ def sum_of_products(
     return _wrap(_canonical(acc))
 
 
+def with_log_mu_powers(
+    parts: Iterable[tuple[Scalar, int, SymbolicConstant]],
+) -> SymbolicConstant:
+    """Exact sum of ``c * log_mu**j * a`` over the triples, in one dict.
+
+    A log_mu power only raises entry 1 of each exponent vector, so every
+    monomial of ``a`` is placed directly at its shifted vector; no ring
+    product is formed.
+    """
+    acc: dict[Exponents, Scalar] = {}
+    get = acc.get
+    for c, j, a in parts:
+        if c.__class__ is Fraction and c.denominator == 1:
+            c = c.numerator  # keeps int * int products out of Fraction
+        for e, ca in a._d.items():
+            if j:
+                if len(e) < 2:
+                    e += (0,) * (2 - len(e))
+                e = (e[0], e[1] + j) + e[2:]
+            p = ca * c
+            prev = get(e)  # a new key stores p as is: 0 + Fraction is a full add
+            acc[e] = p if prev is None else prev + p
+    return _wrap(_canonical(acc))
+
+
 # Ring elements for the individual generators, plus scalar shorthands.
 ZERO = SymbolicConstant.from_rational(0)
 ONE = SymbolicConstant.from_rational(1)

@@ -198,3 +198,18 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_closed_pipe_exits_quietly(self):
+        # The closed form is larger than a pipe buffer, so the writer is still
+        # blocked in print when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "explogint", "eval", "x^(5/2)*exp(-x)*log(x)^14"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr

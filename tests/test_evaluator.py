@@ -248,6 +248,50 @@ class TestPipelineProperties:
             assert abs(closed_value - result.value) <= 1e-8 * (1.0 + abs(closed_value))
 
 
+
+def horner_reference(spec):
+    """The Leibniz sum by Horner in -log_mu with ring products."""
+    n = spec.log_power
+    terms = []
+    for pf in spec.prefactor:
+        point = spec.s.shifted(pf.power)
+        const = rational_const(0)
+        for k in range(n + 1):
+            const = const * -LOG_MU_CONST + math.comb(n, k) * gamma_deriv_at(k, point)
+        terms.append((spec.s.value + pf.power - pf.mu_power, rational_const(pf.coeff) * const))
+    return ClosedForm(terms)
+
+
+class TestLeibnizAssembly:
+    # Integral, non-integral and negative coefficients; the x^1 * mu^1 term
+    # shares its mu exponent with the constant term.
+    PREFACTOR = (
+        PrefactorTerm(0, Fraction(1)),
+        PrefactorTerm(1, Fraction(3, 2)),
+        PrefactorTerm(2, Fraction(-4)),
+        PrefactorTerm(1, Fraction(-2, 3), mu_power=1),
+    )
+
+    @pytest.mark.parametrize(
+        "s", [HALF, Fraction(1), Fraction(3, 2), Fraction(7, 2), Fraction(10)], ids=str
+    )
+    def test_matches_horner_reference(self, s):
+        for n in (0, 1, 2, 5, 9, 14):
+            spec = IntegralSpec(self.PREFACTOR, ArgPoint.of(s), n)
+            got, expected = eval_general(spec), horner_reference(spec)
+            assert got == expected, n
+            assert got.render() == expected.render()
+            assert got.render(paper_style=True) == expected.render(paper_style=True)
+            assert got.to_json() == expected.to_json()
+
+    def test_shared_exponent_terms_are_summed(self):
+        point = ArgPoint.of(Fraction(3, 2))
+        shared = IntegralSpec(self.PREFACTOR[:1] + self.PREFACTOR[3:], point, 3)
+        exponents = [e for e, _ in eval_general(shared).terms]
+        assert exponents == [Fraction(3, 2)]
+        assert eval_general(shared) == horner_reference(shared)
+
+
 class TestSpecValidation:
     def test_prefactor_must_be_nonempty(self):
         with pytest.raises(ValueError):

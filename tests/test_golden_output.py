@@ -43,6 +43,10 @@ GOLDEN = [
         "7dc5f6dd7da6c6100eaf31188b6d26b2b9be480efdcf3ec5cdba3cae6b002ac6",
     ),
     (
+        ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
+        "00ab6194553215345ed5771fffd217844d097e70f0c205abc161e89bc05fe01c",
+    ),
+    (
         ["catalog", "--json"],
         "438c9841d19baac7bb3acae34c5896ad03d28de695a5b1c44f3d23347d768684",
     ),

@@ -24,6 +24,8 @@ from explogint.ring import (
     SymbolicConstant,
     grade,
     rational_const,
+    sum_of_products,
+    with_log_mu_powers,
     zeta_const,
     zeta_gen,
 )
@@ -282,6 +284,31 @@ class TestKernelAgainstReference:
     def test_generators_are_those_the_terms_name(self):
         for c in kernel_draws(15):
             assert c.generators() == {g for m in c.terms for g, _ in m.powers}
+
+    def test_log_mu_placement_matches_products(self):
+        rng = random.Random(16)
+        # Short vectors (the padding path), log_mu already present, zero.
+        fixed = [rational_const(Fraction(-3, 4)), GAMMA, DELTA**3, LOG_MU_CONST, rational_const(0)]
+        pool = fixed + list(kernel_draws(16, count=40))
+        scales = (0, 1, -3, Fraction(4, 2), Fraction(-5, 7))
+        cases = [
+            [(0, 2, GAMMA)],
+            [(1, 1, DELTA), (-1, 1, DELTA)],  # repeated j cancels to zero
+            [(2, 3, LOG_MU_CONST), (Fraction(1, 2), 2, DELTA**2), (5, 3, GAMMA)],
+        ]
+        for _ in range(60):
+            cases.append(
+                [(rng.choice(scales), rng.randint(0, 4), rng.choice(pool))
+                 for _ in range(rng.randint(0, 5))]
+            )
+        for parts in cases:
+            got = with_log_mu_powers(parts)
+            expected = sum_of_products((c, LOG_MU_CONST**j, a) for c, j, a in parts)
+            assert got == expected
+            assert got.terms == expected.terms
+            # canonical storage: integral coefficients are ints, vectors trimmed
+            assert all(type(c) is int for c in got._d.values() if c.denominator == 1)
+            assert all(not e or e[-1] for e in got._d)
 
 
 # --- grading -----------------------------------------------------------------
