@@ -305,8 +305,10 @@ class SymbolicConstant:
         if len(a) < len(b):
             a, b = b, a
         acc = dict(a)
+        get = acc.get
         for e, c in b.items():
-            acc[e] = acc.get(e, 0) + c
+            prev = get(e)
+            acc[e] = c if prev is None else prev + c
         return _wrap(_canonical(acc))
 
     __radd__ = __add__
@@ -524,7 +526,9 @@ def sum_of_products(
             ca *= c
             for eb, cb in pb:
                 e = tuple(map(add, ea, eb))
-                acc[e] = get(e, 0) + ca * cb
+                p = ca * cb
+                prev = get(e)
+                acc[e] = p if prev is None else prev + p
     return _wrap(_canonical(acc))
 
 

@@ -1,19 +1,19 @@
-"""Exact values of Gamma, psi and their derivatives on the half-integer lattice.
+"""Exact values of Gamma and its derivatives on the half-integer lattice.
 
-Everything here returns elements of the exact constant ring.  The classical
-inputs are:
+Everything here returns elements of the exact constant ring.  Two base
+points carry the whole lattice.  At b = 1 and b = 1/2 the classical tables
 
-    psi(1)       = -gamma
-    psi^(m)(x)   = (-1)^(m+1) m! zeta(m+1, x)          for m >= 1
-    psi(x+1)     = psi(x) + 1/x
-    Gamma(n+1)   = n!
-    Gamma(n+1/2) = sqrt(pi) (2n-1)!! / 2^n
+    Gamma(1) = 1,                  Gamma(1/2) = sqrt(pi)
+    psi(1)   = -gamma,             psi(1/2)   = -gamma - 2 log2
+    psi^(m)(1)   = (-1)^(m+1) m! zeta(m+1)                    for m >= 1
+    psi^(m)(1/2) = (-1)^(m+1) m! (2^(m+1) - 1) zeta(m+1)      for m >= 1
 
-Hurwitz zeta values reduce to plain zeta values through the two standard
-identities zeta(z, q+1) = zeta(z, q) - q^(-z) and zeta(z, 1/2) =
-(2^z - 1) zeta(z); both are verified numerically in the test suite rather
-than assumed.  Derivatives of Gamma come from iterating Gamma' = Gamma*psi
-with the Leibniz rule.
+feed the Leibniz recurrence of Gamma' = Gamma*psi, whose coefficients are
+then all integers.  Every other lattice point is x = b + m, and
+Gamma(x+1) = x Gamma(x) gives Gamma(b+m+t) = P(t) Gamma(b+t) with
+P(t) = (b+t)(b+1+t)...(b+m-1+t); the Leibniz rule turns that into a
+rational combination of the derivatives at b.  The base tables are
+checked numerically in the test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Union
 from .ring import (
     GAMMA,
     LOG2_CONST,
+    ONE,
     SQRT_PI_CONST,
     SymbolicConstant,
-    rational_const,
     sum_of_products,
+    with_log_mu_powers,
     zeta_const,
 )
 
@@ -67,75 +68,47 @@ class ArgPoint:
         return str(self.value)
 
 
-def harmonic(n: int) -> Fraction:
-    """H_n = sum_{k=1}^{n} 1/k, exactly; the empty sum is 0."""
-    if n < 0:
-        raise ValueError("harmonic numbers need n >= 0")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-
-
-def odd_harmonic(n: int) -> Fraction:
-    """sum_{k=1}^{n} 1/(2k-1), exactly."""
-    if n < 0:
-        raise ValueError("odd harmonic sums need n >= 0")
-    return sum((Fraction(1, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n-1)!! = 1*3*...*(2n-1), with the empty product (-1)!! = 1."""
-    if n < 0:
-        raise ValueError("double factorial needs n >= 0")
-    return math.prod(range(1, 2 * n, 2))
-
-
 @lru_cache(maxsize=None)
 def psi_deriv_at(m: int, x: ArgPoint) -> SymbolicConstant:
-    """Exact psi^(m)(x) for x on the positive half-integer lattice."""
+    """Exact psi^(m)(x) at the base points x = 1 and x = 1/2."""
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
+    if x.twice not in (1, 2):
+        raise ValueError(f"psi is tabulated at the base points 1 and 1/2 only, got {x}")
     if m == 0:
-        if x.is_integer:
-            n = x.twice // 2  # psi(n) = -gamma + H_{n-1}
-            return -GAMMA + rational_const(harmonic(n - 1))
-        n = (x.twice - 1) // 2  # x = n + 1/2
-        return (
-            -GAMMA
-            - rational_const(2) * LOG2_CONST
-            + rational_const(2 * odd_harmonic(n))
-        )
-    z = m + 1
-    if x.is_integer:
-        n = x.twice // 2
-        # zeta(z, n) = zeta(z) - sum_{j<n} j^(-z)
-        partial = sum((Fraction(1, j**z) for j in range(1, n)), Fraction(0))
-        hurwitz = zeta_const(z) - rational_const(partial)
-    else:
-        n = (x.twice - 1) // 2
-        # zeta(z, 1/2) = (2^z - 1) zeta(z), then peel n steps of size 1
-        partial = sum((Fraction(2**z, (2 * j + 1) ** z) for j in range(n)), Fraction(0))
-        hurwitz = rational_const(2**z - 1) * zeta_const(z) - rational_const(partial)
-    sign = 1 if (m + 1) % 2 == 0 else -1
-    return rational_const(sign * math.factorial(m)) * hurwitz
-
-
-@lru_cache(maxsize=None)
-def gamma_at(x: ArgPoint) -> SymbolicConstant:
-    """Exact Gamma(x): (n-1)! at integers, sqrt(pi)(2n-1)!!/2^n at n+1/2."""
-    if x.is_integer:
-        n = x.twice // 2
-        return rational_const(math.factorial(n - 1))
-    n = (x.twice - 1) // 2
-    return rational_const(Fraction(double_factorial_odd(n), 2**n)) * SQRT_PI_CONST
+        return -GAMMA if x.is_integer else -GAMMA - 2 * LOG2_CONST
+    # psi^(m)(1) = (-1)^(m+1) m! zeta(m+1); at 1/2 zeta(m+1, 1/2) = (2^(m+1) - 1) zeta(m+1)
+    scale = (-1) ** (m + 1) * math.factorial(m)
+    if not x.is_integer:
+        scale *= 2 ** (m + 1) - 1
+    return scale * zeta_const(m + 1)
 
 
 @lru_cache(maxsize=None)
 def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
-    """Exact Gamma^(k)(x) via G_{j+1} = sum_i C(j,i) psi^(j-i)(x) G_i."""
+    """Exact Gamma^(k)(x), from the base point b = 1 or 1/2 below x."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    if k == 0:
-        return gamma_at(x)
-    j = k - 1
-    return sum_of_products(
-        (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
+    base = ArgPoint(2 - x.twice % 2)
+    m = (x.twice - base.twice) // 2
+    if m == 0:
+        if k == 0:
+            return ONE if x.is_integer else SQRT_PI_CONST
+        # G_{j+1} = sum_i C(j,i) psi^(j-i)(b) G_i, all coefficients integers
+        j = k - 1
+        return sum_of_products(
+            (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
+        )
+    # Gamma(b+m+t) = P(t) Gamma(b+t) with P(t) = prod_{i<m} (b+i+t) = sum_j c_j t^j,
+    # so Gamma^(k)(b+m) = sum_{j <= min(k,m)} k!/(k-j)! c_j Gamma^(k-j)(b): a scaled
+    # sum of the base blocks, placed at log_mu power 0.
+    top = min(k, m)
+    c = [Fraction(1)] + [Fraction(0)] * top
+    for i in range(m):
+        r = base.value + i
+        for j in range(top, 0, -1):
+            c[j] = c[j] * r + c[j - 1]
+        c[0] *= r
+    return with_log_mu_powers(
+        (math.perm(k, j) * c[j], 0, gamma_deriv_at(k - j, base)) for j in range(top + 1)
     )

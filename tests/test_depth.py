@@ -48,16 +48,20 @@ def test_gamma_20th_derivative_at_one_matches_mpmath():
 
 def test_eval_general_seven_halves_n14_matches_mpmath():
     # mu = 2 keeps every log_mu term of the closed form in play:
-    # the integral is d^14/ds^14 [mu^(-s) Gamma(s)] at s = 7/2.
+    # the integral is d^n/ds^n [mu^(-s) Gamma(s)] at s.  Besides s = 7/2,
+    # n = 14, the points 41/2 and 15 lie 20 and 14 steps above their base
+    # points 1/2 and 1.
     mpmath = pytest.importorskip("mpmath")
-    closed = eval_general(IntegralSpec.simple(Fraction(7, 2), 14))
-    with mpmath.workdps(50):
-        mu = mpmath.mpf(2)
-        exact = sum(
-            mu ** -(mpmath.mpf(e.numerator) / e.denominator) * mp_value(c, mpmath.mp, mu)
-            for e, c in closed.terms
-        )
-        ref = mpmath.diff(
-            lambda s: mu**-s * mpmath.gamma(s), mpmath.mpf(7) / 2, 14, method="quad", radius=1
-        ).real
-        assert abs(exact - ref) <= mpmath.mpf(10) ** -40 * abs(ref)
+    for s, n in ((Fraction(7, 2), 14), (Fraction(41, 2), 6), (Fraction(15), 9)):
+        closed = eval_general(IntegralSpec.simple(s, n))
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(2)
+            exact = sum(
+                mu ** -(mpmath.mpf(e.numerator) / e.denominator) * mp_value(c, mpmath.mp, mu)
+                for e, c in closed.terms
+            )
+            point = mpmath.mpf(s.numerator) / s.denominator
+            ref = mpmath.diff(
+                lambda t: mu**-t * mpmath.gamma(t), point, n, method="quad", radius=1
+            ).real
+            assert abs(exact - ref) <= mpmath.mpf(10) ** -40 * abs(ref), (s, n)

@@ -47,6 +47,16 @@ GOLDEN = [
         "00ab6194553215345ed5771fffd217844d097e70f0c205abc161e89bc05fe01c",
     ),
     (
+        # shifts of m = 20 and 21 from the base point 1/2
+        ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
+        "d4e38ff49d2d51651bb236933cd75f4c1f31f93046df9e5de3db4584f22b203f",
+    ),
+    (
+        # a shift of m = 15 from the base point 1
+        ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
+        "a7e954728171e87c27e6e2115f88f95c75671616ba0abcabc88bc4ee9915827e",
+    ),
+    (
         ["catalog", "--json"],
         "438c9841d19baac7bb3acae34c5896ad03d28de695a5b1c44f3d23347d768684",
     ),

@@ -1,5 +1,6 @@
 """Exact Gamma/psi values and their consistency with the numeric oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,21 +11,53 @@ from explogint.ring import (
     LOG2_CONST,
     SQRT_PI_CONST,
     Grade,
+    SymbolicConstant,
     grade,
     rational_const,
+    sum_of_products,
     zeta_const,
 )
-from explogint.special_values import (
-    ArgPoint,
-    double_factorial_odd,
-    gamma_at,
-    gamma_deriv_at,
-    harmonic,
-    odd_harmonic,
-    psi_deriv_at,
-)
+from explogint.special_values import ArgPoint, gamma_deriv_at, psi_deriv_at
 
 HALF = Fraction(1, 2)
+
+
+def reference_psi(m: int, x: ArgPoint) -> SymbolicConstant:
+    """psi^(m)(x) anywhere on the lattice by harmonic sums and Hurwitz peeling.
+
+    psi(n) = -gamma + H_(n-1), psi(n + 1/2) = -gamma - 2 log2 + 2 sum_(k<=n) 1/(2k-1),
+    and for m >= 1 zeta(z, q+1) = zeta(z, q) - q^(-z) walks zeta(m+1, x) back
+    to zeta(m+1, 1) = zeta(m+1) or zeta(m+1, 1/2) = (2^(m+1) - 1) zeta(m+1).
+    """
+    n = x.twice // 2 if x.is_integer else (x.twice - 1) // 2
+    if m == 0:
+        if x.is_integer:
+            return -GAMMA + rational_const(sum((Fraction(1, j) for j in range(1, n)), Fraction(0)))
+        odd = sum((Fraction(1, 2 * j - 1) for j in range(1, n + 1)), Fraction(0))
+        return -GAMMA - 2 * LOG2_CONST + rational_const(2 * odd)
+    z = m + 1
+    if x.is_integer:
+        partial = sum((Fraction(1, j**z) for j in range(1, n)), Fraction(0))
+        hurwitz = zeta_const(z) - rational_const(partial)
+    else:
+        partial = sum((Fraction(2**z, (2 * j + 1) ** z) for j in range(n)), Fraction(0))
+        hurwitz = (2**z - 1) * zeta_const(z) - rational_const(partial)
+    return (-1) ** (m + 1) * math.factorial(m) * hurwitz
+
+
+def leibniz_reference(k: int, x: ArgPoint) -> SymbolicConstant:
+    """Gamma^(k)(x) by G_(j+1) = sum_i C(j,i) psi^(j-i)(x) G_i at x itself,
+    with Gamma(x) from factorials and double factorials: the route that
+    predates the two base points, kept to check the shift against."""
+    if x.is_integer:
+        g = [rational_const(math.factorial(x.twice // 2 - 1))]
+    else:
+        n = (x.twice - 1) // 2
+        g = [rational_const(Fraction(math.prod(range(1, 2 * n, 2)), 2**n)) * SQRT_PI_CONST]
+    psi = [reference_psi(m, x) for m in range(k)]
+    for j in range(k):
+        g.append(sum_of_products((math.comb(j, i), psi[j - i], g[i]) for i in range(j + 1)))
+    return g[k]
 
 
 class TestArgPoint:
@@ -45,32 +78,9 @@ class TestArgPoint:
         assert ArgPoint.of(HALF).shifted(2) == ArgPoint.of(Fraction(5, 2))
 
 
-class TestCombinatorialHelpers:
-    def test_harmonic_empty_sum(self):
-        assert harmonic(0) == 0
-
-    def test_harmonic_by_direct_summation(self):
-        assert harmonic(4) == Fraction(25, 12)
-        for n in range(12):
-            assert harmonic(n) == sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-
-    def test_odd_harmonic(self):
-        assert odd_harmonic(0) == 0
-        assert odd_harmonic(3) == 1 + Fraction(1, 3) + Fraction(1, 5)
-
-    def test_double_factorial(self):
-        assert double_factorial_odd(0) == 1  # (-1)!! == 1
-        assert double_factorial_odd(1) == 1
-        assert double_factorial_odd(3) == 15  # 1*3*5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            harmonic(-1)
-        with pytest.raises(ValueError):
-            double_factorial_odd(-1)
-
-
 class TestPsiValues:
+    """psi is tabulated at 1 and 1/2; elsewhere the engine's psi is Gamma'/Gamma."""
+
     def test_psi_at_one(self):
         assert psi_deriv_at(0, ArgPoint.of(1)) == -GAMMA
 
@@ -86,32 +96,43 @@ class TestPsiValues:
             - 2 * LOG2_CONST
             + rational_const(2 * (1 + Fraction(1, 3) + Fraction(1, 5)))
         )
-        assert psi_deriv_at(0, ArgPoint.of(Fraction(7, 2))) == expected
+        x = ArgPoint.of(Fraction(7, 2))
+        assert gamma_deriv_at(1, x) == gamma_deriv_at(0, x) * expected
 
     def test_psi_at_integers_is_harmonic_shift(self):
         for n in range(1, 10):
-            assert psi_deriv_at(0, ArgPoint.of(n)) == -GAMMA + rational_const(harmonic(n - 1))
+            x = ArgPoint.of(n)
+            harmonic = sum((Fraction(1, k) for k in range(1, n)), Fraction(0))
+            assert gamma_deriv_at(1, x) == gamma_deriv_at(0, x) * (-GAMMA + rational_const(harmonic))
 
     def test_psi_prime_at_half(self):
         # zeta(2, 1/2) = 3 zeta(2)
         assert psi_deriv_at(1, ArgPoint.of(HALF)) == 3 * zeta_const(2)
 
     def test_functional_equation_symbolically(self):
+        # psi(x+1) - psi(x) = 1/x, times Gamma(x) Gamma(x+1)
         for twice in range(1, 21):
             x = ArgPoint(twice)
-            lhs = psi_deriv_at(0, x.shifted(1)) - psi_deriv_at(0, x)
-            assert lhs == rational_const(1 / x.value)
+            g0, g1 = gamma_deriv_at(0, x), gamma_deriv_at(0, x.shifted(1))
+            lhs = gamma_deriv_at(1, x.shifted(1)) * g0 - gamma_deriv_at(1, x) * g1
+            assert lhs == g0 * g1 / x.value
 
     def test_derivative_shift_identity(self):
-        # psi^(m)(x+1) - psi^(m)(x) = (-1)^m m! x^(-(m+1))
-        import math
+        # d^k/dx^k of Gamma(x+1) = x Gamma(x)
+        for twice in range(1, 21):
+            x = ArgPoint(twice)
+            for k in range(7):
+                rhs = x.value * gamma_deriv_at(k, x)
+                if k:
+                    rhs = rhs + k * gamma_deriv_at(k - 1, x)
+                assert gamma_deriv_at(k, x.shifted(1)) == rhs
 
-        for m in range(1, 5):
-            for twice in range(1, 21):
-                x = ArgPoint(twice)
-                lhs = psi_deriv_at(m, x.shifted(1)) - psi_deriv_at(m, x)
-                expected = Fraction((-1) ** m * math.factorial(m)) / x.value ** (m + 1)
-                assert lhs == rational_const(expected)
+    def test_rejects_off_base_point(self):
+        for twice in (3, 4, 7, 201):
+            x = ArgPoint(twice)
+            for m in (0, 2):
+                with pytest.raises(ValueError, match=f"got {x}$"):
+                    psi_deriv_at(m, x)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -120,44 +141,37 @@ class TestPsiValues:
     def test_matches_numeric_oracle(self, table):
         bindings = table.bindings()
         for m in range(7):
-            for twice in (1, 2, 3, 4, 5, 7, 9, 12):
+            for twice in (1, 2):
                 x = ArgPoint(twice)
                 exact = psi_deriv_at(m, x).evaluate(bindings)
                 numeric = digamma_m(m, float(x.value))
-                # Evaluating the exact half-integer reduction cancels
-                # (2^z - 1) zeta(z) against a similar-sized partial sum, so
-                # high orders lose a couple of digits there.
-                tol = 1e-12 if x.is_integer or m <= 4 else 5e-12
-                assert abs(exact - numeric) <= tol * max(1.0, abs(numeric))
+                assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
 
 
 class TestGammaValues:
     def test_at_one(self):
-        assert gamma_at(ArgPoint.of(1)) == 1
+        assert gamma_deriv_at(0, ArgPoint.of(1)) == 1
 
     def test_at_half(self):
-        assert gamma_at(ArgPoint.of(HALF)) == SQRT_PI_CONST
+        assert gamma_deriv_at(0, ArgPoint.of(HALF)) == SQRT_PI_CONST
 
     def test_at_seven_halves(self):
-        # (2*3-1)!!/2^3 = 15/8 by direct double-factorial computation
-        assert double_factorial_odd(3) == 15
-        assert gamma_at(ArgPoint.of(Fraction(7, 2))) == rational_const(Fraction(15, 8)) * SQRT_PI_CONST
+        # (2*3-1)!!/2^3 = 1*3*5/8 = 15/8
+        expected = rational_const(Fraction(15, 8)) * SQRT_PI_CONST
+        assert gamma_deriv_at(0, ArgPoint.of(Fraction(7, 2))) == expected
 
     def test_integers_are_factorials(self):
-        import math
-
         for n in range(1, 9):
-            assert gamma_at(ArgPoint.of(n)) == rational_const(math.factorial(n - 1))
+            assert gamma_deriv_at(0, ArgPoint.of(n)) == rational_const(math.factorial(n - 1))
 
     def test_half_integer_family(self, table):
         bindings = table.bindings()
         for n in range(0, 7):
             point = ArgPoint(2 * n + 1)
-            expected = rational_const(
-                Fraction(double_factorial_odd(n), 2**n)
-            ) * SQRT_PI_CONST
-            assert gamma_at(point) == expected
-            exact = gamma_at(point).evaluate(bindings)
+            double_fact = math.prod(range(1, 2 * n, 2))
+            expected = rational_const(Fraction(double_fact, 2**n)) * SQRT_PI_CONST
+            assert gamma_deriv_at(0, point) == expected
+            exact = gamma_deriv_at(0, point).evaluate(bindings)
             numeric = gamma_value(float(point.value))
             assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
 
@@ -198,4 +212,10 @@ class TestGammaDerivatives:
     def test_gamma_prime_is_gamma_times_psi(self):
         for twice in range(1, 13):
             x = ArgPoint(twice)
-            assert gamma_deriv_at(1, x) == gamma_at(x) * psi_deriv_at(0, x)
+            assert gamma_deriv_at(1, x) == gamma_deriv_at(0, x) * reference_psi(0, x)
+
+    def test_matches_leibniz_reference(self):
+        cases = [(k, ArgPoint(twice)) for twice in range(1, 25) for k in range(11)]
+        cases += [(k, ArgPoint(201)) for k in range(5)]
+        for k, x in cases:
+            assert gamma_deriv_at(k, x) == leibniz_reference(k, x), (k, x)
