@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
-from .oracle import ConstantsTable, compute_constants, quadrature
+from .oracle import ConstantsTable, compute_constants, quadrature, verdict
 from .ring import (
     GAMMA,
     LOG2_CONST,
@@ -296,16 +296,16 @@ def check_entry(
 
     bindings = table.bindings()
     worst = 0.0
-    all_converged = True
+    all_converged = all_passed = True
     for mu in mu_values:
         closed_value = computed.evaluate(mu, bindings)
         quad = quadrature(spec, mu, rel_tol=quad_tol)
+        rel_err, passed = verdict(closed_value, quad, quad_tol)
         all_converged = all_converged and quad.converged
-        denom = max(abs(closed_value), 1e-300)
-        worst = max(worst, abs(closed_value - quad.value) / denom)
+        all_passed = all_passed and passed
+        worst = max(worst, rel_err)
 
-    threshold = 10.0 * quad_tol
-    ok = symbolic_equal and all_converged and worst <= threshold
+    ok = symbolic_equal and all_passed
     return CatalogCheck(
         id=entry.id,
         params=_param_dict(entry, param),

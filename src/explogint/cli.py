@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 from .catalog import DEFAULT_MU_GRID, catalog, run_catalog
 from .evaluator import eval_In, eval_general
-from .oracle import compute_constants, quadrature
+from .oracle import MIN_REL_TOL, compute_constants, quadrature, verdict
 from .parser import (
     IntegrandSyntaxError,
     UnsupportedIntegrandError,
@@ -100,11 +101,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    tol = _tol(args)
     ast = parse_integrand(args.expr)
     spec = to_integral_spec(ast)
     mu = float(spec.mu)
-    # First, so that a bad --tol is rejected before the exact engine runs.
-    quad = quadrature(spec, mu, rel_tol=args.tol)
+    quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
     # The table holds zeta(2) up to the largest zeta(k) the closed form names
     # (Generator.k is 0 for the other generators).
@@ -112,8 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max([2] + [g.k for _, const in closed.terms for g in const.generators()])
     )
     closed_value = closed.evaluate(mu, table.bindings())
-    rel_err = abs(closed_value - quad.value) / max(abs(closed_value), 1e-300)
-    passed = quad.converged and rel_err <= 10.0 * args.tol
+    rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:
         shown_form = closed.at_mu_one().render(paper_style=args.paper_style)
     else:
@@ -148,9 +148,22 @@ def _max_n(args: argparse.Namespace) -> int:
     return args.max_n
 
 
+def _tol(args: argparse.Namespace) -> float:
+    if not MIN_REL_TOL <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= {MIN_REL_TOL}, got {args.tol}")
+    return args.tol
+
+
+def _mu_grid(args: argparse.Namespace) -> Sequence[float]:
+    for mu in args.mu or ():
+        if not 0 < mu < math.inf:
+            raise ValueError(f"--mu must be positive and finite, got {mu}")
+    return args.mu or DEFAULT_MU_GRID
+
+
 def cmd_catalog(args: argparse.Namespace) -> int:
-    mu_grid = args.mu or DEFAULT_MU_GRID
-    checks = run_catalog(mu_grid=mu_grid, max_n=_max_n(args), quad_tol=args.tol)
+    mu_grid, tol, max_n = _mu_grid(args), _tol(args), _max_n(args)
+    checks = run_catalog(mu_grid=mu_grid, max_n=max_n, quad_tol=tol)
     all_pass = all(c.status == "pass" for c in checks)
     if args.json:
         report = []

@@ -133,8 +133,8 @@ class ClosedForm:
 
     def evaluate(self, mu_value: float, bindings: Mapping[Generator, float]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e)."""
-        if mu_value <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < mu_value < math.inf:
+            raise ValueError("mu must be positive and finite")
         full = dict(bindings)
         full[LOG_MU] = math.log(mu_value)
         return math.fsum(

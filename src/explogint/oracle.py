@@ -1,9 +1,9 @@
 """Independent floating-point ground truth.
 
-This module supplies numeric values of the ring generators, direct
-evaluation of Gamma / psi^(m) / Hurwitz zeta for arbitrary positive
-arguments, finite differencing, and high-accuracy quadrature over the
-integral class.  None of it shares a code path with the exact engine in
+This module supplies numeric values of the ring generators (via the
+Hurwitz zeta function), high-accuracy quadrature over the integral class,
+and the rule by which a closed form's value passes against quadrature.
+None of it shares a code path with the exact engine in
 :mod:`special_values` / :mod:`evaluator`, so agreement between the two
 sides is evidence rather than tautology.
 
@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping
 
 from .evaluator import IntegralSpec
-from .ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, Generator, zeta_gen
+from .ring import EULER_GAMMA, LOG2, SQRT_PI, Generator, zeta_gen
 
 # Bernoulli numbers B_2 .. B_16 (exact; converted to float where used).
 _BERNOULLI = {
@@ -84,59 +84,6 @@ def hurwitz_zeta(z: float, q: float) -> float:
     raise ArithmeticError(f"hurwitz_zeta({z}, {q}) failed to converge")  # pragma: no cover
 
 
-def digamma_m(m: int, x: float) -> float:
-    """psi^(m)(x) for x > 0; relative accuracy ~1e-12 for m <= 6.
-
-    m = 0 uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument
-    to >= 10 and then the asymptotic series through the B_12 term; m >= 1
-    reduces to (-1)^(m+1) m! zeta(m+1, x).
-    """
-    if x <= 0:
-        raise ValueError(f"digamma_m needs x > 0, got {x}")
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if m == 0:
-        y = x
-        terms = []
-        while y < 10.0:
-            terms.append(-1.0 / y)
-            y += 1.0
-        series = [math.log(y), -0.5 / y]
-        y2 = y * y
-        power = y2
-        for two_j in range(2, 13, 2):
-            series.append(-float(_BERNOULLI[two_j]) / (two_j * power))
-            power *= y2
-        return math.fsum(terms + series)
-    sign = 1.0 if (m + 1) % 2 == 0 else -1.0
-    return sign * math.factorial(m) * hurwitz_zeta(m + 1.0, x)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0: argument shift to >= 10, then Stirling.
-
-    ln Gamma(y) = (y - 1/2) ln y - y + ln(2 pi)/2
-                  + sum_j B_2j / (2j (2j-1) y^(2j-1)),  through B_12.
-    """
-    if x <= 0:
-        raise ValueError(f"log_gamma needs x > 0, got {x}")
-    shift_terms = []
-    y = x
-    while y < 10.0:
-        shift_terms.append(-math.log(y))
-        y += 1.0
-    series = [(y - 0.5) * math.log(y), -y, 0.5 * math.log(2.0 * math.pi)]
-    power = y
-    for two_j in range(2, 13, 2):
-        series.append(float(_BERNOULLI[two_j]) / (two_j * (two_j - 1) * power))
-        power *= y * y
-    return math.fsum(shift_terms + series)
-
-
-def gamma_value(x: float) -> float:
-    return math.exp(log_gamma(x))
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantsTable:
     """Numeric values of the ring generators; initialize once, read many."""
@@ -146,12 +93,8 @@ class ConstantsTable:
     sqrt_pi: float
     zeta: Mapping[int, float]
 
-    @property
-    def max_zeta(self) -> int:
-        return max(self.zeta)
-
-    def bindings(self, mu: Optional[float] = None) -> dict[Generator, float]:
-        """Generator bindings for numeric evaluation of symbolic constants."""
+    def bindings(self) -> dict[Generator, float]:
+        """Bindings of every generator but log_mu, which ClosedForm.evaluate binds."""
         out: dict[Generator, float] = {
             EULER_GAMMA: self.gamma,
             LOG2: self.log2,
@@ -159,10 +102,6 @@ class ConstantsTable:
         }
         for k, v in self.zeta.items():
             out[zeta_gen(k)] = v
-        if mu is not None:
-            if mu <= 0:
-                raise ValueError("mu must be positive")
-            out[LOG_MU] = math.log(mu)
         return out
 
 
@@ -194,7 +133,7 @@ class QuadratureResult:
 # e^(-mu e^u) is capped where mu e^u = 700; beyond that the integrand is
 # below 1e-300 and the tail is provably negligible.
 _EXP_CAP = 700.0
-_MIN_REL_TOL = 1e-13
+MIN_REL_TOL = 1e-13
 
 
 def _integrand(spec: IntegralSpec, mu: float) -> Callable[[float], float]:
@@ -243,10 +182,10 @@ def quadrature(
     successive halvings converge very quickly; iteration stops when two
     refinements agree to ``rel_tol`` relatively.
     """
-    if mu_value <= 0:
-        raise ValueError("mu must be positive")
-    if rel_tol < _MIN_REL_TOL:
-        raise ValueError(f"rel_tol must be >= {_MIN_REL_TOL}")
+    if not 0 < mu_value < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not MIN_REL_TOL <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= {MIN_REL_TOL}")
     g = _integrand(spec, mu_value)
     s_eff = float(spec.s.value) + min(pf.power for pf in spec.prefactor)
     a = -_left_cutoff(s_eff, spec.log_power)
@@ -278,75 +217,8 @@ def quadrature(
     return QuadratureResult(estimate, err, nodes, False)
 
 
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-
-def fd_weights(order: int, offsets: Sequence[int]) -> list[Fraction]:
-    """Exact finite-difference weights for the given derivative order.
-
-    Fornberg's recurrence on the integer stencil ``offsets`` around 0; the
-    actual step h is applied by the caller as a final division by h^order.
-    """
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if len(set(offsets)) != len(offsets):
-        raise ValueError("stencil offsets must be distinct")
-    if len(offsets) <= order:
-        raise ValueError("stencil too small for the requested derivative")
-    n = len(offsets)
-    c: list[list[Fraction]] = [[Fraction(0)] * (order + 1) for _ in range(n)]
-    c[0][0] = Fraction(1)
-    c1 = Fraction(1)
-    c4 = Fraction(offsets[0])
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = Fraction(offsets[i])
-        for j in range(i):
-            c3 = Fraction(offsets[i] - offsets[j])
-            c2 *= c3
-            if j == i - 1:
-                for s in range(mn, 0, -1):
-                    c[i][s] = c1 * (s * c[i - 1][s - 1] - c5 * c[i - 1][s]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for s in range(mn, 0, -1):
-                c[j][s] = (c4 * c[j][s] - s * c[j][s - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return [row[order] for row in c]
-
-
-def nth_derivative_fd(
-    f: Callable[[float], float],
-    x: float,
-    order: int,
-    h: float,
-    half_width: int = 6,
-) -> float:
-    """Central finite difference of f^(order)(x) on a (2*half_width+1)-point stencil."""
-    offsets = list(range(-half_width, half_width + 1))
-    weights = fd_weights(order, offsets)
-    terms = [float(w) * f(x + o * h) for w, o in zip(weights, offsets) if w]
-    return math.fsum(terms) / h**order
-
-
-# Step sizes balancing truncation against eps/h^k roundoff growth for a
-# 13-point stencil applied to Gamma near x ~ 1..4.
-_FD_STEPS = {0: 1e-3, 1: 1e-3, 2: 1e-3, 3: 8e-3, 4: 4e-2, 5: 5e-2}
-
-
-def gamma_derivative_fd(order: int, x: float, h: Optional[float] = None) -> float:
-    """Gamma^(order)(x) by pure finite differencing of the numeric Gamma.
-
-    One Richardson step (h and h/2, leading error order 8 for the 13-point
-    central stencil) removes most of the truncation error.
-    """
-    if order == 0:
-        return gamma_value(x)
-    step = h if h is not None else _FD_STEPS.get(order, 5e-2)
-    coarse = nth_derivative_fd(gamma_value, x, order, step)
-    fine = nth_derivative_fd(gamma_value, x, order, step / 2.0)
-    return (256.0 * fine - coarse) / 255.0
+def verdict(closed_value: float, quad: QuadratureResult, rel_tol: float) -> tuple[float, bool]:
+    """Relative error of a closed form's value against quadrature, and whether
+    it passes: the quadrature converged and the error is at most 10 * rel_tol."""
+    rel_err = abs(closed_value - quad.value) / max(abs(closed_value), 1e-300)
+    return rel_err, quad.converged and rel_err <= 10.0 * rel_tol

@@ -11,14 +11,16 @@ This module holds the algebra, the weight grading, the display form
 :func:`explogint.parser.parse_constant`, which shares the integrand
 language's tokenizer and diagnostics.
 
-An element is stored densely: a dict from exponent vectors to
-coefficients.  Entry i of a vector is the exponent of generator i in the
-order gamma, log_mu, log2, sqrt_pi, zeta(2), zeta(3), ... (indices 0, 1,
-2, 3, 4, 5, ...), with trailing zeros trimmed; a coefficient is a plain
-int while it is integral and a Fraction otherwise.  Multiplying monomials
-adds vectors, and equality is dict equality.  The graded-lexicographic
-term order is needed only to render, serialise or evaluate, so it is
-computed on first use and cached on the instance, as is the hash.
+A generator is its position in an exponent vector: gamma, log_mu, log2,
+sqrt_pi, zeta(2), zeta(3), ... are 0, 1, 2, 3, 4, 5, ..., which is also
+their total order, and its name, weight and zeta index are read from a
+per-position table built once per position.  An element is stored
+densely: a dict from exponent vectors (trailing zeros trimmed) to
+coefficients, each a plain int while integral and a Fraction otherwise.
+Multiplying monomials adds vectors, and equality is dict equality.  The
+graded-lexicographic term order is needed only to render, serialise or
+evaluate, so it is computed on first use and cached on the instance, as
+is the hash.
 
 All values are immutable and all operations are pure.  The two caches are
 filled idempotently (any thread computes the same value), so values are
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
@@ -50,80 +51,68 @@ class MissingBindingError(KeyError):
         return f"no numeric binding supplied for generator '{self.generator.name}'"
 
 
-class GeneratorKind(IntEnum):
-    # The enum values fix the total order on generators.
-    EULER_GAMMA = 0
-    LOG_MU = 1
-    LOG2 = 2
-    SQRT_PI = 3
-    ZETA = 4
-
-
-_KIND_NAMES = {
-    GeneratorKind.EULER_GAMMA: "gamma",
-    GeneratorKind.LOG_MU: "log_mu",
-    GeneratorKind.LOG2: "log2",
-    GeneratorKind.SQRT_PI: "sqrt_pi",
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Generator:
-    """A named transcendental constant; totally ordered for canonical forms."""
+    """A named constant, identified by its exponent-vector position (its order too)."""
 
-    kind: GeneratorKind
-    k: int = 0  # zeta index, 0 for every other kind
+    index: int
 
     def __post_init__(self) -> None:
-        if self.kind is GeneratorKind.ZETA:
-            if self.k < 2:
-                raise ValueError(f"zeta generator requires k >= 2, got {self.k}")
-        elif self.k != 0:
-            raise ValueError(f"{self.kind.name} carries no index")
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (int(self.kind), self.k)
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key < other.sort_key
+        if self.index < 0:
+            raise ValueError(f"generator index must be nonnegative, got {self.index}")
 
     @property
     def name(self) -> str:
-        if self.kind is GeneratorKind.ZETA:
-            return f"zeta({self.k})"
-        return _KIND_NAMES[self.kind]
+        return _slot(self.index).name
 
     @property
     def weight(self) -> Optional[Fraction]:
         """Grading weight: gamma has weight 1, zeta(k) weight k, others none."""
-        if self.kind is GeneratorKind.EULER_GAMMA:
-            return Fraction(1)
-        if self.kind is GeneratorKind.ZETA:
-            return Fraction(self.k)
-        return None
+        return _slot(self.index).weight
+
+    @property
+    def k(self) -> int:
+        """The zeta index; 0 for every other generator."""
+        return _slot(self.index).k
 
     def __repr__(self) -> str:
         return f"Generator({self.name})"
 
 
-EULER_GAMMA = Generator(GeneratorKind.EULER_GAMMA)
-LOG_MU = Generator(GeneratorKind.LOG_MU)
-LOG2 = Generator(GeneratorKind.LOG2)
-SQRT_PI = Generator(GeneratorKind.SQRT_PI)
+class _Slot(NamedTuple):
+    generator: Generator
+    name: str
+    weight: Optional[Fraction]
+    k: int
+
+
+# Positions 0..3; zeta(k) sits at position k + 2.
+_NAMES = ("gamma", "log_mu", "log2", "sqrt_pi")
+
+
+@lru_cache(maxsize=None)
+def _slot(i: int) -> _Slot:
+    """Everything known about position i, built once per position."""
+    if i < len(_NAMES):
+        return _Slot(Generator(i), _NAMES[i], Fraction(1) if i == 0 else None, 0)
+    return _Slot(Generator(i), f"zeta({i - 2})", Fraction(i - 2), i - 2)
+
+
+EULER_GAMMA, LOG_MU, LOG2, SQRT_PI = (Generator(i) for i in range(len(_NAMES)))
 
 
 def zeta_gen(k: int) -> Generator:
-    return Generator(GeneratorKind.ZETA, k)
+    if k < 2:
+        raise ValueError(f"zeta generator requires k >= 2, got {k}")
+    return Generator(k + 2)
 
 
 def generator_from_name(name: str) -> Generator:
     m = re.fullmatch(r"zeta\((\d+)\)", name)
     if m:
         return zeta_gen(int(m.group(1)))
-    for kind, kname in _KIND_NAMES.items():
-        if name == kname:
-            return Generator(kind)
+    if name in _NAMES:
+        return Generator(_NAMES.index(name))
     raise ValueError(f"unknown generator name {name!r}")
 
 
@@ -131,9 +120,8 @@ def generator_from_name(name: str) -> Generator:
 # generator, with all exponents strictly positive.
 Powers = tuple[tuple[Generator, int], ...]
 
-# Internal exponent vectors: entry i is the exponent of the generator with
-# index i (see ``_index``), trailing zeros trimmed, so each monomial has
-# exactly one vector and the constant monomial is ().
+# Internal exponent vectors: entry i is the exponent of Generator(i), trailing
+# zeros trimmed, so each monomial has one vector and the constant monomial is ().
 Exponents = tuple[int, ...]
 
 
@@ -142,22 +130,10 @@ class Monomial(NamedTuple):
     powers: Powers
 
 
-def _index(g: Generator) -> int:
-    """Dense position: gamma, log_mu, log2, sqrt_pi, zeta(2), ... -> 0, 1, 2, 3, 4, ..."""
-    return g.k + 2 if g.kind is GeneratorKind.ZETA else int(g.kind)
-
-
-@lru_cache(maxsize=None)
-def _generator_at(i: int) -> Generator:
-    if i < GeneratorKind.ZETA:
-        return Generator(GeneratorKind(i))
-    return zeta_gen(i - 2)
-
-
 def _vector(powers: Powers) -> Exponents:
     v: list[int] = []
     for g, e in powers:
-        i = _index(g)
+        i = g.index
         if i >= len(v):
             v.extend([0] * (i + 1 - len(v)))
         v[i] += e
@@ -251,14 +227,14 @@ class SymbolicConstant:
             raise ValueError("generator exponents must be nonnegative")
         if exponent == 0:
             return cls.from_rational(1)
-        return _wrap({(0,) * _index(g) + (exponent,): 1})
+        return _wrap({(0,) * g.index + (exponent,): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
         return tuple(
-            Monomial(Fraction(c), tuple((_generator_at(i), k) for i, k in enumerate(e) if k))
+            Monomial(Fraction(c), tuple((_slot(i).generator, k) for i, k in enumerate(e) if k))
             for e, c in self._sorted_items()
         )
 
@@ -272,7 +248,7 @@ class SymbolicConstant:
         used: set[int] = set()
         for e in self._d:
             used.update(compress(range(len(e)), e))
-        return {_generator_at(i) for i in used}
+        return {_slot(i).generator for i in used}
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; raises if any generator appears."""
@@ -382,7 +358,7 @@ class SymbolicConstant:
         rep = self._coerce(replacement)
         if rep is NotImplemented:
             raise TypeError(f"cannot substitute {type(replacement).__name__} for a generator")
-        i = _index(g)
+        i = g.index
         groups: dict[int, dict[Exponents, Scalar]] = {}  # exponent of g -> the rest
         for e, c in self._d.items():
             k = e[i] if i < len(e) else 0
@@ -407,13 +383,12 @@ class SymbolicConstant:
             v = float(c)
             for i, k in enumerate(e):
                 if k:
-                    x = values.get(i)
-                    if x is None:
-                        g = _generator_at(i)
+                    if i not in values:
+                        g = _slot(i).generator
                         if g not in bindings:
                             raise MissingBindingError(g)
-                        x = values[i] = bindings[g]
-                    v *= x**k
+                        values[i] = bindings[g]
+                    v *= values[i] ** k
             y = v - comp
             t = total + y
             comp = (t - total) - y
@@ -433,15 +408,13 @@ class SymbolicConstant:
         const = self
         gamma_name = "gamma"
         if paper_style:
-            delta_form = self.substitute(
-                EULER_GAMMA, GAMMA - LOG_MU_CONST
-            )
+            delta_form = self.substitute(EULER_GAMMA, GAMMA - LOG_MU_CONST)
             if LOG_MU not in delta_form.generators() and EULER_GAMMA in delta_form.generators():
                 const = delta_form
                 gamma_name = "delta"
         if not const._d:
             return "0"
-        zeta2 = _index(zeta_gen(2))
+        zeta2 = zeta_gen(2).index
         parts: list[str] = []
         for j, (vec, coeff) in enumerate(const._sorted_items()):
             factors: list[str] = []
@@ -454,7 +427,7 @@ class SymbolicConstant:
                     coeff = coeff / Fraction(6**e)
                     factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
                     continue
-                name = gamma_name if i == 0 else _generator_at(i).name
+                name = gamma_name if i == 0 else _slot(i).name
                 factors.append(name if e == 1 else f"{name}^{e}")
             negative = coeff < 0
             mag = -coeff if negative else coeff
@@ -479,31 +452,28 @@ class SymbolicConstant:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        terms = []
-        for e, c in self._sorted_items():
-            powers = {_generator_at(i).name: e[i] for i in range(len(e) - 1, -1, -1) if e[i]}
-            terms.append(
-                {
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                    "powers": powers,
-                }
-            )
-        return {"terms": terms}
+        return {"terms": [
+            {
+                "coeff": f"{c.numerator}/{c.denominator}",
+                "powers": {_slot(i).name: e[i] for i in range(len(e) - 1, -1, -1) if e[i]},
+            }
+            for e, c in self._sorted_items()
+        ]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicConstant":
         if not isinstance(data, dict) or "terms" not in data:
             raise ValueError("expected an object with a 'terms' array")
-        acc: dict[Powers, Fraction] = {}
+        acc: dict[Exponents, Scalar] = {}
         for item in data["terms"]:
             num, _, den = item["coeff"].partition("/")
             coeff = Fraction(int(num), int(den) if den else 1)
-            powers = tuple((generator_from_name(name), int(e)) for name, e in item["powers"].items())
-            for _, e in powers:
-                if e <= 0:
-                    raise ValueError("exponents must be positive integers")
-            acc[powers] = acc.get(powers, Fraction(0)) + coeff
-        return cls(acc)
+            powers = [(generator_from_name(name), int(e)) for name, e in item["powers"].items()]
+            if any(e <= 0 for _, e in powers):
+                raise ValueError("exponents must be positive integers")
+            e = _vector(powers)
+            acc[e] = acc.get(e, 0) + coeff
+        return _wrap(_canonical(acc))
 
 
 def sum_of_products(
@@ -615,7 +585,7 @@ def grade(const: SymbolicConstant) -> Grade:
         w = Fraction(0)
         for i, k in enumerate(e):
             if k:
-                gw = _generator_at(i).weight
+                gw = _slot(i).weight
                 if gw is None:
                     return Grade(UNGRADABLE)
                 w += gw * k

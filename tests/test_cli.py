@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import explogint.cli as cli
 from explogint.cli import main
 from explogint.oracle import QuadratureResult
@@ -81,9 +83,28 @@ class TestErrorPaths:
     def test_bad_tolerance_exits_two(self, capsys):
         assert main(["verify", "exp(-x)", "--tol", "1e-15"]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e-15"])
+    def test_tolerance_is_checked_first_and_named(self, capsys, monkeypatch, tol):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("quadrature ran before --tol was checked")
+
+        monkeypatch.setattr(cli, "quadrature", unreachable)
+        assert main(["verify", "x^(9)*exp(-1000000*x)", "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert main(["catalog", "--tol", tol, "--json"]) == 2
+        assert "--tol" in json.loads(capsys.readouterr().out)["error"]
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2
+
+    @pytest.mark.parametrize("mu", ["0", "inf", "nan"])
+    def test_mu_is_checked_first_and_named(self, capsys, monkeypatch, mu):
+        monkeypatch.setattr(cli, "run_catalog", lambda **kw: pytest.fail("catalog ran"))
+        assert main(["catalog", "--mu", "1", "--mu", mu]) == 2
+        assert "--mu" in capsys.readouterr().err
+        assert main(["catalog", "--mu", mu, "--json"]) == 2
+        assert "--mu" in json.loads(capsys.readouterr().out)["error"]
 
     def test_negative_max_n_exits_two(self, capsys):
         assert main(["weight", "--max-n", "-1"]) == 2

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from explogint.evaluator import IntegralSpec, eval_general, eval_In
-from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, GeneratorKind, Grade, grade
+from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, Grade, grade
 from explogint.special_values import ArgPoint, gamma_deriv_at
 
 
@@ -31,7 +31,7 @@ def mp_value(const, mp, mu=1):
     for m in const.terms:
         v = mp.mpf(m.coeff.numerator) / m.coeff.denominator
         for g, e in m.powers:
-            v *= (mp.zeta(g.k) if g.kind is GeneratorKind.ZETA else values[g]) ** e
+            v *= (mp.zeta(g.k) if g.k else values[g]) ** e
         total += v
     return total
 

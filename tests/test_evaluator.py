@@ -172,8 +172,9 @@ class TestClosedForm:
             assert abs(cf.evaluate(mu, table.bindings()) - expected) < 1e-14
 
     def test_evaluate_rejects_bad_mu(self, table):
-        with pytest.raises(ValueError):
-            J(1).evaluate(0.0, table.bindings())
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                J(1).evaluate(bad, table.bindings())
 
     def test_render(self):
         assert J(1).render() == "mu^(-1) * (-gamma - log_mu)"

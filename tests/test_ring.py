@@ -1,7 +1,9 @@
 """Exact algebra: rationals, the constant ring, grading, rendering."""
 
 import json
+import math
 import random
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -18,10 +20,10 @@ from explogint.ring import (
     SQRT_PI,
     SQRT_PI_CONST,
     Generator,
-    GeneratorKind,
     Grade,
     MissingBindingError,
     SymbolicConstant,
+    generator_from_name,
     grade,
     rational_const,
     sum_of_products,
@@ -75,17 +77,41 @@ class TestRational:
 # --- generators --------------------------------------------------------------
 
 
+def _name_key(g):
+    """The generator order read off the name alone, independent of the kernel:
+    gamma, log_mu, log2, sqrt_pi, then zeta(k) by k."""
+    m = re.fullmatch(r"zeta\((\d+)\)", g.name)
+    if m:
+        return (4, int(m.group(1)))
+    return (("gamma", "log_mu", "log2", "sqrt_pi").index(g.name), 0)
+
+
 class TestGenerator:
     def test_total_order(self):
         ordered = [EULER_GAMMA, LOG_MU, LOG2, SQRT_PI, zeta_gen(2), zeta_gen(3), zeta_gen(11)]
-        assert ordered == sorted(ordered, key=lambda g: g.sort_key)
+        assert ordered == sorted(ordered, key=_name_key)
+        assert ordered == sorted(reversed(ordered))
         assert EULER_GAMMA < LOG_MU < LOG2 < SQRT_PI < zeta_gen(2) < zeta_gen(3)
 
     def test_zeta_requires_k_at_least_2(self):
         with pytest.raises(ValueError):
             zeta_gen(1)
         with pytest.raises(ValueError):
-            Generator(GeneratorKind.EULER_GAMMA, 3)
+            generator_from_name("zeta(1)")
+
+    def test_position_must_be_nonnegative(self):
+        with pytest.raises(ValueError):
+            Generator(-1)
+        assert Generator(0) == EULER_GAMMA and Generator(4) == zeta_gen(2)
+
+    def test_zeta_40_round_trips_through_name_json_and_text(self):
+        g = generator_from_name("zeta(40)")
+        assert g == zeta_gen(40) and (g.name, g.k, g.weight) == ("zeta(40)", 40, 40)
+        c = SymbolicConstant.from_generator(g, 2) * GAMMA
+        doc = json.loads(json.dumps(c.to_json()))
+        assert doc == {"terms": [{"coeff": "1/1", "powers": {"zeta(40)": 2, "gamma": 1}}]}
+        assert SymbolicConstant.from_json(doc) == c
+        assert parse_constant(c.render()) == c
 
     def test_weights(self):
         assert EULER_GAMMA.weight == 1
@@ -219,8 +245,8 @@ def _powers_cmp(pa, pb):
         return db - da
     ia = ib = 0
     while ia < len(pa) or ib < len(pb):
-        ga = pa[ia][0].sort_key if ia < len(pa) else None
-        gb = pb[ib][0].sort_key if ib < len(pb) else None
+        ga = _name_key(pa[ia][0]) if ia < len(pa) else None
+        gb = _name_key(pb[ib][0]) if ib < len(pb) else None
         if ga == gb:
             ea, eb = pa[ia][1], pb[ib][1]
             if ea != eb:
@@ -394,7 +420,7 @@ class TestEvaluate:
 
     def test_evaluation_homomorphism(self, table):
         rng = random.Random(4242)
-        bindings = table.bindings(mu=2.0)
+        bindings = {**table.bindings(), LOG_MU: math.log(2.0)}
         for _ in range(300):
             a = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
             b = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from explogint.oracle import digamma_m, gamma_derivative_fd, gamma_value
 from explogint.ring import (
     GAMMA,
     LOG2_CONST,
@@ -18,6 +17,8 @@ from explogint.ring import (
     zeta_const,
 )
 from explogint.special_values import ArgPoint, gamma_deriv_at, psi_deriv_at
+
+from special_numerics import digamma_m, gamma_derivative_fd, gamma_value
 
 HALF = Fraction(1, 2)
 
