@@ -12,9 +12,8 @@ closed form and direct quadrature over a grid of decay rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
 from .oracle import ConstantsTable, compute_constants, quadrature, verdict
@@ -56,8 +55,7 @@ def _classical_psi(x: ArgPoint) -> SymbolicConstant:
     return -GAMMA + rational_const(2 * odd) - rational_const(2) * LOG2_CONST
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One table formula: builder, printed form, and display strings."""
 
     id: str
@@ -238,8 +236,7 @@ DEFAULT_NU_VALUES = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogCheck:
+class CatalogCheck(NamedTuple):
     """Verification outcome for one (entry, parameter) pair."""
 
     id: str

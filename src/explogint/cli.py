@@ -12,6 +12,14 @@ usage error.  Exit codes: 0 all checks passed, 1 a verification failed
 or stdout was closed early (no traceback), 2 usage or parse error.  JSON
 reports are deterministic: fixed field order, floats rounded to 12
 significant digits.
+
+A command usually runs in a fresh interpreter, so its imports are part of
+its cost.  Only ``catalog`` imports :mod:`explogint.catalog` (inside
+``cmd_catalog`` and ``_mu_grid``), and no module of the package imports
+``dataclasses``, which pulls in ``inspect`` and ``ast``.  ``--json``
+output is written by ``_json_text``, which gives the bytes of
+``json.dumps(doc, indent=2)``: with ``indent`` set, the stdlib uses its
+pure-Python encoder, about three times slower on a large closed form.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .catalog import DEFAULT_MU_GRID, catalog, run_catalog
 from .evaluator import eval_In, eval_general
-from .oracle import MIN_REL_TOL, compute_constants, quadrature, verdict
+from .oracle import MAX_REL_TOL, MIN_REL_TOL, compute_constants, quadrature, verdict
 from .parser import (
     IntegrandSyntaxError,
     UnsupportedIntegrandError,
@@ -43,8 +51,42 @@ def _round12(x: float) -> float:
     return float(f"{x:.12e}")
 
 
+def _json_text(value, indent: str, out: list) -> None:
+    """Append the text of ``json.dumps(value, indent=2)`` nested at ``indent``.
+
+    Non-empty containers are walked here, strings and ints written as the
+    encoder writes them, and every other value (floats, bools, None, empty
+    containers) is handed to ``json.dumps``.  Keys must be strings.
+    """
+    cls = value.__class__
+    if cls is str:
+        out.append(encode_basestring_ascii(value))
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif value and isinstance(value, dict):
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_text(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif value and isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_text(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    out: list[str] = []
+    _json_text(doc, "", out)
+    print("".join(out))
 
 
 def _print_error(message: str, as_json: bool, source: Optional[str] = None,
@@ -104,7 +146,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tol(args)
     ast = parse_integrand(args.expr)
     spec = to_integral_spec(ast)
-    mu = float(spec.mu)
+    try:
+        mu = float(spec.mu)
+    except OverflowError:
+        mu = math.inf
+    if not 0 < mu < math.inf:  # 0.0 when a tiny rational rounds to zero
+        raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
     # The table holds zeta(2) up to the largest zeta(k) the closed form names
@@ -149,12 +196,14 @@ def _max_n(args: argparse.Namespace) -> int:
 
 
 def _tol(args: argparse.Namespace) -> float:
-    if not MIN_REL_TOL <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and >= {MIN_REL_TOL}, got {args.tol}")
+    if not MIN_REL_TOL <= args.tol <= MAX_REL_TOL:
+        raise ValueError(f"--tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {args.tol}")
     return args.tol
 
 
 def _mu_grid(args: argparse.Namespace) -> Sequence[float]:
+    from .catalog import DEFAULT_MU_GRID
+
     for mu in args.mu or ():
         if not 0 < mu < math.inf:
             raise ValueError(f"--mu must be positive and finite, got {mu}")
@@ -162,6 +211,8 @@ def _mu_grid(args: argparse.Namespace) -> Sequence[float]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from .catalog import catalog, run_catalog
+
     mu_grid, tol, max_n = _mu_grid(args), _tol(args), _max_n(args)
     checks = run_catalog(mu_grid=mu_grid, max_n=max_n, quad_tol=tol)
     all_pass = all(c.status == "pass" for c in checks)

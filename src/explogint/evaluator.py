@@ -22,16 +22,20 @@ constant) pairs where the constant may mention the log_mu generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .ring import LOG_MU, Generator, SymbolicConstant, with_log_mu_powers
 from .special_values import ArgPoint, gamma_deriv_at
 
 
-@dataclass(frozen=True)
-class PrefactorTerm:
+class _PrefactorTermFields(NamedTuple):
+    power: int
+    coeff: Fraction
+    mu_power: int
+
+
+class PrefactorTerm(_PrefactorTermFields):
     """One term coeff * mu^mu_power * x^power of the prefactor polynomial.
 
     ``mu_power`` supports integrands whose printed form couples mu into the
@@ -39,33 +43,36 @@ class PrefactorTerm:
     produces mu_power = 0.
     """
 
-    power: int
-    coeff: Fraction
-    mu_power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.power < 0:
+    def __new__(cls, power: int, coeff: Fraction, mu_power: int = 0) -> "PrefactorTerm":
+        if power < 0:
             raise ValueError("prefactor powers must be nonnegative")
-        if not self.coeff:
+        if not coeff:
             raise ValueError("prefactor terms must have nonzero coefficients")
+        return super().__new__(cls, power, coeff, mu_power)
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
-    """A member of the integral class; mu is symbolic unless pinned."""
-
+class _IntegralSpecFields(NamedTuple):
     prefactor: tuple[PrefactorTerm, ...]
     s: ArgPoint
     log_power: int
-    mu: Optional[Fraction] = None  # None: symbolic; otherwise an exact value > 0
+    mu: Optional[Fraction]  # None: symbolic; otherwise an exact value > 0
 
-    def __post_init__(self) -> None:
-        if not self.prefactor:
+
+class IntegralSpec(_IntegralSpecFields):
+    """A member of the integral class; mu is symbolic unless pinned."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefactor, s: ArgPoint, log_power: int, mu: Optional[Fraction] = None):
+        if not prefactor:
             raise ValueError("prefactor must be nonempty")
-        if self.log_power < 0:
+        if log_power < 0:
             raise ValueError("log power must be nonnegative")
-        if self.mu is not None and self.mu <= 0:
+        if mu is not None and mu <= 0:
             raise ValueError("mu must be positive")
+        return super().__new__(cls, prefactor, s, log_power, mu)
 
     @classmethod
     def simple(

@@ -14,9 +14,8 @@ calibrated to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .evaluator import IntegralSpec
 from .ring import EULER_GAMMA, LOG2, SQRT_PI, Generator, zeta_gen
@@ -84,8 +83,7 @@ def hurwitz_zeta(z: float, q: float) -> float:
     raise ArithmeticError(f"hurwitz_zeta({z}, {q}) failed to converge")  # pragma: no cover
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantsTable:
+class ConstantsTable(NamedTuple):
     """Numeric values of the ring generators; initialize once, read many."""
 
     gamma: float
@@ -122,8 +120,7 @@ def compute_constants(max_zeta: int = 12) -> ConstantsTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     abs_error_estimate: float
     nodes_used: int
@@ -133,7 +130,10 @@ class QuadratureResult:
 # e^(-mu e^u) is capped where mu e^u = 700; beyond that the integrand is
 # below 1e-300 and the tail is provably negligible.
 _EXP_CAP = 700.0
+# Tolerances the pass rule can honour: at least a few ulps, and small enough
+# that 10 * tol < 1, so a wrong value (rel err ~ 1) can never pass.
 MIN_REL_TOL = 1e-13
+MAX_REL_TOL = 1e-2
 
 
 def _integrand(spec: IntegralSpec, mu: float) -> Callable[[float], float]:
@@ -184,8 +184,8 @@ def quadrature(
     """
     if not 0 < mu_value < math.inf:
         raise ValueError("mu must be positive and finite")
-    if not MIN_REL_TOL <= rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and >= {MIN_REL_TOL}")
+    if not MIN_REL_TOL <= rel_tol <= MAX_REL_TOL:
+        raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {rel_tol}")
     g = _integrand(spec, mu_value)
     s_eff = float(spec.s.value) + min(pf.power for pf in spec.prefactor)
     a = -_left_cutoff(s_eff, spec.log_power)

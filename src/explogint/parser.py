@@ -38,9 +38,8 @@ The constant language is the display form of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .evaluator import IntegralSpec, PrefactorTerm
 from .ring import (
@@ -77,40 +76,45 @@ class UnsupportedIntegrandError(ValueError):
 
 
 # --- expression tree -------------------------------------------------------
+# Nodes are named tuples, so == compares fields only: NumberLit(2) == LogFactor(2).
 
 
-@dataclass(frozen=True)
-class NumberLit:
+class NumberLit(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
 class VarX:
-    pass
+    """The bare variable x: no fields, so not a (falsy, empty) tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VarX)
+
+    def __hash__(self) -> int:
+        return hash(VarX)
+
+    def __repr__(self) -> str:
+        return "VarX()"
 
 
-@dataclass(frozen=True)
-class XPower:
+class XPower(NamedTuple):
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class ExpFactor:
+class ExpFactor(NamedTuple):
     rate: Fraction  # exp(-rate*x)
 
 
-@dataclass(frozen=True)
-class LogFactor:
+class LogFactor(NamedTuple):
     power: int  # log(x)^power, power >= 1
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     factors: tuple  # two or more factors
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     terms: tuple  # two or more terms
     ops: tuple  # '+'/'-' joining consecutive terms; len == len(terms) - 1
 
@@ -158,8 +162,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'number' | 'name' | 'op' | 'end'
     text: str
     position: int
@@ -424,8 +427,7 @@ def parse_constant(text: str) -> SymbolicConstant:
 # --- normalization ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FlatTerm:
+class _FlatTerm(NamedTuple):
     coeff: Fraction
     x_power: Fraction
     log_power: int

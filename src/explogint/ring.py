@@ -30,7 +30,6 @@ safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
@@ -51,15 +50,19 @@ class MissingBindingError(KeyError):
         return f"no numeric binding supplied for generator '{self.generator.name}'"
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A named constant, identified by its exponent-vector position (its order too)."""
-
+class _GeneratorFields(NamedTuple):
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"generator index must be nonnegative, got {self.index}")
+
+class Generator(_GeneratorFields):
+    """A named constant, identified by its exponent-vector position (its order too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: int) -> "Generator":
+        if index < 0:
+            raise ValueError(f"generator index must be nonnegative, got {index}")
+        return super().__new__(cls, index)
 
     @property
     def name(self) -> str:
@@ -553,8 +556,7 @@ INHOMOGENEOUS = "inhomogeneous"
 UNGRADABLE = "ungradable"
 
 
-@dataclass(frozen=True)
-class Grade:
+class Grade(NamedTuple):
     """Result of grading a constant by the gamma/zeta weight.
 
     ``weight`` is set only for the homogeneous case.  Zero is homogeneous of

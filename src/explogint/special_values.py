@@ -19,10 +19,9 @@ checked numerically in the test suite rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .ring import (
     GAMMA,
@@ -36,15 +35,19 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class ArgPoint:
-    """A point of the positive half-integer lattice, stored as 2*value."""
-
+class _ArgPointFields(NamedTuple):
     twice: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice, int) or self.twice < 1:
-            raise ValueError(f"argument must be a positive half-integer, got {self.twice}/2")
+
+class ArgPoint(_ArgPointFields):
+    """A point of the positive half-integer lattice, stored as 2*value."""
+
+    __slots__ = ()
+
+    def __new__(cls, twice: int) -> "ArgPoint":
+        if not isinstance(twice, int) or twice < 1:
+            raise ValueError(f"argument must be a positive half-integer, got {twice}/2")
+        return super().__new__(cls, twice)
 
     @classmethod
     def of(cls, value: Union[int, Fraction]) -> "ArgPoint":

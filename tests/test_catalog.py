@@ -1,6 +1,5 @@
 """The nine-formula catalog: symbolic equality and numeric verification."""
 
-import dataclasses
 from fractions import Fraction
 
 from explogint.catalog import (
@@ -67,8 +66,8 @@ class TestIndividualEntries:
     def test_transcription_catches_typos(self, table):
         # a deliberately wrong printed form must fail the symbolic check
         entry = catalog()[0]
-        broken = dataclasses.replace(
-            entry, printed_form=lambda _p: entry.printed_form(None).scaled(rational_const(2))
+        broken = entry._replace(
+            printed_form=lambda _p: entry.printed_form(None).scaled(rational_const(2))
         )
         check = check_entry(broken, None, table, mu_grid=(1.0,))
         assert not check.symbolic_equal

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -83,7 +84,7 @@ class TestErrorPaths:
     def test_bad_tolerance_exits_two(self, capsys):
         assert main(["verify", "exp(-x)", "--tol", "1e-15"]) == 2
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "1e-15"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e-15", "1e300", "0.1"])
     def test_tolerance_is_checked_first_and_named(self, capsys, monkeypatch, tol):
         def unreachable(*args, **kwargs):
             raise AssertionError("quadrature ran before --tol was checked")
@@ -94,13 +95,21 @@ class TestErrorPaths:
         assert main(["catalog", "--tol", tol, "--json"]) == 2
         assert "--tol" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("rate", ["9" * 400, "1/" + "9" * 400])
+    def test_decay_rate_beyond_float_range_exits_two(self, capsys, rate):
+        expr = f"exp(-{rate}*x)"
+        assert main(["verify", expr]) == 2
+        assert "decay rate" in capsys.readouterr().err
+        assert main(["verify", expr, "--json"]) == 2
+        assert "decay rate" in json.loads(capsys.readouterr().out)["error"]
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2
 
     @pytest.mark.parametrize("mu", ["0", "inf", "nan"])
     def test_mu_is_checked_first_and_named(self, capsys, monkeypatch, mu):
-        monkeypatch.setattr(cli, "run_catalog", lambda **kw: pytest.fail("catalog ran"))
+        monkeypatch.setattr("explogint.catalog.run_catalog", lambda **kw: pytest.fail("catalog ran"))
         assert main(["catalog", "--mu", "1", "--mu", mu]) == 2
         assert "--mu" in capsys.readouterr().err
         assert main(["catalog", "--mu", mu, "--json"]) == 2
@@ -234,3 +243,70 @@ class TestConsoleEntry:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in stderr
         assert "BrokenPipeError" not in stderr
+
+
+class TestColdImports:
+    """A cold child imports only what its command uses."""
+
+    def test_cli_imports_no_dataclasses_and_no_catalog(self):
+        code = (
+            "import json, sys; before = set(sys.modules); import explogint.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "explogint.cli" in loaded
+        for name in ("dataclasses", "inspect", "explogint.catalog"):
+            assert name not in loaded
+
+    def test_eval_child_loads_no_catalog(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "explogint",
+             "eval", "exp(-x)*log(x)", "--json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["at_mu_1"] == "-gamma"
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "explogint.evaluator" in imported
+        assert "explogint.catalog" not in imported
+
+
+class TestJsonEmitter:
+    """``--json`` output is exactly ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "(x - 1/2)*x^(5/2)*exp(-2*x)*log(x)^3", "--json"],
+            ["eval", "exp(-x)*log(x)^2", "--json", "--paper-style"],
+            ["verify", "x^(3)*exp(-2*x)*log(x)", "--json"],
+            ["catalog", "--mu", "1", "--max-n", "1", "--json"],
+            ["weight", "--max-n", "3", "--json"],
+            ["eval", "sin(x)", "--json"],
+        ],
+    )
+    def test_command_documents(self, capsys, argv):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}], "d": [[[]]]},
+            [True, False, None, 0, -7, 10**30],
+            {"flags": {"t": True, "f": False, "n": None}},
+            [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1, 1.5e300],
+            {"caf\u00e9 \u2211": "\u0393(1/2) = \u221a\u03c0", "tab\t\"q\"\n\\": "\x00\x1f\u2028"},
+            ("tuple", ["nested", ("deeper", {"k": 1.0})]),
+        ],
+    )
+    def test_edge_cases(self, doc):
+        out = []
+        cli._json_text(doc, "", out)
+        assert "".join(out) == json.dumps(doc, indent=2)
