@@ -154,11 +154,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
-    # The table holds zeta(2) up to the largest zeta(k) the closed form names
-    # (Generator.k is 0 for the other generators).
-    table = compute_constants(
-        max([2] + [g.k for _, const in closed.terms for g in const.generators()])
-    )
+    # The table holds zeta(2) up to the largest zeta(k) the closed form names.
+    table = compute_constants(max([2] + [const.max_zeta() for _, const in closed.terms]))
     closed_value = closed.evaluate(mu, table.bindings())
     rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:

@@ -7,6 +7,12 @@ None of it shares a code path with the exact engine in
 :mod:`special_values` / :mod:`evaluator`, so agreement between the two
 sides is evidence rather than tautology.
 
+Quadrature samples only where the integrand lives: its window sits around
+the integrand's peak, each end where a closed-form bound on the tail beyond
+it is below 1e-17 of the peak.  The error estimate adds both tail bounds
+and a rounding bound, and ``converged`` means it is at most the relative
+tolerance times the value.
+
 All routines work in ordinary 64-bit floats; the advertised tolerances are
 calibrated to that.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .evaluator import IntegralSpec
 from .ring import EULER_GAMMA, LOG2, SQRT_PI, Generator, zeta_gen
@@ -127,47 +133,45 @@ class QuadratureResult(NamedTuple):
     converged: bool
 
 
-# e^(-mu e^u) is capped where mu e^u = 700; beyond that the integrand is
-# below 1e-300 and the tail is provably negligible.
-_EXP_CAP = 700.0
 # Tolerances the pass rule can honour: at least a few ulps, and small enough
 # that 10 * tol < 1, so a wrong value (rel err ~ 1) can never pass.
 MIN_REL_TOL = 1e-13
 MAX_REL_TOL = 1e-2
+# ln 2 split as in fdlibm's exp: k * _LN2_HI is exact for |k| < 2^11.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
-def _integrand(spec: IntegralSpec, mu: float) -> Callable[[float], float]:
-    # After x = e^u the integral becomes
-    #   integral_R sum_j c_j mu^(mp_j) e^((s + p_j) u) e^(-mu e^u) u^n du,
-    # smooth, doubly exponentially decaying to the right and exponentially
-    # (rate s + min p_j) to the left.
-    pairs = [
-        (float(pf.coeff) * mu**pf.mu_power, float(spec.s.value) + pf.power)
-        for pf in spec.prefactor
-    ]
-    n = spec.log_power
-
-    def g(u: float) -> float:
-        decay = mu * math.exp(u)
-        total = 0.0
-        for coeff, rate in pairs:
-            w = rate * u - decay
-            if w > -745.0:
-                total += coeff * math.exp(w)
-        if n and total:
-            total *= u**n
-        return total
-
-    return g
+def _log_tail(beta: float, kappa: float, n: int) -> float:
+    # ln integral_0^inf e^(-kappa t) (beta + t)^n dt = ln(n!/kappa^(n+1) sum_{j<=n} (beta kappa)^j/j!)
+    acc = 1.0
+    for j in range(n, 0, -1):
+        acc = 1.0 + acc * beta * kappa / j
+    return math.log(math.factorial(n)) + math.log(acc) - (n + 1) * math.log(kappa)
 
 
-def _left_cutoff(s_eff: float, n: int) -> float:
-    # Smallest L with e^(-s_eff L) L^n below ~1e-26 relative to the
-    # coefficient scale; fixed-point iteration on L = (60 + n ln L)/s_eff.
-    L = max(6.0, 60.0 / s_eff)
-    for _ in range(8):
-        L = max(6.0, (60.0 + n * math.log(max(L, 2.0))) / s_eff)
-    return L
+def _window(logs, n: int, log_mu: float, a: float, log_target: float):
+    """Ends a < b and the sum of the two tail bounds, each at most e^log_target.
+
+    ``logs`` holds (ln |c_j|, r_j) of F(u) = sum_j |c_j| e^(r_j u - mu e^u) |u|^n >= |f(u)|.
+    By e^(-mu e^u) <= 1 left of a, the tangent of r_j u - mu e^u at b right of
+    b, and |u| <= |end| + |u - end|, the integral of F beyond a is at most
+    sum_j |c_j| e^(r_j a) T(|a|, r_j), and beyond b sum_j |c_j| e^(r_j b - mu e^b)
+    T(|b|, mu e^b - r_j), T = exp(_log_tail).  Fixed-point steps move a out from
+    where given, and b from mu e^b = max r_j + 1, until each bound fits.
+    """
+
+    def excess(u, decay):  # ln(bound / e^log_target) beyond u; decay is 0 left of the window
+        xs = [lc + r * u - decay + _log_tail(abs(u), abs(decay - r), n) for lc, r in logs]
+        top = max(xs)
+        return top + math.log(sum(math.exp(x - top) for x in xs)) - log_target
+
+    while (over := excess(a, 0.0)) > 0:
+        a -= (over + 1.0) / min(r for _, r in logs)
+    tails = math.exp(log_target + over)
+    b = math.log(max(r for _, r in logs) + 1.0) - log_mu
+    while (over := excess(b, math.exp(b + log_mu))) > 0:
+        b += math.log1p((over + 1.0) / math.exp(b + log_mu))  # mu e^b grows by the excess
+    return a, b, tails + math.exp(log_target + over)
 
 
 def quadrature(
@@ -176,45 +180,90 @@ def quadrature(
     rel_tol: float = 1e-10,
     max_nodes: int = 2**20,
 ) -> QuadratureResult:
-    """Trapezoid rule on the u = ln x axis with step halving.
+    """Trapezoid rule on the u = ln x axis, over a window sized by tail bounds.
 
-    The substitution makes the trapezoid rule spectrally accurate, so
-    successive halvings converge very quickly; iteration stops when two
-    refinements agree to ``rel_tol`` relatively.
+    After x = e^u the integrand f(u) = sum_j c_j mu^(mp_j) e^(r_j u - mu e^u) u^n,
+    r_j = s + p_j, decays exponentially to the left and doubly exponentially to
+    the right, so the rule converges exponentially in the step (Trefethen &
+    Weideman, SIAM Review 56(3), 2014).  h starts at <= 1/2 with at least 64
+    panels and halves at least twice, within ``max_nodes``.  The error estimate
+    is the last halving's change plus the tail and rounding bounds, and
+    ``converged`` means it is at most ``rel_tol * |value|``; when only the tails
+    do not fit, the window widens.  Raises ValueError when the peak lies beyond
+    the float range.
     """
     if not 0 < mu_value < math.inf:
         raise ValueError("mu must be positive and finite")
     if not MIN_REL_TOL <= rel_tol <= MAX_REL_TOL:
         raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {rel_tol}")
-    g = _integrand(spec, mu_value)
-    s_eff = float(spec.s.value) + min(pf.power for pf in spec.prefactor)
-    a = -_left_cutoff(s_eff, spec.log_power)
-    b = math.log(_EXP_CAP / mu_value)
+    n, log_mu = spec.log_power, math.log(mu_value)
+    pairs = [(float(pf.coeff) * mu_value**pf.mu_power, float(spec.s.value) + pf.power)
+             for pf in spec.prefactor]
+    pairs = [(c, r) for c, r in pairs if c]  # a coefficient that rounds to 0.0 adds nothing
+    if not pairs:
+        raise ValueError("every prefactor coefficient is below the float range")
+    logs = [(math.log(abs(c)), r) for c, r in pairs]
+    # F (see _window) peaks near the peak of some e^(r_j u - mu e^u) or, for
+    # n > 0, of some e^(r_j u) |u|^n on u < 0 (F(0) = 0 then).
+    guesses = [math.log(r) - log_mu for _, r in pairs]
+    if n:
+        guesses = [u for u in guesses if u] + [-n / r for _, r in pairs]
+    peak, u_peak = max((lc + r * u - math.exp(u + log_mu) + (n and n * math.log(abs(u))), u)
+                       for u in guesses for lc, r in logs)
+    if not (abs(peak) < 700.0 and log_mu > -700.0):
+        raise ValueError(f"decay rate mu = {mu_value:.6g} puts the integrand's peak (near "
+                         f"1e{peak / math.log(10.0):+.0f}) or x = 1/mu outside the float range")
+    # Nodes are dyadic, so r_j u - shift is exact and a node is f(u) / e^shift to 2^-53
+    # (|exponent| + 2 mu e^u + n + J + 8) relatively; ``rounding`` takes that at the peak.
+    k = round(peak / math.log(2.0))
+    shift, correction = k * _LN2_HI, math.expm1(-k * _LN2_LO)  # e^shift = 2^k (1 + correction)
+    rounding = 2.0**-53 * (8 + len(pairs) + (n and n * (1 + abs(math.log(abs(u_peak)))))
+                           + 2 * math.exp(u_peak + log_mu) + max(abs(lc) for lc, _ in logs))
+    scaled = [(lc - shift, r) for lc, r in logs]  # F / e^shift
 
-    panels = 64
-    while (b - a) / panels > 0.5:
-        panels *= 2
-    h = (b - a) / panels
-    total = math.fsum(
-        [0.5 * g(a), 0.5 * g(b)] + [g(a + i * h) for i in range(1, panels)]
-    )
-    estimate = h * total
-    nodes = panels + 1
+    def g(u, exp=math.exp):  # f(u) / e^shift; exp is a fast local
+        decay = mu_value * exp(u)
+        total = 0.0
+        for c, r in pairs:
+            total += c * exp(r * u - shift - decay)
+        if n and total:
+            total *= u**n
+        return total
 
-    refinements = 0
-    err = math.inf
-    while nodes + panels <= max_nodes:
-        mid_sum = math.fsum(g(a + (i + 0.5) * h) for i in range(panels))
-        new_estimate = 0.5 * estimate + 0.5 * h * mid_sum
-        nodes += panels
-        panels *= 2
-        h *= 0.5
-        err = abs(new_estimate - estimate)
-        estimate = new_estimate
-        refinements += 1
-        if refinements >= 2 and err <= rel_tol * max(abs(estimate), 1e-300):
-            return QuadratureResult(estimate, err, nodes, True)
-    return QuadratureResult(estimate, err, nodes, False)
+    log_target, nodes, converged = math.log(1e-17), 0, False
+    while not converged:
+        window = _window(scaled, n, log_mu, u_peak, log_target)
+        a, b = math.floor(window[0] * 64) / 64, math.ceil(window[1] * 64) / 64
+        panels = 64
+        while (b - a) / panels > 0.5:
+            panels *= 2
+        if nodes and nodes + panels + 1 > max_nodes:
+            break
+        tails, h = window[2], (b - a) / panels
+        vals = [0.5 * g(a), 0.5 * g(b)] + [g(a + i * h) for i in range(1, panels)]
+        estimate, l1 = h * math.fsum(vals), h * sum(map(abs, vals))  # l1 ~ integral of |f|
+        nodes += panels + 1
+
+        refinements, err = 0, math.inf
+        while nodes + panels <= max_nodes:
+            vals = [g(a + (i + 0.5) * h) for i in range(panels)]
+            new_estimate = 0.5 * (estimate + h * math.fsum(vals))
+            nodes += panels
+            panels *= 2
+            h *= 0.5
+            err = abs(new_estimate - estimate) + rounding * l1
+            estimate = new_estimate
+            refinements += 1
+            allowed = rel_tol * abs(estimate)
+            # done, or the step fits and only the tails do not: widen the window
+            if refinements >= 2 and (err + tails <= allowed or 0 < err <= 0.5 * allowed):
+                break
+        else:  # out of nodes
+            break
+        converged = err + tails <= allowed
+        log_target = math.log(0.25 * allowed)
+    value = math.ldexp(estimate + estimate * correction, k)
+    return QuadratureResult(value, math.ldexp(err + tails, k), nodes, converged)
 
 
 def verdict(closed_value: float, quad: QuadratureResult, rel_tol: float) -> tuple[float, bool]:

@@ -253,6 +253,15 @@ class SymbolicConstant:
             used.update(compress(range(len(e)), e))
         return {_slot(i).generator for i in used}
 
+    def max_zeta(self) -> int:
+        """Largest k with zeta(k) among the generators, or 0 when there is none.
+
+        zeta(k) sits at position k + 2 and vectors are trimmed, so the widest
+        vector ends at the largest one: only vector lengths are read.
+        """
+        k = max(map(len, self._d), default=0) - 3
+        return k if k >= 2 else 0
+
     def as_rational(self) -> Fraction:
         """The value as a plain rational; raises if any generator appears."""
         if not self._d:

@@ -103,6 +103,16 @@ class TestErrorPaths:
         assert main(["verify", expr, "--json"]) == 2
         assert "decay rate" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("power, zeros", [("1/2", 300), ("-1/2", 307)])
+    def test_value_beyond_float_range_exits_two(self, capsys, power, zeros):
+        # mu = 1e-300 puts the peak of x^(1/2) e^(-mu x) near 1e450; at
+        # mu = 1e-307 the integrand x^(-1/2) e^(-mu x) lives out to x ~ 1e308
+        expr = f"x^({power})*exp(-1/1{'0' * zeros}*x)"
+        assert main(["verify", expr]) == 2
+        assert "decay rate" in capsys.readouterr().err
+        assert main(["verify", expr, "--json"]) == 2
+        assert "decay rate" in json.loads(capsys.readouterr().out)["error"]
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2

@@ -32,11 +32,11 @@ GOLDEN = [
     ),
     (
         ["verify", "x^(3/2)*exp(-0.5*x)*log(x)^6", "--json"],
-        "6259620d886dd98f535cd7fea2cc6aeb7351474608b3ef109660822091117f65",
+        "530fb1aea144c571a54ca64dcdfd63307e199f1a5aca938f1d60bcd842a8d194",
     ),
     (
         ["verify", "(2 + x^(2))*exp(-5*x)*log(x)^5"],
-        "9d7a00ede99292554ceaf300b153225cca34131d768fadbba252721a39aa359f",
+        "e41eb57fce7ff61075a5a90854d1fabe2687024641b5eda607a13b73a2294fe3",
     ),
     (
         ["weight", "--max-n", "12", "--json"],
@@ -44,21 +44,21 @@ GOLDEN = [
     ),
     (
         ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
-        "00ab6194553215345ed5771fffd217844d097e70f0c205abc161e89bc05fe01c",
+        "f81858c1c7a24a9fa6dcbd1817c865262ee6efa7013769c4ce5936f450d462ca",
     ),
     (
         # shifts of m = 20 and 21 from the base point 1/2
         ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
-        "d4e38ff49d2d51651bb236933cd75f4c1f31f93046df9e5de3db4584f22b203f",
+        "82b65f5530ed9a4d964cca844c18b0272b767ac3787e4d7d5822b784e358bf22",
     ),
     (
         # a shift of m = 15 from the base point 1
         ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
-        "a7e954728171e87c27e6e2115f88f95c75671616ba0abcabc88bc4ee9915827e",
+        "eaa3ce4f5fcd02e1f507c83653b056683554648bc29fbf3f4e3b233056b5ba64",
     ),
     (
         ["catalog", "--json"],
-        "438c9841d19baac7bb3acae34c5896ad03d28de695a5b1c44f3d23347d768684",
+        "6845f3912f3b3cc025c92cf1c896dc73898ff04f046d17edca51433897e7d8a6",
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Numeric ground truth: constants, special functions, quadrature, FD."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -162,6 +163,15 @@ class TestQuadrature:
         assert result.converged
         assert abs(result.value - table.sqrt_pi) <= 1e-9 * table.sqrt_pi
 
+    def test_coefficient_below_float_range_adds_nothing(self):
+        # (1 - 10^-400 x) e^-x: the second coefficient rounds to 0.0
+        tiny = PrefactorTerm(1, Fraction(-1, 10**400))
+        spec = IntegralSpec((PrefactorTerm(0, Fraction(1)), tiny), ArgPoint.of(Fraction(1)), 0, Fraction(1))
+        result = quadrature(spec, 1.0)
+        assert result.converged and abs(result.value - 1.0) < 1e-15
+        with pytest.raises(ValueError, match="float range"):
+            quadrature(spec._replace(prefactor=(tiny,)), 1.0)
+
     def test_error_estimate_honest_on_refinement(self):
         spec = IntegralSpec.simple(1, 1)
         coarse = quadrature(spec, 1.0, rel_tol=1e-6)
@@ -201,6 +211,32 @@ class TestQuadrature:
                 quadrature(IntegralSpec.simple(1, 0), bad)
             with pytest.raises(ValueError):
                 quadrature(IntegralSpec.simple(1, 0), 1.0, rel_tol=bad)
+
+
+class TestWindowSweep:
+    """Decay rates over twelve decades move the peak of the u = ln x integrand
+    from u ~ -14 to u ~ 16; the window must follow it, and ``converged`` must
+    mean correct.  Reference: d^n/ds^n [Gamma(s) mu^-s] at 30 digits."""
+
+    S = (Fraction(1, 2), Fraction(1), Fraction(7, 2), Fraction(10))
+    N = (0, 1, 3, 6, 10)
+    MU = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+    def test_converged_means_correct_and_the_estimate_bounds_the_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-10
+        with mpmath.workdps(30):
+            for s, n, mu in itertools.product(self.S, self.N, self.MU):
+                result = quadrature(IntegralSpec.simple(s, n), mu, rel_tol=tol)
+                exact = mpmath.diff(
+                    lambda t: mpmath.gamma(t) * mpmath.mpf(mu) ** -t,
+                    mpmath.mpf(s.numerator) / s.denominator,
+                    n,
+                )
+                error = abs(mpmath.mpf(result.value) - exact)
+                assert result.converged, (s, n, mu)
+                assert error <= 10 * tol * abs(exact), (s, n, mu)
+                assert result.abs_error_estimate >= error, (s, n, mu)
 
 
 class TestFiniteDifferences:

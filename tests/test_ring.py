@@ -311,6 +311,12 @@ class TestKernelAgainstReference:
         for c in kernel_draws(15):
             assert c.generators() == {g for m in c.terms for g, _ in m.powers}
 
+    def test_max_zeta_is_the_largest_zeta_generator(self):
+        draws = list(kernel_draws(17)) + [rational_const(0), GAMMA, zeta_const(2), zeta_const(9) + 1]
+        assert {c.max_zeta() for c in draws} >= {0, 2, 9}
+        for c in draws:
+            assert c.max_zeta() == max([0] + [g.k for g in c.generators()])
+
     def test_log_mu_placement_matches_products(self):
         rng = random.Random(16)
         # Short vectors (the padding path), log_mu already present, zero.
