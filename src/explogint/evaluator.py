@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .ring import LOG_MU, Generator, SymbolicConstant, with_log_mu_powers
+from .ring import LOG_MU, Generator, SymbolicConstant, at_log_mu_zero, with_log_mu_powers
 from .special_values import ArgPoint, gamma_deriv_at
 
 
@@ -125,18 +125,9 @@ class ClosedForm:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        return ClosedForm(list(self._terms) + list(other._terms))
-
-    def scaled(self, factor: SymbolicConstant) -> "ClosedForm":
-        return ClosedForm((e, c * factor) for e, c in self._terms)
-
     def at_mu_one(self) -> SymbolicConstant:
         """Specialize mu = 1: log_mu vanishes and every mu power is 1."""
-        total = SymbolicConstant.from_rational(0)
-        for _, const in self._terms:
-            total = total + const.substitute(LOG_MU, 0)
-        return total
+        return at_log_mu_zero(const for _, const in self._terms)
 
     def evaluate(self, mu_value: float, bindings: Mapping[Generator, float]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e)."""

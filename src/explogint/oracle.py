@@ -189,16 +189,21 @@ def quadrature(
     panels and halves at least twice, within ``max_nodes``.  The error estimate
     is the last halving's change plus the tail and rounding bounds, and
     ``converged`` means it is at most ``rel_tol * |value|``; when only the tails
-    do not fit, the window widens.  Raises ValueError when the peak lies beyond
-    the float range.
+    do not fit, the window widens.  Raises ValueError when a prefactor
+    coefficient or the peak lies beyond the float range.
     """
     if not 0 < mu_value < math.inf:
         raise ValueError("mu must be positive and finite")
     if not MIN_REL_TOL <= rel_tol <= MAX_REL_TOL:
         raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {rel_tol}")
     n, log_mu = spec.log_power, math.log(mu_value)
-    pairs = [(float(pf.coeff) * mu_value**pf.mu_power, float(spec.s.value) + pf.power)
-             for pf in spec.prefactor]
+    pairs = []
+    for pf in spec.prefactor:
+        try:
+            c = float(pf.coeff)
+        except OverflowError:
+            raise ValueError(f"prefactor coefficient {pf.coeff} lies outside the float range") from None
+        pairs.append((c * mu_value**pf.mu_power, float(spec.s.value) + pf.power))
     pairs = [(c, r) for c, r in pairs if c]  # a coefficient that rounds to 0.0 adds nothing
     if not pairs:
         raise ValueError("every prefactor coefficient is below the float range")

@@ -31,27 +31,21 @@ The constant language is the display form of
               | 'zeta' '(' integer ')' [ '^' integer ]
     name     := 'gamma' | 'log_mu' | 'log2' | 'sqrt_pi' | 'delta' | 'pi'
 
-``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only
-(pi^2 enters the ring as 6*zeta(2)).
+``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  No
+ring product is formed: a term is one coefficient and one exponent vector,
+pi^(2k) is 6^k zeta(2)^k, delta^d expands as sum_j C(d,j) gamma^(d-j)
+log_mu^j, and every monomial is placed into a single dict.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Optional, Union
 
 from .evaluator import IntegralSpec, PrefactorTerm
-from .ring import (
-    GAMMA,
-    LOG_MU_CONST,
-    ONE,
-    SymbolicConstant,
-    generator_from_name,
-    rational_const,
-    sum_of_products,
-    zeta_const,
-)
+from .ring import SymbolicConstant, _place, generator_from_name, zeta_gen
 from .special_values import ArgPoint
 
 
@@ -158,7 +152,8 @@ def _fraction_text(value: Fraction) -> str:
 # --- tokenizer --------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])"
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])"
+    r"|(?P<bad>\S))"
 )
 
 
@@ -169,15 +164,12 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise IntegrandSyntaxError(pos, "a number, name or operator", repr(text[pos]))
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
+    # A match is whitespace and one token, and 'bad' takes any other character,
+    # so the matches cover the text up to trailing whitespace.
+    tokens = [_Token(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise IntegrandSyntaxError(tok.position, "a number, name or operator", repr(tok.text))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -339,17 +331,29 @@ class _Parser:
         return LogFactor(power)
 
     # cterm := cfactor ('*' cfactor)*
-    def parse_constant_term(self) -> SymbolicConstant:
-        product = self.parse_constant_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
+    def parse_constant_term(self, coeff: int) -> list:
+        """One term, signed by ``coeff``, as (vector, coefficient) pairs; delta^d expands."""
+        vector, d = [0, 0], 0
+        while True:
+            scalar, i, e = self.parse_constant_factor()
+            if scalar != 1:  # a name's scalar is the int 1: no Fraction product
+                coeff *= scalar
+            if i == "delta":
+                d += e
+            elif e:
+                vector.extend([0] * (i + 1 - len(vector)))
+                vector[i] += e
+            if self.peek().text != "*":  # only an operator token has an operator's text
+                break
             self.advance()
-            product = product * self.parse_constant_factor()
-        return product
+        gamma, log_mu, *rest = vector  # entries 0 and 1
+        return [((gamma + d - j, log_mu + j, *rest), coeff * comb(d, j)) for j in range(d + 1)]
 
-    def parse_constant_factor(self) -> SymbolicConstant:
+    def parse_constant_factor(self) -> tuple:
+        """A factor as (scalar, generator position or 'delta', exponent)."""
         tok = self.peek()
         if tok.kind == "number":
-            return rational_const(self.parse_rational())
+            return self.parse_rational(), None, 0
         if tok.kind != "name":
             raise IntegrandSyntaxError(tok.position, "a number or a constant", self._describe(tok))
         self.advance()
@@ -359,31 +363,29 @@ class _Parser:
             if k_tok.kind != "number" or int(k_tok.text) < 2:
                 raise IntegrandSyntaxError(k_tok.position, "a zeta index >= 2", self._describe(k_tok))
             self.expect_op(")")
-            base = zeta_const(int(k_tok.text))
-        elif tok.text == "delta":
-            base = GAMMA + LOG_MU_CONST
-        elif tok.text == "pi":
-            base = 6 * zeta_const(2)  # pi^2; the exponent is halved below
+            i = zeta_gen(int(k_tok.text)).index
+        elif tok.text in ("delta", "pi"):
+            i = tok.text
         else:
             try:
-                base = SymbolicConstant.from_generator(generator_from_name(tok.text))
+                i = generator_from_name(tok.text).index
             except ValueError:
                 raise IntegrandSyntaxError(tok.position, "a constant", self._describe(tok)) from None
         exponent = 1
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek().text == "^":
             self.advance()
             e_tok = self.advance()
             if e_tok.kind != "number":
                 raise IntegrandSyntaxError(e_tok.position, "an integer exponent", self._describe(e_tok))
             exponent = int(e_tok.text)
-        if tok.text == "pi":
+        if i == "pi":
             if exponent % 2:
                 raise IntegrandSyntaxError(
                     tok.position, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi",
                     f"'pi^{exponent}'",
                 )
-            exponent //= 2
-        return base**exponent
+            return 6 ** (exponent // 2), zeta_gen(2).index, exponent // 2  # pi^2 = 6*zeta(2)
+        return 1, i, exponent
 
 
 def parse_integrand(text: str) -> Node:
@@ -408,17 +410,15 @@ def parse_constant(text: str) -> SymbolicConstant:
         if tok.kind == "number" and "." in tok.text:
             raise IntegrandSyntaxError(tok.position, "an integer", f"'{tok.text}'")
     sign = 1
-    if parser.peek().kind == "op" and parser.peek().text == "-":
+    if parser.peek().text == "-":
         parser.advance()
         sign = -1
-    # Collected and summed in one dict: adding term by term copies the
-    # growing sum once per term.
-    terms = []
+    pairs = []
     while True:
-        terms.append((sign, parser.parse_constant_term(), ONE))
+        pairs += parser.parse_constant_term(sign)
         tok = parser.advance()
         if tok.kind == "end":
-            return sum_of_products(terms)
+            return _place(pairs)
         if tok.kind != "op" or tok.text not in ("+", "-"):
             raise IntegrandSyntaxError(tok.position, "'+', '-' or end of input", parser._describe(tok))
         sign = 1 if tok.text == "+" else -1

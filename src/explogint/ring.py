@@ -22,6 +22,13 @@ graded-lexicographic term order is needed only to render, serialise or
 evaluate, so it is computed on first use and cached on the instance, as
 is the hash.
 
+Constants built outside the engine are placed, not multiplied: the
+constructor, ``from_json`` and ``parse_constant`` sum ``(vector, coeff)``
+pairs into one dict through ``_place``.  Nothing is substituted: log_mu = 0
+keeps the monomials whose entry 1 is 0, and a constant is a polynomial in
+delta = gamma + log_mu exactly when dc/dgamma = dc/dlog_mu, and then its
+delta form is its log_mu-free part with gamma read as delta.
+
 All values are immutable and all operations are pure.  The two caches are
 filled idempotently (any thread computes the same value), so values are
 safe to share between threads.
@@ -32,7 +39,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -111,11 +118,11 @@ def zeta_gen(k: int) -> Generator:
 
 
 def generator_from_name(name: str) -> Generator:
+    if name in _NAMES:
+        return _slot(_NAMES.index(name)).generator
     m = re.fullmatch(r"zeta\((\d+)\)", name)
     if m:
         return zeta_gen(int(m.group(1)))
-    if name in _NAMES:
-        return Generator(_NAMES.index(name))
     raise ValueError(f"unknown generator name {name!r}")
 
 
@@ -195,13 +202,8 @@ class SymbolicConstant:
     __slots__ = ("_d", "_items", "_hash")
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
-        acc: dict[Exponents, Scalar] = {}
-        if terms:
-            for powers, coeff in terms.items():
-                if coeff:
-                    e = _vector(powers)
-                    acc[e] = acc.get(e, 0) + coeff
-        object.__setattr__(self, "_d", _canonical(acc))
+        pairs = ((_vector(powers), coeff) for powers, coeff in terms.items()) if terms else ()
+        object.__setattr__(self, "_d", _place(pairs)._d)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicConstant is immutable")
@@ -247,12 +249,6 @@ class SymbolicConstant:
     def __bool__(self) -> bool:
         return bool(self._d)
 
-    def generators(self) -> set[Generator]:
-        used: set[int] = set()
-        for e in self._d:
-            used.update(compress(range(len(e)), e))
-        return {_slot(i).generator for i in used}
-
     def max_zeta(self) -> int:
         """Largest k with zeta(k) among the generators, or 0 when there is none.
 
@@ -261,14 +257,6 @@ class SymbolicConstant:
         """
         k = max(map(len, self._d), default=0) - 3
         return k if k >= 2 else 0
-
-    def as_rational(self) -> Fraction:
-        """The value as a plain rational; raises if any generator appears."""
-        if not self._d:
-            return Fraction(0)
-        if len(self._d) == 1 and () in self._d:
-            return Fraction(self._d[()])
-        raise ValueError(f"not a rational constant: {self}")
 
     # -- ring operations ---------------------------------------------------
 
@@ -363,28 +351,7 @@ class SymbolicConstant:
             object.__setattr__(self, "_hash", h)
             return h
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute(self, g: Generator, replacement) -> "SymbolicConstant":
-        """Replace a generator by a scalar or another ring element."""
-        rep = self._coerce(replacement)
-        if rep is NotImplemented:
-            raise TypeError(f"cannot substitute {type(replacement).__name__} for a generator")
-        i = g.index
-        groups: dict[int, dict[Exponents, Scalar]] = {}  # exponent of g -> the rest
-        for e, c in self._d.items():
-            k = e[i] if i < len(e) else 0
-            if k:
-                e = _trim(e[:i] + (0,) + e[i + 1 :])
-            groups.setdefault(k, {})[e] = c
-        parts = []
-        power, done = ONE, 0
-        for k in sorted(groups):
-            for _ in range(k - done):
-                power = power * rep
-            done = k
-            parts.append((1, _wrap(groups[k]), power))
-        return sum_of_products(parts)
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
         """Floating value; compensated (Kahan) summation over monomials."""
@@ -415,14 +382,14 @@ class SymbolicConstant:
         With ``paper_style`` the classical table presentation is used where
         possible: zeta(2) powers fold into pi^2 multiples, and gamma + log_mu
         collapses to delta whenever the whole expression is a polynomial in
-        delta alone.
+        delta alone (dc/dgamma = dc/dlog_mu).
         """
         const = self
         gamma_name = "gamma"
-        if paper_style:
-            delta_form = self.substitute(EULER_GAMMA, GAMMA - LOG_MU_CONST)
-            if LOG_MU not in delta_form.generators() and EULER_GAMMA in delta_form.generators():
-                const = delta_form
+        if paper_style and _partial(self._d, 0) == _partial(self._d, 1):
+            free = at_log_mu_zero((self,))
+            if any(e and e[0] for e in free._d):
+                const = free
                 gamma_name = "delta"
         if not const._d:
             return "0"
@@ -476,16 +443,15 @@ class SymbolicConstant:
     def from_json(cls, data: dict) -> "SymbolicConstant":
         if not isinstance(data, dict) or "terms" not in data:
             raise ValueError("expected an object with a 'terms' array")
-        acc: dict[Exponents, Scalar] = {}
+        pairs = []
         for item in data["terms"]:
             num, _, den = item["coeff"].partition("/")
             coeff = Fraction(int(num), int(den) if den else 1)
             powers = [(generator_from_name(name), int(e)) for name, e in item["powers"].items()]
             if any(e <= 0 for _, e in powers):
                 raise ValueError("exponents must be positive integers")
-            e = _vector(powers)
-            acc[e] = acc.get(e, 0) + coeff
-        return _wrap(_canonical(acc))
+            pairs.append((_vector(powers), coeff))
+        return _place(pairs)
 
 
 def sum_of_products(
@@ -537,6 +503,37 @@ def with_log_mu_powers(
             prev = get(e)  # a new key stores p as is: 0 + Fraction is a full add
             acc[e] = p if prev is None else prev + p
     return _wrap(_canonical(acc))
+
+
+def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
+    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs, in one
+    dict.  Vectors are trimmed first, so each monomial has one key."""
+    acc: dict[Exponents, Scalar] = {}
+    get = acc.get
+    for e, c in pairs:
+        if e and not e[-1]:
+            e = _trim(e)
+        prev = get(e)
+        acc[e] = c if prev is None else prev + c
+    return _wrap(_canonical(acc))
+
+
+def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:
+    """Exact sum of the constants with log_mu set to 0: their monomials whose
+    vector entry 1 is 0, placed in one dict."""
+    return _place((e, c) for k in consts for e, c in k._d.items() if len(e) < 2 or not e[1])
+
+
+def _partial(d: dict, i: int) -> dict:
+    """d/d(generator i), i = 0 or 1, keyed by vectors padded to width 2 so that
+    two derivatives compare as dicts; lowering one entry is injective."""
+    out = {}
+    for e, c in d.items():
+        k = e[i] if i < len(e) else 0
+        if k:
+            e += (0,) * (2 - len(e))
+            out[e[:i] + (k - 1,) + e[i + 1 :]] = k * c
+    return out
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

@@ -8,8 +8,8 @@ from explogint.catalog import (
     check_entry,
     run_catalog,
 )
-from explogint.evaluator import eval_general
-from explogint.ring import GAMMA, SQRT_PI_CONST, rational_const
+from explogint.evaluator import ClosedForm, eval_general
+from explogint.ring import GAMMA, SQRT_PI_CONST
 from explogint.special_values import ArgPoint
 
 EXPECTED_IDS = [
@@ -67,7 +67,9 @@ class TestIndividualEntries:
         # a deliberately wrong printed form must fail the symbolic check
         entry = catalog()[0]
         broken = entry._replace(
-            printed_form=lambda _p: entry.printed_form(None).scaled(rational_const(2))
+            printed_form=lambda _p: ClosedForm(
+                (e, 2 * c) for e, c in entry.printed_form(None).terms
+            )
         )
         check = check_entry(broken, None, table, mu_grid=(1.0,))
         assert not check.symbolic_equal

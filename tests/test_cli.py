@@ -113,6 +113,17 @@ class TestErrorPaths:
         assert main(["verify", expr, "--json"]) == 2
         assert "decay rate" in json.loads(capsys.readouterr().out)["error"]
 
+    def test_prefactor_coefficient_beyond_float_range_exits_two(self, capsys):
+        big = "1" + "0" * 400
+        assert main(["verify", f"{big}*exp(-x)"]) == 2
+        assert f"prefactor coefficient {big} " in capsys.readouterr().err
+        assert main(["verify", f"{big}*exp(-x)", "--json"]) == 2
+        assert f"prefactor coefficient {big} " in json.loads(capsys.readouterr().out)["error"]
+        # eval is exact arithmetic: the same coefficient is no error there
+        assert main(["eval", f"{big}*exp(-x)", "--json"]) == 0
+        (term,) = json.loads(capsys.readouterr().out)["closed_form_json"]["terms"]
+        assert term["constant"]["terms"] == [{"coeff": f"{big}/1", "powers": {}}]
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2

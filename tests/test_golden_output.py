@@ -57,6 +57,11 @@ GOLDEN = [
         "eaa3ce4f5fcd02e1f507c83653b056683554648bc29fbf3f4e3b233056b5ba64",
     ),
     (
+        # a 604-monomial constant through the delta rewrite, in text mode
+        ["verify", "x^(7)*exp(-1/2*x)*log(x)^11", "--paper-style"],
+        "8e6028b5d8f9d08cda4f1bac56a9f0a6affd4a2307c8f386bb94cee1b13e0262",
+    ),
+    (
         ["catalog", "--json"],
         "6845f3912f3b3cc025c92cf1c896dc73898ff04f046d17edca51433897e7d8a6",
     ),

@@ -10,6 +10,7 @@ from functools import cmp_to_key
 import pytest
 
 from explogint import parse_constant
+from explogint.evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
 from explogint.ring import (
     EULER_GAMMA,
     GAMMA,
@@ -23,6 +24,8 @@ from explogint.ring import (
     Grade,
     MissingBindingError,
     SymbolicConstant,
+    _trim,
+    _wrap,
     generator_from_name,
     grade,
     rational_const,
@@ -31,6 +34,7 @@ from explogint.ring import (
     zeta_const,
     zeta_gen,
 )
+from explogint.special_values import ArgPoint
 
 DELTA = GAMMA + LOG_MU_CONST
 
@@ -184,12 +188,6 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             GAMMA / 0
 
-    def test_as_rational(self):
-        assert rational_const(Fraction(5, 6)).as_rational() == Fraction(5, 6)
-        assert rational_const(0).as_rational() == 0
-        with pytest.raises(ValueError):
-            GAMMA.as_rational()
-
 
 class TestRingAxioms:
     def test_axioms_on_random_triples(self):
@@ -284,7 +282,7 @@ class TestKernelAgainstReference:
     def test_every_public_coefficient_is_a_fraction(self):
         for c in kernel_draws(12, den_bound=3):
             assert all(type(m.coeff) is Fraction for m in c.terms)
-        assert type(rational_const(3).as_rational()) is Fraction
+        assert type(rational_const(3).terms[0].coeff) is Fraction
 
     def test_int_and_fraction_coefficients_are_one_value(self):
         for c in kernel_draws(13, den_bound=3):
@@ -307,15 +305,11 @@ class TestKernelAgainstReference:
             assert rebuilt.terms == c.terms
             assert rebuilt == c
 
-    def test_generators_are_those_the_terms_name(self):
-        for c in kernel_draws(15):
-            assert c.generators() == {g for m in c.terms for g, _ in m.powers}
-
     def test_max_zeta_is_the_largest_zeta_generator(self):
         draws = list(kernel_draws(17)) + [rational_const(0), GAMMA, zeta_const(2), zeta_const(9) + 1]
         assert {c.max_zeta() for c in draws} >= {0, 2, 9}
         for c in draws:
-            assert c.max_zeta() == max([0] + [g.k for g in c.generators()])
+            assert c.max_zeta() == max([0] + [g.k for m in c.terms for g, _ in m.powers])
 
     def test_log_mu_placement_matches_products(self):
         rng = random.Random(16)
@@ -499,3 +493,101 @@ class TestRendering:
     def test_parse_constant_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             parse_constant("gamma + tau")
+
+
+# --- log_mu specialisations against general substitution ----------------------
+
+
+def substitute_reference(c, g, replacement):
+    """General substitution g -> replacement by ring products, as the ring
+    once had it: monomials are grouped by their exponent k of g, and group k
+    is multiplied by replacement**k."""
+    i = g.index
+    groups = {}
+    for e, coeff in c._d.items():
+        k = e[i] if i < len(e) else 0
+        if k:
+            e = _trim(e[:i] + (0,) + e[i + 1 :])
+        groups.setdefault(k, {})[e] = coeff
+    parts, power, done = [], rational_const(1), 0
+    for k in sorted(groups):
+        for _ in range(k - done):
+            power = power * replacement
+        done = k
+        parts.append((1, _wrap(groups[k]), power))
+    return sum_of_products(parts)
+
+
+def at_mu_one_reference(cf):
+    zero = rational_const(0)
+    return sum((substitute_reference(c, LOG_MU, zero) for _, c in cf.terms), zero)
+
+
+def paper_style_reference(c):
+    """The delta rewrite by substituting gamma -> gamma - log_mu: it applies
+    when the result is free of log_mu and still names gamma."""
+    form = substitute_reference(c, EULER_GAMMA, GAMMA - LOG_MU_CONST)
+    named = {i for e in form._d for i, k in enumerate(e) if k}
+    if LOG_MU.index in named or EULER_GAMMA.index not in named:
+        return None
+    return form.render(paper_style=True).replace("gamma", "delta")
+
+
+class TestLogMuSpecialisations:
+    @staticmethod
+    def closed_forms():
+        for twice in range(1, 22):
+            for n in range(10):
+                yield eval_general(IntegralSpec.simple(ArgPoint(twice), n))
+        rng = random.Random(29)
+        for _ in range(20):
+            prefactor = tuple(
+                PrefactorTerm(p, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)), rng.randint(0, 1))
+                for p in rng.sample(range(4), rng.randint(2, 4))
+            )
+            yield eval_general(IntegralSpec(prefactor, ArgPoint(rng.randint(1, 9)), rng.randint(0, 5)))
+
+    HAND = [
+        GAMMA * LOG_MU_CONST,  # no delta form: d/dgamma = log_mu, d/dlog_mu = gamma
+        GAMMA + 2 * LOG_MU_CONST,  # its log_mu-free part names gamma, yet no delta form
+        GAMMA * LOG_MU_CONST + GAMMA,
+        zeta_const(3) * LOG2_CONST - Fraction(1, 3),  # neither gamma nor log_mu
+        LOG_MU_CONST**2 + 1,  # log_mu without gamma
+        rational_const(0),
+        -DELTA,
+        DELTA**2 + zeta_const(2),
+    ]
+
+    def check(self, c):
+        expected = paper_style_reference(c)
+        got = c.render(paper_style=True)
+        if expected is None:
+            assert "delta" not in got
+            assert parse_constant(got) == c
+        else:
+            assert got == expected
+        return expected is not None
+
+    def test_hand_and_random_constants(self):
+        assert [self.check(c) for c in self.HAND] == [False] * 6 + [True] * 2
+        rng = random.Random(30)
+        mixed = [random_constant(rng, pool=[EULER_GAMMA, LOG_MU, zeta_gen(2), LOG2]) for _ in range(100)]
+        in_delta = [
+            sum((random_constant(rng, max_terms=2, pool=[LOG2, SQRT_PI, zeta_gen(2), zeta_gen(3)]) * DELTA**k
+                 for k in range(rng.randint(1, 4))), rational_const(0))
+            for _ in range(100)
+        ]
+        draws = mixed + in_delta
+        assert sum(self.check(c) for c in mixed) < 10 < sum(self.check(c) for c in in_delta)
+        for c in self.HAND + draws:
+            cf = ClosedForm([(Fraction(1), c), (Fraction(3, 2), 2 * c)])
+            assert cf.at_mu_one() == at_mu_one_reference(cf) == 3 * at_mu_one_reference(
+                ClosedForm([(0, c)])
+            )
+
+    def test_eval_general_constants(self):
+        delta_forms = 0
+        for cf in self.closed_forms():
+            assert cf.at_mu_one() == at_mu_one_reference(cf)
+            delta_forms += sum(self.check(c) for _, c in cf.terms)
+        assert delta_forms > 100
