@@ -192,10 +192,13 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
     terms: list[tuple[Fraction, SymbolicConstant]] = []
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
-        # Gamma^(k) never mentions log_mu, so block k is placed at log_mu^(n-k).
+        # Gamma^(k) never mentions log_mu, so block k is placed at log_mu^(n-k);
+        # the coefficient's numerator scales the parts and its denominator the sum.
+        num = pf.coeff.numerator
         const = with_log_mu_powers(
-            (pf.coeff * (-1) ** (n - k) * math.comb(n, k), n - k, gamma_deriv_at(k, point))
-            for k in range(n + 1)
+            (((-1) ** (n - k) * math.comb(n, k) * num, n - k, gamma_deriv_at(k, point))
+             for k in range(n + 1)),
+            pf.coeff.denominator,
         )
         terms.append((spec.s.value + pf.power - pf.mu_power, const))
     return ClosedForm(terms)

@@ -14,13 +14,15 @@ language's tokenizer and diagnostics.
 A generator is its position in an exponent vector: gamma, log_mu, log2,
 sqrt_pi, zeta(2), zeta(3), ... are 0, 1, 2, 3, 4, 5, ..., which is also
 their total order, and its name, weight and zeta index are read from a
-per-position table built once per position.  An element is stored
-densely: a dict from exponent vectors (trailing zeros trimmed) to
-coefficients, each a plain int while integral and a Fraction otherwise.
-Multiplying monomials adds vectors, and equality is dict equality.  The
-graded-lexicographic term order is needed only to render, serialise or
-evaluate, so it is computed on first use and cached on the instance, as
-is the hash.
+per-position table built once per position.  An element is a dict from
+exponent vectors (trailing zeros trimmed) to nonzero int numerators over
+one positive int denominator, with gcd(denominator, every numerator) = 1.
+Builders scale numerators to the lcm of their inputs' denominators and
+divide out one gcd at the end; a monomial's own rational coefficient is
+formed only to read (``terms``), print or bind it.  Multiplying monomials
+adds vectors, and equality is dict equality.  The graded-lexicographic
+term order is needed only to render, serialise or evaluate, so it is
+computed on first use and cached on the instance, as is the hash.
 
 Constants built outside the engine are placed, not multiplied: the
 constructor, ``from_json`` and ``parse_constant`` sum ``(vector, coeff)``
@@ -40,8 +42,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -169,47 +172,50 @@ def _padded(items, width: int) -> list[tuple[Exponents, Scalar]]:
     return [(e + (0,) * (width - len(e)), c) for e, c in items]
 
 
-def _canonical(acc: dict) -> dict:
-    """Canonical copy of an accumulator: zeros dropped, vectors trimmed,
-    integral coefficients stored as int."""
-    d = {}
-    for e, c in acc.items():
-        if c:
-            if e and not e[-1]:
-                e = _trim(e)
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            d[e] = c
-    return d
-
-
-def _wrap(d: dict) -> "SymbolicConstant":
-    # Internal constructor: ``d`` is already canonical, so __init__ is skipped.
+def _wrap(d: dict, den: int = 1) -> "SymbolicConstant":
+    # Internal constructor: ``d`` over ``den`` is already canonical, so __init__ is skipped.
     obj = object.__new__(SymbolicConstant)
     object.__setattr__(obj, "_d", d)
+    object.__setattr__(obj, "_den", den)
     return obj
+
+
+def _reduced(acc: dict, den: int) -> "SymbolicConstant":
+    """Canonical ``acc / den`` (den > 0, trimmed keys): zeros dropped, one gcd divided out."""
+    d = {e: c for e, c in acc.items() if c}
+    g = gcd(den, *d.values()) if den != 1 else 1
+    if g != 1:
+        d = {e: c // g for e, c in d.items()}
+    return _wrap(d, den // g)
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for printing one monomial's coefficient."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 class SymbolicConstant:
     """An element of the generator ring in canonical combined form.
 
-    Canonical form: like monomials combined, zero coefficients dropped.  The
-    public view (``terms``) lists monomials graded-lexicographically, biggest
-    first.  The empty term list is exactly zero.  Instances are immutable and
-    hashable.
+    Canonical form: like monomials combined, zero coefficients dropped, one
+    denominator in lowest terms.  The public view (``terms``) lists
+    monomials graded-lexicographically, biggest first.  The empty term list
+    is exactly zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_d", "_items", "_hash")
+    __slots__ = ("_d", "_den", "_items", "_hash")
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
-        pairs = ((_vector(powers), coeff) for powers, coeff in terms.items()) if terms else ()
-        object.__setattr__(self, "_d", _place(pairs)._d)
+        placed = _place((_vector(powers), coeff) for powers, coeff in (terms or {}).items())
+        object.__setattr__(self, "_d", placed._d)
+        object.__setattr__(self, "_den", placed._den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicConstant is immutable")
 
-    def _sorted_items(self) -> tuple[tuple[Exponents, Scalar], ...]:
-        """(vector, coeff) pairs in term order, computed once and cached."""
+    def _sorted_items(self) -> tuple[tuple[Exponents, int], ...]:
+        """(vector, numerator) pairs in term order, computed once and cached."""
         try:
             return self._items
         except AttributeError:
@@ -222,39 +228,29 @@ class SymbolicConstant:
     @classmethod
     def from_rational(cls, value: Scalar) -> "SymbolicConstant":
         v = Fraction(value)
-        if v.denominator == 1:
-            v = v.numerator
-        return _wrap({(): v} if v else {})
+        return _wrap({(): v.numerator} if v else {}, v.denominator)
 
     @classmethod
     def from_generator(cls, g: Generator, exponent: int = 1) -> "SymbolicConstant":
         if exponent < 0:
             raise ValueError("generator exponents must be nonnegative")
-        if exponent == 0:
-            return cls.from_rational(1)
-        return _wrap({(0,) * g.index + (exponent,): 1})
+        return _wrap({(0,) * g.index + (exponent,): 1} if exponent else {(): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
         return tuple(
-            Monomial(Fraction(c), tuple((_slot(i).generator, k) for i, k in enumerate(e) if k))
+            Monomial(Fraction(c, self._den), tuple((_slot(i).generator, k) for i, k in enumerate(e) if k))
             for e, c in self._sorted_items()
         )
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self._d)
 
     def max_zeta(self) -> int:
         """Largest k with zeta(k) among the generators, or 0 when there is none.
-
-        zeta(k) sits at position k + 2 and vectors are trimmed, so the widest
-        vector ends at the largest one: only vector lengths are read.
-        """
+        zeta(k) sits at position k + 2 in trimmed vectors: only lengths are read."""
         k = max(map(len, self._d), default=0) - 3
         return k if k >= 2 else 0
 
@@ -268,49 +264,38 @@ class SymbolicConstant:
             return SymbolicConstant.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
-    def _scaled(self, s: Scalar) -> "SymbolicConstant":
-        if not s:
-            return ZERO
-        return _wrap(_canonical({e: c * s for e, c in self._d.items()}))
+    def _scaled(self, num: int, den: int = 1) -> "SymbolicConstant":
+        """self * num/den, for den > 0."""
+        return _reduced({e: c * num for e, c in self._d.items()}, self._den * den)
 
     def __add__(self, other) -> "SymbolicConstant":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._d, other._d
-        if len(a) < len(b):
-            a, b = b, a
-        acc = dict(a)
-        get = acc.get
-        for e, c in b.items():
-            prev = get(e)
-            acc[e] = c if prev is None else prev + c
-        return _wrap(_canonical(acc))
+        return with_log_mu_powers(((1, 0, self), (1, 0, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicConstant":
-        return _wrap({e: -c for e, c in self._d.items()})
+        return _wrap({e: -c for e, c in self._d.items()}, self._den)
 
     def __sub__(self, other) -> "SymbolicConstant":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "SymbolicConstant":
         return (-self) + other
 
     def __mul__(self, other) -> "SymbolicConstant":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, SymbolicConstant):
             return NotImplemented
         a, b = self._d, other._d
         if len(b) == 1 and () in b:
-            return self._scaled(b[()])
+            return self._scaled(b[()], other._den)
         if len(a) == 1 and () in a:
-            return other._scaled(a[()])
+            return other._scaled(a[()], self._den)
         return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
@@ -320,7 +305,7 @@ class SymbolicConstant:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a symbolic constant by zero")
-            return self._scaled(Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "SymbolicConstant":
@@ -338,28 +323,32 @@ class SymbolicConstant:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self._d == ({(): other} if other else {})
+            return self._den == other.denominator and self._d == ({(): other.numerator} if other else {})
         if not isinstance(other, SymbolicConstant):
             return NotImplemented
-        return self._d == other._d
+        return self._den == other._den and self._d == other._d
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self._d.items()))
+            h = hash((frozenset(self._d.items()), self._den))
             object.__setattr__(self, "_hash", h)
             return h
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
-        """Floating value; compensated (Kahan) summation over monomials."""
+        """Floating value; compensated (Kahan) summation over monomials, each
+        coefficient bound as the correctly rounded int division ``num / den``."""
         values: dict[int, float] = {}
-        total = 0.0
-        comp = 0.0
+        total = comp = 0.0
+        den = self._den
         for e, c in self._sorted_items():
-            v = float(c)
+            try:
+                v = c / den
+            except OverflowError:
+                raise ValueError(f"coefficient {Fraction(c, den)} lies outside the float range") from None
             for i, k in enumerate(e):
                 if k:
                     if i not in values:
@@ -395,7 +384,8 @@ class SymbolicConstant:
             return "0"
         zeta2 = zeta_gen(2).index
         parts: list[str] = []
-        for j, (vec, coeff) in enumerate(const._sorted_items()):
+        for j, (vec, num) in enumerate(const._sorted_items()):
+            den = const._den
             factors: list[str] = []
             # display order: descending generator order within the monomial
             for i in range(len(vec) - 1, -1, -1):
@@ -403,16 +393,18 @@ class SymbolicConstant:
                 if not e:
                     continue
                 if paper_style and i == zeta2:
-                    coeff = coeff / Fraction(6**e)
+                    den *= 6**e
                     factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
                     continue
                 name = gamma_name if i == 0 else _slot(i).name
                 factors.append(name if e == 1 else f"{name}^{e}")
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
+            if den != 1:
+                num, den = _lowest(num, den)
+            negative = num < 0
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
                 body = f"{mag}*" + "*".join(factors)
@@ -431,9 +423,10 @@ class SymbolicConstant:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self._den
         return {"terms": [
             {
-                "coeff": f"{c.numerator}/{c.denominator}",
+                "coeff": f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den),
                 "powers": {_slot(i).name: e[i] for i in range(len(e) - 1, -1, -1) if e[i]},
             }
             for e, c in self._sorted_items()
@@ -446,7 +439,7 @@ class SymbolicConstant:
         pairs = []
         for item in data["terms"]:
             num, _, den = item["coeff"].partition("/")
-            coeff = Fraction(int(num), int(den) if den else 1)
+            coeff = int(num) if den in ("", "1") else Fraction(int(num), int(den))
             powers = [(generator_from_name(name), int(e)) for name, e in item["powers"].items()]
             if any(e <= 0 for _, e in powers):
                 raise ValueError("exponents must be positive integers")
@@ -459,16 +452,19 @@ def sum_of_products(
 ) -> SymbolicConstant:
     """Exact sum of ``c * a * b`` over the triples, accumulated in one dict.
 
-    Vectors are zero-padded to one common width while accumulating, so a
-    monomial product is a plain element-wise tuple add.
+    Each triple's numerator products are scaled to the lcm of the triples'
+    denominators, and vectors are zero-padded to one common width while
+    accumulating, so a monomial product is a plain element-wise tuple add.
     """
-    items = [(c, a._d, b._d) for c, a, b in triples if c]
-    width = max((len(e) for _, a, b in items for e in chain(a, b)), default=0)
-    acc: dict[Exponents, Scalar] = {}
+    items = [(c.numerator, c.denominator * a._den * b._den, a._d, b._d) for c, a, b in triples if c]
+    lcd = lcm(*(d for _, d, _, _ in items))
+    width = max((len(e) for _, _, a, b in items for e in chain(a, b)), default=0)
+    acc: dict[Exponents, int] = {}
     get = acc.get
-    for c, a, b in items:
+    for c, d, a, b in items:
         if len(a) > len(b):
             a, b = b, a
+        c *= lcd // d
         pb = _padded(b.items(), width)
         for ea, ca in _padded(a.items(), width):
             ca *= c
@@ -477,51 +473,58 @@ def sum_of_products(
                 p = ca * cb
                 prev = get(e)
                 acc[e] = p if prev is None else prev + p
-    return _wrap(_canonical(acc))
+    return _reduced({_trim(e) if e and not e[-1] else e: c for e, c in acc.items()}, lcd)
 
 
 def with_log_mu_powers(
-    parts: Iterable[tuple[Scalar, int, SymbolicConstant]],
+    parts: Iterable[tuple[Scalar, int, SymbolicConstant]], den: int = 1
 ) -> SymbolicConstant:
-    """Exact sum of ``c * log_mu**j * a`` over the triples, in one dict.
+    """Exact sum of ``c * log_mu**j * a`` over the triples, divided by ``den``.
 
     A log_mu power only raises entry 1 of each exponent vector, so every
-    monomial of ``a`` is placed directly at its shifted vector; no ring
-    product is formed.
+    numerator of ``a``, scaled to the lcm of the parts' denominators, is
+    placed directly at its shifted vector; no ring product is formed.
     """
-    acc: dict[Exponents, Scalar] = {}
+    parts = [(c.numerator, c.denominator * a._den, j, a._d) for c, j, a in parts if c]
+    lcd = lcm(*(d for _, d, _, _ in parts))
+    acc: dict[Exponents, int] = {}
     get = acc.get
-    for c, j, a in parts:
-        if c.__class__ is Fraction and c.denominator == 1:
-            c = c.numerator  # keeps int * int products out of Fraction
-        for e, ca in a._d.items():
+    for c, d, j, a in parts:
+        c *= lcd // d
+        for e, ca in a.items():
             if j:
                 if len(e) < 2:
                     e += (0,) * (2 - len(e))
                 e = (e[0], e[1] + j) + e[2:]
             p = ca * c
-            prev = get(e)  # a new key stores p as is: 0 + Fraction is a full add
+            prev = get(e)
             acc[e] = p if prev is None else prev + p
-    return _wrap(_canonical(acc))
+    return _reduced(acc, lcd * den)
 
 
 def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
     """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs, in one
-    dict.  Vectors are trimmed first, so each monomial has one key."""
-    acc: dict[Exponents, Scalar] = {}
+    dict over the lcm of the coefficients' denominators.  Vectors are trimmed
+    first, so each monomial has one key."""
+    pairs = list(pairs)
+    lcd = lcm(*(c.denominator for _, c in pairs))
+    acc: dict[Exponents, int] = {}
     get = acc.get
     for e, c in pairs:
         if e and not e[-1]:
             e = _trim(e)
+        c = c.numerator * (lcd // c.denominator)
         prev = get(e)
         acc[e] = c if prev is None else prev + c
-    return _wrap(_canonical(acc))
+    return _reduced(acc, lcd)
 
 
 def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:
     """Exact sum of the constants with log_mu set to 0: their monomials whose
-    vector entry 1 is 0, placed in one dict."""
-    return _place((e, c) for k in consts for e, c in k._d.items() if len(e) < 2 or not e[1])
+    vector entry 1 is 0, each set over its constant's denominator and summed."""
+    return with_log_mu_powers(
+        (1, 0, _wrap({e: c for e, c in k._d.items() if len(e) < 2 or not e[1]}, k._den)) for k in consts
+    )
 
 
 def _partial(d: dict, i: int) -> dict:
@@ -543,10 +546,7 @@ GAMMA = SymbolicConstant.from_generator(EULER_GAMMA)
 LOG_MU_CONST = SymbolicConstant.from_generator(LOG_MU)
 LOG2_CONST = SymbolicConstant.from_generator(LOG2)
 SQRT_PI_CONST = SymbolicConstant.from_generator(SQRT_PI)
-
-
-def rational_const(value: Scalar) -> SymbolicConstant:
-    return SymbolicConstant.from_rational(value)
+rational_const = SymbolicConstant.from_rational
 
 
 def zeta_const(k: int) -> SymbolicConstant:

@@ -11,9 +11,12 @@ points carry the whole lattice.  At b = 1 and b = 1/2 the classical tables
 feed the Leibniz recurrence of Gamma' = Gamma*psi, whose coefficients are
 then all integers.  Every other lattice point is x = b + m, and
 Gamma(x+1) = x Gamma(x) gives Gamma(b+m+t) = P(t) Gamma(b+t) with
-P(t) = (b+t)(b+1+t)...(b+m-1+t); the Leibniz rule turns that into a
-rational combination of the derivatives at b.  The base tables are
-checked numerically in the test suite rather than assumed.
+P(t) = (b+t)(b+1+t)...(b+m-1+t).  At b = 1, P has integer coefficients; at
+b = 1/2, P(t) = 2^(-m) Q(t) with Q(t) = (1+2t)(3+2t)...(2m-1+2t), whose
+coefficients are integers.  The Leibniz rule turns P into an integer
+combination of the derivatives at b over one power of 2, so no rational
+number is formed.  The base tables are checked numerically in the test
+suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -102,16 +105,18 @@ def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
         return sum_of_products(
             (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
         )
-    # Gamma(b+m+t) = P(t) Gamma(b+t) with P(t) = prod_{i<m} (b+i+t) = sum_j c_j t^j,
-    # so Gamma^(k)(b+m) = sum_{j <= min(k,m)} k!/(k-j)! c_j Gamma^(k-j)(b): a scaled
-    # sum of the base blocks, placed at log_mu power 0.
+    # Gamma(b+m+t) = P(t) Gamma(b+t) with P(t) = prod_{i<m} (b+i+t) = Q(t) / w^m, where
+    # w = 1/b and Q(t) = prod_{i<m} (1 + w*i + w*t) = sum_j q_j t^j has integer
+    # coefficients.  So Gamma^(k)(b+m) = w^-m sum_{j <= min(k,m)} k!/(k-j)! q_j
+    # Gamma^(k-j)(b): an integer sum of the base blocks over w^m, at log_mu power 0.
     top = min(k, m)
-    c = [Fraction(1)] + [Fraction(0)] * top
+    w = 3 - base.twice  # 1/b: 1 at b = 1, 2 at b = 1/2
+    q = [1] + [0] * top
     for i in range(m):
-        r = base.value + i
+        r = 1 + w * i
         for j in range(top, 0, -1):
-            c[j] = c[j] * r + c[j - 1]
-        c[0] *= r
+            q[j] = q[j] * r + q[j - 1] * w
+        q[0] *= r
     return with_log_mu_powers(
-        (math.perm(k, j) * c[j], 0, gamma_deriv_at(k - j, base)) for j in range(top + 1)
+        ((math.perm(k, j) * q[j], 0, gamma_deriv_at(k - j, base)) for j in range(top + 1)), w**m
     )

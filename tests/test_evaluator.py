@@ -12,6 +12,8 @@ from explogint.evaluator import (
     eval_general,
     eval_In,
 )
+from explogint.oracle import compute_constants
+from explogint.parser import parse_integrand, to_integral_spec
 from explogint.ring import (
     EULER_GAMMA,
     GAMMA,
@@ -175,6 +177,12 @@ class TestClosedForm:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 J(1).evaluate(bad, table.bindings())
+
+    def test_evaluate_names_a_coefficient_beyond_the_float_range(self):
+        big = "1" + "0" * 400
+        cf = eval_general(to_integral_spec(parse_integrand(f"{big}*exp(-x)")))
+        with pytest.raises(ValueError, match=f"coefficient {big} lies outside the float range"):
+            cf.evaluate(1.0, compute_constants().bindings())
 
     def test_render(self):
         assert J(1).render() == "mu^(-1) * (-gamma - log_mu)"

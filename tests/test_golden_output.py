@@ -62,6 +62,16 @@ GOLDEN = [
         "8e6028b5d8f9d08cda4f1bac56a9f0a6affd4a2307c8f386bb94cee1b13e0262",
     ),
     (
+        # mixed denominators 3, 4 and 2^m through to_json (587 KB)
+        ["eval", "(2/3 + 5/4*x)*x^(7/2)*exp(-3*x)*log(x)^10", "--json"],
+        "b6e7004bc06879ebdcd1d6a80f162fe26e471e16b7b9fe9ca66a3a0ee287cc29",
+    ),
+    (
+        # PASS at rel err 1.7e-11: pins the binding order and the reduced text
+        ["verify", "(5/4 - x - 3/2*x^(2))*x^(9/2)*exp(-0.168*x)*log(x)^12", "--json"],
+        "41997b3aca29e67c4669241b4826f4afaff091fb51124a5ac5a46019d781a195",
+    ),
+    (
         ["catalog", "--json"],
         "6845f3912f3b3cc025c92cf1c896dc73898ff04f046d17edca51433897e7d8a6",
     ),

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import zip_longest
 
 import pytest
 
@@ -24,6 +25,7 @@ from explogint.ring import (
     Grade,
     MissingBindingError,
     SymbolicConstant,
+    _place,
     _trim,
     _wrap,
     generator_from_name,
@@ -34,7 +36,7 @@ from explogint.ring import (
     zeta_const,
     zeta_gen,
 )
-from explogint.special_values import ArgPoint
+from explogint.special_values import ArgPoint, gamma_deriv_at
 
 DELTA = GAMMA + LOG_MU_CONST
 
@@ -52,6 +54,16 @@ def random_constant(
             term = term * SymbolicConstant.from_generator(g, rng.randint(1, max_exp))
         total = total + term
     return total
+
+
+def _assert_canonical(c):
+    """The stored form: int numerators over one positive int denominator, no
+    zero numerator, gcd(denominator, every numerator) == 1, trimmed vectors."""
+    assert type(c._den) is int and c._den > 0
+    assert all(type(n) is int and n for n in c._d.values())
+    assert math.gcd(c._den, *c._d.values()) == 1
+    assert all(not e or e[-1] for e in c._d)
+    return c
 
 
 # --- rationals (stdlib Fraction as the coefficient field) -------------------
@@ -332,9 +344,113 @@ class TestKernelAgainstReference:
             expected = sum_of_products((c, LOG_MU_CONST**j, a) for c, j, a in parts)
             assert got == expected
             assert got.terms == expected.terms
-            # canonical storage: integral coefficients are ints, vectors trimmed
-            assert all(type(c) is int for c in got._d.values() if c.denominator == 1)
-            assert all(not e or e[-1] for e in got._d)
+            _assert_canonical(got)
+
+
+# --- canonical storage: int numerators over one denominator ------------------
+
+
+def _stored(c):
+    """The stored value as a plain dict of Fraction coefficients."""
+    return {e: Fraction(n, c._den) for e, n in c._d.items()}
+
+
+def _model(pairs):
+    """Plain dict-of-Fraction model of a constant: summed, zeros dropped, trimmed."""
+    out = {}
+    for e, c in pairs:
+        e = _trim(tuple(e))
+        out[e] = out.get(e, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _model_times(a, b):
+    return _model((tuple(map(sum, zip_longest(ea, eb, fillvalue=0))), ca * cb)
+                  for ea, ca in a.items() for eb, cb in b.items())
+
+
+def _model_log_mu(a, j):
+    padded = ((e + (0,) * max(0, 2 - len(e)), c) for e, c in a.items())
+    return _model(((e[0], e[1] + j) + e[2:], c) for e, c in padded)
+
+
+class TestCanonicalForm:
+    SCALARS = (0, 1, -2, 6, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 35))
+
+    def test_every_kernel_operation_returns_canonical_form(self):
+        rng = random.Random(19)
+        draws = list(kernel_draws(19, count=40, den_bound=12))
+        for a in draws:
+            b, s = rng.choice(draws), rng.choice(self.SCALARS)
+            _assert_canonical(a)
+            for c in (a + b, a - b, a * b, a * s, s * a, -a, a + s, s - a):
+                _assert_canonical(c)
+            if s:
+                _assert_canonical(a / s)
+            _assert_canonical(with_log_mu_powers([(s, 2, a), (1, 0, b)], rng.choice((1, 2, 6))))
+            _assert_canonical(sum_of_products([(s, a, b), (Fraction(1, 3), b, b)]))
+            _assert_canonical(_place((e + (0,) * rng.randint(0, 2), Fraction(n, a._den)) for e, n in a._d.items()))
+            _assert_canonical(SymbolicConstant.from_json(a.to_json()))
+            _assert_canonical(parse_constant(a.render()))
+            _assert_canonical(parse_constant(a.render(paper_style=True)))
+
+    def test_one_gcd_reduces_the_denominator(self):
+        assert (GAMMA / 2 + LOG2_CONST / 2) * 2 == GAMMA + LOG2_CONST
+        assert ((GAMMA / 2 + LOG2_CONST / 2) * 2)._den == 1
+        assert (rational_const(Fraction(1, 2)) + Fraction(1, 2))._den == 1
+        assert (GAMMA / 6 + LOG2_CONST / 3 - LOG2_CONST / 3)._den == 6
+        assert (GAMMA / 4 + LOG2_CONST / 4 + GAMMA / 4 + LOG2_CONST / 4)._den == 2
+        zero = GAMMA / 2 - GAMMA / 2
+        assert (zero._d, zero._den) == ({}, 1) and zero == 0
+        placed = _place([((1, 0, 0), Fraction(1, 2)), ((1,), Fraction(1, 2))])
+        assert (placed._d, placed._den) == ({(1,): 1}, 1)
+        lifted = with_log_mu_powers([(Fraction(3, 2), 1, GAMMA / 3)], 5)
+        assert (lifted._d, lifted._den) == ({(1, 1): 1}, 10)
+
+    def test_engine_constants_are_canonical(self):
+        for twice in (1, 2, 7, 21, 41):
+            for k in range(8):
+                _assert_canonical(gamma_deriv_at(k, ArgPoint(twice)))
+        prefactor = (PrefactorTerm(0, Fraction(2, 3)), PrefactorTerm(1, Fraction(5, 4)))
+        for twice in (1, 7):
+            for _, c in eval_general(IntegralSpec(prefactor, ArgPoint(twice), 6)).terms:
+                _assert_canonical(c)
+
+    def test_kernel_agrees_with_a_fraction_model(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+        vector = st.lists(st.integers(0, 3), max_size=6).map(tuple)
+        pairs = st.lists(st.tuples(vector, coeff), max_size=6)
+        scalar = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(pairs, pairs, scalar, scalar, st.integers(0, 3), st.integers(1, 12))
+        def check(pa, pb, s, t, j, den):
+            a, b = _place(pa), _place(pb)
+            ma, mb = _model(pa), _model(pb)
+            results = [
+                (a, ma),
+                (a + b, _model([*ma.items(), *mb.items()])),
+                (a - b, _model([*ma.items(), *((e, -c) for e, c in mb.items())])),
+                (a * b, _model_times(ma, mb)),
+                (a * s, _model((e, c * s) for e, c in ma.items())),
+                (with_log_mu_powers([(s, j, a), (t, 0, b)], den), _model(
+                    [*((e, c * s / den) for e, c in _model_log_mu(ma, j).items()),
+                     *((e, c * t / den) for e, c in mb.items())])),
+                (sum_of_products([(s, a, b), (t, b, b)]), _model(
+                    [*((e, c * s) for e, c in _model_times(ma, mb).items()),
+                     *((e, c * t) for e, c in _model_times(mb, mb).items())])),
+                (SymbolicConstant.from_json(a.to_json()), ma),
+                (parse_constant(a.render()), ma),
+            ]
+            if s:
+                results.append((a / s, _model((e, c / s) for e, c in ma.items())))
+            for got, expected in results:
+                _assert_canonical(got)
+                assert _stored(got) == expected
+
+        check()
 
 
 # --- grading -----------------------------------------------------------------
@@ -514,7 +630,7 @@ def substitute_reference(c, g, replacement):
         for _ in range(k - done):
             power = power * replacement
         done = k
-        parts.append((1, _wrap(groups[k]), power))
+        parts.append((1, _wrap(groups[k], c._den), power))
     return sum_of_products(parts)
 
 
