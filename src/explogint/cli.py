@@ -36,13 +36,7 @@ from typing import Optional, Sequence
 
 from .evaluator import eval_In, eval_general
 from .oracle import MAX_REL_TOL, MIN_REL_TOL, compute_constants, quadrature, verdict
-from .parser import (
-    IntegrandSyntaxError,
-    UnsupportedIntegrandError,
-    ast_to_text,
-    parse_integrand,
-    to_integral_spec,
-)
+from .parser import ast_to_text, parse_integrand, to_integral_spec
 from .ring import Grade, grade
 
 
@@ -293,11 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IntegrandSyntaxError, UnsupportedIntegrandError) as exc:
-        _print_error(str(exc), args.json, source=args.expr, position=exc.position)
-        return 2
-    except ValueError as exc:
-        _print_error(str(exc), args.json)
+    except ValueError as exc:  # parse errors among them, which carry a position in args.expr
+        _print_error(str(exc), args.json, getattr(args, "expr", None), getattr(exc, "position", None))
         return 2
 
 

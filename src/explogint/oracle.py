@@ -39,15 +39,15 @@ _BERNOULLI = {
 }
 
 
-def euler_gamma_value(n_terms: int = 100) -> float:
+def euler_gamma_value() -> float:
     """Euler's constant from H_N - ln N with Euler-Maclaurin corrections.
 
     gamma = H_N - ln N - 1/(2N) + sum_j B_2j / (2j N^2j), truncated after
     B_8; at N = 100 the first omitted term is ~7e-23, far below double
     precision.
     """
-    h = math.fsum(1.0 / k for k in range(1, n_terms + 1))
-    x = float(n_terms)
+    h = math.fsum(1.0 / k for k in range(1, 101))
+    x = 100.0
     corrections = [
         float(_BERNOULLI[2 * j]) / (2 * j * x ** (2 * j)) for j in range(1, 5)
     ]
@@ -137,6 +137,7 @@ class QuadratureResult(NamedTuple):
 # that 10 * tol < 1, so a wrong value (rel err ~ 1) can never pass.
 MIN_REL_TOL = 1e-13
 MAX_REL_TOL = 1e-2
+MAX_NODES = 2**20  # quadrature's node budget
 # ln 2 split as in fdlibm's exp: k * _LN2_HI is exact for |k| < 2^11.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
@@ -174,19 +175,14 @@ def _window(logs, n: int, log_mu: float, a: float, log_target: float):
     return a, b, tails + math.exp(log_target + over)
 
 
-def quadrature(
-    spec: IntegralSpec,
-    mu_value: float,
-    rel_tol: float = 1e-10,
-    max_nodes: int = 2**20,
-) -> QuadratureResult:
+def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> QuadratureResult:
     """Trapezoid rule on the u = ln x axis, over a window sized by tail bounds.
 
     After x = e^u the integrand f(u) = sum_j c_j mu^(mp_j) e^(r_j u - mu e^u) u^n,
     r_j = s + p_j, decays exponentially to the left and doubly exponentially to
     the right, so the rule converges exponentially in the step (Trefethen &
     Weideman, SIAM Review 56(3), 2014).  h starts at <= 1/2 with at least 64
-    panels and halves at least twice, within ``max_nodes``.  The error estimate
+    panels and halves at least twice, within MAX_NODES nodes.  The error estimate
     is the last halving's change plus the tail and rounding bounds, and
     ``converged`` means it is at most ``rel_tol * |value|``; when only the tails
     do not fit, the window widens.  Raises ValueError when a prefactor
@@ -242,7 +238,7 @@ def quadrature(
         panels = 64
         while (b - a) / panels > 0.5:
             panels *= 2
-        if nodes and nodes + panels + 1 > max_nodes:
+        if nodes and nodes + panels + 1 > MAX_NODES:
             break
         tails, h = window[2], (b - a) / panels
         vals = [0.5 * g(a), 0.5 * g(b)] + [g(a + i * h) for i in range(1, panels)]
@@ -250,7 +246,7 @@ def quadrature(
         nodes += panels + 1
 
         refinements, err = 0, math.inf
-        while nodes + panels <= max_nodes:
+        while nodes + panels <= MAX_NODES:
             vals = [g(a + (i + 0.5) * h) for i in range(panels)]
             new_estimate = 0.5 * (estimate + h * math.fsum(vals))
             nodes += panels

@@ -39,9 +39,9 @@ safe to share between threads.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -168,10 +168,6 @@ def _grlex_key(item: tuple[Exponents, Scalar]) -> tuple[int, Exponents]:
     return (sum(item[0]), item[0])
 
 
-def _padded(items, width: int) -> list[tuple[Exponents, Scalar]]:
-    return [(e + (0,) * (width - len(e)), c) for e, c in items]
-
-
 def _wrap(d: dict, den: int = 1) -> "SymbolicConstant":
     # Internal constructor: ``d`` over ``den`` is already canonical, so __init__ is skipped.
     obj = object.__new__(SymbolicConstant)
@@ -291,11 +287,6 @@ class SymbolicConstant:
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, SymbolicConstant):
             return NotImplemented
-        a, b = self._d, other._d
-        if len(b) == 1 and () in b:
-            return self._scaled(b[()], other._den)
-        if len(a) == 1 and () in a:
-            return other._scaled(a[()], self._den)
         return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
@@ -348,7 +339,8 @@ class SymbolicConstant:
             try:
                 v = c / den
             except OverflowError:
-                raise ValueError(f"coefficient {Fraction(c, den)} lies outside the float range") from None
+                near = (Decimal(c) / den).normalize()
+                raise ValueError(f"closed-form coefficient near {near:.2g} lies outside the float range") from None
             for i, k in enumerate(e):
                 if k:
                     if i not in values:
@@ -450,30 +442,27 @@ class SymbolicConstant:
 def sum_of_products(
     triples: Iterable[tuple[Scalar, SymbolicConstant, SymbolicConstant]],
 ) -> SymbolicConstant:
-    """Exact sum of ``c * a * b`` over the triples, accumulated in one dict.
-
-    Each triple's numerator products are scaled to the lcm of the triples'
-    denominators, and vectors are zero-padded to one common width while
-    accumulating, so a monomial product is a plain element-wise tuple add.
-    """
+    """Exact sum of ``c * a * b`` over the triples, in one dict over the lcm of
+    the triples' denominators.  Two trimmed vectors add entry by entry up to the
+    shorter length, and the longer one's tail is carried over as it stands.
+    Exponents are nonnegative and a nonempty trimmed vector ends in a nonzero
+    entry, so the sum does too: every product key is already trimmed."""
     items = [(c.numerator, c.denominator * a._den * b._den, a._d, b._d) for c, a, b in triples if c]
     lcd = lcm(*(d for _, d, _, _ in items))
-    width = max((len(e) for _, _, a, b in items for e in chain(a, b)), default=0)
     acc: dict[Exponents, int] = {}
     get = acc.get
     for c, d, a, b in items:
         if len(a) > len(b):
             a, b = b, a
         c *= lcd // d
-        pb = _padded(b.items(), width)
-        for ea, ca in _padded(a.items(), width):
+        for ea, ca in a.items():
             ca *= c
-            for eb, cb in pb:
-                e = tuple(map(add, ea, eb))
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb)) + (eb[len(ea):] or ea[len(eb):])
                 p = ca * cb
                 prev = get(e)
                 acc[e] = p if prev is None else prev + p
-    return _reduced({_trim(e) if e and not e[-1] else e: c for e, c in acc.items()}, lcd)
+    return _reduced(acc, lcd)
 
 
 def with_log_mu_powers(

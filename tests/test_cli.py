@@ -124,6 +124,17 @@ class TestErrorPaths:
         (term,) = json.loads(capsys.readouterr().out)["closed_form_json"]["terms"]
         assert term["constant"]["terms"] == [{"coeff": f"{big}/1", "powers": {}}]
 
+    def test_closed_form_coefficient_beyond_float_range_is_named_by_its_size(self, capsys):
+        # the closed form of this valid integrand has an 867-digit coefficient
+        expr = "x^(399)*exp(-400*x)*log(x)"
+        assert main(["verify", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "closed-form coefficient near -1.6e+866 lies outside the float range" in err
+        assert main(["verify", expr, "--json"]) == 2
+        message = json.loads(capsys.readouterr().out)["error"]
+        assert len(message) < 200 and "-1.6e+866" in message
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2

@@ -181,7 +181,7 @@ class TestClosedForm:
     def test_evaluate_names_a_coefficient_beyond_the_float_range(self):
         big = "1" + "0" * 400
         cf = eval_general(to_integral_spec(parse_integrand(f"{big}*exp(-x)")))
-        with pytest.raises(ValueError, match=f"coefficient {big} lies outside the float range"):
+        with pytest.raises(ValueError, match=r"closed-form coefficient near 1e\+400 lies outside the float range"):
             cf.evaluate(1.0, compute_constants().bindings())
 
     def test_render(self):

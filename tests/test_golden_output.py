@@ -72,6 +72,17 @@ GOLDEN = [
         "41997b3aca29e67c4669241b4826f4afaff091fb51124a5ac5a46019d781a195",
     ),
     (
+        # n = 24 at the base point 1 (2.26 MB): deep Leibniz products
+        ["eval", "exp(-x)*log(x)^24", "--json"],
+        "0369db13d2e1686885e58a0d8905b9635b58aeab0403504ad41534628f3aafcc",
+    ),
+    (
+        # n = 16 at the base point 1/2 (1.09 MB), where psi(1/2) = -gamma - 2*log2
+        # multiplies vectors of different lengths
+        ["eval", "x^(-1/2)*exp(-x)*log(x)^16", "--json"],
+        "c481460037457f59cf4f7ac5fb951756107b69eda9ec94a27319eb82fc068379",
+    ),
+    (
         ["catalog", "--json"],
         "6845f3912f3b3cc025c92cf1c896dc73898ff04f046d17edca51433897e7d8a6",
     ),
