@@ -7,11 +7,11 @@ None of it shares a code path with the exact engine in
 :mod:`special_values` / :mod:`evaluator`, so agreement between the two
 sides is evidence rather than tautology.
 
-Quadrature samples only where the integrand lives: its window sits around
-the integrand's peak, each end where a closed-form bound on the tail beyond
-it is below 1e-17 of the peak.  The error estimate adds both tail bounds
-and a rounding bound, and ``converged`` means it is at most the relative
-tolerance times the value.
+Quadrature is one trapezoid sum at a step chosen beforehand from a bound
+on the integrand in a strip around the real axis, over a window whose ends
+sit where closed-form tail bounds fall below 1e-17 of the peak.  The error
+estimate adds the step bound, both tail bounds and a rounding bound, and
+``converged`` means it is at most the relative tolerance times the value.
 
 All routines work in ordinary 64-bit floats; the advertised tolerances are
 calibrated to that.
@@ -150,43 +150,90 @@ def _log_tail(beta: float, kappa: float, n: int) -> float:
     return math.log(math.factorial(n)) + math.log(acc) - (n + 1) * math.log(kappa)
 
 
+def _log_beyond(logs, n: int, pad: float, u: float, decay: float) -> float:
+    # ln sum_j |c_j| e^(r_j u - decay) integral_0^inf e^(-kappa_j t) (|u| + pad + t)^n dt, with
+    # kappa_j = r_j left of u (decay = 0) and mu e^u - r_j > 0 right of u (decay = mu e^u)
+    xs = [lc + r * u - decay + _log_tail(abs(u) + pad, abs(decay - r), n) for lc, r in logs]
+    top = max(xs)
+    return top + math.log(sum(math.exp(x - top) for x in xs))
+
+
+def _left_end(logs, n: int, a: float, log_target: float) -> tuple[float, float]:
+    low = min(r for _, r in logs)  # _window's left end, moved out from a, and its tail bound
+    while (over := _log_beyond(logs, n, 0.0, a, 0.0) - log_target) > 0 or low * abs(a) < n:
+        a = a - (over + 1.0) / low if over > 0 else -(n + 1.0) / low
+    return a, math.exp(log_target + over)
+
+
 def _window(logs, n: int, log_mu: float, a: float, log_target: float):
     """Ends a < b and the sum of the two tail bounds, each at most e^log_target.
 
     ``logs`` holds (ln |c_j|, r_j) of F(u) = sum_j |c_j| e^(r_j u - mu e^u) |u|^n >= |f(u)|.
-    By e^(-mu e^u) <= 1 left of a, the tangent of r_j u - mu e^u at b right of
-    b, and |u| <= |end| + |u - end|, the integral of F beyond a is at most
-    sum_j |c_j| e^(r_j a) T(|a|, r_j), and beyond b sum_j |c_j| e^(r_j b - mu e^b)
-    T(|b|, mu e^b - r_j), T = exp(_log_tail).  Fixed-point steps move a out from
-    where given, and b from mu e^b = max r_j + 1, until each bound fits.
+    By e^(-mu e^u) <= 1, the tangent of -mu e^u at b and |u| <= |end| + t,
+    F(a - t) <= G_a(t) = sum_j |c_j| e^(r_j (a - t)) (|a| + t)^n and F(b + t) <= G_b(t) =
+    sum_j |c_j| e^(r_j b - mu e^b - (mu e^b - r_j) t) (|b| + t)^n, whose integrals over
+    t > 0 are _log_beyond's.  The ends also move until r_j |a| >= n and
+    (mu e^b - r_j) |b| >= n: then G_a and G_b decrease, a node beyond an end at
+    t >= kh adds at most h G(kh) <= the integral of G over [(k - 1)h, kh], and so
+    the tail bounds cover the nodes beyond the window too.  Fixed-point steps move
+    a out from where given and b from mu e^b = max r_j + 1.
     """
-
-    def excess(u, decay):  # ln(bound / e^log_target) beyond u; decay is 0 left of the window
-        xs = [lc + r * u - decay + _log_tail(abs(u), abs(decay - r), n) for lc, r in logs]
-        top = max(xs)
-        return top + math.log(sum(math.exp(x - top) for x in xs)) - log_target
-
-    while (over := excess(a, 0.0)) > 0:
-        a -= (over + 1.0) / min(r for _, r in logs)
-    tails = math.exp(log_target + over)
-    b = math.log(max(r for _, r in logs) + 1.0) - log_mu
-    while (over := excess(b, math.exp(b + log_mu))) > 0:
-        b += math.log1p((over + 1.0) / math.exp(b + log_mu))  # mu e^b grows by the excess
+    (a, tails), high = _left_end(logs, n, a, log_target), max(r for _, r in logs)
+    b = math.log(high + 1.0) - log_mu
+    while (over := _log_beyond(logs, n, 0.0, b, decay := math.exp(b + log_mu)) - log_target) > 0 \
+            or (decay - high) * abs(b) < n:
+        b += math.log1p((over + 1.0 if over > 0 else n) / decay)  # mu e^b grows by that much
     return a, b, tails + math.exp(log_target + over)
 
 
+def _strip_mass(logs, n: int, log_mu: float, pad: float, lo: float) -> float:
+    """M >= the integral of F_pad(u) = sum_j |c_j| e^(r_j u - mu cos(pad) e^u) (|u| + pad)^n.
+
+    Each summand's logarithm phi_j is concave on u <= 0 and on u >= 0, so on a grid
+    cell inside one half it lies below the tangents at both ends, and the cell adds
+    the integral of e^(the lower tangent), a closed form.  Cells, at most twice
+    1 / sqrt(1 - phi_j''), run through u = 0 from lo to where
+    mu cos(pad) e^u = 2 max r_j + 4, and _log_beyond bounds the rest.
+    """
+    high, log_mu = max(r for _, r in logs), log_mu + math.log(math.cos(pad))
+    hi = math.log(2 * high + 4) - log_mu
+    mu, exp, expm1, xs = math.exp(log_mu), math.exp, math.expm1, [min(lo, hi)]
+    while (x := xs[-1]) < hi:
+        step = 2.0 / math.sqrt(1.0 + mu * exp(x) + n / (abs(x) + pad) ** 2)
+        xs.append(0.0 if x < 0.0 < x + step else x + step)
+    total = exp(_log_beyond(logs, n, pad, xs[0], 0.0)) + exp(_log_beyond(logs, n, pad, xs[-1], mu * exp(xs[-1])))
+    for lc, r in logs:
+        prev = None
+        for x in xs:
+            decay, w = mu * exp(x), abs(x) + pad
+            phi, slope = lc + r * x - decay + n * math.log(w), r - decay
+            if prev:  # the cell from the previous point p to x; the tangents cross at p + t
+                p, dp, width = prev[0], prev[1], x - prev[2]
+                dx = slope - n / w if x <= 0 else slope + n / w
+                t = min(max((phi - p - dx * width) / (dp - dx), 0.0), width) if dp > dx else 0.5 * width
+                total += exp(p) * (expm1(dp * t) / dp if dp else t)
+                total += exp(phi) * (expm1(-dx * (width - t)) / -dx if dx else width - t)
+            prev = phi, slope - n / w if x < 0 else slope + n / w, x
+    return total
+
+
 def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> QuadratureResult:
-    """Trapezoid rule on the u = ln x axis, over a window sized by tail bounds.
+    """Trapezoid rule on the u = ln x axis, in one pass at a step chosen beforehand.
 
     After x = e^u the integrand f(u) = sum_j c_j mu^(mp_j) e^(r_j u - mu e^u) u^n,
-    r_j = s + p_j, decays exponentially to the left and doubly exponentially to
-    the right, so the rule converges exponentially in the step (Trefethen &
-    Weideman, SIAM Review 56(3), 2014).  h starts at <= 1/2 with at least 64
-    panels and halves at least twice, within MAX_NODES nodes.  The error estimate
-    is the last halving's change plus the tail and rounding bounds, and
-    ``converged`` means it is at most ``rel_tol * |value|``; when only the tails
-    do not fit, the window widens.  Raises ValueError when a prefactor
-    coefficient or the peak lies beyond the float range.
+    r_j = s + p_j, is entire, and |f| <= F_pad on the strip |Im u| <= pad < pi/2
+    (see _strip_mass).  So the trapezoid sum over all nodes kh is within
+    2M / (e^(2 pi pad / h) - 1) of the integral, M >= the integral of F_pad
+    (Trefethen & Weideman, SIAM Review 56(3), 2014, Thm 5.1), and
+    h = 2 pi pad / ln(1 + 2M / eps) makes that eps, with pad the best of a few.
+    eps is 1e-4 of ``rel_tol * |value|``: that costs a third more nodes than
+    half of it, and the value is then good to about 1e-14 at the default tol.
+    The error estimate adds the step bound, _window's tail bounds and a
+    rounding bound, the one estimated part; ``converged`` means it is at most
+    ``rel_tol * (|value| - estimate)``.  |value| is first Laplace's estimate at
+    the peak; if that does not converge and the sum can be told from 0, one more
+    sum is made at the step |value| - estimate asks for.  A sum has at most
+    MAX_NODES nodes; a coefficient or peak beyond the float range raises ValueError.
     """
     if not 0 < mu_value < math.inf:
         raise ValueError("mu must be positive and finite")
@@ -214,57 +261,50 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
     if not (abs(peak) < 700.0 and log_mu > -700.0):
         raise ValueError(f"decay rate mu = {mu_value:.6g} puts the integrand's peak (near "
                          f"1e{peak / math.log(10.0):+.0f}) or x = 1/mu outside the float range")
-    # Nodes are dyadic, so r_j u - shift is exact and a node is f(u) / e^shift to 2^-53
-    # (|exponent| + 2 mu e^u + n + J + 8) relatively; ``rounding`` takes that at the peak.
+    # Nodes are multiples of an 8-bit h, so r_j u - shift is exact and a term is
+    # c_j e^(...) / e^shift to 2^-53 (|exponent| + 2 mu e^u + n + J + 8) relatively;
+    # ``rounding`` takes that at the peak, to scale the terms' sizes before they cancel.
     k = round(peak / math.log(2.0))
     shift, correction = k * _LN2_HI, math.expm1(-k * _LN2_LO)  # e^shift = 2^k (1 + correction)
     rounding = 2.0**-53 * (8 + len(pairs) + (n and n * (1 + abs(math.log(abs(u_peak)))))
                            + 2 * math.exp(u_peak + log_mu) + max(abs(lc) for lc, _ in logs))
     scaled = [(lc - shift, r) for lc, r in logs]  # F / e^shift
+    a, b, tails = _window(scaled, n, log_mu, u_peak, math.log(1e-17))
+    guess = math.exp(peak - shift) * math.sqrt(2 * math.pi / (math.exp(u_peak + log_mu) + (n and n / u_peak**2)))
 
-    def g(u, exp=math.exp):  # f(u) / e^shift; exp is a fast local
-        decay = mu_value * exp(u)
-        total = 0.0
+    def step(pad, mass, v):  # the step at which the bound for this pad is 1e-4 of rel_tol * v
+        return 2 * math.pi * pad / math.log1p(2e4 * mass / (rel_tol * v))
+
+    # Wider pads first; a narrower one is skipped when even M = guess could not beat the
+    # best step.  M grows about as (cos pad)^(-max r_j), which the last pad keeps below e^25.
+    masses, best, lo = [], 0.0, _left_end(scaled, n, u_peak, math.log(1e-3))[0]
+    for pad in (1.5, 1.1, 0.7, min(0.35, 7.0 / math.sqrt(max(r for _, r in pairs)))):
+        if step(pad, guess, guess) > best:
+            try:
+                masses.append((pad, mass := _strip_mass(scaled, n, log_mu, pad, lo)))
+            except OverflowError:  # beyond the float range: too wide a strip for this integrand
+                continue
+            best = max(best, step(pad, mass, guess))
+
+    def attempt(v):  # one sum at the step v asks for: (value, error bound, nodes)
+        h = max(step(pad, mass, v) for pad, mass in masses)
+        e = math.frexp(h)[1] - 8
+        h = max(math.ldexp(math.floor(math.ldexp(h, -e)), e),  # h rounded down to 8 bits, ...
+                math.ldexp(1.0, math.ceil(math.log2((b - a) / (MAX_NODES - 3)))))  # ... in budget
+        us = [i * h for i in range(math.floor(a / h), math.ceil(b / h) + 1)]
+        decays, powers, terms = [mu_value * math.exp(u) for u in us], [u**n for u in us], []
         for c, r in pairs:
-            total += c * exp(r * u - shift - decay)
-        if n and total:
-            total *= u**n
-        return total
+            terms += [c * math.exp(r * u - shift - d) * p for u, d, p in zip(us, decays, powers)]
+        bound = min(2 * mass * math.exp(-x) / -math.expm1(-x)  # 2M / (e^x - 1), x = 2 pi pad / h
+                    for pad, mass in masses for x in [2 * math.pi * pad / h])
+        return h * math.fsum(terms), bound + tails + rounding * h * sum(map(abs, terms)), len(us)
 
-    log_target, nodes, converged = math.log(1e-17), 0, False
-    while not converged:
-        window = _window(scaled, n, log_mu, u_peak, log_target)
-        a, b = math.floor(window[0] * 64) / 64, math.ceil(window[1] * 64) / 64
-        panels = 64
-        while (b - a) / panels > 0.5:
-            panels *= 2
-        if nodes and nodes + panels + 1 > MAX_NODES:
-            break
-        tails, h = window[2], (b - a) / panels
-        vals = [0.5 * g(a), 0.5 * g(b)] + [g(a + i * h) for i in range(1, panels)]
-        estimate, l1 = h * math.fsum(vals), h * sum(map(abs, vals))  # l1 ~ integral of |f|
-        nodes += panels + 1
-
-        refinements, err = 0, math.inf
-        while nodes + panels <= MAX_NODES:
-            vals = [g(a + (i + 0.5) * h) for i in range(panels)]
-            new_estimate = 0.5 * (estimate + h * math.fsum(vals))
-            nodes += panels
-            panels *= 2
-            h *= 0.5
-            err = abs(new_estimate - estimate) + rounding * l1
-            estimate = new_estimate
-            refinements += 1
-            allowed = rel_tol * abs(estimate)
-            # done, or the step fits and only the tails do not: widen the window
-            if refinements >= 2 and (err + tails <= allowed or 0 < err <= 0.5 * allowed):
-                break
-        else:  # out of nodes
-            break
-        converged = err + tails <= allowed
-        log_target = math.log(0.25 * allowed)
-    value = math.ldexp(estimate + estimate * correction, k)
-    return QuadratureResult(value, math.ldexp(err + tails, k), nodes, converged)
+    value, err, nodes = attempt(guess)
+    if rel_tol * (abs(value) - err) < err < abs(value):
+        value, err, more = attempt(abs(value) - err)
+        nodes += more
+    converged = err <= rel_tol * (abs(value) - err)
+    return QuadratureResult(math.ldexp(value + value * correction, k), math.ldexp(err, k), nodes, converged)
 
 
 def verdict(closed_value: float, quad: QuadratureResult, rel_tol: float) -> tuple[float, bool]:

@@ -197,7 +197,7 @@ def test_criterion_6_parser(corpus, capsys, monkeypatch):
         assert cli.main(["eval", "exp(-x)*log("]) == 2
         assert cli.main(["eval", "sin(x)"]) == 2
 
-        def bad_quadrature(spec, mu, rel_tol=1e-10, max_nodes=2**20):
+        def bad_quadrature(spec, mu, rel_tol=1e-10):
             return QuadratureResult(1e9, 1e-12, 129, True)
 
         monkeypatch.setattr(cli, "quadrature", bad_quadrature)

@@ -87,6 +87,24 @@ class TestFullRun:
     def test_quadrature_converged_everywhere(self, catalog_checks):
         assert all(c.converged for c in catalog_checks)
 
+    def test_quadrature_node_count(self, table, monkeypatch):
+        # a deterministic count, not a timing: the default grid's 108 quadrature
+        # calls take one sum each at a step set beforehand (47,724 nodes when the
+        # step was found by halving)
+        import explogint.catalog as catalog_module
+
+        counts, quadrature = [], catalog_module.quadrature
+
+        def counting(spec, mu, rel_tol):
+            result = quadrature(spec, mu, rel_tol=rel_tol)
+            counts.append(result.nodes_used)
+            return result
+
+        monkeypatch.setattr(catalog_module, "quadrature", counting)
+        run_catalog(table=table)
+        assert len(counts) == 108
+        assert sum(counts) <= 16_446
+
     def test_expected_parameter_coverage(self, catalog_checks):
         by_id = {}
         for c in catalog_checks:

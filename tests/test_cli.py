@@ -49,7 +49,7 @@ class TestVerify:
 
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         # make the quadrature disagree: the command must report and exit 1
-        def bad_quadrature(spec, mu, rel_tol=1e-10, max_nodes=2**20):
+        def bad_quadrature(spec, mu, rel_tol=1e-10):
             return QuadratureResult(1234.5, 1e-12, 129, True)
 
         monkeypatch.setattr(cli, "quadrature", bad_quadrature)
@@ -57,11 +57,18 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
     def test_nonconvergence_exits_one(self, capsys, monkeypatch):
-        def never_converges(spec, mu, rel_tol=1e-10, max_nodes=2**20):
+        def never_converges(spec, mu, rel_tol=1e-10):
             return QuadratureResult(-0.5772156649, 1.0, 2**20, False)
 
         monkeypatch.setattr(cli, "quadrature", never_converges)
         assert main(["verify", "exp(-x)*log(x)"]) == 1
+
+    def test_zero_value_stops_early_and_exits_one(self, capsys):
+        # (x - 1) e^-x integrates to exactly 0, which no relative tolerance can meet
+        assert main(["verify", "(x - 1)*exp(-x)", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["quadrature_converged"] is False
+        assert doc["quadrature_nodes"] < 5000
 
     def test_zeta_table_covers_high_log_powers(self, capsys):
         # I_13 and I_14 name zeta(13) and zeta(14); verify sizes its table to them

@@ -32,11 +32,11 @@ GOLDEN = [
     ),
     (
         ["verify", "x^(3/2)*exp(-0.5*x)*log(x)^6", "--json"],
-        "530fb1aea144c571a54ca64dcdfd63307e199f1a5aca938f1d60bcd842a8d194",
+        "cec85f836c1cec6fb6448549f20cac8348fab0305073a0d1711bc6c37a4a5682",
     ),
     (
         ["verify", "(2 + x^(2))*exp(-5*x)*log(x)^5"],
-        "e41eb57fce7ff61075a5a90854d1fabe2687024641b5eda607a13b73a2294fe3",
+        "20bed51c396ba8a489dae77c9a457433c63f3320ba592631141eb3303a3b456e",
     ),
     (
         ["weight", "--max-n", "12", "--json"],
@@ -44,22 +44,22 @@ GOLDEN = [
     ),
     (
         ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
-        "f81858c1c7a24a9fa6dcbd1817c865262ee6efa7013769c4ce5936f450d462ca",
+        "21feba033a11d445d29b342ae3574d9626fab88f066a80d398c4b5411381164e",
     ),
     (
         # shifts of m = 20 and 21 from the base point 1/2
         ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
-        "82b65f5530ed9a4d964cca844c18b0272b767ac3787e4d7d5822b784e358bf22",
+        "e7f46e943a43e13b1a0894dbe3a7891c6b7fcdd25c10dc288b184356cae90e2e",
     ),
     (
         # a shift of m = 15 from the base point 1
         ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
-        "eaa3ce4f5fcd02e1f507c83653b056683554648bc29fbf3f4e3b233056b5ba64",
+        "533b5f17ec7856c9124474b40fefb83fd2e4c1df89b96893f26d4942aa9b2ebe",
     ),
     (
         # a 604-monomial constant through the delta rewrite, in text mode
         ["verify", "x^(7)*exp(-1/2*x)*log(x)^11", "--paper-style"],
-        "8e6028b5d8f9d08cda4f1bac56a9f0a6affd4a2307c8f386bb94cee1b13e0262",
+        "2487badf12d975a6f2e16bed54a21ad5625ec4e1923643e1880bb22ba3052efb",
     ),
     (
         # mixed denominators 3, 4 and 2^m through to_json (587 KB)
@@ -69,7 +69,7 @@ GOLDEN = [
     (
         # PASS at rel err 1.7e-11: pins the binding order and the reduced text
         ["verify", "(5/4 - x - 3/2*x^(2))*x^(9/2)*exp(-0.168*x)*log(x)^12", "--json"],
-        "41997b3aca29e67c4669241b4826f4afaff091fb51124a5ac5a46019d781a195",
+        "f0a47f85d86062311fa3b19333e0f988f946a7694ab307eea62262fbdfd83dee",
     ),
     (
         # n = 24 at the base point 1 (2.26 MB): deep Leibniz products
@@ -84,7 +84,7 @@ GOLDEN = [
     ),
     (
         ["catalog", "--json"],
-        "6845f3912f3b3cc025c92cf1c896dc73898ff04f046d17edca51433897e7d8a6",
+        "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
     ),
 ]
 

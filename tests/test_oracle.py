@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from explogint.evaluator import IntegralSpec, PrefactorTerm
-from explogint.oracle import compute_constants, euler_gamma_value, hurwitz_zeta, quadrature
+from explogint.oracle import _strip_mass, compute_constants, euler_gamma_value, hurwitz_zeta, quadrature
+from explogint.parser import parse_integrand, to_integral_spec
 from explogint.special_values import ArgPoint
 from special_numerics import digamma_m, fd_weights, gamma_value, log_gamma, nth_derivative_fd
 
@@ -238,6 +239,85 @@ class TestWindowSweep:
                 assert result.converged, (s, n, mu)
                 assert error <= 10 * tol * abs(exact), (s, n, mu)
                 assert result.abs_error_estimate >= error, (s, n, mu)
+
+
+def _gamma_sum(mpmath, spec, mu):
+    """The exact integral: sum_j c_j mu^(mp_j) d^n/ds^n [Gamma(s) mu^-s] at s = r_j."""
+
+    def exact(q: Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    total, mu = mpmath.mpf(0), exact(Fraction(mu))
+    for pf in spec.prefactor:
+        r = exact(spec.s.value) + pf.power
+        total += exact(pf.coeff) * mu**pf.mu_power * mpmath.diff(
+            lambda t: mpmath.gamma(t) * mu**-t, r, spec.log_power)
+    return total
+
+
+class TestOnePass:
+    """The step comes from a bound on the integrand in a strip, and the sum is
+    made at most twice; what that bound and the rounding bound promise."""
+
+    # (x - 1)^8 x^99 e^(-100x) and (x - 1)^10 x^99 e^(-100x) (ln x)^2: the terms
+    # cancel by eight to nine decades, so rounding, not the step, limits the sum
+    CANCELLING = [
+        "(x^(8) - 8*x^(7) + 28*x^(6) - 56*x^(5) + 70*x^(4) - 56*x^(3) + 28*x^(2) - 8*x + 1)"
+        "*x^(99)*exp(-100*x)",
+        "(x^(10) - 10*x^(9) + 45*x^(8) - 120*x^(7) + 210*x^(6) - 252*x^(5) + 210*x^(4)"
+        " - 120*x^(3) + 45*x^(2) - 10*x + 1)*x^(99)*exp(-100*x)*log(x)^2",
+    ]
+
+    @pytest.mark.parametrize("text", CANCELLING, ids=["d8", "d10-log2"])
+    def test_cancelling_terms_never_converge_below_their_error(self, text):
+        mpmath = pytest.importorskip("mpmath")
+        spec = to_integral_spec(parse_integrand(text))
+        result = quadrature(spec, float(spec.mu), rel_tol=1e-10)
+        with mpmath.workdps(60):
+            error = abs(mpmath.mpf(result.value) - _gamma_sum(mpmath, spec, spec.mu))
+        assert not result.converged or result.abs_error_estimate >= error
+
+    def test_a_zero_value_stops_after_two_sums(self):
+        # (x - 1) e^-x integrates to exactly 0: no relative tolerance can be met
+        spec = to_integral_spec(parse_integrand("(x - 1)*exp(-x)"))
+        result = quadrature(spec, 1.0)
+        assert not result.converged
+        assert result.nodes_used < 5000
+        assert abs(result.value) <= result.abs_error_estimate
+
+    # (prefactor as (coeff, power) pairs, s, n, mu, pad)
+    STRIPS = [
+        (((1, 0),), Fraction(1), 0, 1.0, 1.5),
+        (((1, 0),), Fraction(1, 2), 3, 1e3, 1.1),
+        (((1, 0),), Fraction(7, 2), 6, 1e-3, 0.7),
+        (((1, 0), (-2, 1)), Fraction(5, 2), 2, 2.0, 1.1),
+        (((3, 0), (-1, 2)), Fraction(1), 1, 0.5, 1.5),
+        (((1, 0),), Fraction(100), 1, 100.0, 0.35),
+    ]
+
+    @pytest.mark.parametrize("prefactor, s, n, mu, pad", STRIPS)
+    def test_strip_mass_bounds_the_strip_integral(self, prefactor, s, n, mu, pad):
+        mpmath = pytest.importorskip("mpmath")
+        logs = [(math.log(abs(c)), float(s) + p) for c, p in prefactor]
+        mass = _strip_mass(logs, n, math.log(mu), pad, math.log(float(s) / mu) - 8.0)
+        with mpmath.workdps(20):
+            s_, mu_, pad_ = mpmath.mpf(s.numerator) / s.denominator, mpmath.mpf(mu), mpmath.mpf(pad)
+
+            def strip(u):  # |f(u + i pad)|
+                z = mpmath.mpc(u, pad_)
+                terms = sum(c * mpmath.exp((s_ + p) * z) for c, p in prefactor)
+                return abs(terms * mpmath.exp(-mu_ * mpmath.exp(z)) * z**n)
+
+            def bound(u):  # F_pad(u)
+                decay = mu_ * mpmath.cos(pad_) * mpmath.exp(u)
+                return sum(abs(c) * mpmath.exp((s_ + p) * u - decay) for c, p in prefactor) * (abs(u) + pad_) ** n
+
+            # both are below e^-30 of their peak beyond these ends
+            peak = mpmath.log(s_ / (mu_ * mpmath.cos(pad_)))
+            points = sorted({peak - 60, peak - 5, mpmath.mpf(0), peak, peak + 5})
+            on_strip, whole = mpmath.quad(strip, points), mpmath.quad(bound, points)
+        assert mass >= on_strip and mass >= whole
+        assert mass <= 4 * whole
 
 
 class TestFiniteDifferences:
