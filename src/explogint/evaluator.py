@@ -11,12 +11,12 @@ with respect to s and expanding with the Leibniz rule gives
     integral (ln x)^n x^(s-1) e^(-mu x) dx
         = mu^(-s) sum_k C(n,k) (-ln mu)^(n-k) Gamma^(k)(s),
 
-which is what :func:`eval_general` assembles.  Gamma^(k)(s) never mentions
-log_mu, so term k owns exactly the monomials whose log_mu exponent is n-k:
-each Gamma^(k) block is written straight into one dict at that exponent
-(:func:`explogint.ring.with_log_mu_powers`) and no ring product is formed.
-mu stays symbolic throughout: a closed form is a sum of (mu-exponent,
-constant) pairs where the constant may mention the log_mu generator.
+which is what :func:`eval_general` assembles.  The whole sum is one call of
+the ring's accumulation kernel :func:`explogint.ring.sum_of_products`: term
+k is the one monomial log_mu^(n-k) times the Gamma^(k) block, so every term
+lands in one dict.  mu stays symbolic throughout: a closed form is a sum of
+(mu-exponent, constant) pairs where the constant may mention the log_mu
+generator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,15 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .ring import LOG_MU, Generator, SymbolicConstant, at_log_mu_zero, with_log_mu_powers
+from .ring import (
+    LOG_MU,
+    Generator,
+    SymbolicConstant,
+    _json_field,
+    _json_rational,
+    at_log_mu_zero,
+    sum_of_products,
+)
 from .special_values import ArgPoint, gamma_deriv_at
 
 
@@ -173,9 +181,8 @@ class ClosedForm:
     def from_json(cls, data: dict) -> "ClosedForm":
         terms = []
         for item in data["terms"]:
-            num, _, den = item["mu_exponent"].partition("/")
-            e = Fraction(int(num), int(den) if den else 1)
-            terms.append((e, SymbolicConstant.from_json(item["constant"])))
+            e = _json_rational(item, "mu_exponent")
+            terms.append((e, SymbolicConstant.from_json(_json_field(item, "constant"))))
         return cls(terms)
 
 
@@ -192,11 +199,11 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
     terms: list[tuple[Fraction, SymbolicConstant]] = []
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
-        # Gamma^(k) never mentions log_mu, so block k is placed at log_mu^(n-k);
-        # the coefficient's numerator scales the parts and its denominator the sum.
+        # The coefficient's numerator scales the parts and its denominator the sum.
         num = pf.coeff.numerator
-        const = with_log_mu_powers(
-            (((-1) ** (n - k) * math.comb(n, k) * num, n - k, gamma_deriv_at(k, point))
+        const = sum_of_products(
+            (((-1) ** (n - k) * math.comb(n, k) * num,
+              SymbolicConstant.from_generator(LOG_MU, n - k), gamma_deriv_at(k, point))
              for k in range(n + 1)),
             pf.coeff.denominator,
         )

@@ -17,19 +17,22 @@ their total order, and its name, weight and zeta index are read from a
 per-position table built once per position.  An element is a dict from
 exponent vectors (trailing zeros trimmed) to nonzero int numerators over
 one positive int denominator, with gcd(denominator, every numerator) = 1.
-Builders scale numerators to the lcm of their inputs' denominators and
-divide out one gcd at the end; a monomial's own rational coefficient is
+Numerators are scaled to the lcm of the inputs' denominators and one gcd
+is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``), print or bind it.  Multiplying monomials
 adds vectors, and equality is dict equality.  The graded-lexicographic
 term order is needed only to render, serialise or evaluate, so it is
 computed on first use and cached on the instance, as is the hash.
 
-Constants built outside the engine are placed, not multiplied: the
-constructor, ``from_json`` and ``parse_constant`` sum ``(vector, coeff)``
-pairs into one dict through ``_place``.  Nothing is substituted: log_mu = 0
-keeps the monomials whose entry 1 is 0, and a constant is a polynomial in
-delta = gamma + log_mu exactly when dc/dgamma = dc/dlog_mu, and then its
-delta form is its log_mu-free part with gamma read as delta.
+Every constant is built by one accumulation loop, :func:`sum_of_products`,
+which sums ``c * a * b`` over triples into one dict over one denominator.
+Sums, scalar multiples and log_mu = 0 pass ``ONE`` as the smaller factor, so
+each key is kept as it stands; the constructor, ``from_json`` and
+``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
+factor (``_place``).  Nothing is substituted: log_mu = 0 keeps the
+monomials whose entry 1 is 0, and a constant is a polynomial in delta =
+gamma + log_mu exactly when dc/dgamma = dc/dlog_mu, and then its delta form
+is its log_mu-free part with gamma read as delta.
 
 All values are immutable and all operations are pure.  The two caches are
 filled idempotently (any thread computes the same value), so values are
@@ -43,7 +46,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -176,15 +178,6 @@ def _wrap(d: dict, den: int = 1) -> "SymbolicConstant":
     return obj
 
 
-def _reduced(acc: dict, den: int) -> "SymbolicConstant":
-    """Canonical ``acc / den`` (den > 0, trimmed keys): zeros dropped, one gcd divided out."""
-    d = {e: c for e, c in acc.items() if c}
-    g = gcd(den, *d.values()) if den != 1 else 1
-    if g != 1:
-        d = {e: c // g for e, c in d.items()}
-    return _wrap(d, den // g)
-
-
 def _lowest(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms, for printing one monomial's coefficient."""
     g = gcd(num, den)
@@ -260,15 +253,11 @@ class SymbolicConstant:
             return SymbolicConstant.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
-    def _scaled(self, num: int, den: int = 1) -> "SymbolicConstant":
-        """self * num/den, for den > 0."""
-        return _reduced({e: c * num for e, c in self._d.items()}, self._den * den)
-
     def __add__(self, other) -> "SymbolicConstant":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return with_log_mu_powers(((1, 0, self), (1, 0, other)))
+        return sum_of_products(((1, ONE, self), (1, ONE, other)))
 
     __radd__ = __add__
 
@@ -284,7 +273,7 @@ class SymbolicConstant:
 
     def __mul__(self, other) -> "SymbolicConstant":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+            return sum_of_products([(other, ONE, self)])
         if not isinstance(other, SymbolicConstant):
             return NotImplemented
         return sum_of_products([(1, self, other)])
@@ -430,25 +419,51 @@ class SymbolicConstant:
             raise ValueError("expected an object with a 'terms' array")
         pairs = []
         for item in data["terms"]:
-            num, _, den = item["coeff"].partition("/")
-            coeff = int(num) if den in ("", "1") else Fraction(int(num), int(den))
-            powers = [(generator_from_name(name), int(e)) for name, e in item["powers"].items()]
+            coeff = _json_rational(item, "coeff")
+            powers = [(generator_from_name(name), int(e)) for name, e in _json_field(item, "powers").items()]
             if any(e <= 0 for _, e in powers):
                 raise ValueError("exponents must be positive integers")
             pairs.append((_vector(powers), coeff))
         return _place(pairs)
 
 
+def _json_field(item, field: str):
+    """``item[field]`` of one JSON term, or a ValueError naming the missing field."""
+    try:
+        return item[field]
+    except (KeyError, TypeError):
+        raise ValueError(f"each term needs a {field!r} field") from None
+
+
+def _json_rational(item, field: str) -> Scalar:
+    """The exact rational written ``"a/b"`` or ``"a"`` under ``field`` of one JSON term."""
+    text = _json_field(item, field)
+    try:
+        num, _, den = text.partition("/")
+        return int(num) if den in ("", "1") else Fraction(int(num), int(den))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{field!r} must be a rational 'a/b' with b nonzero, got {text!r}") from None
+
+
 def sum_of_products(
-    triples: Iterable[tuple[Scalar, SymbolicConstant, SymbolicConstant]],
+    triples: Iterable[tuple[Scalar, SymbolicConstant, SymbolicConstant]], den: int = 1
 ) -> SymbolicConstant:
-    """Exact sum of ``c * a * b`` over the triples, in one dict over the lcm of
-    the triples' denominators.  Two trimmed vectors add entry by entry up to the
-    shorter length, and the longer one's tail is carried over as it stands.
-    Exponents are nonnegative and a nonempty trimmed vector ends in a nonzero
-    entry, so the sum does too: every product key is already trimmed."""
-    items = [(c.numerator, c.denominator * a._den * b._den, a._d, b._d) for c, a, b in triples if c]
-    lcd = lcm(*(d for _, d, _, _ in items))
+    """Exact sum of ``c * a * b`` over the triples, divided by ``den``, in one
+    dict over the lcm of the triples' denominators.
+
+    Each key of the factor with more monomials (on a tie, ``b``) is copied,
+    widened to a monomial of the other factor and raised by that monomial's
+    nonzero entries; the monomial 1 (vector ``()``) leaves the key as it is.  Exponents are
+    nonnegative and a nonempty trimmed vector ends in a nonzero entry, so
+    the sum does too: every product key is already trimmed.
+    """
+    items = []
+    lcd = 1
+    for c, a, b in triples:
+        if c:
+            d = c.denominator * a._den * b._den
+            items.append((c.numerator, d, a._d, b._d))
+            lcd = lcm(lcd, d)
     acc: dict[Exponents, int] = {}
     get = acc.get
     for c, d, a, b in items:
@@ -457,62 +472,39 @@ def sum_of_products(
         c *= lcd // d
         for ea, ca in a.items():
             ca *= c
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb)) + (eb[len(ea):] or ea[len(eb):])
+            if ea:
+                width = len(ea)
+                raise_by = [(i, k) for i, k in enumerate(ea) if k]
+            for e, cb in b.items():
+                if ea:
+                    v = list(e)
+                    if len(v) < width:
+                        v += [0] * (width - len(v))
+                    for i, k in raise_by:
+                        v[i] += k
+                    e = tuple(v)
                 p = ca * cb
                 prev = get(e)
                 acc[e] = p if prev is None else prev + p
-    return _reduced(acc, lcd)
-
-
-def with_log_mu_powers(
-    parts: Iterable[tuple[Scalar, int, SymbolicConstant]], den: int = 1
-) -> SymbolicConstant:
-    """Exact sum of ``c * log_mu**j * a`` over the triples, divided by ``den``.
-
-    A log_mu power only raises entry 1 of each exponent vector, so every
-    numerator of ``a``, scaled to the lcm of the parts' denominators, is
-    placed directly at its shifted vector; no ring product is formed.
-    """
-    parts = [(c.numerator, c.denominator * a._den, j, a._d) for c, j, a in parts if c]
-    lcd = lcm(*(d for _, d, _, _ in parts))
-    acc: dict[Exponents, int] = {}
-    get = acc.get
-    for c, d, j, a in parts:
-        c *= lcd // d
-        for e, ca in a.items():
-            if j:
-                if len(e) < 2:
-                    e += (0,) * (2 - len(e))
-                e = (e[0], e[1] + j) + e[2:]
-            p = ca * c
-            prev = get(e)
-            acc[e] = p if prev is None else prev + p
-    return _reduced(acc, lcd * den)
+    den *= lcd
+    d = {e: c for e, c in acc.items() if c}
+    g = gcd(den, *d.values()) if den != 1 else 1
+    if g != 1:
+        d = {e: c // g for e, c in d.items()}
+    return _wrap(d, den // g)
 
 
 def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
-    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs, in one
-    dict over the lcm of the coefficients' denominators.  Vectors are trimmed
-    first, so each monomial has one key."""
-    pairs = list(pairs)
-    lcd = lcm(*(c.denominator for _, c in pairs))
-    acc: dict[Exponents, int] = {}
-    get = acc.get
-    for e, c in pairs:
-        if e and not e[-1]:
-            e = _trim(e)
-        c = c.numerator * (lcd // c.denominator)
-        prev = get(e)
-        acc[e] = c if prev is None else prev + c
-    return _reduced(acc, lcd)
+    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs.
+    Vectors are trimmed first, so each monomial has one key."""
+    return sum_of_products((c, ONE, _wrap({_trim(e) if e and not e[-1] else e: 1})) for e, c in pairs)
 
 
 def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:
     """Exact sum of the constants with log_mu set to 0: their monomials whose
     vector entry 1 is 0, each set over its constant's denominator and summed."""
-    return with_log_mu_powers(
-        (1, 0, _wrap({e: c for e, c in k._d.items() if len(e) < 2 or not e[1]}, k._den)) for k in consts
+    return sum_of_products(
+        (1, ONE, _wrap({e: c for e, c in k._d.items() if len(e) < 2 or not e[1]}, k._den)) for k in consts
     )
 
 
@@ -529,7 +521,6 @@ def _partial(d: dict, i: int) -> dict:
 
 
 # Ring elements for the individual generators, plus scalar shorthands.
-ZERO = SymbolicConstant.from_rational(0)
 ONE = SymbolicConstant.from_rational(1)
 GAMMA = SymbolicConstant.from_generator(EULER_GAMMA)
 LOG_MU_CONST = SymbolicConstant.from_generator(LOG_MU)

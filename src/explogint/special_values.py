@@ -15,8 +15,10 @@ P(t) = (b+t)(b+1+t)...(b+m-1+t).  At b = 1, P has integer coefficients; at
 b = 1/2, P(t) = 2^(-m) Q(t) with Q(t) = (1+2t)(3+2t)...(2m-1+2t), whose
 coefficients are integers.  The Leibniz rule turns P into an integer
 combination of the derivatives at b over one power of 2, so no rational
-number is formed.  The base tables are checked numerically in the test
-suite rather than assumed.
+number is formed.  The recurrence and the shift are one call each of the
+ring's accumulation kernel (:func:`explogint.ring.sum_of_products`); the
+shift multiplies each base block by ONE and divides the sum by w^m.  The
+base tables are checked numerically in the test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .ring import (
     SQRT_PI_CONST,
     SymbolicConstant,
     sum_of_products,
-    with_log_mu_powers,
     zeta_const,
 )
 
@@ -117,6 +118,6 @@ def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
         for j in range(top, 0, -1):
             q[j] = q[j] * r + q[j - 1] * w
         q[0] *= r
-    return with_log_mu_powers(
-        ((math.perm(k, j) * q[j], 0, gamma_deriv_at(k - j, base)) for j in range(top + 1)), w**m
+    return sum_of_products(
+        ((math.perm(k, j) * q[j], ONE, gamma_deriv_at(k - j, base)) for j in range(top + 1)), w**m
     )

@@ -1,6 +1,9 @@
-"""The package's public names and modules are exactly those README documents."""
+"""The package's public names and modules are exactly those README documents,
+and its runtime needs nothing outside the standard library."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import explogint
@@ -40,3 +43,17 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE))
     modules = {p.stem for p in (ROOT / "src" / "explogint").glob("*.py")}
     assert listed == modules - {"__init__", "__main__"}
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "explogint").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "__future__" or top in sys.stdlib_module_names, f"{path.name} imports {name}"

@@ -19,6 +19,7 @@ from explogint.ring import (
     LOG2_CONST,
     LOG_MU,
     LOG_MU_CONST,
+    ONE,
     SQRT_PI,
     SQRT_PI_CONST,
     Generator,
@@ -32,7 +33,6 @@ from explogint.ring import (
     grade,
     rational_const,
     sum_of_products,
-    with_log_mu_powers,
     zeta_const,
     zeta_gen,
 )
@@ -323,29 +323,6 @@ class TestKernelAgainstReference:
         for c in draws:
             assert c.max_zeta() == max([0] + [g.k for m in c.terms for g, _ in m.powers])
 
-    def test_log_mu_placement_matches_products(self):
-        rng = random.Random(16)
-        # Short vectors (the padding path), log_mu already present, zero.
-        fixed = [rational_const(Fraction(-3, 4)), GAMMA, DELTA**3, LOG_MU_CONST, rational_const(0)]
-        pool = fixed + list(kernel_draws(16, count=40))
-        scales = (0, 1, -3, Fraction(4, 2), Fraction(-5, 7))
-        cases = [
-            [(0, 2, GAMMA)],
-            [(1, 1, DELTA), (-1, 1, DELTA)],  # repeated j cancels to zero
-            [(2, 3, LOG_MU_CONST), (Fraction(1, 2), 2, DELTA**2), (5, 3, GAMMA)],
-        ]
-        for _ in range(60):
-            cases.append(
-                [(rng.choice(scales), rng.randint(0, 4), rng.choice(pool))
-                 for _ in range(rng.randint(0, 5))]
-            )
-        for parts in cases:
-            got = with_log_mu_powers(parts)
-            expected = sum_of_products((c, LOG_MU_CONST**j, a) for c, j, a in parts)
-            assert got == expected
-            assert got.terms == expected.terms
-            _assert_canonical(got)
-
 
 # --- canonical storage: int numerators over one denominator ------------------
 
@@ -380,6 +357,9 @@ class TestCanonicalForm:
     def test_every_kernel_operation_returns_canonical_form(self):
         rng = random.Random(19)
         draws = list(kernel_draws(19, count=40, den_bound=12))
+        # Fixed inputs: a smaller factor whose keys are longer than the larger
+        # factor's (the widening path), and ONE as the smaller factor.
+        draws += [zeta_const(9) * (GAMMA + 1), ONE]
         for a in draws:
             b, s = rng.choice(draws), rng.choice(self.SCALARS)
             _assert_canonical(a)
@@ -387,8 +367,9 @@ class TestCanonicalForm:
                 _assert_canonical(c)
             if s:
                 _assert_canonical(a / s)
-            _assert_canonical(with_log_mu_powers([(s, 2, a), (1, 0, b)], rng.choice((1, 2, 6))))
             _assert_canonical(sum_of_products([(s, a, b), (Fraction(1, 3), b, b)]))
+            log_mu_2 = SymbolicConstant.from_generator(LOG_MU, 2)
+            _assert_canonical(sum_of_products([(s, log_mu_2, a), (1, ONE, b)], rng.choice((1, 2, 6))))
             _assert_canonical(_place((e + (0,) * rng.randint(0, 2), Fraction(n, a._den)) for e, n in a._d.items()))
             _assert_canonical(SymbolicConstant.from_json(a.to_json()))
             _assert_canonical(parse_constant(a.render()))
@@ -404,7 +385,7 @@ class TestCanonicalForm:
         assert (zero._d, zero._den) == ({}, 1) and zero == 0
         placed = _place([((1, 0, 0), Fraction(1, 2)), ((1,), Fraction(1, 2))])
         assert (placed._d, placed._den) == ({(1,): 1}, 1)
-        lifted = with_log_mu_powers([(Fraction(3, 2), 1, GAMMA / 3)], 5)
+        lifted = sum_of_products([(Fraction(3, 2), LOG_MU_CONST, GAMMA / 3)], 5)
         assert (lifted._d, lifted._den) == ({(1, 1): 1}, 10)
 
     def test_engine_constants_are_canonical(self):
@@ -435,7 +416,7 @@ class TestCanonicalForm:
                 (a - b, _model([*ma.items(), *((e, -c) for e, c in mb.items())])),
                 (a * b, _model_times(ma, mb)),
                 (a * s, _model((e, c * s) for e, c in ma.items())),
-                (with_log_mu_powers([(s, j, a), (t, 0, b)], den), _model(
+                (sum_of_products([(s, SymbolicConstant.from_generator(LOG_MU, j), a), (t, ONE, b)], den), _model(
                     [*((e, c * s / den) for e, c in _model_log_mu(ma, j).items()),
                      *((e, c * t / den) for e, c in mb.items())])),
                 (sum_of_products([(s, a, b), (t, b, b)]), _model(
@@ -580,6 +561,31 @@ class TestRendering:
             assert SymbolicConstant.from_json(c.to_json()) == c
             # and through an actual serialization
             assert SymbolicConstant.from_json(json.loads(json.dumps(c.to_json()))) == c
+
+    def test_from_json_names_the_malformed_field(self):
+        term = {"coeff": "3/2", "powers": {"gamma": 1}}
+        cases = [
+            ({}, "'terms' array"),
+            ({"terms": [{**term, "powers": {"gamma": 0}}]}, "positive integers"),
+            ({"terms": [{**term, "coeff": "1/0"}]}, "'coeff'"),
+            ({"terms": [{"powers": {"gamma": 1}}]}, "'coeff'"),
+            ({"terms": [{"coeff": "1/1"}]}, "'powers'"),
+        ]
+        for doc, field in cases:
+            with pytest.raises(ValueError, match=re.escape(field)):
+                SymbolicConstant.from_json(doc)
+        const = {"terms": [term]}
+        for item, field in [
+            ({"mu_exponent": "1/0", "constant": const}, "'mu_exponent'"),
+            ({"constant": const}, "'mu_exponent'"),
+            ({"mu_exponent": "1/2"}, "'constant'"),
+            ({"mu_exponent": "1/2", "constant": {"terms": [{**term, "coeff": "1/0"}]}}, "'coeff'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(field)):
+                ClosedForm.from_json({"terms": [item]})
+        assert ClosedForm.from_json({"terms": [{"mu_exponent": "1/2", "constant": const}]}) == ClosedForm(
+            [(Fraction(1, 2), Fraction(3, 2) * GAMMA)]
+        )
 
     def test_render_parse_round_trip(self):
         rng = random.Random(77)
