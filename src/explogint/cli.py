@@ -50,7 +50,8 @@ def _json_text(value, indent: str, out: list) -> None:
 
     Non-empty containers are walked here, strings and ints written as the
     encoder writes them, and every other value (floats, bools, None, empty
-    containers) is handed to ``json.dumps``.  Keys must be strings.
+    containers) is handed to ``json.dumps``.  Keys must be strings.  A dict's
+    string and int values, most of a closed form's, are written inline.
     """
     cls = value.__class__
     if cls is str:
@@ -62,7 +63,13 @@ def _json_text(value, indent: str, out: list) -> None:
         sep = "{\n" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_text(item, inner, out)
+            cls = item.__class__
+            if cls is str:
+                out.append(encode_basestring_ascii(item))
+            elif cls is int:
+                out.append(int.__repr__(item))
+            else:
+                _json_text(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif value and isinstance(value, (list, tuple)):

@@ -31,6 +31,7 @@ from .ring import (
     SymbolicConstant,
     _json_field,
     _json_rational,
+    _json_terms,
     at_log_mu_zero,
     sum_of_products,
 )
@@ -180,7 +181,7 @@ class ClosedForm:
     @classmethod
     def from_json(cls, data: dict) -> "ClosedForm":
         terms = []
-        for item in data["terms"]:
+        for item in _json_terms(data):
             e = _json_rational(item, "mu_exponent")
             terms.append((e, SymbolicConstant.from_json(_json_field(item, "constant"))))
         return cls(terms)

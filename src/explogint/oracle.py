@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .evaluator import IntegralSpec
@@ -109,7 +111,10 @@ class ConstantsTable(NamedTuple):
         return out
 
 
+@lru_cache(maxsize=None)
 def compute_constants(max_zeta: int = 12) -> ConstantsTable:
+    """The table up to zeta(max_zeta), built once per ``max_zeta`` and shared:
+    its ``zeta`` map is read-only."""
     if max_zeta < 2:
         raise ValueError("max_zeta must be at least 2")
     zetas = {k: hurwitz_zeta(float(k), 1.0) for k in range(2, max_zeta + 1)}
@@ -117,7 +122,7 @@ def compute_constants(max_zeta: int = 12) -> ConstantsTable:
         gamma=euler_gamma_value(),
         log2=math.log(2.0),
         sqrt_pi=math.sqrt(math.pi),
-        zeta=zetas,
+        zeta=MappingProxyType(zetas),
     )
 
 

@@ -23,6 +23,11 @@ formed only to read (``terms``), print or bind it.  Multiplying monomials
 adds vectors, and equality is dict equality.  The graded-lexicographic
 term order is needed only to render, serialise or evaluate, so it is
 computed on first use and cached on the instance, as is the hash.
+``render`` and ``to_json`` split each vector into two parts, its entries
+from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
+and build the text of each distinct part once per call, in a dict local to
+that call: a deep closed form has thousands of monomials but only a few
+hundred distinct parts.
 
 Every constant is built by one accumulation loop, :func:`sum_of_products`,
 which sums ``c * a * b`` over triples into one dict over one denominator.
@@ -353,6 +358,10 @@ class SymbolicConstant:
         possible: zeta(2) powers fold into pi^2 multiples, and gamma + log_mu
         collapses to delta whenever the whole expression is a polynomial in
         delta alone (dc/dgamma = dc/dlog_mu).
+
+        The text of each distinct part of the exponent vectors (see the
+        module docstring) is built once per call; in paper style a part's
+        entry also keeps the 6^e that its pi^(2e) puts under the coefficient.
         """
         const = self
         gamma_name = "gamma"
@@ -363,36 +372,54 @@ class SymbolicConstant:
                 gamma_name = "delta"
         if not const._d:
             return "0"
+        den = const._den
         zeta2 = zeta_gen(2).index
-        parts: list[str] = []
-        for j, (vec, num) in enumerate(const._sorted_items()):
-            den = const._den
-            factors: list[str] = []
-            # display order: descending generator order within the monomial
-            for i in range(len(vec) - 1, -1, -1):
+
+        def part_text(vec: Exponents, positions: range) -> tuple[str, int]:
+            # Factors in descending generator order, and the 6^e of pi^(2e).
+            factors = []
+            scale = 1
+            for i in positions:
                 e = vec[i]
                 if not e:
                     continue
                 if paper_style and i == zeta2:
-                    den *= 6**e
+                    scale = 6**e
                     factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
-                    continue
-                name = gamma_name if i == 0 else _slot(i).name
-                factors.append(name if e == 1 else f"{name}^{e}")
-            if den != 1:
-                num, den = _lowest(num, den)
-            negative = num < 0
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if not factors:
+                else:
+                    name = gamma_name if i == 0 else _slot(i).name
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            return "*".join(factors), scale
+
+        tails: dict[Exponents, tuple[str, int]] = {}
+        heads: dict[Exponents, str] = {}
+        parts: list[str] = []
+        for vec, num in const._sorted_items():
+            tail = vec[2:]
+            try:
+                text, scale = tails[tail]
+            except KeyError:
+                text, scale = tails[tail] = part_text(vec, range(len(vec) - 1, 1, -1))
+            head = vec[:2]
+            try:
+                head_text = heads[head]
+            except KeyError:
+                head_text = heads[head] = part_text(head, range(len(head) - 1, -1, -1))[0]
+            if head_text:
+                text = f"{text}*{head_text}" if text else head_text
+            d = den * scale
+            if d != 1:
+                num, d = _lowest(num, d)
+            mag = str(abs(num)) if d == 1 else f"{abs(num)}/{d}"
+            if not text:
                 body = mag
             elif mag == "1":
-                body = "*".join(factors)
+                body = text
             else:
-                body = f"{mag}*" + "*".join(factors)
-            if j == 0:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" - {body}" if negative else f" + {body}")
+                body = f"{mag}*{text}"
+            parts.append(f" - {body}" if num < 0 else f" + {body}")
+        first = parts[0]  # the leading term is "body" or "-body"
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
     def __str__(self) -> str:
@@ -404,27 +431,41 @@ class SymbolicConstant:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """``{"terms": [{"coeff": "a/b", "powers": {name: exponent}}]}``, terms
+        in term order, powers in descending generator order.  The items of
+        each distinct vector from position 2 on are built once per call."""
         den = self._den
-        return {"terms": [
-            {
-                "coeff": f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den),
-                "powers": {_slot(i).name: e[i] for i in range(len(e) - 1, -1, -1) if e[i]},
-            }
-            for e, c in self._sorted_items()
-        ]}
+        tails: dict[Exponents, dict[str, int]] = {}
+        terms = []
+        for e, c in self._sorted_items():
+            tail = e[2:]
+            try:
+                items = tails[tail]
+            except KeyError:
+                items = tails[tail] = {_slot(i).name: e[i] for i in range(len(e) - 1, 1, -1) if e[i]}
+            powers = items.copy()
+            if len(e) > 1 and e[1]:
+                powers["log_mu"] = e[1]
+            if e and e[0]:
+                powers["gamma"] = e[0]
+            terms.append({"coeff": f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den), "powers": powers})
+        return {"terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicConstant":
-        if not isinstance(data, dict) or "terms" not in data:
-            raise ValueError("expected an object with a 'terms' array")
         pairs = []
-        for item in data["terms"]:
+        for item in _json_terms(data):
             coeff = _json_rational(item, "coeff")
-            powers = [(generator_from_name(name), int(e)) for name, e in _json_field(item, "powers").items()]
-            if any(e <= 0 for _, e in powers):
-                raise ValueError("exponents must be positive integers")
-            pairs.append((_vector(powers), coeff))
+            pairs.append((_json_powers(item), coeff))
         return _place(pairs)
+
+
+def _json_terms(data) -> list:
+    """The ``'terms'`` array of a JSON document, or a ValueError."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise ValueError("expected an object with a 'terms' array")
+    return terms
 
 
 def _json_field(item, field: str):
@@ -433,6 +474,23 @@ def _json_field(item, field: str):
         return item[field]
     except (KeyError, TypeError):
         raise ValueError(f"each term needs a {field!r} field") from None
+
+
+def _json_powers(item) -> Exponents:
+    """The exponent vector written under ``'powers'`` of one JSON term: an
+    object from generator names to positive int exponents."""
+    powers = _json_field(item, "powers")
+    if not isinstance(powers, dict):
+        raise ValueError(f"'powers' must be an object of generator names to exponents, got {powers!r}")
+    pairs = []
+    for name, e in powers.items():
+        if type(e) is not int or e <= 0:
+            raise ValueError(f"'powers' exponents must be positive integers, got {name!r}: {e!r}")
+        try:
+            pairs.append((generator_from_name(name), e))
+        except (TypeError, ValueError):
+            raise ValueError(f"'powers' names an unknown generator {name!r}") from None
+    return _vector(pairs)
 
 
 def _json_rational(item, field: str) -> Scalar:

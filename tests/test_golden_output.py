@@ -83,6 +83,17 @@ GOLDEN = [
         "c481460037457f59cf4f7ac5fb951756107b69eda9ec94a27319eb82fc068379",
     ),
     (
+        # the at_mu_1 rendering in paper style: delta and pi^2 .. pi^12 with
+        # their 6^e denominators
+        ["eval", "x^(1/2)*exp(-x)*log(x)^12", "--json", "--paper-style"],
+        "6ea5464e1fdbf727af81fed8e59a03617cba149b3566144922b168ce21d9f876",
+    ),
+    (
+        # text mode, paper style, pi^4 and pi^6 beside log2 and a pinned mu
+        ["eval", "(1 - x)*x^(3/2)*exp(-2*x)*log(x)^6", "--paper-style"],
+        "9034bab985d4069331c13a9c4216648a5698d8ec8d2c8768da8f3f873ce9af39",
+    ),
+    (
         ["catalog", "--json"],
         "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
     ),

@@ -52,6 +52,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             compute_constants(1)
 
+    def test_table_is_built_once_and_read_only(self):
+        assert compute_constants(15) is compute_constants(15)
+        assert compute_constants(15).zeta[15] == hurwitz_zeta(15.0, 1.0)
+        with pytest.raises(TypeError):
+            compute_constants(15).zeta[2] = 0.0
+
 
 class TestHurwitzZeta:
     def test_reduces_to_riemann_at_q_one(self, table):

@@ -570,10 +570,21 @@ class TestRendering:
             ({"terms": [{**term, "coeff": "1/0"}]}, "'coeff'"),
             ({"terms": [{"powers": {"gamma": 1}}]}, "'coeff'"),
             ({"terms": [{"coeff": "1/1"}]}, "'powers'"),
+            ([], "'terms' array"),
+            ({"terms": 5}, "'terms' array"),
+            ({"terms": [5]}, "'coeff'"),
+            ({"terms": [{**term, "powers": [["gamma", 1]]}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"gamma": "x"}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"gamma": 1.5}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"gamma": True}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"tau": 1}}]}, "'powers'"),
         ]
         for doc, field in cases:
             with pytest.raises(ValueError, match=re.escape(field)):
                 SymbolicConstant.from_json(doc)
+        for doc in ({}, [], {"terms": 5}, {"terms": {"mu_exponent": "0/1"}}):
+            with pytest.raises(ValueError, match=re.escape("'terms' array")):
+                ClosedForm.from_json(doc)
         const = {"terms": [term]}
         for item, field in [
             ({"mu_exponent": "1/0", "constant": const}, "'mu_exponent'"),
@@ -713,3 +724,78 @@ class TestLogMuSpecialisations:
             assert cf.at_mu_one() == at_mu_one_reference(cf)
             delta_forms += sum(self.check(c) for _, c in cf.terms)
         assert delta_forms > 100
+
+
+# --- render and to_json against one monomial at a time -------------------------
+
+
+def render_reference(c, paper_style=False):
+    """The display form built one monomial at a time from the public term
+    list, every factor formatted afresh; delta by substitution."""
+    gamma_name = "gamma"
+    if paper_style:
+        form = substitute_reference(c, EULER_GAMMA, GAMMA - LOG_MU_CONST)
+        named = {g for m in form.terms for g, _ in m.powers}
+        if LOG_MU not in named and EULER_GAMMA in named:
+            c, gamma_name = form, "delta"
+    text = ""
+    for coeff, powers in c.terms:
+        factors = []
+        for g, e in reversed(powers):
+            if paper_style and g == zeta_gen(2):
+                coeff /= 6**e
+                factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
+            else:
+                name = gamma_name if g == EULER_GAMMA else g.name
+                factors.append(name if e == 1 else f"{name}^{e}")
+        mag = str(abs(coeff))
+        body = "*".join(factors if mag == "1" and factors else [mag, *factors])
+        if not text:
+            text = f"-{body}" if coeff < 0 else body
+        else:
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+    return text or "0"
+
+
+def to_json_text_reference(c):
+    """``json.dumps`` of the JSON form built one monomial at a time (key order counts)."""
+    return json.dumps({"terms": [
+        {"coeff": f"{m.coeff.numerator}/{m.coeff.denominator}", "powers": {g.name: e for g, e in reversed(m.powers)}}
+        for m in c.terms
+    ]})
+
+
+class TestTextOfEachPartOnce:
+    """``render`` and ``to_json`` build the text of each distinct part of the
+    exponent vectors once; the result must match formatting every monomial
+    on its own."""
+
+    @staticmethod
+    def closed_forms():
+        coeffs = [Fraction(1), Fraction(-2, 3), Fraction(5, 4), Fraction(-3)]
+        for s in (Fraction(1, 2), Fraction(1), Fraction(7, 2), Fraction(10)):
+            for n in range(11):
+                prefactor = (PrefactorTerm(0, coeffs[n % 4]), PrefactorTerm(1 + n % 2, coeffs[(n + 1) % 4]))
+                yield eval_general(IntegralSpec(prefactor, ArgPoint.of(s), n))
+
+    def test_eval_general_output(self):
+        pi_powers = 0
+        for cf in self.closed_forms():
+            consts = [c for _, c in cf.terms] + [cf.at_mu_one()]
+            for c in consts:
+                assert c.render() == render_reference(c)
+                assert c.render(paper_style=True) == render_reference(c, paper_style=True)
+                assert json.dumps(c.to_json()) == to_json_text_reference(c)
+            pi_powers += "pi^4" in consts[-1].render(paper_style=True)
+        assert pi_powers > 10
+
+    def test_hand_constants(self):
+        cases = TestLogMuSpecialisations.HAND + [
+            zeta_const(2) ** 3 * Fraction(7, 5) - zeta_const(2) ** 2 * GAMMA * LOG_MU_CONST,
+            (DELTA**2 + zeta_const(2) ** 2) * (LOG2_CONST - SQRT_PI_CONST * zeta_const(5)),
+            rational_const(Fraction(-1, 36)) * zeta_const(2),
+        ]
+        for c in cases:
+            for paper_style in (False, True):
+                assert c.render(paper_style=paper_style) == render_reference(c, paper_style)
+            assert json.dumps(c.to_json()) == to_json_text_reference(c)
