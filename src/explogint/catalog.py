@@ -1,12 +1,15 @@
 """The nine-formula catalog and its verification harness.
 
-Each entry pairs a machine-built integral description with the closed form
-exactly as printed in the classical Gradshteyn-Ryzhik tables (sections
-4.331-4.353).  The printed forms are transcribed here *independently* of
-the symbolic engine -- classical Gamma/psi values are spelled out inline --
-so that comparing the two sides catches typos on either one.  Verification
-is two-fold: canonical ring equality, and numeric agreement between the
-closed form and direct quadrature over a grid of decay rates.
+The catalog is one table of records.  Each pairs a machine-built integral
+description with the closed form as printed in the classical
+Gradshteyn-Ryzhik tables (sections 4.331-4.353), transcribed *independently*
+of the symbolic engine from two classical helpers alone, Gamma and psi at
+integers and half-integers, so that comparing the two sides catches typos on
+either one.  4.352.1-3 print one form, mu^(-nu) Gamma(nu) (psi(nu) - ln mu),
+at nu, n+1 and n+1/2: the tables' brackets ``sum_{k<=n} 1/k - gamma - ln mu``
+and ``2 sum_{k<=n} 1/(2k-1) - gamma - ln(4 mu)`` are psi - ln mu there.
+Verification is two-fold: canonical ring equality, and numeric agreement
+between the closed form and direct quadrature over a grid of decay rates.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ _DELTA = GAMMA + LOG_MU_CONST
 
 
 def _classical_gamma(x: ArgPoint) -> SymbolicConstant:
-    """Gamma at integers and half-integers, straight from the classical values."""
+    """Gamma(n) = (n-1)! and Gamma(n + 1/2) = (2n-1)!!/2^n sqrt(pi)."""
     if x.is_integer:
         return rational_const(math.factorial(x.twice // 2 - 1))
     n = (x.twice - 1) // 2
@@ -45,7 +48,8 @@ def _classical_gamma(x: ArgPoint) -> SymbolicConstant:
 
 
 def _classical_psi(x: ArgPoint) -> SymbolicConstant:
-    """psi at integers and half-integers, straight from the classical values."""
+    """psi(n) = -gamma + sum_{k<n} 1/k and
+    psi(n + 1/2) = -gamma - 2 ln 2 + 2 sum_{k<=n} 1/(2k-1)."""
     if x.is_integer:
         n = x.twice // 2
         h = sum((Fraction(1, k) for k in range(1, n)), Fraction(0))
@@ -53,6 +57,11 @@ def _classical_psi(x: ArgPoint) -> SymbolicConstant:
     n = (x.twice - 1) // 2
     odd = sum((Fraction(1, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
     return -GAMMA + rational_const(2 * odd) - rational_const(2) * LOG2_CONST
+
+
+def _gamma_psi(nu: ArgPoint) -> ClosedForm:
+    """mu^(-nu) Gamma(nu) (psi(nu) - ln mu), the form 4.352.1-3 print."""
+    return ClosedForm([(nu.value, _classical_gamma(nu) * (_classical_psi(nu) - LOG_MU_CONST))])
 
 
 class CatalogEntry(NamedTuple):
@@ -66,163 +75,92 @@ class CatalogEntry(NamedTuple):
     printed_form: Callable[[Param], ClosedForm]
 
 
-def _entry_4331_1() -> CatalogEntry:
-    return CatalogEntry(
+_CATALOG = (
+    CatalogEntry(
         id="4.331.1",
         integrand="exp(-mu*x) * log(x)",
         closed="-delta/mu,  delta = gamma + ln mu",
         param_name=None,
         build=lambda _p: IntegralSpec.simple(1, 1),
-        printed_form=lambda _p: ClosedForm([(Fraction(1), -_DELTA)]),
-    )
-
-
-def _entry_4335_1() -> CatalogEntry:
-    return CatalogEntry(
+        printed_form=lambda _p: ClosedForm([(1, -_DELTA)]),
+    ),
+    CatalogEntry(
         id="4.335.1",
         integrand="exp(-mu*x) * log(x)^2",
         closed="(1/mu) [pi^2/6 + delta^2]",
         param_name=None,
         build=lambda _p: IntegralSpec.simple(1, 2),
-        printed_form=lambda _p: ClosedForm([(Fraction(1), _PI2 / 6 + _DELTA**2)]),
-    )
-
-
-def _entry_4335_3() -> CatalogEntry:
-    # psi''(1) = -2 zeta(3) is folded into the bracket.
-    return CatalogEntry(
+        printed_form=lambda _p: ClosedForm([(1, _PI2 / 6 + _DELTA**2)]),
+    ),
+    CatalogEntry(  # psi''(1) = -2 zeta(3) is folded into the bracket
         id="4.335.3",
         integrand="exp(-mu*x) * log(x)^3",
         closed="-(1/mu) [delta^3 + (1/2) pi^2 delta + 2 zeta(3)]",
         param_name=None,
         build=lambda _p: IntegralSpec.simple(1, 3),
         printed_form=lambda _p: ClosedForm(
-            [(Fraction(1), -(_DELTA**3 + _PI2 * _DELTA / 2 + rational_const(2) * zeta_const(3)))]
+            [(1, -(_DELTA**3 + _PI2 * _DELTA / 2 + rational_const(2) * zeta_const(3)))]
         ),
-    )
-
-
-def _entry_4352_1() -> CatalogEntry:
-    def printed(nu: ArgPoint) -> ClosedForm:
-        const = _classical_gamma(nu) * (_classical_psi(nu) - LOG_MU_CONST)
-        return ClosedForm([(nu.value, const)])
-
-    return CatalogEntry(
+    ),
+    CatalogEntry(
         id="4.352.1",
         integrand="x^(nu-1) * exp(-mu*x) * log(x)",
         closed="mu^(-nu) Gamma(nu) (psi(nu) - ln mu)",
         param_name="nu",
         build=lambda nu: IntegralSpec.simple(nu, 1),
-        printed_form=printed,
-    )
-
-
-def _entry_4352_2() -> CatalogEntry:
-    def printed(n: int) -> ClosedForm:
-        h = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-        const = rational_const(math.factorial(n)) * (rational_const(h) - GAMMA - LOG_MU_CONST)
-        return ClosedForm([(Fraction(n + 1), const)])
-
-    return CatalogEntry(
+        printed_form=_gamma_psi,
+    ),
+    CatalogEntry(
         id="4.352.2",
         integrand="x^(n) * exp(-mu*x) * log(x)",
         closed="n!/mu^(n+1) (sum_{k<=n} 1/k - gamma - ln mu)",
         param_name="n",
         build=lambda n: IntegralSpec.simple(n + 1, 1),
-        printed_form=printed,
-    )
-
-
-def _entry_4352_3() -> CatalogEntry:
-    def printed(n: int) -> ClosedForm:
-        double_fact = math.prod(range(1, 2 * n, 2))
-        odd = sum((Fraction(1, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
-        bracket = (
-            rational_const(2 * odd)
-            - GAMMA
-            - rational_const(2) * LOG2_CONST  # ln(4 mu) = 2 ln 2 + ln mu
-            - LOG_MU_CONST
-        )
-        scale = rational_const(Fraction(double_fact, 2**n)) * SQRT_PI_CONST
-        return ClosedForm([(Fraction(2 * n + 1, 2), scale * bracket)])
-
-    return CatalogEntry(
+        printed_form=lambda n: _gamma_psi(ArgPoint(2 * n + 2)),
+    ),
+    CatalogEntry(
         id="4.352.3",
         integrand="x^(n-1/2) * exp(-mu*x) * log(x)",
         closed="sqrt(pi)(2n-1)!!/(2^n mu^(n+1/2)) [2 sum_{k<=n} 1/(2k-1) - gamma - ln(4 mu)]",
         param_name="n",
         build=lambda n: IntegralSpec.simple(ArgPoint(2 * n + 1), 1),
-        printed_form=printed,
-    )
-
-
-def _entry_4352_4() -> CatalogEntry:
-    def printed(nu: ArgPoint) -> ClosedForm:
-        return ClosedForm([(Fraction(0), _classical_gamma(nu) * _classical_psi(nu))])
-
-    return CatalogEntry(
+        printed_form=lambda n: _gamma_psi(ArgPoint(2 * n + 1)),
+    ),
+    CatalogEntry(
         id="4.352.4",
         integrand="x^(nu-1) * exp(-x) * log(x)",
         closed="Gamma'(nu)",
         param_name="nu",
         build=lambda nu: IntegralSpec.simple(nu, 1, mu=1),
-        printed_form=printed,
-    )
-
-
-def _entry_4353_1() -> CatalogEntry:
-    def build(nu: ArgPoint) -> IntegralSpec:
-        prefactor = (PrefactorTerm(1, Fraction(1)), PrefactorTerm(0, -nu.value))
-        return IntegralSpec(prefactor, nu, 1, Fraction(1))
-
-    def printed(nu: ArgPoint) -> ClosedForm:
-        return ClosedForm([(Fraction(0), _classical_gamma(nu))])
-
-    return CatalogEntry(
+        printed_form=lambda nu: ClosedForm([(0, _classical_gamma(nu) * _classical_psi(nu))]),
+    ),
+    CatalogEntry(
         id="4.353.1",
         integrand="(x - nu) * x^(nu-1) * exp(-x) * log(x)",
         closed="Gamma(nu)",
         param_name="nu",
-        build=build,
-        printed_form=printed,
-    )
-
-
-def _entry_4353_2() -> CatalogEntry:
-    def build(n: int) -> IntegralSpec:
-        prefactor = (
-            PrefactorTerm(1, Fraction(1), mu_power=1),
-            PrefactorTerm(0, -(Fraction(n) + Fraction(1, 2))),
-        )
-        return IntegralSpec(prefactor, ArgPoint(2 * n + 1), 1)
-
-    def printed(n: int) -> ClosedForm:
-        double_fact = math.prod(range(1, 2 * n, 2))
-        scale = rational_const(Fraction(double_fact, 2**n)) * SQRT_PI_CONST
-        return ClosedForm([(Fraction(2 * n + 1, 2), scale)])
-
-    return CatalogEntry(
+        build=lambda nu: IntegralSpec(
+            (PrefactorTerm(1, Fraction(1)), PrefactorTerm(0, -nu.value)), nu, 1, Fraction(1)
+        ),
+        printed_form=lambda nu: ClosedForm([(0, _classical_gamma(nu))]),
+    ),
+    CatalogEntry(
         id="4.353.2",
         integrand="(mu*x - n - 1/2) * x^(n-1/2) * exp(-mu*x) * log(x)",
         closed="(2n-1)!!/(2 mu)^n sqrt(pi/mu)",
         param_name="n",
-        build=build,
-        printed_form=printed,
-    )
+        build=lambda n: IntegralSpec(
+            (PrefactorTerm(1, Fraction(1), mu_power=1), PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
+            ArgPoint(2 * n + 1),
+            1,
+        ),
+        printed_form=lambda n: ClosedForm([(Fraction(2 * n + 1, 2), _classical_gamma(ArgPoint(2 * n + 1)))]),
+    ),
+)
 
 
 def catalog() -> list[CatalogEntry]:
-    return [
-        _entry_4331_1(),
-        _entry_4335_1(),
-        _entry_4335_3(),
-        _entry_4352_1(),
-        _entry_4352_2(),
-        _entry_4352_3(),
-        _entry_4352_4(),
-        _entry_4353_1(),
-        _entry_4353_2(),
-    ]
+    return list(_CATALOG)
 
 
 DEFAULT_MU_GRID = (0.5, 1.0, 2.0, 10.0)
@@ -234,6 +172,15 @@ DEFAULT_NU_VALUES = (
     Fraction(3, 2),
     Fraction(7, 2),
 )
+
+
+def param_grid(entry: CatalogEntry, max_n: int = 4) -> list[Param]:
+    """The entry's parameter values: None, n = 0..max_n, or nu in DEFAULT_NU_VALUES."""
+    if entry.param_name is None:
+        return [None]
+    if entry.param_name == "n":
+        return list(range(max_n + 1))
+    return [ArgPoint.of(v) for v in DEFAULT_NU_VALUES]
 
 
 class CatalogCheck(NamedTuple):
@@ -254,22 +201,6 @@ class CatalogCheck(NamedTuple):
             "numeric_rel_err": self.numeric_rel_err,
             "status": self.status,
         }
-
-
-def _entry_params(entry: CatalogEntry, max_n: int, nu_values: Sequence[Fraction]):
-    if entry.param_name is None:
-        return [None]
-    if entry.param_name == "n":
-        return list(range(0, max_n + 1))
-    return [ArgPoint.of(v) for v in nu_values]
-
-
-def _param_dict(entry: CatalogEntry, param: Param) -> dict:
-    if entry.param_name is None:
-        return {}
-    if entry.param_name == "n":
-        return {"n": param}
-    return {"nu": str(param.value)}
 
 
 def check_entry(
@@ -305,7 +236,8 @@ def check_entry(
     ok = symbolic_equal and all_passed
     return CatalogCheck(
         id=entry.id,
-        params=_param_dict(entry, param),
+        # n reports as an int, nu as its text ("3/2")
+        params={} if param is None else {entry.param_name: param if entry.param_name == "n" else str(param)},
         symbolic_equal=symbolic_equal,
         numeric_rel_err=worst,
         converged=all_converged,
@@ -314,17 +246,14 @@ def check_entry(
 
 
 def run_catalog(
-    table: Optional[ConstantsTable] = None,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
     max_n: int = 4,
-    nu_values: Sequence[Fraction] = DEFAULT_NU_VALUES,
     quad_tol: float = 1e-10,
 ) -> list[CatalogCheck]:
-    """Verify every catalog entry over the parameter grid."""
-    if table is None:
-        table = compute_constants()
-    checks = []
-    for entry in catalog():
-        for param in _entry_params(entry, max_n, nu_values):
-            checks.append(check_entry(entry, param, table, mu_grid, quad_tol))
-    return checks
+    """Verify every catalog entry over its parameter grid."""
+    table = compute_constants()
+    return [
+        check_entry(entry, param, table, mu_grid, quad_tol)
+        for entry in _CATALOG
+        for param in param_grid(entry, max_n)
+    ]

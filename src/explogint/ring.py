@@ -35,9 +35,10 @@ Sums, scalar multiples and log_mu = 0 pass ``ONE`` as the smaller factor, so
 each key is kept as it stands; the constructor, ``from_json`` and
 ``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
 factor (``_place``).  Nothing is substituted: log_mu = 0 keeps the
-monomials whose entry 1 is 0, and a constant is a polynomial in delta =
-gamma + log_mu exactly when dc/dgamma = dc/dlog_mu, and then its delta form
-is its log_mu-free part with gamma read as delta.
+monomials whose entry 1 is 0.  A constant is a polynomial in
+delta = gamma + log_mu exactly when each gamma^i log_mu^j T numerator is
+C(i+j, j) times that of gamma^(i+j) T and it has sum (m+1) monomials over its
+log_mu-free gamma^m T; its delta form is that part with gamma read as delta.
 
 All values are immutable and all operations are pure.  The two caches are
 filled idempotently (any thread computes the same value), so values are
@@ -50,7 +51,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -357,22 +358,20 @@ class SymbolicConstant:
         With ``paper_style`` the classical table presentation is used where
         possible: zeta(2) powers fold into pi^2 multiples, and gamma + log_mu
         collapses to delta whenever the whole expression is a polynomial in
-        delta alone (dc/dgamma = dc/dlog_mu).
+        delta alone (see the module docstring).
 
         The text of each distinct part of the exponent vectors (see the
         module docstring) is built once per call; in paper style a part's
         entry also keeps the 6^e that its pi^(2e) puts under the coefficient.
         """
-        const = self
+        items = self._sorted_items()
         gamma_name = "gamma"
-        if paper_style and _partial(self._d, 0) == _partial(self._d, 1):
-            free = at_log_mu_zero((self,))
-            if any(e and e[0] for e in free._d):
-                const = free
-                gamma_name = "delta"
-        if not const._d:
+        if paper_style and _in_delta(self._d):
+            items = [item for item in items if len(item[0]) < 2 or not item[0][1]]
+            gamma_name = "delta"
+        if not items:
             return "0"
-        den = const._den
+        den = self._den
         zeta2 = zeta_gen(2).index
 
         def part_text(vec: Exponents, positions: range) -> tuple[str, int]:
@@ -394,7 +393,7 @@ class SymbolicConstant:
         tails: dict[Exponents, tuple[str, int]] = {}
         heads: dict[Exponents, str] = {}
         parts: list[str] = []
-        for vec, num in const._sorted_items():
+        for vec, num in items:
             tail = vec[2:]
             try:
                 text, scale = tails[tail]
@@ -566,16 +565,16 @@ def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:
     )
 
 
-def _partial(d: dict, i: int) -> dict:
-    """d/d(generator i), i = 0 or 1, keyed by vectors padded to width 2 so that
-    two derivatives compare as dicts; lowering one entry is injective."""
-    out = {}
+def _in_delta(d: dict) -> bool:
+    """Whether ``d`` is a polynomial in delta (see the module docstring), in one pass."""
+    count = 0
     for e, c in d.items():
-        k = e[i] if i < len(e) else 0
-        if k:
-            e += (0,) * (2 - len(e))
-            out[e[:i] + (k - 1,) + e[i + 1 :]] = k * c
-    return out
+        j = e[1] if len(e) > 1 else 0
+        if not j:
+            count += (e[0] if e else 0) + 1
+        elif c != comb(m := e[0] + j, j) * d.get((m, 0) + e[2:] if len(e) > 2 else (m,), 0):
+            return False
+    return count == len(d)
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

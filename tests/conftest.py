@@ -40,10 +40,10 @@ def table():
 
 
 @pytest.fixture(scope="session")
-def catalog_checks(table):
+def catalog_checks():
     # Defaults are the acceptance grid: mu in {1/2, 1, 2, 10}, n in 0..4,
     # nu in {1, 2, 3, 1/2, 3/2, 7/2}, quadrature tolerance 1e-10.
-    return run_catalog(table=table)
+    return run_catalog()
 
 
 @pytest.fixture(scope="session")

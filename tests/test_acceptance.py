@@ -59,23 +59,10 @@ def _report(name):
     return _Reporter()
 
 
-def test_criterion_1_catalog_reproduction(table):
+def test_criterion_1_catalog_reproduction():
     with _report("1 catalog reproduction"):
         start = time.monotonic()
-        checks = run_catalog(
-            table=table,
-            mu_grid=(0.5, 1.0, 2.0, 10.0),
-            max_n=4,
-            nu_values=(
-                Fraction(1),
-                Fraction(2),
-                Fraction(3),
-                Fraction(1, 2),
-                Fraction(3, 2),
-                Fraction(7, 2),
-            ),
-            quad_tol=1e-10,
-        )
+        checks = run_catalog(mu_grid=(0.5, 1.0, 2.0, 10.0), max_n=4, quad_tol=1e-10)
         elapsed = time.monotonic() - start
         ids = {c.id for c in checks}
         assert ids == {
@@ -83,6 +70,7 @@ def test_criterion_1_catalog_reproduction(table):
             "4.352.1", "4.352.2", "4.352.3", "4.352.4",
             "4.353.1", "4.353.2",
         }
+        assert {c.params["nu"] for c in checks if "nu" in c.params} == {"1", "2", "3", "1/2", "3/2", "7/2"}
         assert all(c.symbolic_equal for c in checks)
         assert all(c.numeric_rel_err <= 1e-9 for c in checks)
         assert all(c.status == "pass" for c in checks)

@@ -1,11 +1,16 @@
 """The nine-formula catalog: symbolic equality and numeric verification."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
+
+import explogint.catalog as catalog_module
 
 from explogint.catalog import (
     DEFAULT_NU_VALUES,
     catalog,
     check_entry,
+    param_grid,
     run_catalog,
 )
 from explogint.evaluator import ClosedForm, eval_general
@@ -30,19 +35,68 @@ class TestCatalogShape:
         assert [e.id for e in catalog()] == EXPECTED_IDS
 
     def test_builder_and_printed_share_domains(self):
-        # every entry evaluates and transcribes on the same parameter values
+        # every entry evaluates and transcribes on every value of its grid
         for entry in catalog():
-            if entry.param_name is None:
-                params = [None]
-            elif entry.param_name == "n":
-                params = list(range(0, 5))
-            else:
-                params = [ArgPoint.of(v) for v in DEFAULT_NU_VALUES]
-            for p in params:
+            for p in param_grid(entry):
                 spec = entry.build(p)
                 printed = entry.printed_form(p)
                 assert spec.prefactor
-                assert printed.terms or entry.id == "none"
+                assert printed.terms
+
+
+# The engine's routes to Gamma values and closed forms; the printed forms must
+# reach none of them, so that agreement with the engine is evidence.
+ENGINE_NAMES = {"gamma_deriv_at", "psi_deriv_at", "eval_In", "parse_constant"}
+
+
+def independence_violations(source: str) -> list[str]:
+    """Where ``source`` (catalog.py) leans on the engine: an import from
+    special_values other than ArgPoint, a name in ENGINE_NAMES, or
+    ``eval_general`` used outside ``check_entry``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "check_entry":
+            allowed = {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {a.name for a in node.names}
+            if module.endswith("special_values") and names != {"ArgPoint"}:
+                found.append(f"line {node.lineno}: imports {sorted(names - {'ArgPoint'})} from special_values")
+            if "special_values" in names:
+                found.append(f"line {node.lineno}: imports the special_values module")
+        elif isinstance(node, ast.Import) and any("special_values" in a.name for a in node.names):
+            found.append(f"line {node.lineno}: imports the special_values module")
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in ENGINE_NAMES:
+            found.append(f"line {node.lineno}: names {name}")
+        if name == "eval_general" and not isinstance(node, ast.alias) and id(node) not in allowed:
+            found.append(f"line {node.lineno}: uses eval_general outside check_entry")
+    return found
+
+
+class TestIndependence:
+    def test_printed_forms_do_not_use_the_engine(self):
+        source = Path(catalog_module.__file__).read_text(encoding="utf-8")
+        assert independence_violations(source) == []
+
+    def test_guard_sees_an_engine_call(self):
+        bad = (
+            "from .special_values import ArgPoint, gamma_deriv_at\n"
+            "def check_entry(entry):\n    return eval_general(entry)\n"
+            "def _classical_gamma(x):\n    return gamma_deriv_at(0, x)\n"
+            "PRINTED = lambda spec: eval_general(spec)\n"
+        )
+        assert sorted(independence_violations(bad)) == [
+            "line 1: imports ['gamma_deriv_at'] from special_values",
+            "line 1: names gamma_deriv_at",
+            "line 5: names gamma_deriv_at",
+            "line 6: uses eval_general outside check_entry",
+        ]
 
 
 class TestIndividualEntries:
@@ -87,12 +141,10 @@ class TestFullRun:
     def test_quadrature_converged_everywhere(self, catalog_checks):
         assert all(c.converged for c in catalog_checks)
 
-    def test_quadrature_node_count(self, table, monkeypatch):
+    def test_quadrature_node_count(self, monkeypatch):
         # a deterministic count, not a timing: the default grid's 108 quadrature
         # calls take one sum each at a step set beforehand (47,724 nodes when the
         # step was found by halving)
-        import explogint.catalog as catalog_module
-
         counts, quadrature = [], catalog_module.quadrature
 
         def counting(spec, mu, rel_tol):
@@ -101,7 +153,7 @@ class TestFullRun:
             return result
 
         monkeypatch.setattr(catalog_module, "quadrature", counting)
-        run_catalog(table=table)
+        run_catalog()
         assert len(counts) == 108
         assert sum(counts) <= 16_446
 
@@ -122,8 +174,8 @@ class TestFullRun:
             assert isinstance(d["numeric_rel_err"], float)
             assert d["status"] in ("pass", "fail")
 
-    def test_narrow_grid_run(self, table):
-        checks = run_catalog(table=table, mu_grid=(0.5, 2.0), max_n=2,
-                             nu_values=(Fraction(1), Fraction(3, 2)))
+    def test_narrow_grid_run(self):
+        # three fixed entries, three on nu's six values, three on n = 0..2
+        checks = run_catalog(mu_grid=(0.5, 2.0), max_n=2)
         assert all(c.status == "pass" for c in checks)
-        assert len(checks) == 3 + 2 + 3 + 3 + 2 + 2 + 3
+        assert len(checks) == 3 + 6 + 3 + 3 + 6 + 6 + 3

@@ -97,6 +97,16 @@ GOLDEN = [
         ["catalog", "--json"],
         "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
     ),
+    (
+        # text mode prints each entry's integrand and closed-form strings,
+        # which the JSON report leaves out
+        ["catalog"],
+        "cc7a230c32316cf6eb379e0f29bcd0f23fa59cea4489581b9de8281a8a4cf8fa",
+    ),
+    (
+        ["catalog", "--mu", "3", "--max-n", "6"],
+        "b93c371e9094a7749f9e8aabf289e950a858abb6689b191220d048059f02773d",
+    ),
 ]
 
 

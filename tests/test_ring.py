@@ -725,6 +725,36 @@ class TestLogMuSpecialisations:
             delta_forms += sum(self.check(c) for _, c in cf.terms)
         assert delta_forms > 100
 
+    def test_delta_polynomials_and_one_changed_coefficient(self):
+        # sum b * delta^m * T prints as delta; changing the coefficient of one
+        # monomial that names gamma or log_mu, or zeroing it, leaves no delta form
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tails = [ONE, LOG2_CONST, SQRT_PI_CONST, zeta_const(2), zeta_const(3),
+                 LOG2_CONST * zeta_const(2), SQRT_PI_CONST * zeta_const(3) ** 2]
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+        blocks = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, len(tails) - 1)), coeff,
+                                 min_size=1, max_size=5)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(blocks, st.integers(0, 10**6), coeff)
+        def check(b, pick, change):
+            hypothesis.assume(any(m for m, _ in b))
+            c = sum((v * DELTA**m * tails[t] for (m, t), v in b.items()), rational_const(0))
+            in_gamma = sum((v * GAMMA**m * tails[t] for (m, t), v in b.items()), rational_const(0))
+            got = c.render(paper_style=True)
+            assert got == render_reference(in_gamma, paper_style=True).replace("gamma", "delta")
+            assert got == render_reference(c, paper_style=True)
+            movable = [m for m in c.terms if any(g in (EULER_GAMMA, LOG_MU) for g, _ in m.powers)]
+            one = movable[pick % len(movable)]
+            for new_coeff in (one.coeff + change, 0):
+                changed = c + SymbolicConstant({one.powers: new_coeff - one.coeff})
+                got = changed.render(paper_style=True)
+                assert "delta" not in got
+                assert got == render_reference(changed, paper_style=True)
+
+        check()
+
 
 # --- render and to_json against one monomial at a time -------------------------
 
