@@ -15,14 +15,17 @@ token.  Integrand grammar (whitespace between tokens is ignored):
     signed   := [ '-' ] rational
 
 This is the smallest language covering every integrand of the supported
-class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parsing yields an expression tree;
-normalization either maps the tree onto a single
+class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parentheses nest at most
+``MAX_NESTING`` deep; a deeper '(' is a syntax error at its position.
+Parsing yields an expression tree; normalization multiplies it out, merging
+like terms as each product forms, and either maps it onto a single
 :class:`~explogint.evaluator.IntegralSpec` or rejects it with a diagnostic
 naming the offending factor.
 
 The constant language is the display form of
 :meth:`~explogint.ring.SymbolicConstant.render`, read back by
-:func:`parse_constant`.  Its numbers are integers only:
+:func:`parse_constant`.  Its numbers are integers only, and a decimal is
+an error at its own token:
 
     constant := [ '-' ] cterm (('+' | '-') cterm)*
     cterm    := cfactor ('*' cfactor)*
@@ -77,19 +80,8 @@ class NumberLit(NamedTuple):
     value: Fraction
 
 
-class VarX:
-    """The bare variable x: no fields, so not a (falsy, empty) tuple."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VarX)
-
-    def __hash__(self) -> int:
-        return hash(VarX)
-
-    def __repr__(self) -> str:
-        return "VarX()"
+class VarX(NamedTuple):
+    """The bare variable x (an empty, so falsy, tuple)."""
 
 
 class XPower(NamedTuple):
@@ -156,6 +148,8 @@ _TOKEN = re.compile(
     r"|(?P<bad>\S))"
 )
 
+MAX_NESTING = 100  # parenthesis depth; deeper input is a syntax error, not a RecursionError
+
 
 class _Token(NamedTuple):
     kind: str  # 'number' | 'name' | 'op' | 'end'
@@ -166,79 +160,92 @@ class _Token(NamedTuple):
 def _tokenize(text: str) -> list[_Token]:
     # A match is whitespace and one token, and 'bad' takes any other character,
     # so the matches cover the text up to trailing whitespace.
-    tokens = [_Token(m.lastgroup, m[m.lastindex], m.start(m.lastindex)) for m in _TOKEN.finditer(text)]
-    for tok in tokens:
-        if tok.kind == "bad":
-            raise IntegrandSyntaxError(tok.position, "a number, name or operator", repr(tok.text))
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise IntegrandSyntaxError(m.start(kind), "a number, name or operator", repr(m[kind]))
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    # A token's kind follows from its text, so a name or an operator is
+    # matched by text alone.
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "end":
+    def accept(self, op: str) -> bool:
+        """Consume the next token if its text is ``op``."""
+        if self.tokens[self.index].text == op:
             self.index += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self._fail(self.peek(), f"'{text}'")
+
+    def number(self, expected: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != "number":
+            self._fail(tok, expected)
+        self.index += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise IntegrandSyntaxError(tok.position, f"'{op}'", self._describe(tok))
-        return self.advance()
+    def integer(self, expected: str, least: int = 0) -> int:
+        """The constant language's one number reader: a decimal is an error here."""
+        tok = self.number(expected)
+        if "." in tok.text:
+            self._fail(tok, "an integer")
+        if int(tok.text) < least:
+            self._fail(tok, expected)
+        return int(tok.text)
 
     @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "end" else f"'{tok.text}'"
+    def _fail(tok: _Token, expected: str, found: Optional[str] = None):
+        if found is None:
+            found = "end of input" if tok.kind == "end" else f"'{tok.text}'"
+        raise IntegrandSyntaxError(tok.position, expected, found) from None
 
     # expr := term (('+'|'-') term)*
     def parse_expr(self) -> Node:
         terms = [self.parse_term()]
         ops = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                ops.append(tok.text)
-                terms.append(self.parse_term())
-            else:
-                break
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms), tuple(ops))
+        while (op := self.peek().text) in ("+", "-"):
+            self.index += 1
+            ops.append(op)
+            terms.append(self.parse_term())
+        return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
 
     # term := factor ('*' factor)*
     def parse_term(self) -> Node:
         factors = [self.parse_factor()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                factors.append(self.parse_factor())
-            else:
-                break
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        while self.accept("*"):
+            factors.append(self.parse_factor())
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def parse_factor(self) -> Node:
         tok = self.peek()
         if tok.kind == "number":
             return NumberLit(self.parse_rational())
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
+            if self.depth == MAX_NESTING:
+                self._fail(tok, f"at most {MAX_NESTING} nested parentheses")
+            self.depth += 1
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "name":
+            self.index += 1
             if tok.text == "x":
                 return self.parse_x()
             if tok.text == "exp":
@@ -250,61 +257,36 @@ class _Parser:
                 tok.text,
                 tok.position,
             )
-        raise IntegrandSyntaxError(
-            tok.position, "a factor (number, x, exp, log or '(')", self._describe(tok)
-        )
+        self._fail(tok, "a factor (number, x, exp, log or '(')")
 
     def parse_rational(self) -> Fraction:
-        tok = self.advance()
-        if tok.kind != "number":
-            raise IntegrandSyntaxError(tok.position, "a number", self._describe(tok))
-        value = Fraction(tok.text)  # decimal literals become exact fractions
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.text == "/":
-            self.advance()
-            den_tok = self.advance()
-            if den_tok.kind != "number":
-                raise IntegrandSyntaxError(den_tok.position, "a denominator", self._describe(den_tok))
-            den = Fraction(den_tok.text)
+        value = Fraction(self.number("a number").text)  # decimal literals become exact fractions
+        if self.accept("/"):
+            tok = self.number("a denominator")
+            den = Fraction(tok.text)
             if den == 0:
-                raise IntegrandSyntaxError(den_tok.position, "a nonzero denominator", "'0'")
-            value = value / den
+                self._fail(tok, "a nonzero denominator", "'0'")
+            value /= den
         return value
 
-    def parse_signed_rational(self) -> Fraction:
-        tok = self.peek()
-        sign = 1
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            sign = -1
-        return sign * self.parse_rational()
-
     def parse_x(self) -> Node:
-        self.advance()  # 'x'
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            self.expect_op("(")
-            exponent = self.parse_signed_rational()
-            self.expect_op(")")
-            return XPower(exponent)
-        return VarX()
+        if not self.accept("^"):
+            return VarX()
+        self.expect("(")
+        sign = -1 if self.accept("-") else 1
+        exponent = sign * self.parse_rational()
+        self.expect(")")
+        return XPower(exponent)
 
     def parse_exp(self) -> Node:
-        self.advance()  # 'exp'
-        self.expect_op("(")
-        self.expect_op("-")
-        tok = self.peek()
+        self.expect("(")
+        self.expect("-")
         rate = Fraction(1)
-        if tok.kind == "number":
+        if self.peek().kind == "number":
             rate = self.parse_rational()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "*":
-                self.advance()
-        x_tok = self.advance()
-        if x_tok.kind != "name" or x_tok.text != "x":
-            raise IntegrandSyntaxError(x_tok.position, "'x'", self._describe(x_tok))
-        self.expect_op(")")
+            self.accept("*")
+        self.expect("x")
+        self.expect(")")
         if rate <= 0:
             raise UnsupportedIntegrandError(
                 "the exponential decay rate must be positive", f"exp(-{rate}*x)"
@@ -312,23 +294,17 @@ class _Parser:
         return ExpFactor(rate)
 
     def parse_log(self) -> Node:
-        self.advance()  # 'log'
-        self.expect_op("(")
-        x_tok = self.advance()
-        if x_tok.kind != "name" or x_tok.text != "x":
-            raise IntegrandSyntaxError(x_tok.position, "'x'", self._describe(x_tok))
-        self.expect_op(")")
-        tok = self.peek()
-        power = 1
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            p_tok = self.advance()
-            if p_tok.kind != "number" or not p_tok.text.isdigit():
-                raise IntegrandSyntaxError(p_tok.position, "an integer exponent", self._describe(p_tok))
-            power = int(p_tok.text)
-            if power < 1:
-                raise IntegrandSyntaxError(p_tok.position, "a positive exponent", p_tok.text)
-        return LogFactor(power)
+        self.expect("(")
+        self.expect("x")
+        self.expect(")")
+        if not self.accept("^"):
+            return LogFactor(1)
+        tok = self.number("an integer exponent")
+        if "." in tok.text:
+            self._fail(tok, "an integer exponent")
+        if int(tok.text) < 1:
+            self._fail(tok, "a positive exponent", tok.text)
+        return LogFactor(int(tok.text))
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
@@ -336,54 +312,50 @@ class _Parser:
         vector, d = [0, 0], 0
         while True:
             scalar, i, e = self.parse_constant_factor()
-            if scalar != 1:  # a name's scalar is the int 1: no Fraction product
-                coeff *= scalar
+            coeff *= scalar
             if i == "delta":
                 d += e
             elif e:
                 vector.extend([0] * (i + 1 - len(vector)))
                 vector[i] += e
-            if self.peek().text != "*":  # only an operator token has an operator's text
+            if not self.accept("*"):
                 break
-            self.advance()
         gamma, log_mu, *rest = vector  # entries 0 and 1
         return [((gamma + d - j, log_mu + j, *rest), coeff * comb(d, j)) for j in range(d + 1)]
 
     def parse_constant_factor(self) -> tuple:
-        """A factor as (scalar, generator position or 'delta', exponent)."""
+        """A factor as (scalar, generator position or 'delta', exponent).
+
+        A scalar is an ``int``, or a ``Fraction`` when it has a denominator."""
         tok = self.peek()
         if tok.kind == "number":
-            return self.parse_rational(), None, 0
+            num = self.integer("a number")
+            if not self.accept("/"):
+                return num, None, 0
+            den_tok = self.peek()
+            den = self.integer("a denominator")
+            if den == 0:
+                self._fail(den_tok, "a nonzero denominator", "'0'")
+            return Fraction(num, den), None, 0
         if tok.kind != "name":
-            raise IntegrandSyntaxError(tok.position, "a number or a constant", self._describe(tok))
-        self.advance()
+            self._fail(tok, "a number or a constant")
+        self.index += 1
         if tok.text == "zeta":
-            self.expect_op("(")
-            k_tok = self.advance()
-            if k_tok.kind != "number" or int(k_tok.text) < 2:
-                raise IntegrandSyntaxError(k_tok.position, "a zeta index >= 2", self._describe(k_tok))
-            self.expect_op(")")
-            i = zeta_gen(int(k_tok.text)).index
+            self.expect("(")
+            k = self.integer("a zeta index >= 2", 2)
+            self.expect(")")
+            i = zeta_gen(k).index
         elif tok.text in ("delta", "pi"):
             i = tok.text
         else:
             try:
                 i = generator_from_name(tok.text).index
             except ValueError:
-                raise IntegrandSyntaxError(tok.position, "a constant", self._describe(tok)) from None
-        exponent = 1
-        if self.peek().text == "^":
-            self.advance()
-            e_tok = self.advance()
-            if e_tok.kind != "number":
-                raise IntegrandSyntaxError(e_tok.position, "an integer exponent", self._describe(e_tok))
-            exponent = int(e_tok.text)
+                self._fail(tok, "a constant")
+        exponent = self.integer("an integer exponent") if self.accept("^") else 1
         if i == "pi":
             if exponent % 2:
-                raise IntegrandSyntaxError(
-                    tok.position, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi",
-                    f"'pi^{exponent}'",
-                )
+                self._fail(tok, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi", f"'pi^{exponent}'")
             return 6 ** (exponent // 2), zeta_gen(2).index, exponent // 2  # pi^2 = 6*zeta(2)
         return 1, i, exponent
 
@@ -392,9 +364,8 @@ def parse_integrand(text: str) -> Node:
     """Parse the expression language; raises with a position on failure."""
     parser = _Parser(text)
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise IntegrandSyntaxError(tok.position, "end of input", parser._describe(tok))
+    if parser.peek().kind != "end":
+        parser._fail(parser.peek(), "end of input")
     return node
 
 
@@ -406,88 +377,77 @@ def parse_constant(text: str) -> SymbolicConstant:
     failure.
     """
     parser = _Parser(text)
-    for tok in parser.tokens:
-        if tok.kind == "number" and "." in tok.text:
-            raise IntegrandSyntaxError(tok.position, "an integer", f"'{tok.text}'")
-    sign = 1
-    if parser.peek().text == "-":
-        parser.advance()
-        sign = -1
+    sign = -1 if parser.accept("-") else 1
     pairs = []
     while True:
         pairs += parser.parse_constant_term(sign)
-        tok = parser.advance()
+        tok = parser.peek()
         if tok.kind == "end":
             return _place(pairs)
-        if tok.kind != "op" or tok.text not in ("+", "-"):
-            raise IntegrandSyntaxError(tok.position, "'+', '-' or end of input", parser._describe(tok))
+        if not (parser.accept("+") or parser.accept("-")):
+            parser._fail(tok, "'+', '-' or end of input")
         sign = 1 if tok.text == "+" else -1
 
 
 # --- normalization ----------------------------------------------------------
 
 
-class _FlatTerm(NamedTuple):
-    coeff: Fraction
-    x_power: Fraction
-    log_power: int
-    rates: tuple  # decay rates of the exponential factors seen
+def _expand(node: Node) -> dict:
+    """The node multiplied out as ``{(x power, log power, rates): coeff}``.
 
-
-def _expand(node: Node) -> list[_FlatTerm]:
-    if isinstance(node, NumberLit):
-        return [_FlatTerm(node.value, Fraction(0), 0, ())]
-    if isinstance(node, VarX):
-        return [_FlatTerm(Fraction(1), Fraction(1), 0, ())]
-    if isinstance(node, XPower):
-        return [_FlatTerm(Fraction(1), node.exponent, 0, ())]
-    if isinstance(node, ExpFactor):
-        return [_FlatTerm(Fraction(1), Fraction(0), 0, (node.rate,))]
-    if isinstance(node, LogFactor):
-        return [_FlatTerm(Fraction(1), Fraction(0), node.power, ())]
+    ``rates`` lists the decay rates of a term's exponential factors.  Like
+    terms merge as each product forms, so a product of k binomials holds at
+    most k + 1 terms, not 2^k.  A sum that cancels stays as a zero
+    coefficient, so the checks in :func:`to_integral_spec` see every term.
+    Keys keep the order in which they first appear in the full expansion,
+    so a rejection names the same first offender.
+    """
     if isinstance(node, Product):
-        terms = [_FlatTerm(Fraction(1), Fraction(0), 0, ())]
+        terms = {(Fraction(0), 0, ()): Fraction(1)}
         for factor in node.factors:
-            expanded = _expand(factor)
-            terms = [
-                _FlatTerm(
-                    a.coeff * b.coeff,
-                    a.x_power + b.x_power,
-                    a.log_power + b.log_power,
-                    a.rates + b.rates,
-                )
-                for a in terms
-                for b in expanded
-            ]
+            factor_terms = _expand(factor).items()
+            product: dict = {}
+            for (xa, la, ra), ca in terms.items():
+                for (xb, lb, rb), cb in factor_terms:
+                    key = (xa + xb, la + lb, ra + rb)
+                    product[key] = product.get(key, 0) + ca * cb
+            terms = product
         return terms
     if isinstance(node, Sum):
-        out = list(_expand(node.terms[0]))
+        terms = _expand(node.terms[0])
         for op, term in zip(node.ops, node.terms[1:]):
-            sign = Fraction(1) if op == "+" else Fraction(-1)
-            out.extend(
-                _FlatTerm(sign * t.coeff, t.x_power, t.log_power, t.rates)
-                for t in _expand(term)
-            )
-        return out
+            for key, c in _expand(term).items():
+                terms[key] = terms.get(key, 0) + (c if op == "+" else -c)
+        return terms
+    if isinstance(node, NumberLit):
+        return {(Fraction(0), 0, ()): node.value}
+    if isinstance(node, VarX):
+        return {(Fraction(1), 0, ()): Fraction(1)}
+    if isinstance(node, XPower):
+        return {(node.exponent, 0, ()): Fraction(1)}
+    if isinstance(node, ExpFactor):
+        return {(Fraction(0), 0, (node.rate,)): Fraction(1)}
+    if isinstance(node, LogFactor):
+        return {(Fraction(0), node.power, ()): Fraction(1)}
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_integral_spec(node: Node) -> IntegralSpec:
     """Map a parsed expression onto the supported integral class."""
-    flats = _expand(node)
+    terms = _expand(node)
 
-    for t in flats:
-        if len(t.rates) == 0:
+    for _, _, rates in terms:
+        if len(rates) == 0:
             raise UnsupportedIntegrandError(
                 "every additive term needs exactly one exponential factor",
                 ast_to_text(node),
             )
-        if len(t.rates) > 1:
+        if len(rates) > 1:
             raise UnsupportedIntegrandError(
                 "a term contains more than one exponential factor",
-                " * ".join(f"exp(-{r}*x)" for r in t.rates),
+                " * ".join(f"exp(-{r}*x)" for r in rates),
             )
-    rates = {t.rates[0] for t in flats}
+    rates = {r for _, _, (r,) in terms}
     if len(rates) > 1:
         raise UnsupportedIntegrandError(
             "all terms must share one decay rate",
@@ -495,7 +455,7 @@ def to_integral_spec(node: Node) -> IntegralSpec:
         )
     mu = rates.pop()
 
-    log_powers = {t.log_power for t in flats}
+    log_powers = {p for _, p, _ in terms}
     if len(log_powers) > 1:
         raise UnsupportedIntegrandError(
             "all terms must carry the same power of log(x)",
@@ -503,10 +463,8 @@ def to_integral_spec(node: Node) -> IntegralSpec:
         )
     log_power = log_powers.pop()
 
-    merged: dict[Fraction, Fraction] = {}
-    for t in flats:
-        merged[t.x_power] = merged.get(t.x_power, Fraction(0)) + t.coeff
-    merged = {p: c for p, c in merged.items() if c}
+    # one rate and one log power: the keys differ in their x power only
+    merged = {p: c for (p, _, _), c in terms.items() if c}
     if not merged:
         raise UnsupportedIntegrandError("the integrand is identically zero", ast_to_text(node))
 

@@ -157,6 +157,20 @@ class TestErrorPaths:
     def test_negative_max_n_exits_two(self, capsys):
         assert main(["weight", "--max-n", "-1"]) == 2
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_deep_nesting_exits_two_with_a_position(self, capsys, as_json):
+        expr = "(" * 331 + "x" + ")" * 331 + "*exp(-x)"
+        assert main(["eval", expr] + (["--json"] if as_json else [])) == 2
+        if as_json:
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["position"] == 100 and "nested" in doc["error"]
+        else:
+            err = capsys.readouterr().err
+            assert "syntax error at position 100" in err and "Traceback" not in err
+
+    def test_nesting_at_the_cap_evaluates(self, capsys):
+        assert main(["eval", "(" * 100 + "x" + ")" * 100 + "*exp(-x)*log(x)"]) == 0
+
     def test_json_error_document(self, capsys):
         assert main(["eval", "sin(x)", "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)

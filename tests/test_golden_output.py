@@ -94,6 +94,11 @@ GOLDEN = [
         "9034bab985d4069331c13a9c4216648a5698d8ec8d2c8768da8f3f873ce9af39",
     ),
     (
+        # three binomials multiplied out: like terms merge across factors
+        ["eval", "(x + 1)*(x - 2)*(2*x + 3)*x^(1/2)*exp(-3*x)*log(x)^2", "--json"],
+        "5209a0c0f896433cb70a5b53165899f6728711f0255af8dfe1083718eda34bd1",
+    ),
+    (
         ["catalog", "--json"],
         "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
     ),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -73,6 +74,11 @@ class TestGoldenNormalizations:
     def test_implicit_multiplication_in_exp(self):
         spec = to_integral_spec(parse_integrand("exp(-2x)*log(x)"))
         assert spec.mu == 2
+
+    def test_long_product_merges_like_terms(self):
+        # (x + 1)^40 written as 40 factors: 41 terms, never 2^40 cross terms
+        spec = to_integral_spec(parse_integrand("*".join(["(x + 1)"] * 40) + "*exp(-x)"))
+        assert spec.prefactor == tuple(PrefactorTerm(k, Fraction(comb(40, k))) for k in range(41))
 
     def test_corpus_normalizes(self, corpus):
         for text in corpus:
@@ -163,6 +169,11 @@ class TestSyntaxErrors:
             ("2 + * 3", 4),  # missing factor
             ("3/0*exp(-x)", 2),  # zero denominator
             ("exp(-x)*log(x)^y", 15),  # log exponent must be an integer
+            ("x^(-)*exp(-x)", 4),  # a sign needs a number
+            ("x^(a)*exp(-x)", 3),  # an exponent is a number
+            ("1/x*exp(-x)", 2),  # a denominator is a number
+            ("exp(-2*y)", 7),  # exp only takes x
+            ("exp(-x)*log(x)^0", 15),  # log exponent must be positive
         ],
     )
     def test_position_accurate(self, text, position):
@@ -178,6 +189,25 @@ class TestSyntaxErrors:
     def test_message_mentions_expectation(self):
         with pytest.raises(IntegrandSyntaxError, match="expected"):
             parse_integrand("exp(-x")
+
+
+class TestArbitraryText:
+    def test_front_end_raises_only_its_own_errors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        pieces = ["x", "exp", "log", "y", "(", ")", "-", "+", "*", "^", "/", ".", " ",
+                  "0", "1", "2", "12", "1/2", "0.5", "exp(-", "log(x)", "x^(", "exp(-x)"]
+        texts = st.lists(st.sampled_from(pieces), max_size=16).map("".join).filter(lambda t: len(t) <= 40)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(texts)
+        def check(text):
+            try:
+                to_integral_spec(parse_integrand(text))
+            except (IntegrandSyntaxError, UnsupportedIntegrandError):
+                pass
+
+        check()
 
 
 class TestUnsupportedClass:
@@ -225,6 +255,11 @@ class TestConstantLanguage:
             ("gamma +", 7),  # missing term
             ("3/0", 2),  # zero denominator
             ("zeta(x)", 5),  # zeta index must be an integer
+            ("gamma^x", 6),  # exponents are integers
+            ("gamma gamma", 6),  # terms are joined by '+' or '-'
+            ("zeta(2.5)", 5),  # a decimal zeta index
+            ("1/2.5*gamma", 2),  # a decimal denominator
+            ("gamma + tau + 1.5", 8),  # errors are reported in reading order
         ],
     )
     def test_rejection_names_the_offending_token(self, text, position):
