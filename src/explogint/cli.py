@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .evaluator import eval_In, eval_general
 from .oracle import MAX_REL_TOL, MIN_REL_TOL, compute_constants, quadrature, verdict
-from .parser import ast_to_text, parse_integrand, to_integral_spec
+from .parser import parse_integrand, to_integral_spec
 from .ring import Grade, grade
 
 
@@ -119,11 +119,11 @@ def _spec_summary(spec) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ast = parse_integrand(args.expr)
-    spec = to_integral_spec(ast)
+    integrand = parse_integrand(args.expr)
+    spec = to_integral_spec(integrand)
     closed = eval_general(spec)
     doc = {
-        "integrand": ast_to_text(ast),
+        "integrand": integrand.text,
         "spec": _spec_summary(spec),
         "closed_form": closed.render(paper_style=args.paper_style),
         "closed_form_json": closed.to_json(),
@@ -145,8 +145,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _tol(args)
-    ast = parse_integrand(args.expr)
-    spec = to_integral_spec(ast)
+    integrand = parse_integrand(args.expr)
+    spec = to_integral_spec(integrand)
     try:
         mu = float(spec.mu)
     except OverflowError:
@@ -164,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         shown_form = closed.render(paper_style=args.paper_style)
     doc = {
-        "integrand": ast_to_text(ast),
+        "integrand": integrand.text,
         "closed_form": shown_form,
         "mu": _round12(mu),
         "closed_value": _round12(closed_value),

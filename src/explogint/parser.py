@@ -17,10 +17,11 @@ token.  Integrand grammar (whitespace between tokens is ignored):
 This is the smallest language covering every integrand of the supported
 class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parentheses nest at most
 ``MAX_NESTING`` deep; a deeper '(' is a syntax error at its position.
-Parsing yields an expression tree; normalization multiplies it out, merging
-like terms as each product forms, and either maps it onto a single
-:class:`~explogint.evaluator.IntegralSpec` or rejects it with a diagnostic
-naming the offending factor.
+Parsing yields an :class:`Integrand` in one pass, with no tree between:
+its canonical text and its expansion, multiplied out with like terms
+merged as each product forms.  Normalization either maps the expansion
+onto a single :class:`~explogint.evaluator.IntegralSpec` or rejects it
+with a diagnostic naming the offending factor.
 
 The constant language is the display form of
 :meth:`~explogint.ring.SymbolicConstant.render`, read back by
@@ -34,21 +35,23 @@ an error at its own token:
               | 'zeta' '(' integer ')' [ '^' integer ]
     name     := 'gamma' | 'log_mu' | 'log2' | 'sqrt_pi' | 'delta' | 'pi'
 
-``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  No
-ring product is formed: a term is one coefficient and one exponent vector,
-pi^(2k) is 6^k zeta(2)^k, delta^d expands as sum_j C(d,j) gamma^(d-j)
-log_mu^j, and every monomial is placed into a single dict.
+``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  A zeta
+index or an exponent above :data:`~explogint.ring.MAX_ZETA_INDEX` is an
+error at its token.  No ring product is formed: a term is one coefficient
+and one exponent vector, pi^(2k) is 6^k zeta(2)^k, delta^d expands as
+sum_j C(d,j) gamma^(d-j) log_mu^j, and every monomial is placed into a
+single dict.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
-from typing import NamedTuple, Optional, Union
+from math import comb, inf
+from typing import NamedTuple, Optional
 
 from .evaluator import IntegralSpec, PrefactorTerm
-from .ring import SymbolicConstant, _place, generator_from_name, zeta_gen
+from .ring import MAX_ZETA_INDEX, SymbolicConstant, _place, generator_from_name, zeta_gen
 from .special_values import ArgPoint
 
 
@@ -72,73 +75,29 @@ class UnsupportedIntegrandError(ValueError):
         super().__init__(f"unsupported integrand{at}: {message} (offending factor: {factor})")
 
 
-# --- expression tree -------------------------------------------------------
-# Nodes are named tuples, so == compares fields only: NumberLit(2) == LogFactor(2).
+class Integrand(NamedTuple):
+    """A parsed integrand: its canonical text, which parses back to the same
+    integrand, and its expansion ``{(x power, log power, rates): coeff}``."""
 
-
-class NumberLit(NamedTuple):
-    value: Fraction
-
-
-class VarX(NamedTuple):
-    """The bare variable x (an empty, so falsy, tuple)."""
-
-
-class XPower(NamedTuple):
-    exponent: Fraction
-
-
-class ExpFactor(NamedTuple):
-    rate: Fraction  # exp(-rate*x)
-
-
-class LogFactor(NamedTuple):
-    power: int  # log(x)^power, power >= 1
-
-
-class Product(NamedTuple):
-    factors: tuple  # two or more factors
-
-
-class Sum(NamedTuple):
-    terms: tuple  # two or more terms
-    ops: tuple  # '+'/'-' joining consecutive terms; len == len(terms) - 1
-
-
-Node = Union[NumberLit, VarX, XPower, ExpFactor, LogFactor, Product, Sum]
-
-
-def ast_to_text(node: Node) -> str:
-    """Canonical text form; ``parse_integrand`` inverts it structurally."""
-    if isinstance(node, NumberLit):
-        return _fraction_text(node.value)
-    if isinstance(node, VarX):
-        return "x"
-    if isinstance(node, XPower):
-        return f"x^({_fraction_text(node.exponent)})"
-    if isinstance(node, ExpFactor):
-        if node.rate == 1:
-            return "exp(-x)"
-        return f"exp(-{_fraction_text(node.rate)}*x)"
-    if isinstance(node, LogFactor):
-        return "log(x)" if node.power == 1 else f"log(x)^{node.power}"
-    if isinstance(node, Product):
-        return "*".join(
-            f"({ast_to_text(f)})" if isinstance(f, Sum) else ast_to_text(f)
-            for f in node.factors
-        )
-    if isinstance(node, Sum):
-        pieces = [ast_to_text(node.terms[0])]
-        for op, term in zip(node.ops, node.terms[1:]):
-            pieces.append(f" {op} {ast_to_text(term)}")
-        return "".join(pieces)
-    raise TypeError(f"not an expression node: {node!r}")
+    text: str
+    terms: dict
 
 
 def _fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _grouped(text: str) -> str:
+    """A canonical text in parentheses if it is a sum, that is, if it has a
+    space outside parentheses: canonical spaces stand only around '+' and '-'."""
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if ch == " " and not depth:
+            return f"({text})"
+    return text
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -200,12 +159,12 @@ class _Parser:
         self.index += 1
         return tok
 
-    def integer(self, expected: str, least: int = 0) -> int:
+    def integer(self, expected: str, least: int = 0, most: float = inf) -> int:
         """The constant language's one number reader: a decimal is an error here."""
         tok = self.number(expected)
         if "." in tok.text:
             self._fail(tok, "an integer")
-        if int(tok.text) < least:
+        if not least <= int(tok.text) <= most:
             self._fail(tok, expected)
         return int(tok.text)
 
@@ -215,27 +174,47 @@ class _Parser:
             found = "end of input" if tok.kind == "end" else f"'{tok.text}'"
         raise IntegrandSyntaxError(tok.position, expected, found) from None
 
+    # Each integrand rule returns its canonical text and its expansion
+    # {(x power, log power, rates): coeff}, where rates lists the decay rates
+    # of a term's exponential factors.  Like terms merge as each product
+    # forms, so a product of k binomials holds at most k + 1 terms, not 2^k.
+    # A sum that cancels stays as a zero coefficient, so the checks in
+    # to_integral_spec see every term, and keys keep the order in which they
+    # first appear in the full expansion, so a rejection names the same first
+    # offender.  A sum keeps its parentheses as a factor of a product and as
+    # a whole term after '-', and drops them everywhere else.
+
     # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> Node:
-        terms = [self.parse_term()]
-        ops = []
+    def parse_expr(self) -> tuple[str, dict]:
+        text, terms = self.parse_term()
         while (op := self.peek().text) in ("+", "-"):
             self.index += 1
-            ops.append(op)
-            terms.append(self.parse_term())
-        return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
+            term_text, term_terms = self.parse_term()
+            text += f" {op} {_grouped(term_text) if op == '-' else term_text}"
+            for key, c in term_terms.items():
+                terms[key] = terms.get(key, 0) + (c if op == "+" else -c)
+        return text, terms
 
     # term := factor ('*' factor)*
-    def parse_term(self) -> Node:
-        factors = [self.parse_factor()]
+    def parse_term(self) -> tuple[str, dict]:
+        text, terms = self.parse_factor()
+        texts = [text]
         while self.accept("*"):
-            factors.append(self.parse_factor())
-        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
+            factor_text, factor_terms = self.parse_factor()
+            texts.append(factor_text)
+            product: dict = {}
+            for (xa, la, ra), ca in terms.items():
+                for (xb, lb, rb), cb in factor_terms.items():
+                    key = (xa + xb, la + lb, ra + rb)
+                    product[key] = product.get(key, 0) + ca * cb
+            terms = product
+        return (text if len(texts) == 1 else "*".join(map(_grouped, texts))), terms
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> tuple[str, dict]:
         tok = self.peek()
         if tok.kind == "number":
-            return NumberLit(self.parse_rational())
+            value = self.parse_rational()
+            return _fraction_text(value), {(Fraction(0), 0, ()): value}
         if self.accept("("):
             if self.depth == MAX_NESTING:
                 self._fail(tok, f"at most {MAX_NESTING} nested parentheses")
@@ -269,16 +248,16 @@ class _Parser:
             value /= den
         return value
 
-    def parse_x(self) -> Node:
+    def parse_x(self) -> tuple[str, dict]:
         if not self.accept("^"):
-            return VarX()
+            return "x", {(Fraction(1), 0, ()): Fraction(1)}
         self.expect("(")
         sign = -1 if self.accept("-") else 1
         exponent = sign * self.parse_rational()
         self.expect(")")
-        return XPower(exponent)
+        return f"x^({_fraction_text(exponent)})", {(exponent, 0, ()): Fraction(1)}
 
-    def parse_exp(self) -> Node:
+    def parse_exp(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("-")
         rate = Fraction(1)
@@ -291,20 +270,23 @@ class _Parser:
             raise UnsupportedIntegrandError(
                 "the exponential decay rate must be positive", f"exp(-{rate}*x)"
             )
-        return ExpFactor(rate)
+        text = "exp(-x)" if rate == 1 else f"exp(-{_fraction_text(rate)}*x)"
+        return text, {(Fraction(0), 0, (rate,)): Fraction(1)}
 
-    def parse_log(self) -> Node:
+    def parse_log(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("x")
         self.expect(")")
-        if not self.accept("^"):
-            return LogFactor(1)
-        tok = self.number("an integer exponent")
-        if "." in tok.text:
-            self._fail(tok, "an integer exponent")
-        if int(tok.text) < 1:
-            self._fail(tok, "a positive exponent", tok.text)
-        return LogFactor(int(tok.text))
+        power = 1
+        if self.accept("^"):
+            tok = self.number("an integer exponent")
+            if "." in tok.text:
+                self._fail(tok, "an integer exponent")
+            power = int(tok.text)
+            if power < 1:
+                self._fail(tok, "a positive exponent", tok.text)
+        text = "log(x)" if power == 1 else f"log(x)^{power}"
+        return text, {(Fraction(0), power, ()): Fraction(1)}
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
@@ -342,7 +324,7 @@ class _Parser:
         self.index += 1
         if tok.text == "zeta":
             self.expect("(")
-            k = self.integer("a zeta index >= 2", 2)
+            k = self.integer(f"a zeta index from 2 to {MAX_ZETA_INDEX}", 2, MAX_ZETA_INDEX)
             self.expect(")")
             i = zeta_gen(k).index
         elif tok.text in ("delta", "pi"):
@@ -352,7 +334,8 @@ class _Parser:
                 i = generator_from_name(tok.text).index
             except ValueError:
                 self._fail(tok, "a constant")
-        exponent = self.integer("an integer exponent") if self.accept("^") else 1
+        most = MAX_ZETA_INDEX
+        exponent = self.integer(f"an exponent up to {most}", 0, most) if self.accept("^") else 1
         if i == "pi":
             if exponent % 2:
                 self._fail(tok, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi", f"'pi^{exponent}'")
@@ -360,13 +343,14 @@ class _Parser:
         return 1, i, exponent
 
 
-def parse_integrand(text: str) -> Node:
-    """Parse the expression language; raises with a position on failure."""
+def parse_integrand(text: str) -> Integrand:
+    """Parse the expression language into its canonical text and expansion;
+    raises with a position on failure."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    integrand = Integrand(*parser.parse_expr())
     if parser.peek().kind != "end":
         parser._fail(parser.peek(), "end of input")
-    return node
+    return integrand
 
 
 def parse_constant(text: str) -> SymbolicConstant:
@@ -392,55 +376,15 @@ def parse_constant(text: str) -> SymbolicConstant:
 # --- normalization ----------------------------------------------------------
 
 
-def _expand(node: Node) -> dict:
-    """The node multiplied out as ``{(x power, log power, rates): coeff}``.
-
-    ``rates`` lists the decay rates of a term's exponential factors.  Like
-    terms merge as each product forms, so a product of k binomials holds at
-    most k + 1 terms, not 2^k.  A sum that cancels stays as a zero
-    coefficient, so the checks in :func:`to_integral_spec` see every term.
-    Keys keep the order in which they first appear in the full expansion,
-    so a rejection names the same first offender.
-    """
-    if isinstance(node, Product):
-        terms = {(Fraction(0), 0, ()): Fraction(1)}
-        for factor in node.factors:
-            factor_terms = _expand(factor).items()
-            product: dict = {}
-            for (xa, la, ra), ca in terms.items():
-                for (xb, lb, rb), cb in factor_terms:
-                    key = (xa + xb, la + lb, ra + rb)
-                    product[key] = product.get(key, 0) + ca * cb
-            terms = product
-        return terms
-    if isinstance(node, Sum):
-        terms = _expand(node.terms[0])
-        for op, term in zip(node.ops, node.terms[1:]):
-            for key, c in _expand(term).items():
-                terms[key] = terms.get(key, 0) + (c if op == "+" else -c)
-        return terms
-    if isinstance(node, NumberLit):
-        return {(Fraction(0), 0, ()): node.value}
-    if isinstance(node, VarX):
-        return {(Fraction(1), 0, ()): Fraction(1)}
-    if isinstance(node, XPower):
-        return {(node.exponent, 0, ()): Fraction(1)}
-    if isinstance(node, ExpFactor):
-        return {(Fraction(0), 0, (node.rate,)): Fraction(1)}
-    if isinstance(node, LogFactor):
-        return {(Fraction(0), node.power, ()): Fraction(1)}
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_integral_spec(node: Node) -> IntegralSpec:
-    """Map a parsed expression onto the supported integral class."""
-    terms = _expand(node)
+def to_integral_spec(integrand: Integrand) -> IntegralSpec:
+    """Map a parsed integrand onto the supported integral class."""
+    terms = integrand.terms
 
     for _, _, rates in terms:
         if len(rates) == 0:
             raise UnsupportedIntegrandError(
                 "every additive term needs exactly one exponential factor",
-                ast_to_text(node),
+                integrand.text,
             )
         if len(rates) > 1:
             raise UnsupportedIntegrandError(
@@ -466,7 +410,7 @@ def to_integral_spec(node: Node) -> IntegralSpec:
     # one rate and one log power: the keys differ in their x power only
     merged = {p: c for (p, _, _), c in terms.items() if c}
     if not merged:
-        raise UnsupportedIntegrandError("the integrand is identically zero", ast_to_text(node))
+        raise UnsupportedIntegrandError("the integrand is identically zero", integrand.text)
 
     base = min(merged)
     for p in merged:

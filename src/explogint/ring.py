@@ -128,11 +128,16 @@ def zeta_gen(k: int) -> Generator:
     return Generator(k + 2)
 
 
+# The largest zeta index read from outside, and exponent in constant text:
+# zeta(k) is entry k + 2 of a dense vector, and delta^d expands to d + 1 terms.
+MAX_ZETA_INDEX = 1000
+
+
 def generator_from_name(name: str) -> Generator:
     if name in _NAMES:
         return _slot(_NAMES.index(name)).generator
     m = re.fullmatch(r"zeta\((\d+)\)", name)
-    if m:
+    if m and int(m.group(1)) <= MAX_ZETA_INDEX:
         return zeta_gen(int(m.group(1)))
     raise ValueError(f"unknown generator name {name!r}")
 

@@ -32,6 +32,19 @@ class TestEval:
         out = capsys.readouterr().out
         assert "delta^2 + 1/6*pi^2" in out
 
+    @pytest.mark.parametrize(
+        "expr,printed",
+        [
+            # a sum subtracted as a whole term keeps its parentheses
+            ("exp(-x) - (x*exp(-x) - exp(-x))", "exp(-x) - (x*exp(-x) - exp(-x))"),
+            # an added one flattens into the enclosing sum
+            ("exp(-x) + (x*exp(-x) - exp(-x))", "exp(-x) + x*exp(-x) - exp(-x)"),
+        ],
+    )
+    def test_integrand_prints_as_it_evaluates(self, capsys, expr, printed):
+        assert main(["eval", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["integrand"] == printed
+
 
 class TestVerify:
     def test_passing_verification(self, capsys):
@@ -253,6 +266,36 @@ class TestFlags:
             )
             assert proc.returncode == 2, argv
             assert "unrecognized arguments" in proc.stderr
+
+
+class TestTracedGlobals:
+    """perfbench's tracer times each layer by replacing these module globals;
+    a call bound any other way would read as zero time in its layer."""
+
+    def test_each_traced_global_is_called(self, capsys, monkeypatch):
+        import explogint.catalog as catalog
+        import explogint.evaluator as evaluator
+        from explogint.oracle import compute_constants
+
+        names = [(cli, name) for name in
+                 ("parse_integrand", "to_integral_spec", "eval_general", "quadrature", "compute_constants")]
+        names += [(catalog, "eval_general"), (catalog, "quadrature"), (evaluator, "gamma_deriv_at")]
+        called = set()
+
+        def recording(key, fn):
+            def wrapper(*args, **kwargs):
+                called.add(key)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in names:
+            monkeypatch.setattr(module, name, recording(f"{module.__name__}.{name}", getattr(module, name)))
+        assert main(["eval", "exp(-x)*log(x)"]) == 0
+        assert main(["verify", "exp(-x)*log(x)"]) == 0
+        entry = catalog.catalog()[0]
+        catalog.check_entry(entry, catalog.param_grid(entry)[0], compute_constants())
+        capsys.readouterr()
+        assert called == {f"{module.__name__}.{name}" for module, name in names}
 
 
 class TestConsoleEntry:

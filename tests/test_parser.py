@@ -8,20 +8,14 @@ import pytest
 
 from explogint.evaluator import IntegralSpec, PrefactorTerm, eval_general
 from explogint.parser import (
-    ExpFactor,
+    Integrand,
     IntegrandSyntaxError,
-    LogFactor,
-    NumberLit,
-    Product,
-    Sum,
     UnsupportedIntegrandError,
-    VarX,
-    XPower,
-    ast_to_text,
     parse_constant,
     parse_integrand,
     to_integral_spec,
 )
+from explogint.ring import MAX_ZETA_INDEX, zeta_const
 from explogint.special_values import ArgPoint
 
 HALF = Fraction(1, 2)
@@ -88,71 +82,59 @@ class TestGoldenNormalizations:
 
 
 class TestRoundTrip:
+    def test_parse_returns_text_and_expansion(self):
+        assert parse_integrand("(x + 1/2)*exp(-x)") == Integrand(
+            "(x + 1/2)*exp(-x)",
+            {(Fraction(1), 0, (Fraction(1),)): Fraction(1), (Fraction(0), 0, (Fraction(1),)): HALF},
+        )
+
     def test_corpus_round_trips(self, corpus):
         for text in corpus:
-            ast = parse_integrand(text)
-            assert parse_integrand(ast_to_text(ast)) == ast
+            integrand = parse_integrand(text)
+            assert parse_integrand(integrand.text) == integrand
 
-    def test_randomized_asts_round_trip(self):
+    def test_random_texts_round_trip(self):
         rng = random.Random(90210)
         for _ in range(300):
-            ast = random_ast(rng, depth=0)
-            printed = ast_to_text(ast)
-            # repr names every node's type; == alone would let NumberLit(2)
-            # stand in for LogFactor(2), since tree nodes compare as tuples
-            assert repr(parse_integrand(printed)) == repr(ast), printed
+            integrand = parse_integrand(random_text(rng))
+            assert parse_integrand(integrand.text) == integrand, integrand.text
 
     def test_distinct_nodes_survive(self):
-        # x and x^(1) are different parse trees and print differently
+        # x and x^(1) expand alike but print differently
         assert parse_integrand("x^(1)*exp(-x)") != parse_integrand("x*exp(-x)")
-        assert ast_to_text(parse_integrand("x^(1)*exp(-x)")) == "x^(1)*exp(-x)"
+        assert parse_integrand("x^(1)*exp(-x)").text == "x^(1)*exp(-x)"
 
 
 def random_rational(rng, allow_negative=False):
     num = rng.randint(0 if not allow_negative else -12, 12)
     den = rng.randint(1, 6)
-    return Fraction(num, den)
-
-
-def random_simple_factor(rng):
-    roll = rng.random()
-    if roll < 0.2:
-        return NumberLit(abs(random_rational(rng)))
-    if roll < 0.4:
-        return VarX()
-    if roll < 0.6:
-        return XPower(random_rational(rng, allow_negative=True))
-    if roll < 0.8:
-        rate = abs(random_rational(rng)) + 1
-        return ExpFactor(rate)
-    return LogFactor(rng.randint(1, 4))
+    return f"{num}/{den}" if rng.random() < 0.5 else str(num)
 
 
 def random_factor(rng, depth):
-    # a Sum may appear only where the printer parenthesizes it
-    if depth < 2 and rng.random() < 0.25:
-        return random_sum(rng, depth + 1)
-    return random_simple_factor(rng)
+    """Any factor text; a parenthesized sum, or a group in a group, may sit
+    wherever a factor may."""
+    if depth < 3 and rng.random() < 0.25:
+        return f"({random_text(rng, depth + 1)})"
+    return rng.choice([
+        random_rational(rng),
+        f"{rng.randint(0, 9)}.{rng.randint(0, 99)}",
+        "x",
+        f"x^({random_rational(rng, allow_negative=True)})",
+        f"exp(-{rng.randint(1, 5)}/{rng.randint(1, 3)}*x)",
+        "exp(-x)",
+        "log(x)",
+        f"log(x)^{rng.randint(1, 4)}",
+    ])
 
 
-def random_term(rng, depth):
-    count = rng.randint(1, 3)
-    if count == 1:
-        # a bare Sum as a whole term would flatten into the enclosing sum
-        return random_simple_factor(rng)
-    return Product(tuple(random_factor(rng, depth) for _ in range(count)))
-
-
-def random_sum(rng, depth):
-    terms = tuple(random_term(rng, depth) for _ in range(rng.randint(2, 3)))
-    ops = tuple(rng.choice("+-") for _ in range(len(terms) - 1))
-    return Sum(terms, ops)
-
-
-def random_ast(rng, depth=0):
-    if rng.random() < 0.5:
-        return random_sum(rng, depth)
-    return random_term(rng, depth)
+def random_text(rng, depth=0):
+    text = ""
+    for i in range(rng.randint(1, 3)):
+        if i:
+            text += f" {rng.choice('+-')} "
+        text += "*".join(random_factor(rng, depth) for _ in range(rng.randint(1, 3)))
+    return text
 
 
 class TestSyntaxErrors:
@@ -174,6 +156,7 @@ class TestSyntaxErrors:
             ("1/x*exp(-x)", 2),  # a denominator is a number
             ("exp(-2*y)", 7),  # exp only takes x
             ("exp(-x)*log(x)^0", 15),  # log exponent must be positive
+            ("exp(-x)*log(x)^2.5", 15),  # log exponent must not be a decimal
         ],
     )
     def test_position_accurate(self, text, position):
@@ -209,6 +192,23 @@ class TestArbitraryText:
 
         check()
 
+    def test_constant_reader_raises_only_syntax_errors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        pieces = ["gamma", "log_mu", "log2", "sqrt_pi", "delta", "pi", "zeta(", "tau", "(", ")",
+                  "-", "+", "*", "^", "/", ".", " ", "0", "1", "2", "12", "1001", "9999999"]
+        texts = st.lists(st.sampled_from(pieces), max_size=16).map("".join).filter(lambda t: len(t) <= 40)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(texts)
+        def check(text):
+            try:
+                parse_constant(text)
+            except IntegrandSyntaxError:
+                pass
+
+        check()
+
 
 class TestUnsupportedClass:
     def test_unknown_function_names_the_factor(self):
@@ -232,9 +232,9 @@ class TestUnsupportedClass:
         ],
     )
     def test_rejected_with_diagnostic(self, text):
-        ast = parse_integrand(text)
+        integrand = parse_integrand(text)
         with pytest.raises(UnsupportedIntegrandError):
-            to_integral_spec(ast)
+            to_integral_spec(integrand)
 
     def test_nonpositive_decay_rate(self):
         with pytest.raises(UnsupportedIntegrandError):
@@ -260,12 +260,18 @@ class TestConstantLanguage:
             ("zeta(2.5)", 5),  # a decimal zeta index
             ("1/2.5*gamma", 2),  # a decimal denominator
             ("gamma + tau + 1.5", 8),  # errors are reported in reading order
+            ("zeta(1001)", 5),  # a zeta index beyond MAX_ZETA_INDEX
+            ("zeta(3000000)", 5),
+            ("delta^1001", 6),  # delta^d expands into d + 1 terms
         ],
     )
     def test_rejection_names_the_offending_token(self, text, position):
         with pytest.raises(IntegrandSyntaxError) as exc_info:
             parse_constant(text)
         assert exc_info.value.position == position
+
+    def test_largest_zeta_index_reads(self):
+        assert parse_constant(f"zeta({MAX_ZETA_INDEX})") == zeta_const(MAX_ZETA_INDEX)
 
     @pytest.mark.parametrize("paper_style", [False, True])
     def test_deep_closed_form_round_trips(self, paper_style):

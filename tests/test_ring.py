@@ -19,6 +19,7 @@ from explogint.ring import (
     LOG2_CONST,
     LOG_MU,
     LOG_MU_CONST,
+    MAX_ZETA_INDEX,
     ONE,
     SQRT_PI,
     SQRT_PI_CONST,
@@ -578,6 +579,8 @@ class TestRendering:
             ({"terms": [{**term, "powers": {"gamma": 1.5}}]}, "'powers'"),
             ({"terms": [{**term, "powers": {"gamma": True}}]}, "'powers'"),
             ({"terms": [{**term, "powers": {"tau": 1}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {f"zeta({MAX_ZETA_INDEX + 1})": 1}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"zeta(3000000)": 1}}]}, "'powers'"),
         ]
         for doc, field in cases:
             with pytest.raises(ValueError, match=re.escape(field)):
@@ -597,6 +600,8 @@ class TestRendering:
         assert ClosedForm.from_json({"terms": [{"mu_exponent": "1/2", "constant": const}]}) == ClosedForm(
             [(Fraction(1, 2), Fraction(3, 2) * GAMMA)]
         )
+        top = {"terms": [{"coeff": "1/1", "powers": {f"zeta({MAX_ZETA_INDEX})": 1}}]}
+        assert SymbolicConstant.from_json(top) == zeta_const(MAX_ZETA_INDEX)
 
     def test_render_parse_round_trip(self):
         rng = random.Random(77)
