@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
-from .oracle import ConstantsTable, compute_constants, quadrature, verdict
+from .oracle import compute_constants, quadrature, verdict
 from .ring import (
     GAMMA,
+    Generator,
     LOG2_CONST,
     LOG_MU_CONST,
     SQRT_PI_CONST,
@@ -206,7 +207,7 @@ class CatalogCheck(NamedTuple):
 def check_entry(
     entry: CatalogEntry,
     param: Param,
-    table: ConstantsTable,
+    table: Mapping[Generator, float],
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
     quad_tol: float = 1e-10,
 ) -> CatalogCheck:
@@ -222,11 +223,10 @@ def check_entry(
         symbolic_equal = computed == printed
         mu_values = list(mu_grid)
 
-    bindings = table.bindings()
     worst = 0.0
     all_converged = all_passed = True
     for mu in mu_values:
-        closed_value = computed.evaluate(mu, bindings)
+        closed_value = computed.evaluate(mu, table)
         quad = quadrature(spec, mu, rel_tol=quad_tol)
         rel_err, passed = verdict(closed_value, quad, quad_tol)
         all_converged = all_converged and quad.converged

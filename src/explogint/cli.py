@@ -155,9 +155,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
-    # The table holds zeta(2) up to the largest zeta(k) the closed form names.
-    table = compute_constants(max([2] + [const.max_zeta() for _, const in closed.terms]))
-    closed_value = closed.evaluate(mu, table.bindings())
+    # The map holds every zeta(k) the closed form names.
+    table = compute_constants(max((const.max_zeta() for _, const in closed.terms), default=0))
+    closed_value = closed.evaluate(mu, table)
     rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:
         shown_form = closed.at_mu_one().render(paper_style=args.paper_style)

@@ -3,9 +3,9 @@
 This module supplies numeric values of the ring generators (via the
 Hurwitz zeta function), high-accuracy quadrature over the integral class,
 and the rule by which a closed form's value passes against quadrature.
-None of it shares a code path with the exact engine in
-:mod:`special_values` / :mod:`evaluator`, so agreement between the two
-sides is evidence rather than tautology.
+Of the package it imports only the ring's generator identities at run time,
+so it shares no code path with the exact engine in :mod:`special_values` /
+:mod:`evaluator`, and agreement between the two sides is evidence.
 
 Quadrature is one trapezoid sum at a step chosen beforehand from a bound
 on the integrand in a strip around the real axis, over a window whose ends
@@ -23,10 +23,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .evaluator import IntegralSpec
-from .ring import EULER_GAMMA, LOG2, SQRT_PI, Generator, zeta_gen
+from .ring import EULER_GAMMA, LOG2, SQRT_PI, zeta_gen
+
+if TYPE_CHECKING:
+    from .evaluator import IntegralSpec
+    from .ring import Generator
 
 # Bernoulli numbers B_2 .. B_16 (exact; converted to float where used).
 _BERNOULLI = {
@@ -91,39 +94,13 @@ def hurwitz_zeta(z: float, q: float) -> float:
     raise ArithmeticError(f"hurwitz_zeta({z}, {q}) failed to converge")  # pragma: no cover
 
 
-class ConstantsTable(NamedTuple):
-    """Numeric values of the ring generators; initialize once, read many."""
-
-    gamma: float
-    log2: float
-    sqrt_pi: float
-    zeta: Mapping[int, float]
-
-    def bindings(self) -> dict[Generator, float]:
-        """Bindings of every generator but log_mu, which ClosedForm.evaluate binds."""
-        out: dict[Generator, float] = {
-            EULER_GAMMA: self.gamma,
-            LOG2: self.log2,
-            SQRT_PI: self.sqrt_pi,
-        }
-        for k, v in self.zeta.items():
-            out[zeta_gen(k)] = v
-        return out
-
-
 @lru_cache(maxsize=None)
-def compute_constants(max_zeta: int = 12) -> ConstantsTable:
-    """The table up to zeta(max_zeta), built once per ``max_zeta`` and shared:
-    its ``zeta`` map is read-only."""
-    if max_zeta < 2:
-        raise ValueError("max_zeta must be at least 2")
-    zetas = {k: hurwitz_zeta(float(k), 1.0) for k in range(2, max_zeta + 1)}
-    return ConstantsTable(
-        gamma=euler_gamma_value(),
-        log2=math.log(2.0),
-        sqrt_pi=math.sqrt(math.pi),
-        zeta=MappingProxyType(zetas),
-    )
+def compute_constants(max_zeta: int = 12) -> Mapping[Generator, float]:
+    """Read-only map of gamma, log2, sqrt_pi and zeta(2) .. zeta(max_zeta) to their
+    values, which ``ClosedForm.evaluate`` reads; built once per ``max_zeta``."""
+    values = {EULER_GAMMA: euler_gamma_value(), LOG2: math.log(2.0), SQRT_PI: math.sqrt(math.pi)}
+    values.update((zeta_gen(k), hurwitz_zeta(float(k), 1.0)) for k in range(2, max_zeta + 1))
+    return MappingProxyType(values)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,17 @@ an error at its own token:
 
 ``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  A zeta
 index or an exponent above :data:`~explogint.ring.MAX_ZETA_INDEX` is an
-error at its token.  No ring product is formed: a term is one coefficient
-and one exponent vector, pi^(2k) is 6^k zeta(2)^k, delta^d expands as
-sum_j C(d,j) gamma^(d-j) log_mu^j, and every monomial is placed into a
-single dict.
+error at its token, and so is a delta factor that takes the sum of its
+term's delta exponents above it.  No ring product is formed: a term is one
+coefficient and one exponent vector, pi^(2k) is 6^k zeta(2)^k, delta^d
+expands as sum_j C(d,j) gamma^(d-j) log_mu^j, and every monomial is placed
+into a single dict.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb, inf
 from typing import NamedTuple, Optional
@@ -87,6 +89,10 @@ def _fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _exp_text(rate: Fraction) -> str:
+    return "exp(-x)" if rate == 1 else f"exp(-{_fraction_text(rate)}*x)"
 
 
 def _grouped(text: str) -> str:
@@ -152,21 +158,26 @@ class _Parser:
         if not self.accept(text):
             self._fail(self.peek(), f"'{text}'")
 
-    def number(self, expected: str) -> _Token:
+    def number(self, expected: str) -> tuple[_Token, int | Fraction]:
+        """The number token and its value: an int, or a Fraction if it has a '.'."""
         tok = self.peek()
         if tok.kind != "number":
             self._fail(tok, expected)
         self.index += 1
-        return tok
+        try:
+            return tok, Fraction(tok.text) if "." in tok.text else int(tok.text)
+        except ValueError:  # more digits than int(str) reads
+            digits = len(tok.text.replace(".", ""))
+            self._fail(tok, f"a number of at most {sys.get_int_max_str_digits()} digits", f"{digits} digits")
 
     def integer(self, expected: str, least: int = 0, most: float = inf) -> int:
         """The constant language's one number reader: a decimal is an error here."""
-        tok = self.number(expected)
+        tok, value = self.number(expected)
         if "." in tok.text:
             self._fail(tok, "an integer")
-        if not least <= int(tok.text) <= most:
+        if not least <= value <= most:
             self._fail(tok, expected)
-        return int(tok.text)
+        return value
 
     @staticmethod
     def _fail(tok: _Token, expected: str, found: Optional[str] = None):
@@ -239,10 +250,9 @@ class _Parser:
         self._fail(tok, "a factor (number, x, exp, log or '(')")
 
     def parse_rational(self) -> Fraction:
-        value = Fraction(self.number("a number").text)  # decimal literals become exact fractions
+        value = Fraction(self.number("a number")[1])  # decimal literals become exact fractions
         if self.accept("/"):
-            tok = self.number("a denominator")
-            den = Fraction(tok.text)
+            tok, den = self.number("a denominator")
             if den == 0:
                 self._fail(tok, "a nonzero denominator", "'0'")
             value /= den
@@ -267,11 +277,8 @@ class _Parser:
         self.expect("x")
         self.expect(")")
         if rate <= 0:
-            raise UnsupportedIntegrandError(
-                "the exponential decay rate must be positive", f"exp(-{rate}*x)"
-            )
-        text = "exp(-x)" if rate == 1 else f"exp(-{_fraction_text(rate)}*x)"
-        return text, {(Fraction(0), 0, (rate,)): Fraction(1)}
+            raise UnsupportedIntegrandError("the exponential decay rate must be positive", _exp_text(rate))
+        return _exp_text(rate), {(Fraction(0), 0, (rate,)): Fraction(1)}
 
     def parse_log(self) -> tuple[str, dict]:
         self.expect("(")
@@ -279,10 +286,9 @@ class _Parser:
         self.expect(")")
         power = 1
         if self.accept("^"):
-            tok = self.number("an integer exponent")
+            tok, power = self.number("an integer exponent")
             if "." in tok.text:
                 self._fail(tok, "an integer exponent")
-            power = int(tok.text)
             if power < 1:
                 self._fail(tok, "a positive exponent", tok.text)
         text = "log(x)" if power == 1 else f"log(x)^{power}"
@@ -293,10 +299,12 @@ class _Parser:
         """One term, signed by ``coeff``, as (vector, coefficient) pairs; delta^d expands."""
         vector, d = [0, 0], 0
         while True:
-            scalar, i, e = self.parse_constant_factor()
+            tok, (scalar, i, e) = self.peek(), self.parse_constant_factor()
             coeff *= scalar
             if i == "delta":
                 d += e
+                if d > MAX_ZETA_INDEX:  # delta^d expands into d + 1 terms
+                    self._fail(tok, f"delta exponents summing to at most {MAX_ZETA_INDEX} in a term", f"a sum of {d}")
             elif e:
                 vector.extend([0] * (i + 1 - len(vector)))
                 vector[i] += e
@@ -389,13 +397,13 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
         if len(rates) > 1:
             raise UnsupportedIntegrandError(
                 "a term contains more than one exponential factor",
-                " * ".join(f"exp(-{r}*x)" for r in rates),
+                " * ".join(map(_exp_text, rates)),
             )
     rates = {r for _, _, (r,) in terms}
     if len(rates) > 1:
         raise UnsupportedIntegrandError(
             "all terms must share one decay rate",
-            ", ".join(f"exp(-{r}*x)" for r in sorted(rates)),
+            ", ".join(map(_exp_text, sorted(rates))),
         )
     mu = rates.pop()
 

@@ -86,14 +86,13 @@ def test_criterion_2_special_values(table):
             expected = rational_const(Fraction(double_fact, 2**n)) * SQRT_PI_CONST
             assert gamma_deriv_at(0, point) == expected
         # numeric oracles agree with evaluation of the symbolic forms
-        bindings = table.bindings()
         for m in range(3):
-            exact = psi_deriv_at(m, one).evaluate(bindings)
+            exact = psi_deriv_at(m, one).evaluate(table)
             numeric = digamma_m(m, 1.0)
             assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
         for n in range(0, 7):
             point = ArgPoint(2 * n + 1)
-            exact = gamma_deriv_at(0, point).evaluate(bindings)
+            exact = gamma_deriv_at(0, point).evaluate(table)
             numeric = gamma_value(n + 0.5)
             assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
 
@@ -102,9 +101,8 @@ def test_criterion_3_weight_homogeneity(table):
     with _report("3 weight homogeneity"):
         for n in range(11):
             assert grade(eval_In(n)) == Grade("homogeneous", Fraction(n))
-        bindings = table.bindings()
         for n in range(7):
-            exact = eval_In(n).evaluate(bindings)
+            exact = eval_In(n).evaluate(table)
             result = quadrature(IntegralSpec.simple(1, n), 1.0, rel_tol=1e-10)
             assert result.converged
             assert abs(result.value - exact) <= 1e-8 * max(1.0, abs(exact))
@@ -122,7 +120,7 @@ def test_criterion_4_property_suites(table, catalog_checks):
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
         # evaluation homomorphism
-        bindings = {**table.bindings(), LOG_MU: math.log(3.0)}
+        bindings = {**table, LOG_MU: math.log(3.0)}
         for _ in range(300):
             a = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
             b = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
@@ -150,9 +148,8 @@ def test_criterion_4_property_suites(table, catalog_checks):
 
 def test_criterion_5_oracle_triangle(table):
     with _report("5 oracle triangle n=4,5"):
-        bindings = table.bindings()
         for n in (4, 5):
-            by_recurrence = eval_In(n).evaluate(bindings)
+            by_recurrence = eval_In(n).evaluate(table)
             by_integration = quadrature(
                 IntegralSpec.simple(1, n), 1.0, rel_tol=1e-10
             ).value

@@ -3,8 +3,10 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +157,21 @@ class TestErrorPaths:
         message = json.loads(capsys.readouterr().out)["error"]
         assert len(message) < 200 and "-1.6e+866" in message
 
+    @pytest.mark.parametrize(
+        "template,position",
+        [("{}*exp(-x)", 0), ("1/{}*exp(-x)", 2), ("exp(-x)*x^({})", 11)],  # coefficient, denominator, x power
+    )
+    def test_overlong_literal_is_a_syntax_error_at_its_token(self, capsys, template, position):
+        expr = template.format("9" * 5000)
+        limit = sys.get_int_max_str_digits()
+        assert main(["eval", expr]) == 2
+        first, source, caret = capsys.readouterr().err.splitlines()
+        assert first == (f"error: syntax error at position {position}: "
+                         f"expected a number of at most {limit} digits, found 5000 digits")
+        assert (source, caret) == (f"    {expr}", "    " + " " * position + "^")
+        assert main(["eval", expr, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["position"] == position
+
     def test_bad_mu_exits_two(self, capsys):
         assert main(["catalog", "--mu", "0"]) == 2
         assert main(["catalog", "--mu", "-2"]) == 2
@@ -296,6 +313,40 @@ class TestTracedGlobals:
         catalog.check_entry(entry, catalog.param_grid(entry)[0], compute_constants())
         capsys.readouterr()
         assert called == {f"{module.__name__}.{name}" for module, name in names}
+
+
+class TestTracedChild:
+    """perfbench/child.py runs a command under the benchmark's tracer, which
+    wraps functions, methods and caches of every layer: the output must be the
+    untraced output, and the spans and events must name every layer."""
+
+    COMMANDS = [
+        ["eval", "exp(-x)*log(x)^3", "--json"],
+        ["verify", "x^(3/2)*exp(-2*x)*log(x)^4", "--json"],
+        ["catalog", "--max-n", "0", "--mu", "1", "--json"],
+    ]
+    SPANS = {
+        "cli.main", "parser.parse_integrand", "parser.to_integral_spec", "evaluator.eval_general",
+        "special_values.gamma_deriv_at", "ring.render", "ring.json", "evaluator.bind",
+        "oracle.compute_constants", "oracle.quadrature", "catalog.check_entry",
+    }
+
+    def test_traced_output_matches_and_names_every_layer(self, capsys, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        spans, kinds = set(), set()
+        for i, argv in enumerate(self.COMMANDS):
+            trace = tmp_path / f"trace{i}.json"
+            proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), str(trace), *argv],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert main(argv) == 0
+            assert proc.stdout == capsys.readouterr().out
+            doc = json.loads(trace.read_text())
+            spans |= {span[0] for span in doc["spans"]}
+            kinds |= {event["kind"] for event in doc["events"]}
+        assert spans >= self.SPANS
+        assert kinds >= {"eval", "cache", "bind", "quadrature"}
 
 
 class TestConsoleEntry:

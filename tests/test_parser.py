@@ -1,6 +1,8 @@
 """Integrand language: parsing, printing, normalization, diagnostics."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -236,6 +238,20 @@ class TestUnsupportedClass:
         with pytest.raises(UnsupportedIntegrandError):
             to_integral_spec(integrand)
 
+    @pytest.mark.parametrize(
+        "text,factor",
+        [
+            ("exp(-x)*exp(-2*x)*log(x)", "exp(-x) * exp(-2*x)"),
+            ("exp(-1/2*x)*exp(-x)", "exp(-1/2*x) * exp(-x)"),
+            ("exp(-x) + exp(-1/2*x)", "exp(-1/2*x), exp(-x)"),
+            ("exp(-3*x) + exp(-0.5*x)", "exp(-1/2*x), exp(-3*x)"),
+        ],
+    )
+    def test_exponential_factors_print_as_parsed(self, text, factor):
+        with pytest.raises(UnsupportedIntegrandError) as exc_info:
+            to_integral_spec(parse_integrand(text))
+        assert exc_info.value.factor == factor
+
     def test_nonpositive_decay_rate(self):
         with pytest.raises(UnsupportedIntegrandError):
             parse_integrand("exp(-0*x)")
@@ -269,6 +285,22 @@ class TestConstantLanguage:
         with pytest.raises(IntegrandSyntaxError) as exc_info:
             parse_constant(text)
         assert exc_info.value.position == position
+
+    def test_overlong_number_fails_at_its_token(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(IntegrandSyntaxError, match=f"at most {limit} digits, found 5000 digits") as exc_info:
+            parse_constant("gamma + 3*" + "9" * 5000)
+        assert exc_info.value.position == 10
+
+    def test_delta_exponents_of_a_term_are_capped_together(self):
+        # delta^d expands into d + 1 terms, so the cap holds for the sum in a term
+        start = time.process_time()
+        with pytest.raises(IntegrandSyntaxError, match="delta exponents") as exc_info:
+            parse_constant("*".join(["delta^1000"] * 8))
+        assert time.process_time() - start < 0.5
+        assert exc_info.value.position == len("delta^1000*")
+        assert len(parse_constant("delta^1000").terms) == 1001
+        assert parse_constant("delta^500*delta^500") == parse_constant("delta^1000")
 
     def test_largest_zeta_index_reads(self):
         assert parse_constant(f"zeta({MAX_ZETA_INDEX})") == zeta_const(MAX_ZETA_INDEX)

@@ -501,15 +501,15 @@ class TestGrade:
 
 class TestEvaluate:
     def test_minus_gamma(self, table):
-        value = (-GAMMA).evaluate(table.bindings())
+        value = (-GAMMA).evaluate(table)
         assert abs(value + 0.5772156649) < 1e-9
 
     def test_weight_two_value(self, table):
-        value = (zeta_const(2) + GAMMA**2).evaluate(table.bindings())
+        value = (zeta_const(2) + GAMMA**2).evaluate(table)
         assert abs(value - 1.9781119906) < 1e-9
 
     def test_zero(self, table):
-        assert rational_const(0).evaluate(table.bindings()) == 0.0
+        assert rational_const(0).evaluate(table) == 0.0
 
     def test_missing_binding_names_the_generator(self):
         with pytest.raises(MissingBindingError) as exc_info:
@@ -518,7 +518,7 @@ class TestEvaluate:
 
     def test_evaluation_homomorphism(self, table):
         rng = random.Random(4242)
-        bindings = {**table.bindings(), LOG_MU: math.log(2.0)}
+        bindings = {**table, LOG_MU: math.log(2.0)}
         for _ in range(300):
             a = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
             b = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)

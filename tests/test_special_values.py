@@ -140,11 +140,10 @@ class TestPsiValues:
             psi_deriv_at(-1, ArgPoint.of(1))
 
     def test_matches_numeric_oracle(self, table):
-        bindings = table.bindings()
         for m in range(7):
             for twice in (1, 2):
                 x = ArgPoint(twice)
-                exact = psi_deriv_at(m, x).evaluate(bindings)
+                exact = psi_deriv_at(m, x).evaluate(table)
                 numeric = digamma_m(m, float(x.value))
                 assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
 
@@ -166,13 +165,12 @@ class TestGammaValues:
             assert gamma_deriv_at(0, ArgPoint.of(n)) == rational_const(math.factorial(n - 1))
 
     def test_half_integer_family(self, table):
-        bindings = table.bindings()
         for n in range(0, 7):
             point = ArgPoint(2 * n + 1)
             double_fact = math.prod(range(1, 2 * n, 2))
             expected = rational_const(Fraction(double_fact, 2**n)) * SQRT_PI_CONST
             assert gamma_deriv_at(0, point) == expected
-            exact = gamma_deriv_at(0, point).evaluate(bindings)
+            exact = gamma_deriv_at(0, point).evaluate(table)
             numeric = gamma_value(float(point.value))
             assert abs(exact - numeric) <= 1e-12 * max(1.0, abs(numeric))
 
@@ -202,11 +200,10 @@ class TestGammaDerivatives:
 
     def test_finite_difference_consistency(self, table):
         # recurrence vs pure finite differencing of the Stirling-based Gamma
-        bindings = table.bindings()
         for k in range(5):
             for twice in (2, 4, 5, 7):  # x = 1, 2, 5/2, 7/2
                 x = ArgPoint(twice)
-                exact = gamma_deriv_at(k, x).evaluate(bindings)
+                exact = gamma_deriv_at(k, x).evaluate(table)
                 fd = gamma_derivative_fd(k, float(x.value))
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
