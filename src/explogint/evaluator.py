@@ -13,10 +13,11 @@ with respect to s and expanding with the Leibniz rule gives
 
 which is what :func:`eval_general` assembles.  The whole sum is one call of
 the ring's accumulation kernel :func:`explogint.ring.sum_of_products`: term
-k is the one monomial log_mu^(n-k) times the Gamma^(k) block, so every term
-lands in one dict.  mu stays symbolic throughout: a closed form is a sum of
-(mu-exponent, constant) pairs where the constant may mention the log_mu
-generator.
+k is the one monomial log_mu^(n-k) times the Gamma^(k) block, which is cached
+in term order, so each term lands in one dict as one presorted run and the
+first ordered read merges n + 1 runs.  mu stays symbolic throughout: a closed
+form is a sum of (mu-exponent, constant) pairs where the constant may mention
+the log_mu generator.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ token.  Integrand grammar (whitespace between tokens is ignored):
 
 This is the smallest language covering every integrand of the supported
 class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parentheses nest at most
-``MAX_NESTING`` deep; a deeper '(' is a syntax error at its position.
+``MAX_NESTING`` deep; a deeper '(' is a syntax error at its position, and
+so is a log exponent, or a factor taking its term's log power, above
+``MAX_LOG_POWER``.
 Parsing yields an :class:`Integrand` in one pass, with no tree between:
 its canonical text and its expansion, multiplied out with like terms
 merged as each product forms.  Normalization either maps the expansion
@@ -114,6 +116,7 @@ _TOKEN = re.compile(
 )
 
 MAX_NESTING = 100  # parenthesis depth; deeper input is a syntax error, not a RecursionError
+MAX_LOG_POWER = 40  # a term's log power n; the closed form's cost grows steeply in n
 
 
 class _Token(NamedTuple):
@@ -211,12 +214,15 @@ class _Parser:
         text, terms = self.parse_factor()
         texts = [text]
         while self.accept("*"):
+            tok = self.peek()
             factor_text, factor_terms = self.parse_factor()
             texts.append(factor_text)
             product: dict = {}
             for (xa, la, ra), ca in terms.items():
                 for (xb, lb, rb), cb in factor_terms.items():
-                    key = (xa + xb, la + lb, ra + rb)
+                    if (n := la + lb) > MAX_LOG_POWER:
+                        self._fail(tok, f"log powers summing to at most {MAX_LOG_POWER} in a term", f"a sum of {n}")
+                    key = (xa + xb, n, ra + rb)
                     product[key] = product.get(key, 0) + ca * cb
             terms = product
         return (text if len(texts) == 1 else "*".join(map(_grouped, texts))), terms
@@ -291,6 +297,8 @@ class _Parser:
                 self._fail(tok, "an integer exponent")
             if power < 1:
                 self._fail(tok, "a positive exponent", tok.text)
+            if power > MAX_LOG_POWER:
+                self._fail(tok, f"an exponent up to {MAX_LOG_POWER}")
         text = "log(x)" if power == 1 else f"log(x)^{power}"
         return text, {(Fraction(0), power, ()): Fraction(1)}
 

@@ -21,8 +21,9 @@ Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``), print or bind it.  Multiplying monomials
 adds vectors, and equality is dict equality.  The graded-lexicographic
-term order is needed only to render, serialise or evaluate, so it is
-computed on first use and cached on the instance, as is the hash.
+term order is needed only to render, serialise or evaluate, so the first
+ordered read puts the dict itself in term order and marks the instance
+ordered (a product by one monomial keeps it); the hash is cached too.
 ``render`` and ``to_json`` split each vector into two parts, its entries
 from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
 and build the text of each distinct part once per call, in a dict local to
@@ -40,9 +41,10 @@ delta = gamma + log_mu exactly when each gamma^i log_mu^j T numerator is
 C(i+j, j) times that of gamma^(i+j) T and it has sum (m+1) monomials over its
 log_mu-free gamma^m T; its delta form is that part with gamma read as delta.
 
-All values are immutable and all operations are pure.  The two caches are
-filled idempotently (any thread computes the same value), so values are
-safe to share between threads.
+All values are immutable and all operations are pure.  The hash is filled
+idempotently, and the ordered read replaces ``_d`` by an equal dict, never
+mutating it, and sets the flag after it: every thread reads equal pairs,
+so values are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class SymbolicConstant:
     is exactly zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_d", "_den", "_items", "_hash")
+    __slots__ = ("_d", "_den", "_ordered", "_hash")
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
         placed = _place((_vector(powers), coeff) for powers, coeff in (terms or {}).items())
@@ -214,14 +216,12 @@ class SymbolicConstant:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicConstant is immutable")
 
-    def _sorted_items(self) -> tuple[tuple[Exponents, int], ...]:
-        """(vector, numerator) pairs in term order, computed once and cached."""
-        try:
-            return self._items
-        except AttributeError:
-            items = tuple(sorted(self._d.items(), key=_grlex_key, reverse=True))
-            object.__setattr__(self, "_items", items)
-            return items
+    def _sorted_items(self) -> Iterable[tuple[Exponents, int]]:
+        """(vector, numerator) pairs in term order: the first call puts ``_d`` itself in that order."""
+        if not hasattr(self, "_ordered"):
+            object.__setattr__(self, "_d", dict(sorted(self._d.items(), key=_grlex_key, reverse=True)))
+            object.__setattr__(self, "_ordered", True)
+        return self._d.items()
 
     # -- construction ------------------------------------------------------
 

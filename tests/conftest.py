@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from explogint.catalog import run_catalog
 from explogint.oracle import compute_constants
+
+# pyproject.toml puts src on this process's path; the tests that start a child
+# interpreter (python -m explogint) need it there too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # Integrand corpus: every catalog formula instantiated at concrete
 # parameters, plus assorted members of the class.  Used by the parser

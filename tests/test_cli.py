@@ -201,6 +201,20 @@ class TestErrorPaths:
     def test_nesting_at_the_cap_evaluates(self, capsys):
         assert main(["eval", "(" * 100 + "x" + ")" * 100 + "*exp(-x)*log(x)"]) == 0
 
+    @pytest.mark.parametrize("expr, position, expected", [
+        ("exp(-x)*log(x)^41", 15, "expected an exponent up to 40, found '41'"),
+        ("exp(-x)*log(x)^30*log(x)^30", 18,
+         "expected log powers summing to at most 40 in a term, found a sum of 60"),
+    ])
+    def test_log_power_beyond_the_cap_exits_two_at_its_factor(self, capsys, expr, position, expected):
+        assert main(["verify", expr]) == 2
+        first, source, caret = capsys.readouterr().err.splitlines()
+        assert first == f"error: syntax error at position {position}: {expected}"
+        assert (source, caret) == (f"    {expr}", "    " + " " * position + "^")
+        assert main(["eval", expr, "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["position"] == position and expected in doc["error"]
+
     def test_json_error_document(self, capsys):
         assert main(["eval", "sin(x)", "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)

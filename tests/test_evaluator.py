@@ -291,6 +291,16 @@ class TestLeibnizAssembly:
             assert got.render(paper_style=True) == expected.render(paper_style=True)
             assert got.to_json() == expected.to_json()
 
+    def test_leibniz_sum_arrives_as_one_descending_run_per_term(self):
+        # Each Gamma^(k) block is cached in term order and log_mu^(n-k) keeps it,
+        # so the dict splits into at most n + 1 runs for the ordered read to merge.
+        n = 12
+        ((_, const),) = eval_general(IntegralSpec.simple(Fraction(7, 2), n)).terms
+        width = max(map(len, const._d))
+        keys = [(sum(e), e + (0,) * (width - len(e))) for e in const._d]
+        assert len(keys) > 2000
+        assert 1 + sum(a < b for a, b in zip(keys, keys[1:])) <= n + 1
+
     def test_shared_exponent_terms_are_summed(self):
         point = ArgPoint.of(Fraction(3, 2))
         shared = IntegralSpec(self.PREFACTOR[:1] + self.PREFACTOR[3:], point, 3)

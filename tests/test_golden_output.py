@@ -99,6 +99,16 @@ GOLDEN = [
         "5209a0c0f896433cb70a5b53165899f6728711f0255af8dfe1083718eda34bd1",
     ),
     (
+        # three prefactor terms, each a large form in term order; PASS
+        ["verify", "(2 - x + 1/3*x^(2))*x^(1/2)*exp(-4*x)*log(x)^11", "--json"],
+        "137da5ef051ac5a74fbf6069f2e495c75fa9a2db08f3bf9786b7ab0c25155003",
+    ),
+    (
+        # the mu = 1 path through at_mu_one, in paper style; PASS
+        ["verify", "(1 + x)*x^(3/2)*exp(-x)*log(x)^10", "--paper-style"],
+        "ec3cf054ff7196781f86997f0fc8d92d19efef4fa255b8d455238c0a5025a89d",
+    ),
+    (
         ["catalog", "--json"],
         "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
     ),

@@ -10,6 +10,7 @@ import pytest
 
 from explogint.evaluator import IntegralSpec, PrefactorTerm, eval_general
 from explogint.parser import (
+    MAX_LOG_POWER,
     Integrand,
     IntegrandSyntaxError,
     UnsupportedIntegrandError,
@@ -159,12 +160,24 @@ class TestSyntaxErrors:
             ("exp(-2*y)", 7),  # exp only takes x
             ("exp(-x)*log(x)^0", 15),  # log exponent must be positive
             ("exp(-x)*log(x)^2.5", 15),  # log exponent must not be a decimal
+            ("exp(-x)*log(x)^41", 15),  # log exponent above MAX_LOG_POWER
+            ("exp(-x)*log(x)^99999999999999999999", 15),
+            ("exp(-x)*log(x)^30*log(x)^30", 18),  # log powers add across factors
+            ("log(x)^30*(1 + x*log(x)^30)*exp(-x)", 10),  # ... and through a group
+            ("(log(x)^20*log(x)^20*log(x) - 1)*exp(-x)", 21),
         ],
     )
     def test_position_accurate(self, text, position):
         with pytest.raises(IntegrandSyntaxError) as exc_info:
             parse_integrand(text)
         assert exc_info.value.position == position
+
+    def test_log_power_at_the_cap_parses(self):
+        # Parsed only: the closed form at n = 40 takes seconds to build.
+        assert MAX_LOG_POWER == 40
+        for text in ("exp(-x)*log(x)^40", "log(x)^20*exp(-x)*log(x)^20", "(1 + x)*log(x)^39*exp(-x)*log(x)"):
+            assert to_integral_spec(parse_integrand(text)).log_power == 40
+        assert IntegralSpec.simple(1, 41).log_power == 41  # the library API is not capped
 
     def test_stray_character(self):
         with pytest.raises(IntegrandSyntaxError) as exc_info:

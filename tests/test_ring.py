@@ -435,6 +435,57 @@ class TestCanonicalForm:
         check()
 
 
+def grlex_sorted(items):
+    """(vector, numerator) pairs in graded-lex order, biggest first: higher total
+    degree first, then the larger exponent at the first position that differs."""
+    items = list(items)
+    width = max((len(e) for e, _ in items), default=0)
+    return sorted(items, key=lambda item: (sum(item[0]), item[0] + (0,) * (width - len(item[0]))), reverse=True)
+
+
+class TestTermOrderState:
+    """The first ordered read puts the dict itself in term order; nothing else changes."""
+
+    def test_first_ordered_read_sorts_the_dict_in_place_of_a_copy(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=30).filter(bool)
+        pairs = st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=6).map(tuple), coeff), max_size=6)
+        ops = st.lists(st.tuples(st.sampled_from("+-*L"), pairs, st.integers(0, 4)), max_size=4)
+
+        def build(first, steps):
+            c = _place(first)
+            for op, other, j in steps:
+                o = _place(other)
+                if op == "+":
+                    c = c + o
+                elif op == "-":
+                    c = o - c
+                elif op == "*":
+                    c = c * o
+                else:
+                    c = sum_of_products([(3, SymbolicConstant.from_generator(LOG_MU, j), c), (-1, ONE, o)], 2)
+            return c
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(pairs, ops)
+        def check(first, steps):
+            a, b = build(first, steps), build(first, steps)  # equal, neither read in order yet
+            before = a._d
+            snapshot = list(before.items())
+            h = hash(a)
+            items = list(b._sorted_items())
+            assert items == grlex_sorted(snapshot)
+            assert list(b._d.items()) == items and list(before.items()) == snapshot  # replaced, not mutated
+            assert a == b and b == a and hash(b) == h
+            assert a.terms == b.terms and a.render() == b.render() and a.to_json() == b.to_json()
+            assert a.render(paper_style=True) == b.render(paper_style=True)
+            assert list(a._d.items()) == items and a._d == dict(snapshot) and hash(a) == h
+            assert list(b._sorted_items()) == items  # a second read keeps the order
+
+        check()
+
+
 # --- grading -----------------------------------------------------------------
 
 

@@ -193,6 +193,15 @@ class TestGammaDerivatives:
         for n in range(11):
             assert grade(gamma_deriv_at(n, ArgPoint.of(1))) == Grade("homogeneous", Fraction(n))
 
+    def test_cached_blocks_are_stored_in_term_order(self):
+        # Read the stored dict itself: an ordered read would sort it.
+        for twice in (1, 2, 7, 20):
+            for k in range(9):
+                d = gamma_deriv_at(k, ArgPoint(twice))._d
+                width = max(map(len, d))
+                padded = [e + (0,) * (width - len(e)) for e in d]
+                assert padded == sorted(padded, key=lambda e: (sum(e), e), reverse=True), (k, twice)
+
     def test_memoized_results_are_identical(self):
         a = gamma_deriv_at(5, ArgPoint.of(1))
         b = gamma_deriv_at(5, ArgPoint.of(1))
