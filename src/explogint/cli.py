@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .evaluator import eval_In, eval_general
 from .oracle import MAX_REL_TOL, MIN_REL_TOL, compute_constants, quadrature, verdict
-from .parser import parse_integrand, to_integral_spec
+from .parser import MAX_LOG_POWER, parse_integrand, to_integral_spec
 from .ring import Grade, grade
 
 
@@ -239,9 +239,12 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_weight(args: argparse.Namespace) -> int:
+    max_n = _max_n(args)
+    if max_n > MAX_LOG_POWER:  # Gamma^(n)(1) is the integrand language's log power n
+        raise ValueError(f"--max-n of weight must be at most {MAX_LOG_POWER}, got {max_n}")
     rows = []
     all_pass = True
-    for n in range(_max_n(args) + 1):
+    for n in range(max_n + 1):
         g = grade(eval_In(n))
         expected = Grade("homogeneous", Fraction(n))
         ok = g == expected

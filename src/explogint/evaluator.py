@@ -13,9 +13,9 @@ with respect to s and expanding with the Leibniz rule gives
 
 which is what :func:`eval_general` assembles.  The whole sum is one call of
 the ring's accumulation kernel :func:`explogint.ring.sum_of_products`: term
-k is the one monomial log_mu^(n-k) times the Gamma^(k) block, which is cached
-in term order, so each term lands in one dict as one presorted run and the
-first ordered read merges n + 1 runs.  mu stays symbolic throughout: a closed
+k is the one monomial log_mu^(n-k) times the Gamma^(k) block, a kernel output
+and so in term order, so each term is one presorted run and the n + 1 runs
+merge inside the kernel's sort.  mu stays symbolic throughout: a closed
 form is a sum of (mu-exponent, constant) pairs where the constant may mention
 the log_mu generator.
 """

@@ -97,6 +97,10 @@ def _exp_text(rate: Fraction) -> str:
     return "exp(-x)" if rate == 1 else f"exp(-{_fraction_text(rate)}*x)"
 
 
+def _log_text(power: int) -> str:
+    return "no log(x)" if power == 0 else "log(x)" if power == 1 else f"log(x)^{power}"
+
+
 def _grouped(text: str) -> str:
     """A canonical text in parentheses if it is a sum, that is, if it has a
     space outside parentheses: canonical spaces stand only around '+' and '-'."""
@@ -276,14 +280,14 @@ class _Parser:
     def parse_exp(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("-")
-        rate = Fraction(1)
-        if self.peek().kind == "number":
+        rate, tok = Fraction(1), self.peek()
+        if tok.kind == "number":
             rate = self.parse_rational()
             self.accept("*")
         self.expect("x")
         self.expect(")")
         if rate <= 0:
-            raise UnsupportedIntegrandError("the exponential decay rate must be positive", _exp_text(rate))
+            raise UnsupportedIntegrandError("the exponential decay rate must be positive", _exp_text(rate), tok.position)
         return _exp_text(rate), {(Fraction(0), 0, (rate,)): Fraction(1)}
 
     def parse_log(self) -> tuple[str, dict]:
@@ -299,8 +303,7 @@ class _Parser:
                 self._fail(tok, "a positive exponent", tok.text)
             if power > MAX_LOG_POWER:
                 self._fail(tok, f"an exponent up to {MAX_LOG_POWER}")
-        text = "log(x)" if power == 1 else f"log(x)^{power}"
-        return text, {(Fraction(0), power, ()): Fraction(1)}
+        return _log_text(power), {(Fraction(0), power, ()): Fraction(1)}
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
@@ -419,7 +422,7 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
     if len(log_powers) > 1:
         raise UnsupportedIntegrandError(
             "all terms must carry the same power of log(x)",
-            ", ".join(f"log(x)^{p}" for p in sorted(log_powers)),
+            ", ".join(map(_log_text, sorted(log_powers))),
         )
     log_power = log_powers.pop()
 

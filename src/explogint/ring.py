@@ -20,10 +20,7 @@ one positive int denominator, with gcd(denominator, every numerator) = 1.
 Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``), print or bind it.  Multiplying monomials
-adds vectors, and equality is dict equality.  The graded-lexicographic
-term order is needed only to render, serialise or evaluate, so the first
-ordered read puts the dict itself in term order and marks the instance
-ordered (a product by one monomial keeps it); the hash is cached too.
+adds vectors, and equality is dict equality.
 ``render`` and ``to_json`` split each vector into two parts, its entries
 from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
 and build the text of each distinct part once per call, in a dict local to
@@ -31,20 +28,24 @@ that call: a deep closed form has thousands of monomials but only a few
 hundred distinct parts.
 
 Every constant is built by one accumulation loop, :func:`sum_of_products`,
-which sums ``c * a * b`` over triples into one dict over one denominator.
-Sums, scalar multiples and log_mu = 0 pass ``ONE`` as the smaller factor, so
-each key is kept as it stands; the constructor, ``from_json`` and
-``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
-factor (``_place``).  Nothing is substituted: log_mu = 0 keeps the
-monomials whose entry 1 is 0.  A constant is a polynomial in
-delta = gamma + log_mu exactly when each gamma^i log_mu^j T numerator is
-C(i+j, j) times that of gamma^(i+j) T and it has sum (m+1) monomials over its
-log_mu-free gamma^m T; its delta form is that part with gamma read as delta.
+which sums ``c * a * b`` over triples into one dict over one denominator,
+reduced and in graded-lexicographic term order, biggest first.  A product
+by one monomial keeps that order, so a sum of such products reaches the
+sort as presorted runs, which it merges.  Sums, scalar multiples and
+log_mu = 0 pass ``ONE`` as the smaller factor, so each key is kept as it
+stands; the constructor, ``from_json`` and ``parse_constant`` pass each
+``(vector, coeff)`` pair as a one-monomial factor (``_place``).  Nothing is
+substituted: log_mu = 0 keeps the monomials whose entry 1 is 0.  A constant
+is a polynomial in delta = gamma + log_mu exactly when each
+gamma^i log_mu^j T numerator is C(i+j, j) times that of gamma^(i+j) T and
+it has sum (m+1) monomials over its log_mu-free gamma^m T; its delta form
+is that part with gamma read as delta.
 
-All values are immutable and all operations are pure.  The hash is filled
-idempotently, and the ordered read replaces ``_d`` by an equal dict, never
-mutating it, and sets the flag after it: every thread reads equal pairs,
-so values are safe to share between threads.
+All values are immutable and all operations are pure: nothing of a
+constant is written after it is built, and every reader iterates ``_d`` as
+it stands.  ``from_rational``, ``from_generator`` and negation keep term
+order by construction, so equal constants have identical item order, which
+the hash reads.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -206,7 +208,7 @@ class SymbolicConstant:
     is exactly zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_d", "_den", "_ordered", "_hash")
+    __slots__ = ("_d", "_den")
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
         placed = _place((_vector(powers), coeff) for powers, coeff in (terms or {}).items())
@@ -215,13 +217,6 @@ class SymbolicConstant:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicConstant is immutable")
-
-    def _sorted_items(self) -> Iterable[tuple[Exponents, int]]:
-        """(vector, numerator) pairs in term order: the first call puts ``_d`` itself in that order."""
-        if not hasattr(self, "_ordered"):
-            object.__setattr__(self, "_d", dict(sorted(self._d.items(), key=_grlex_key, reverse=True)))
-            object.__setattr__(self, "_ordered", True)
-        return self._d.items()
 
     # -- construction ------------------------------------------------------
 
@@ -242,7 +237,7 @@ class SymbolicConstant:
     def terms(self) -> tuple[Monomial, ...]:
         return tuple(
             Monomial(Fraction(c, self._den), tuple((_slot(i).generator, k) for i, k in enumerate(e) if k))
-            for e, c in self._sorted_items()
+            for e, c in self._d.items()
         )
 
     def __bool__(self) -> bool:
@@ -320,12 +315,7 @@ class SymbolicConstant:
         return self._den == other._den and self._d == other._d
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((frozenset(self._d.items()), self._den))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((tuple(self._d.items()), self._den))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -335,7 +325,7 @@ class SymbolicConstant:
         values: dict[int, float] = {}
         total = comp = 0.0
         den = self._den
-        for e, c in self._sorted_items():
+        for e, c in self._d.items():
             try:
                 v = c / den
             except OverflowError:
@@ -369,7 +359,7 @@ class SymbolicConstant:
         module docstring) is built once per call; in paper style a part's
         entry also keeps the 6^e that its pi^(2e) puts under the coefficient.
         """
-        items = self._sorted_items()
+        items = self._d.items()
         gamma_name = "gamma"
         if paper_style and _in_delta(self._d):
             items = [item for item in items if len(item[0]) < 2 or not item[0][1]]
@@ -441,7 +431,7 @@ class SymbolicConstant:
         den = self._den
         tails: dict[Exponents, dict[str, int]] = {}
         terms = []
-        for e, c in self._sorted_items():
+        for e, c in self._d.items():
             tail = e[2:]
             try:
                 items = tails[tail]
@@ -511,7 +501,7 @@ def sum_of_products(
     triples: Iterable[tuple[Scalar, SymbolicConstant, SymbolicConstant]], den: int = 1
 ) -> SymbolicConstant:
     """Exact sum of ``c * a * b`` over the triples, divided by ``den``, in one
-    dict over the lcm of the triples' denominators.
+    dict over the lcm of the triples' denominators, reduced and in term order.
 
     Each key of the factor with more monomials (on a tie, ``b``) is copied,
     widened to a monomial of the other factor and raised by that monomial's
@@ -549,11 +539,9 @@ def sum_of_products(
                 prev = get(e)
                 acc[e] = p if prev is None else prev + p
     den *= lcd
-    d = {e: c for e, c in acc.items() if c}
-    g = gcd(den, *d.values()) if den != 1 else 1
-    if g != 1:
-        d = {e: c // g for e, c in d.items()}
-    return _wrap(d, den // g)
+    items = sorted(filter(itemgetter(1), acc.items()), key=_grlex_key, reverse=True)
+    g = gcd(den, *acc.values()) if den != 1 else 1
+    return _wrap(dict(items) if g == 1 else {e: c // g for e, c in items}, den // g)
 
 
 def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:

@@ -93,34 +93,31 @@ def psi_deriv_at(m: int, x: ArgPoint) -> SymbolicConstant:
 
 @lru_cache(maxsize=None)
 def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
-    """Exact Gamma^(k)(x), from the base point b = 1 or 1/2 below x, cached in term order."""
+    """Exact Gamma^(k)(x), from the base point b = 1 or 1/2 below x."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     base = ArgPoint(2 - x.twice % 2)
     m = (x.twice - base.twice) // 2
-    if m == 0 and k == 0:
-        block = ONE if x.is_integer else SQRT_PI_CONST
-    elif m == 0:
+    if m == 0:
+        if k == 0:
+            return ONE if x.is_integer else SQRT_PI_CONST
         # G_{j+1} = sum_i C(j,i) psi^(j-i)(b) G_i, all coefficients integers
         j = k - 1
-        block = sum_of_products(
+        return sum_of_products(
             (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)
         )
-    else:
-        # Gamma(b+m+t) = P(t) Gamma(b+t) with P(t) = prod_{i<m} (b+i+t) = Q(t) / w^m, where
-        # w = 1/b and Q(t) = prod_{i<m} (1 + w*i + w*t) = sum_j q_j t^j has integer
-        # coefficients.  So Gamma^(k)(b+m) = w^-m sum_{j <= min(k,m)} k!/(k-j)! q_j
-        # Gamma^(k-j)(b): an integer sum of the base blocks over w^m, at log_mu power 0.
-        top = min(k, m)
-        w = 3 - base.twice  # 1/b: 1 at b = 1, 2 at b = 1/2
-        q = [1] + [0] * top
-        for i in range(m):
-            r = 1 + w * i
-            for j in range(top, 0, -1):
-                q[j] = q[j] * r + q[j - 1] * w
-            q[0] *= r
-        block = sum_of_products(
-            ((math.perm(k, j) * q[j], ONE, gamma_deriv_at(k - j, base)) for j in range(top + 1)), w**m
-        )
-    block._sorted_items()
-    return block
+    # Gamma(b+m+t) = P(t) Gamma(b+t) with P(t) = prod_{i<m} (b+i+t) = Q(t) / w^m, where
+    # w = 1/b and Q(t) = prod_{i<m} (1 + w*i + w*t) = sum_j q_j t^j has integer
+    # coefficients.  So Gamma^(k)(b+m) = w^-m sum_{j <= min(k,m)} k!/(k-j)! q_j
+    # Gamma^(k-j)(b): an integer sum of the base blocks over w^m, at log_mu power 0.
+    top = min(k, m)
+    w = 3 - base.twice  # 1/b: 1 at b = 1, 2 at b = 1/2
+    q = [1] + [0] * top
+    for i in range(m):
+        r = 1 + w * i
+        for j in range(top, 0, -1):
+            q[j] = q[j] * r + q[j - 1] * w
+        q[0] *= r
+    return sum_of_products(
+        ((math.perm(k, j) * q[j], ONE, gamma_deriv_at(k - j, base)) for j in range(top + 1)), w**m
+    )

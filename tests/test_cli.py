@@ -239,6 +239,16 @@ class TestWeight:
         assert main(["weight", "--max-n", "14"]) == 0
         assert capsys.readouterr().out.count("PASS") == 15
 
+    def test_max_n_beyond_the_log_power_cap_exits_two_before_any_work(self, capsys, monkeypatch):
+        # Gamma^(n)(1) is the integral of e^-x (ln x)^n, so weight shares the parser's cap.
+        monkeypatch.setattr(cli, "eval_In", lambda n: pytest.fail("eval_In ran"))
+        assert main(["weight", "--max-n", "41"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-n of weight must be at most 40, got 41\n"
+        assert main(["weight", "--max-n", "41", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "--max-n of weight must be at most 40, got 41"}
+
 
 class TestCatalog:
     def test_small_grid(self, capsys):

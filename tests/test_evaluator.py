@@ -292,8 +292,8 @@ class TestLeibnizAssembly:
             assert got.to_json() == expected.to_json()
 
     def test_leibniz_sum_arrives_as_one_descending_run_per_term(self):
-        # Each Gamma^(k) block is cached in term order and log_mu^(n-k) keeps it,
-        # so the dict splits into at most n + 1 runs for the ordered read to merge.
+        # Each Gamma^(k) block is a kernel output, so in term order, and log_mu^(n-k)
+        # keeps that order: the kernel's sort meets at most n + 1 runs, and emits one.
         n = 12
         ((_, const),) = eval_general(IntegralSpec.simple(Fraction(7, 2), n)).terms
         width = max(map(len, const._d))

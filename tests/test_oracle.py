@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import explogint.oracle as oracle_module
 from explogint.evaluator import IntegralSpec, PrefactorTerm
 from explogint.oracle import _strip_mass, compute_constants, euler_gamma_value, hurwitz_zeta, quadrature
 from explogint.parser import parse_integrand, to_integral_spec
-from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, zeta_gen
+from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, SymbolicConstant, zeta_gen
 from explogint.special_values import ArgPoint
 from special_numerics import digamma_m, fd_weights, gamma_value, log_gamma, nth_derivative_fd
 
@@ -51,6 +52,20 @@ def engine_imports(source: str) -> list[str]:
     return found
 
 
+# A constant's storage and private methods: only ring.py may name them.
+CONSTANT_PRIVATE = set(SymbolicConstant.__slots__) | {
+    name for name, value in vars(SymbolicConstant).items()
+    if name.startswith("_") and not name.startswith("__")
+    and isinstance(value, (types.FunctionType, staticmethod, classmethod))
+}
+
+
+def private_reads(source: str, names: set[str]) -> list[str]:
+    """Every attribute in ``source`` named in ``names``, whatever it is read from."""
+    return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
 class TestIndependence:
     def test_oracle_imports_nothing_of_the_engine(self):
         source = Path(oracle_module.__file__).read_text(encoding="utf-8")
@@ -73,6 +88,20 @@ class TestIndependence:
             "line 4: imports special_values from .",
             "line 5: imports explogint.cli",
             "line 6: imports run_catalog from explogint.catalog",
+        ]
+
+    def test_only_ring_names_a_constants_private_attributes(self):
+        assert {"_d", "_den", "_coerce"} <= CONSTANT_PRIVATE
+        package = Path(oracle_module.__file__).parent
+        found = {path.name: private_reads(path.read_text(encoding="utf-8"), CONSTANT_PRIVATE)
+                 for path in sorted(package.glob("*.py")) if path.name != "ring.py"}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_guard_sees_a_private_read(self):
+        bad = "block._sorted_items()\nn = len(c._d)\nc.terms\nc.__class__\nc._dx\n"
+        assert private_reads(bad, CONSTANT_PRIVATE | {"_sorted_items"}) == [
+            "line 1: reads ._sorted_items",
+            "line 2: reads ._d",
         ]
 
 

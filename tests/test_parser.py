@@ -266,8 +266,23 @@ class TestUnsupportedClass:
         assert exc_info.value.factor == factor
 
     def test_nonpositive_decay_rate(self):
-        with pytest.raises(UnsupportedIntegrandError):
+        with pytest.raises(UnsupportedIntegrandError) as exc_info:
             parse_integrand("exp(-0*x)")
+        assert exc_info.value.position == 5  # the rate's token
+
+    @pytest.mark.parametrize(
+        "text,factor",
+        [
+            ("exp(-x) + exp(-x)*log(x)", "no log(x), log(x)"),
+            ("exp(-x)*log(x)^3 - exp(-x)*log(x)", "log(x), log(x)^3"),
+        ],
+    )
+    def test_log_powers_print_as_written(self, text, factor):
+        with pytest.raises(UnsupportedIntegrandError) as exc_info:
+            to_integral_spec(parse_integrand(text))
+        assert str(exc_info.value) == (
+            f"unsupported integrand: all terms must carry the same power of log(x) (offending factor: {factor})"
+        )
 
     def test_diagnostic_names_offender(self):
         with pytest.raises(UnsupportedIntegrandError, match=r"x\^\(1/3\)"):

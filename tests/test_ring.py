@@ -30,6 +30,7 @@ from explogint.ring import (
     _place,
     _trim,
     _wrap,
+    at_log_mu_zero,
     generator_from_name,
     grade,
     rational_const,
@@ -57,13 +58,23 @@ def random_constant(
     return total
 
 
+def grlex_sorted(items):
+    """(vector, numerator) pairs in graded-lex order, biggest first: higher total
+    degree first, then the larger exponent at the first position that differs."""
+    items = list(items)
+    width = max((len(e) for e, _ in items), default=0)
+    return sorted(items, key=lambda item: (sum(item[0]), item[0] + (0,) * (width - len(item[0]))), reverse=True)
+
+
 def _assert_canonical(c):
     """The stored form: int numerators over one positive int denominator, no
-    zero numerator, gcd(denominator, every numerator) == 1, trimmed vectors."""
+    zero numerator, gcd(denominator, every numerator) == 1, trimmed vectors,
+    iterated in graded-lex order."""
     assert type(c._den) is int and c._den > 0
     assert all(type(n) is int and n for n in c._d.values())
     assert math.gcd(c._den, *c._d.values()) == 1
     assert all(not e or e[-1] for e in c._d)
+    assert list(c._d.items()) == grlex_sorted(c._d.items())
     return c
 
 
@@ -435,53 +446,44 @@ class TestCanonicalForm:
         check()
 
 
-def grlex_sorted(items):
-    """(vector, numerator) pairs in graded-lex order, biggest first: higher total
-    degree first, then the larger exponent at the first position that differs."""
-    items = list(items)
-    width = max((len(e) for e, _ in items), default=0)
-    return sorted(items, key=lambda item: (sum(item[0]), item[0] + (0,) * (width - len(item[0]))), reverse=True)
+class TestCanonicalOrder:
+    """Term order is part of the canonical form: equal values are identical."""
 
-
-class TestTermOrderState:
-    """The first ordered read puts the dict itself in term order; nothing else changes."""
-
-    def test_first_ordered_read_sorts_the_dict_in_place_of_a_copy(self):
+    def test_equal_constants_built_by_different_routes_are_identical(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         coeff = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=30).filter(bool)
-        pairs = st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=6).map(tuple), coeff), max_size=6)
-        ops = st.lists(st.tuples(st.sampled_from("+-*L"), pairs, st.integers(0, 4)), max_size=4)
-
-        def build(first, steps):
-            c = _place(first)
-            for op, other, j in steps:
-                o = _place(other)
-                if op == "+":
-                    c = c + o
-                elif op == "-":
-                    c = o - c
-                elif op == "*":
-                    c = c * o
-                else:
-                    c = sum_of_products([(3, SymbolicConstant.from_generator(LOG_MU, j), c), (-1, ONE, o)], 2)
-            return c
+        vector = st.lists(st.integers(0, 3), max_size=6).map(tuple)
+        pairs = st.lists(st.tuples(vector, coeff), min_size=1, max_size=6)
 
         @hypothesis.settings(max_examples=150, deadline=None, database=None)
-        @hypothesis.given(pairs, ops)
-        def check(first, steps):
-            a, b = build(first, steps), build(first, steps)  # equal, neither read in order yet
-            before = a._d
-            snapshot = list(before.items())
-            h = hash(a)
-            items = list(b._sorted_items())
-            assert items == grlex_sorted(snapshot)
-            assert list(b._d.items()) == items and list(before.items()) == snapshot  # replaced, not mutated
-            assert a == b and b == a and hash(b) == h
-            assert a.terms == b.terms and a.render() == b.render() and a.to_json() == b.to_json()
-            assert a.render(paper_style=True) == b.render(paper_style=True)
-            assert list(a._d.items()) == items and a._d == dict(snapshot) and hash(a) == h
-            assert list(b._sorted_items()) == items  # a second read keeps the order
+        @hypothesis.given(pairs, pairs, pairs, st.randoms(use_true_random=False), st.integers(0, 4))
+        def check(pa, pb, pc, rng, j):
+            a, b, c = _place(pa), _place(pb), _place(pc)
+            shuffled = list(pa)
+            rng.shuffle(shuffled)
+            doc = a.to_json()
+            rng.shuffle(doc["terms"])
+            log_mu_j = SymbolicConstant.from_generator(LOG_MU, j)
+            routes = [
+                (a, _place(shuffled)),
+                (a, SymbolicConstant.from_json(doc)),
+                (a, SymbolicConstant(dict(m[::-1] for m in reversed(a.terms)))),
+                (a, parse_constant(a.render())),
+                (a, parse_constant(a.render(paper_style=True))),
+                (a, a + b - b),
+                (a + b + c, c + (b + a)),
+                (a * (b + c), c * a + a * b),
+                ((a - b) * (a + b), a * a - b * b),
+                (log_mu_j * a + 2 * b, sum_of_products([(2, ONE, b), (1, a, log_mu_j)])),
+                (at_log_mu_zero([a, b]), at_log_mu_zero([b, a])),
+            ]
+            for x, y in routes:
+                _assert_canonical(x)
+                _assert_canonical(y)
+                assert x == y and hash(x) == hash(y)
+                assert x.render() == y.render() and x.render(paper_style=True) == y.render(paper_style=True)
+                assert x.to_json() == y.to_json()
 
         check()
 

@@ -194,7 +194,7 @@ class TestGammaDerivatives:
             assert grade(gamma_deriv_at(n, ArgPoint.of(1))) == Grade("homogeneous", Fraction(n))
 
     def test_cached_blocks_are_stored_in_term_order(self):
-        # Read the stored dict itself: an ordered read would sort it.
+        # Read the stored dict itself: the kernel emits it in term order.
         for twice in (1, 2, 7, 20):
             for k in range(9):
                 d = gamma_deriv_at(k, ArgPoint(twice))._d
