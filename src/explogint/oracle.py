@@ -1,10 +1,10 @@
-"""Independent floating-point ground truth.
+"""Independent ground truth: constants, quadrature and the pass rule.
 
-This module supplies numeric values of the ring generators (via the
-Hurwitz zeta function), high-accuracy quadrature over the integral class,
-and the rule by which a closed form's value passes against quadrature.
-Of the package it imports only the ring's generator identities at run time,
-so it shares no code path with the exact engine in :mod:`special_values` /
+This module supplies correctly rounded values of the ring generators, built
+in integer arithmetic, high-accuracy quadrature over the integral class, and
+the rule by which a closed form's value passes against quadrature.  Of the
+package it imports only the ring's generator identities at run time, so it
+shares no code path with the exact engine in :mod:`special_values` /
 :mod:`evaluator`, and agreement between the two sides is evidence.
 
 Quadrature is one trapezoid sum at a step chosen beforehand from a bound
@@ -13,15 +13,15 @@ sit where closed-form tail bounds fall below 1e-17 of the peak.  The error
 estimate adds the step bound, both tail bounds and a rounding bound, and
 ``converged`` means it is at most the relative tolerance times the value.
 
-All routines work in ordinary 64-bit floats; the advertised tolerances are
+Quadrature works in ordinary 64-bit floats; the advertised tolerances are
 calibrated to that.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -31,76 +31,46 @@ if TYPE_CHECKING:
     from .evaluator import IntegralSpec
     from .ring import Generator
 
-# Bernoulli numbers B_2 .. B_16 (exact; converted to float where used).
-_BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-}
+_BITS = 128  # working precision of the constants: each is built as an int times 2^-_BITS
+_ONE = 1 << _BITS
 
 
-def euler_gamma_value() -> float:
-    """Euler's constant from H_N - ln N with Euler-Maclaurin corrections.
-
-    gamma = H_N - ln N - 1/(2N) + sum_j B_2j / (2j N^2j), truncated after
-    B_8; at N = 100 the first omitted term is ~7e-23, far below double
-    precision.
-    """
-    h = math.fsum(1.0 / k for k in range(1, 101))
-    x = 100.0
-    corrections = [
-        float(_BERNOULLI[2 * j]) / (2 * j * x ** (2 * j)) for j in range(1, 5)
-    ]
-    return math.fsum([h, -math.log(x), -0.5 / x, *corrections])
-
-
-def hurwitz_zeta(z: float, q: float) -> float:
-    """zeta(z, q) = sum_{n>=0} (n+q)^(-z) for z > 1, q > 0.
-
-    Euler-Maclaurin: a direct head sum up to N, the integral tail
-    (N+q)^(1-z)/(z-1), the half-term, and Bernoulli corrections
-    B_2j/(2j)! (z)_{2j-1} (N+q)^(1-z-2j).  N grows until the last
-    correction is below 1e-17 of the result.
-    """
-    if z <= 1:
-        raise ValueError(f"hurwitz_zeta needs z > 1, got {z}")
-    if q <= 0:
-        raise ValueError(f"hurwitz_zeta needs q > 0, got {q}")
-    n = max(0, math.ceil(max(24.0, 3.0 * z) - q))
-    for _ in range(8):
-        nq = n + q
-        head = math.fsum((j + q) ** (-z) for j in range(n))
-        pieces = [head, nq ** (1.0 - z) / (z - 1.0), 0.5 * nq ** (-z)]
-        rising = z  # (z)_{2j-1} built incrementally
-        power = nq ** (-z - 1.0)
-        factorial = 2.0  # (2j)!
-        last = math.inf
-        for two_j in range(2, 17, 2):
-            term = float(_BERNOULLI[two_j]) / factorial * rising * power
-            pieces.append(term)
-            last = abs(term)
-            rising *= (z + two_j - 1.0) * (z + two_j)
-            power /= nq * nq
-            factorial *= (two_j + 1.0) * (two_j + 2.0)
-        result = math.fsum(pieces)
-        if last <= 1e-17 * abs(result):
-            return result
-        n = 2 * n + 16
-    raise ArithmeticError(f"hurwitz_zeta({z}, {q}) failed to converge")  # pragma: no cover
+def _atan_inv(x: int) -> int:  # atan(1/x) = sum_k (-1)^k / ((2k + 1) x^(2k+1))
+    total, term, k = 0, _ONE // x, 1
+    while term:
+        total, term, k = total + term // k, -term // (x * x), k + 2
+    return total
 
 
 @lru_cache(maxsize=None)
 def compute_constants(max_zeta: int = 12) -> Mapping[Generator, float]:
     """Read-only map of gamma, log2, sqrt_pi and zeta(2) .. zeta(max_zeta) to their
-    values, which ``ClosedForm.evaluate`` reads; built once per ``max_zeta``."""
-    values = {EULER_GAMMA: euler_gamma_value(), LOG2: math.log(2.0), SQRT_PI: math.sqrt(math.pi)}
-    values.update((zeta_gen(k), hurwitz_zeta(float(k), 1.0)) for k in range(2, max_zeta + 1))
-    return MappingProxyType(values)
+    values, which ``ClosedForm.evaluate`` reads; built once per ``max_zeta``.
+
+    Each is built as an int at 2^-_BITS, a few hundred units off at most (measured
+    against mpmath), and rounded once to the nearest double by int division: ln 2 and
+    pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34, 1980) at N = 2^j, and
+    zeta(s) = eta(s)/(1 - 2^(1-s)) by Borwein's alternating series (CMS Conf. Proc. 27, 2000).
+    """
+    ln2 = sum((_ONE >> k) // k for k in range(1, _BITS + 1))  # sum_k 1/(k 2^k)
+    pi = 16 * _atan_inv(5) - 4 * _atan_inv(239)  # Machin's formula
+    j = (_BITS // 5).bit_length()  # pi e^(-4N) < 2^-_BITS
+    a = u = -j * ln2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
+    b = v = _ONE  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
+    for k in range(1, 5 << j):  # the terms fall below e^(-4N) before k = 5N
+        b = (b << 2 * j) // (k * k)
+        a = ((a << 2 * j) // k + b) // k
+        u, v = u + a, v + b
+    fixed = {EULER_GAMMA: (u << _BITS) // v, LOG2: ln2, SQRT_PI: math.isqrt(pi << _BITS)}
+    # eta(s) = sum_(k<n) (-1)^k (d_n - d_k)/((k+1)^s d_n) to within 3 (3 + sqrt 8)^-n < 2^(-5n/2),
+    # with integer weights d_k = sum_(i<=k) n (n+i-1)! 4^i/((n-i)! (2i)!) that serve every s
+    n, f = _BITS // 2, math.factorial
+    d = list(accumulate(n * f(n + i - 1) * 4**i // (f(n - i) * f(2 * i)) for i in range(n + 1)))
+    weights = [(-1) ** k * (d[n] - d[k]) << _BITS for k in range(n)]
+    for s in range(2, max_zeta + 1):
+        eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))
+        fixed[zeta_gen(s)] = (eta << s - 1) // (d[n] * ((1 << s - 1) - 1))
+    return MappingProxyType({g: x / _ONE for g, x in fixed.items()})
 
 
 # ---------------------------------------------------------------------------

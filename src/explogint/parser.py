@@ -18,7 +18,8 @@ This is the smallest language covering every integrand of the supported
 class p(x) x^(s-1) e^(-mu x) (ln x)^n.  Parentheses nest at most
 ``MAX_NESTING`` deep; a deeper '(' is a syntax error at its position, and
 so is a log exponent, or a factor taking its term's log power, above
-``MAX_LOG_POWER``.
+``MAX_LOG_POWER``, or its |x power| above ``MAX_X_POWER``, and a number,
+factor or term past the digits ``str()`` prints (sys.get_int_max_str_digits).
 Parsing yields an :class:`Integrand` in one pass, with no tree between:
 its canonical text and its expansion, multiplied out with like terms
 merged as each product forms.  Normalization either maps the expansion
@@ -121,6 +122,7 @@ _TOKEN = re.compile(
 
 MAX_NESTING = 100  # parenthesis depth; deeper input is a syntax error, not a RecursionError
 MAX_LOG_POWER = 40  # a term's log power n; the closed form's cost grows steeply in n
+MAX_X_POWER = 10**4  # a term's |x power|; the closed form's cost grows with it
 
 
 class _Token(NamedTuple):
@@ -171,11 +173,9 @@ class _Parser:
         if tok.kind != "number":
             self._fail(tok, expected)
         self.index += 1
-        try:
-            return tok, Fraction(tok.text) if "." in tok.text else int(tok.text)
-        except ValueError:  # more digits than int(str) reads
-            digits = len(tok.text.replace(".", ""))
-            self._fail(tok, f"a number of at most {sys.get_int_max_str_digits()} digits", f"{digits} digits")
+        if (limit := sys.get_int_max_str_digits()) and (digits := len(tok.text) - ("." in tok.text)) > limit:
+            self._fail(tok, f"a number of at most {limit} digits", f"{digits} digits")  # str() could not print it
+        return tok, Fraction(tok.text) if "." in tok.text else int(tok.text)
 
     def integer(self, expected: str, least: int = 0, most: float = inf) -> int:
         """The constant language's one number reader: a decimal is an error here."""
@@ -207,29 +207,43 @@ class _Parser:
         text, terms = self.parse_term()
         while (op := self.peek().text) in ("+", "-"):
             self.index += 1
+            tok = self.peek()
             term_text, term_terms = self.parse_term()
             text += f" {op} {_grouped(term_text) if op == '-' else term_text}"
-            for key, c in term_terms.items():
-                terms[key] = terms.get(key, 0) + (c if op == "+" else -c)
+            merged = {key: terms.get(key, 0) + (c if op == "+" else -c) for key, c in term_terms.items()}
+            terms.update(self._check_caps(tok, merged))
         return text, terms
 
     # term := factor ('*' factor)*
     def parse_term(self) -> tuple[str, dict]:
-        text, terms = self.parse_factor()
-        texts = [text]
-        while self.accept("*"):
+        texts, terms = [], {(Fraction(0), 0, ()): Fraction(1)}  # the product starts at 1
+        while not texts or self.accept("*"):
             tok = self.peek()
             factor_text, factor_terms = self.parse_factor()
             texts.append(factor_text)
             product: dict = {}
             for (xa, la, ra), ca in terms.items():
                 for (xb, lb, rb), cb in factor_terms.items():
-                    if (n := la + lb) > MAX_LOG_POWER:
-                        self._fail(tok, f"log powers summing to at most {MAX_LOG_POWER} in a term", f"a sum of {n}")
-                    key = (xa + xb, n, ra + rb)
+                    key = (xa + xb, la + lb, ra + rb)
                     product[key] = product.get(key, 0) + ca * cb
-            terms = product
-        return (text if len(texts) == 1 else "*".join(map(_grouped, texts))), terms
+            terms = self._check_caps(tok, product)
+        return (texts[0] if len(texts) == 1 else "*".join(map(_grouped, texts))), terms
+
+    def _check_caps(self, tok: _Token, terms: dict) -> dict:
+        """``terms``, or a syntax error at ``tok`` if a term is past a cap."""
+        for (x, n, _), c in terms.items():
+            if n > MAX_LOG_POWER:
+                self._fail(tok, f"log powers summing to at most {MAX_LOG_POWER} in a term", f"a sum of {n}")
+            self._check_digits(tok, x, "an x power")
+            if abs(x) > MAX_X_POWER:
+                self._fail(tok, f"x powers summing to at most {MAX_X_POWER} in size in a term", f"a sum of {x}")
+            self._check_digits(tok, c, "a term coefficient")
+        return terms
+
+    def _check_digits(self, tok: _Token, value: Fraction, what: str) -> None:
+        part = max(abs(value.numerator), value.denominator)  # str() of a longer int raises; 0: no limit
+        if (limit := sys.get_int_max_str_digits()) and part.bit_length() > 3 * limit and part >= 10**limit:
+            self._fail(tok, f"{what} of at most {limit} digits", "one with more")
 
     def parse_factor(self) -> tuple[str, dict]:
         tok = self.peek()
@@ -260,12 +274,13 @@ class _Parser:
         self._fail(tok, "a factor (number, x, exp, log or '(')")
 
     def parse_rational(self) -> Fraction:
-        value = Fraction(self.number("a number")[1])  # decimal literals become exact fractions
+        tok, value = self.peek(), Fraction(self.number("a number")[1])  # decimal literals become exact fractions
         if self.accept("/"):
-            tok, den = self.number("a denominator")
+            den_tok, den = self.number("a denominator")
             if den == 0:
-                self._fail(tok, "a nonzero denominator", "'0'")
+                self._fail(den_tok, "a nonzero denominator", "'0'")
             value /= den
+        self._check_digits(tok, value, "a number")
         return value
 
     def parse_x(self) -> tuple[str, dict]:

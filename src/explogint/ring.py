@@ -54,7 +54,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, fsum, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -315,16 +315,17 @@ class SymbolicConstant:
         return self._den == other._den and self._d == other._d
 
     def __hash__(self) -> int:
+        if self._d.keys() <= {()}:  # a rational hashes as the Fraction it equals
+            return hash(Fraction(self._d.get((), 0), self._den))
         return hash((tuple(self._d.items()), self._den))
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
-        """Floating value; compensated (Kahan) summation over monomials, each
-        coefficient bound as the correctly rounded int division ``num / den``."""
-        values: dict[int, float] = {}
-        total = comp = 0.0
-        den = self._den
+        """Floating value: the ``math.fsum`` of the monomials, each its coefficient
+        as the correctly rounded int division ``num / den`` times its generators' values."""
+        values = [bindings.get(_slot(i).generator) for i in range(max(map(len, self._d), default=0))]
+        terms, den = [], self._den
         for e, c in self._d.items():
             try:
                 v = c / den
@@ -333,17 +334,14 @@ class SymbolicConstant:
                 raise ValueError(f"closed-form coefficient near {near:.2g} lies outside the float range") from None
             for i, k in enumerate(e):
                 if k:
-                    if i not in values:
-                        g = _slot(i).generator
-                        if g not in bindings:
-                            raise MissingBindingError(g)
-                        values[i] = bindings[g]
+                    if values[i] is None:
+                        raise MissingBindingError(_slot(i).generator)
                     v *= values[i] ** k
-            y = v - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
+            terms.append(v)
+        try:
+            return fsum(terms)
+        except OverflowError:  # finite monomials whose sum is not
+            raise ValueError("closed-form value lies outside the float range") from None
 
     # -- rendering -----------------------------------------------------------
 

@@ -1,45 +1,50 @@
 """Float psi^(m), ln Gamma, Gamma and finite-difference Gamma^(k), for tests.
 
 A third route to the values the exact engine produces, sharing no code
-with :mod:`explogint.special_values`: psi^(m) reduces to the oracle's
-Hurwitz zeta, ln Gamma is Stirling's series, and Gamma^(k) comes from
-finite differences of the numeric Gamma.  The tests compare the engine,
-the oracle and these numerics pairwise.
+with :mod:`explogint` at all (it imports nothing of the package): psi^(m)
+is the recurrence shift plus its asymptotic series, ln Gamma is Stirling's
+series, and Gamma^(k) comes from finite differences of the numeric Gamma.
+The tests compare the engine, the oracle and these numerics pairwise.
 """
 
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from explogint.oracle import _BERNOULLI, hurwitz_zeta
+# Bernoulli numbers B_2 .. B_16 (exact; converted to float where used).
+BERNOULLI = {
+    2: Fraction(1, 6),
+    4: Fraction(-1, 30),
+    6: Fraction(1, 42),
+    8: Fraction(-1, 30),
+    10: Fraction(5, 66),
+    12: Fraction(-691, 2730),
+    14: Fraction(7, 6),
+    16: Fraction(-3617, 510),
+}
 
 
 def digamma_m(m: int, x: float) -> float:
-    """psi^(m)(x) for x > 0; relative accuracy ~1e-12 for m <= 6.
+    """psi^(m)(x) for x > 0; relative accuracy ~1e-15 for m <= 7.
 
-    m = 0 uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument
-    to >= 10 and then the asymptotic series through the B_12 term; m >= 1
-    reduces to (-1)^(m+1) m! zeta(m+1, x).
+    The recurrence psi^(m)(y) = psi^(m)(y+1) - (-1)^m m! / y^(m+1) shifts the
+    argument to y >= 10 + m, and then the asymptotic series
+    psi^(m)(y) ~ (-1)^(m+1) [(m-1)!/y^m + m!/(2 y^(m+1))
+                             + sum_j B_2j (2j+m-1)! / ((2j)! y^(2j+m))]
+    runs through the B_16 term, with ln y in place of (m-1)!/y^m at m = 0.
     """
     if x <= 0:
         raise ValueError(f"digamma_m needs x > 0, got {x}")
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
-    if m == 0:
-        y = x
-        terms = []
-        while y < 10.0:
-            terms.append(-1.0 / y)
-            y += 1.0
-        series = [math.log(y), -0.5 / y]
-        y2 = y * y
-        power = y2
-        for two_j in range(2, 13, 2):
-            series.append(-float(_BERNOULLI[two_j]) / (two_j * power))
-            power *= y2
-        return math.fsum(terms + series)
-    sign = 1.0 if (m + 1) % 2 == 0 else -1.0
-    return sign * math.factorial(m) * hurwitz_zeta(m + 1.0, x)
+    sign, factorial = (-1.0) ** (m + 1), math.factorial
+    terms, y = [], x
+    while y < 10.0 + m:
+        terms.append(sign * factorial(m) / y ** (m + 1))
+        y += 1.0
+    terms += [math.log(y) if m == 0 else sign * factorial(m - 1) / y**m, sign * factorial(m) / (2.0 * y ** (m + 1))]
+    terms += [sign * float(b) * factorial(k + m - 1) / (factorial(k) * y ** (k + m)) for k, b in BERNOULLI.items()]
+    return math.fsum(terms)
 
 
 def log_gamma(x: float) -> float:
@@ -58,7 +63,7 @@ def log_gamma(x: float) -> float:
     series = [(y - 0.5) * math.log(y), -y, 0.5 * math.log(2.0 * math.pi)]
     power = y
     for two_j in range(2, 13, 2):
-        series.append(float(_BERNOULLI[two_j]) / (two_j * (two_j - 1) * power))
+        series.append(float(BERNOULLI[two_j]) / (two_j * (two_j - 1) * power))
         power *= y * y
     return math.fsum(shift_terms + series)
 

@@ -9,7 +9,7 @@ criterion.  Tolerances are fixed here and nowhere else:
     3. weight: grade(I_n) homogeneous of weight n for n <= 10,
        numerics to 1e-8 for n <= 6
     4. properties: ring axioms exact (1000 triples), evaluation
-       homomorphism 1e-12, psi/Hurwitz identities 1e-12, quadrature
+       homomorphism 1e-12, psi^(m) recurrence 1e-12, quadrature
        convergence flags at tol 1e-10
     5. oracle triangle at n = 4, 5: recurrence vs quadrature vs finite
        differences, pairwise 1e-6
@@ -26,7 +26,7 @@ import pytest
 import explogint.cli as cli
 from explogint.catalog import run_catalog
 from explogint.evaluator import IntegralSpec, eval_In
-from explogint.oracle import QuadratureResult, hurwitz_zeta, quadrature
+from explogint.oracle import QuadratureResult, quadrature
 from explogint.parser import IntegrandSyntaxError, parse_integrand
 from explogint.ring import (
     GAMMA,
@@ -136,12 +136,13 @@ def test_criterion_4_property_suites(table, catalog_checks):
             if k:
                 expected = expected + k * gamma_deriv_at(k - 1, x)
             assert gamma_deriv_at(k, x.shifted(1)) == expected
-        # Hurwitz telescoping, numerically
+        # psi^(m)(q+1) - psi^(m)(q) = (-1)^m m! q^(-m-1), numerically
         for _ in range(100):
-            z = rng.uniform(1.1, 9.0)
-            q = rng.uniform(0.05, 10.0)
-            lhs = hurwitz_zeta(z, q) - hurwitz_zeta(z, q + 1.0)
-            assert abs(lhs - q**-z) <= 1e-12 * q**-z
+            m = rng.randint(1, 8)
+            q = rng.uniform(0.05, 30.0)
+            rhs = (-1) ** m * math.factorial(m) * q ** (-m - 1)
+            lhs = digamma_m(m, q + 1.0) - digamma_m(m, q)
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
         # quadrature convergence flags on every catalog integrand at 1e-10
         assert all(c.converged for c in catalog_checks)
 

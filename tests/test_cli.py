@@ -215,6 +215,15 @@ class TestErrorPaths:
         doc = json.loads(capsys.readouterr().out)
         assert doc["position"] == position and expected in doc["error"]
 
+    def test_unprintable_coefficient_and_x_power_exit_two_at_their_factor(self, capsys):
+        nines = "9" * 3000
+        for expr, position in ((f"{nines}*{nines}*exp(-x)", 3001), ("exp(-x)*x^(100000)", 8)):
+            assert main(["eval", expr]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: syntax error at position {position}: expected ") and "Traceback" not in err
+            assert main(["eval", expr, "--json"]) == 2
+            assert json.loads(capsys.readouterr().out)["position"] == position
+
     def test_json_error_document(self, capsys):
         assert main(["eval", "sin(x)", "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)

@@ -2,9 +2,12 @@
 
 The hashes fix every character the CLI prints for a few deep commands:
 term order, coefficients, paper-style rendering, JSON layout and the
-verify floats (whose compensated sum depends on the term order).  A
-change to the ring kernel or the exact engine that alters any of these
-shows up here even when the value stays mathematically equal.
+verify floats.  A verify float is the ``math.fsum`` of the monomials'
+float values, each its correctly rounded coefficient times powers of the
+correctly rounded constants, so it does not depend on the term order but
+moves with any change to a constant or a coefficient.  A change to the
+ring kernel or the exact engine that alters any of these shows up here
+even when the value stays mathematically equal.
 """
 
 import hashlib
@@ -32,11 +35,11 @@ GOLDEN = [
     ),
     (
         ["verify", "x^(3/2)*exp(-0.5*x)*log(x)^6", "--json"],
-        "cec85f836c1cec6fb6448549f20cac8348fab0305073a0d1711bc6c37a4a5682",
+        "5e66d4c7744c5bec5cdbedeee8732ba8068beed8fccabb3af7db8a5c9140cba2",
     ),
     (
         ["verify", "(2 + x^(2))*exp(-5*x)*log(x)^5"],
-        "20bed51c396ba8a489dae77c9a457433c63f3320ba592631141eb3303a3b456e",
+        "ccccdba8a60e202c56b4ef2e6604d7b6fdd79cd686f37bf88a9f0b70b4717b0f",
     ),
     (
         ["weight", "--max-n", "12", "--json"],
@@ -44,22 +47,22 @@ GOLDEN = [
     ),
     (
         ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
-        "21feba033a11d445d29b342ae3574d9626fab88f066a80d398c4b5411381164e",
+        "96faef28eacf61f70140d4c4037b4f6cedfd3857307a1f975c9097c1d5c4ba11",
     ),
     (
         # shifts of m = 20 and 21 from the base point 1/2
         ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
-        "e7f46e943a43e13b1a0894dbe3a7891c6b7fcdd25c10dc288b184356cae90e2e",
+        "40601f02729122d0e95a31518d9d72e21d294e54b4ee22705bc29772ee91249c",
     ),
     (
         # a shift of m = 15 from the base point 1
         ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
-        "533b5f17ec7856c9124474b40fefb83fd2e4c1df89b96893f26d4942aa9b2ebe",
+        "61c0877b0908da71491c776c2bd18f774207cb29eeb7e599dbd6cc2551b9b084",
     ),
     (
         # a 604-monomial constant through the delta rewrite, in text mode
         ["verify", "x^(7)*exp(-1/2*x)*log(x)^11", "--paper-style"],
-        "2487badf12d975a6f2e16bed54a21ad5625ec4e1923643e1880bb22ba3052efb",
+        "07e0f8fe0eff1ebd8adff7ad7def582be26661398ac8798fa671447fb501d964",
     ),
     (
         # mixed denominators 3, 4 and 2^m through to_json (587 KB)
@@ -67,9 +70,9 @@ GOLDEN = [
         "b6e7004bc06879ebdcd1d6a80f162fe26e471e16b7b9fe9ca66a3a0ee287cc29",
     ),
     (
-        # PASS at rel err 1.7e-11: pins the binding order and the reduced text
+        # PASS at rel err 1.1e-12: pins the bound value and the reduced text
         ["verify", "(5/4 - x - 3/2*x^(2))*x^(9/2)*exp(-0.168*x)*log(x)^12", "--json"],
-        "f0a47f85d86062311fa3b19333e0f988f946a7694ab307eea62262fbdfd83dee",
+        "e1a2082280a7b0b1cb30a99c7635358c93fdfc63df8c94ef95e3066fa585f51b",
     ),
     (
         # n = 24 at the base point 1 (2.26 MB): deep Leibniz products
@@ -101,26 +104,26 @@ GOLDEN = [
     (
         # three prefactor terms, each a large form in term order; PASS
         ["verify", "(2 - x + 1/3*x^(2))*x^(1/2)*exp(-4*x)*log(x)^11", "--json"],
-        "137da5ef051ac5a74fbf6069f2e495c75fa9a2db08f3bf9786b7ab0c25155003",
+        "8b11670e974b029c630eaf862f849150696c9a1d9ae37488974a7f0d9381a4c1",
     ),
     (
         # the mu = 1 path through at_mu_one, in paper style; PASS
         ["verify", "(1 + x)*x^(3/2)*exp(-x)*log(x)^10", "--paper-style"],
-        "ec3cf054ff7196781f86997f0fc8d92d19efef4fa255b8d455238c0a5025a89d",
+        "337097c2f301f442304e45eb544e65202ac5ea111c632f04a90e4cf669c65f6e",
     ),
     (
         ["catalog", "--json"],
-        "860431a58d459214231b1baabe5b614e667b8d94335ae23e38a251a14224aea6",
+        "8fef5ca18566582dc82574ac81598407fff973dbb10e978c41072a19a0d5feb7",
     ),
     (
         # text mode prints each entry's integrand and closed-form strings,
         # which the JSON report leaves out
         ["catalog"],
-        "cc7a230c32316cf6eb379e0f29bcd0f23fa59cea4489581b9de8281a8a4cf8fa",
+        "641dc05d222e8b815959b1e44d07da50cca5e28de16d80bdaa53d09ff448c69d",
     ),
     (
         ["catalog", "--mu", "3", "--max-n", "6"],
-        "b93c371e9094a7749f9e8aabf289e950a858abb6689b191220d048059f02773d",
+        "3e3cfbf66b4474b7fc839eebc868f94c936ab9360661ebf3e1d1133e3b772b44",
     ),
 ]
 

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import types
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import explogint.oracle as oracle_module
 from explogint.evaluator import IntegralSpec, PrefactorTerm
-from explogint.oracle import _strip_mass, compute_constants, euler_gamma_value, hurwitz_zeta, quadrature
+from explogint.oracle import _strip_mass, compute_constants, quadrature
 from explogint.parser import parse_integrand, to_integral_spec
 from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, SymbolicConstant, zeta_gen
 from explogint.special_values import ArgPoint
@@ -49,6 +50,20 @@ def engine_imports(source: str) -> list[str]:
             allowed = GENERATOR_IDENTITIES if module == ".ring" else set()
             found += [f"line {node.lineno}: imports {a.name} from {module}" for a in node.names
                       if a.name not in allowed]
+    return found
+
+
+def package_imports(source: str) -> list[str]:
+    """Every import of ``explogint`` in ``source``, at any depth, as absolute or relative."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name.partition(".")[0] == "explogint"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.partition(".")[0] == "explogint":
+                found += [f"line {node.lineno}: imports {a.name} from {module}" for a in node.names]
     return found
 
 
@@ -90,6 +105,25 @@ class TestIndependence:
             "line 6: imports run_catalog from explogint.catalog",
         ]
 
+    def test_third_route_imports_nothing_of_the_package(self):
+        source = (Path(__file__).parent / "special_numerics.py").read_text(encoding="utf-8")
+        assert package_imports(source) == []
+
+    def test_guard_sees_a_package_import(self):
+        bad = (
+            "import math\n"
+            "from explogint.oracle import _BERNOULLI, hurwitz_zeta\n"
+            "import explogint.ring as ring\n"
+            "from mpmath import zeta\n"
+            "def f():\n    from . import special_values\n"
+        )
+        assert package_imports(bad) == [
+            "line 2: imports _BERNOULLI from explogint.oracle",
+            "line 2: imports hurwitz_zeta from explogint.oracle",
+            "line 3: imports explogint.ring",
+            "line 6: imports special_values from .",
+        ]
+
     def test_only_ring_names_a_constants_private_attributes(self):
         assert {"_d", "_den", "_coerce"} <= CONSTANT_PRIVATE
         package = Path(oracle_module.__file__).parent
@@ -105,9 +139,31 @@ class TestIndependence:
         ]
 
 
+def decimal_pi(digits: int) -> Decimal:
+    """pi to ``digits`` digits by the series recipe of the decimal module's docs."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        return s
+
+
+def bernoulli(m: int) -> Fraction:
+    """B_m from B_0 = 1 and sum_(k<=m) C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b[m]
+
+
 class TestConstants:
-    def test_gamma_against_reference(self):
-        assert abs(euler_gamma_value() - GAMMA_REF) < 5e-16
+    def test_gamma_against_reference(self, table):
+        assert table[EULER_GAMMA] == GAMMA_REF
 
     def test_gamma_cross_checked_by_quadrature(self, table):
         # the integrand e^-x ln x transforms onto the whole real axis as
@@ -117,8 +173,8 @@ class TestConstants:
         assert abs(result.value + table[EULER_GAMMA]) < 1e-12
 
     def test_zeta_values(self, table):
-        assert abs(table[zeta_gen(2)] - ZETA2_REF) < 5e-16
-        assert abs(table[zeta_gen(3)] - ZETA3_REF) < 5e-16
+        assert table[zeta_gen(2)] == ZETA2_REF
+        assert table[zeta_gen(3)] == ZETA3_REF
 
     def test_zeta2_equals_pi_squared_over_six(self, table):
         pi_sq_over_6 = table[SQRT_PI]**4 / 6.0
@@ -133,57 +189,37 @@ class TestConstants:
         assert max(g.k for g in table) == 12
         assert set(table) == {EULER_GAMMA, LOG2, SQRT_PI, *map(zeta_gen, range(2, 13))}
         assert LOG_MU not in table
-        assert abs(table[LOG2] - math.log(2.0)) == 0.0
-        assert abs(table[SQRT_PI] - math.sqrt(math.pi)) == 0.0
-        assert table[EULER_GAMMA] == euler_gamma_value()
-        assert all(table[zeta_gen(k)] == hurwitz_zeta(float(k), 1.0) for k in range(2, 13))
+        assert all(type(v) is float for v in table.values())
+        assert table[LOG2] == math.log(2.0)
 
     def test_below_two_holds_no_zeta(self):
         assert set(compute_constants(1)) == set(compute_constants(0)) == {EULER_GAMMA, LOG2, SQRT_PI}
 
     def test_table_is_built_once_and_read_only(self):
         assert compute_constants(15) is compute_constants(15)
-        assert compute_constants(15)[zeta_gen(15)] == hurwitz_zeta(15.0, 1.0)
+        assert dict(compute_constants(15)) == {g: v for g, v in compute_constants(41).items() if g.k <= 15}
         with pytest.raises(TypeError):
             compute_constants(15)[zeta_gen(2)] = 0.0
 
+    def test_correctly_rounded_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            expected = {EULER_GAMMA: mpmath.euler, LOG2: mpmath.log(2), SQRT_PI: mpmath.sqrt(mpmath.pi),
+                        **{zeta_gen(k): mpmath.zeta(k) for k in range(2, 42)}}
+            assert dict(compute_constants(41)) == {g: float(v) for g, v in expected.items()}
 
-class TestHurwitzZeta:
-    def test_reduces_to_riemann_at_q_one(self, table):
-        for k in range(2, 13):
-            assert abs(hurwitz_zeta(float(k), 1.0) - table[zeta_gen(k)]) < 1e-14 * table[zeta_gen(k)]
-
-    def test_half_argument_identity(self, table):
-        # zeta(z, 1/2) = (2^z - 1) zeta(z)
-        for k in range(2, 9):
-            lhs = hurwitz_zeta(float(k), 0.5)
-            rhs = (2.0**k - 1.0) * table[zeta_gen(k)]
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_telescoping(self):
-        rng = random.Random(1234)
-        for _ in range(50):
-            q = rng.uniform(1e-3, 10.0)
-            lhs = hurwitz_zeta(3.0, q) - hurwitz_zeta(3.0, q + 1.0)
-            rhs = q**-3.0
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_telescoping_random_exponent(self):
-        rng = random.Random(5678)
-        for _ in range(50):
-            z = rng.uniform(1.1, 9.0)
-            q = rng.uniform(0.05, 8.0)
-            lhs = hurwitz_zeta(z, q) - hurwitz_zeta(z, q + 1.0)
-            rhs = q**-z
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(1.0, 1.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, 0.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, -1.0)
+    def test_correctly_rounded_by_the_standard_library(self, table):
+        # zeta(2k) = (-1)^(k+1) B_2k (2 pi)^(2k) / (2 (2k)!), with pi from a series the
+        # oracle does not use and exact Bernoulli numbers, at 60 digits in decimal
+        pi = decimal_pi(60)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert table[SQRT_PI] == float(pi.sqrt())
+            assert table[LOG2] == float(Decimal(2).ln())
+            for k in range(1, 21):
+                b = bernoulli(2 * k)
+                value = (-1) ** (k + 1) * Decimal(b.numerator) / b.denominator * (2 * pi) ** (2 * k)
+                assert compute_constants(40)[zeta_gen(2 * k)] == float(value / (2 * math.factorial(2 * k)))
 
 
 class TestDigamma:
@@ -192,12 +228,30 @@ class TestDigamma:
         assert abs(digamma_m(1, 1.0) - table[zeta_gen(2)]) < 1e-12 * table[zeta_gen(2)]
         assert abs(digamma_m(2, 1.0) + 2.0 * table[zeta_gen(3)]) < 1e-12 * 2.0 * table[zeta_gen(3)]
 
+    def test_polygamma_at_one_is_zeta(self, table):
+        # psi^(k-1)(1) = (-1)^k (k-1)! zeta(k)
+        for k in range(2, 13):
+            expected = (-1) ** k * math.factorial(k - 1) * table[zeta_gen(k)]
+            assert abs(digamma_m(k - 1, 1.0) - expected) < 1e-14 * abs(expected)
+
+    def test_half_argument_identity(self):
+        # psi^(m)(1/2) = (2^(m+1) - 1) psi^(m)(1), from zeta(z, 1/2) = (2^z - 1) zeta(z)
+        for m in range(1, 8):
+            rhs = (2.0 ** (m + 1) - 1.0) * digamma_m(m, 1.0)
+            assert abs(digamma_m(m, 0.5) - rhs) <= 1e-12 * abs(rhs)
+
     def test_recurrence_numerically(self):
+        # psi^(m)(x+1) - psi^(m)(x) = (-1)^m m! / x^(m+1)
         rng = random.Random(31337)
         for _ in range(60):
             x = rng.uniform(1e-3, 100.0)
             lhs = digamma_m(0, x + 1.0) - digamma_m(0, x)
             assert abs(lhs - 1.0 / x) <= 1e-12 * max(1.0, 1.0 / x)
+        for _ in range(60):
+            m, x = rng.randint(1, 6), rng.uniform(0.05, 40.0)
+            rhs = (-1) ** m * math.factorial(m) / x ** (m + 1)
+            lhs = digamma_m(m, x + 1.0) - digamma_m(m, x)
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), abs(digamma_m(m, x)))
 
     def test_against_asymptotics(self):
         # psi(x) ~ ln x for large x

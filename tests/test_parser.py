@@ -11,6 +11,7 @@ import pytest
 from explogint.evaluator import IntegralSpec, PrefactorTerm, eval_general
 from explogint.parser import (
     MAX_LOG_POWER,
+    MAX_X_POWER,
     Integrand,
     IntegrandSyntaxError,
     UnsupportedIntegrandError,
@@ -165,6 +166,10 @@ class TestSyntaxErrors:
             ("exp(-x)*log(x)^30*log(x)^30", 18),  # log powers add across factors
             ("log(x)^30*(1 + x*log(x)^30)*exp(-x)", 10),  # ... and through a group
             ("(log(x)^20*log(x)^20*log(x) - 1)*exp(-x)", 21),
+            ("x^(10001)*exp(-x)", 0),  # |x power| above MAX_X_POWER
+            ("x^(-10001)*exp(-x)", 0),
+            ("x^(6000)*exp(-x)*x^(6000)", 17),  # x powers add across factors
+            ("(1 + x^(5000))*x^(5001)*exp(-x)", 15),  # ... and through a group
         ],
     )
     def test_position_accurate(self, text, position):
@@ -178,6 +183,48 @@ class TestSyntaxErrors:
         for text in ("exp(-x)*log(x)^40", "log(x)^20*exp(-x)*log(x)^20", "(1 + x)*log(x)^39*exp(-x)*log(x)"):
             assert to_integral_spec(parse_integrand(text)).log_power == 40
         assert IntegralSpec.simple(1, 41).log_power == 41  # the library API is not capped
+
+    def test_x_power_beyond_the_cap_names_the_sum(self):
+        with pytest.raises(IntegrandSyntaxError, match="summing to at most 10000 in size in a term, found a sum of -10001$"):
+            parse_integrand("x^(1/2)*exp(-x)*x^(-20003/2)")
+
+    def test_x_power_at_the_cap_parses(self):
+        # Parsed only: 10^4 steps above the base point take about a second to evaluate.
+        assert MAX_X_POWER == 10**4
+        for text in ("x^(10000)*exp(-x)", "x^(5000)*x^(5000)*exp(-x)", "(x^(10000) + x^(-10000))*exp(-x)"):
+            assert max(abs(x) for x, _, _ in parse_integrand(text).terms) == 10**4
+        assert to_integral_spec(parse_integrand("x^(9999)*exp(-x)")).s == ArgPoint.of(10**4)
+
+    def test_coefficient_beyond_the_printable_digits_fails_at_its_factor(self):
+        limit, nines = sys.get_int_max_str_digits(), "9" * 3000
+        expected = f"expected a term coefficient of at most {limit} digits, found one with more$"
+        with pytest.raises(IntegrandSyntaxError, match=expected) as exc:
+            parse_integrand(f"{nines}*{nines}*exp(-x)")
+        assert exc.value.position == 3001
+        text = f"{'9' * limit}*exp(-x) + exp(-x)"  # the sum 10^limit has limit + 1 digits
+        with pytest.raises(IntegrandSyntaxError, match="coefficient of at most") as exc:
+            parse_integrand(text)
+        assert exc.value.position == limit + len("*exp(-x) + ")
+        assert parse_integrand(f"{'9' * (limit // 2)}*{'9' * (limit // 2)}*exp(-x)")
+
+    def test_number_or_x_power_beyond_the_printable_digits_fails(self):
+        # a decimal's denominator is 10^(digits after the point); coprime denominators multiply
+        limit, a, b = sys.get_int_max_str_digits(), 10**2999 + 1, 10**2999 + 3
+        for text, position, what in [(f"0.{'1' * limit}*exp(-x)", 0, "a number"),
+                                     (f"exp(-0.{'1' * limit}*x)", 5, "a number"),
+                                     (f"0.{'1' * 3000}/{a}*exp(-x)", 0, "a number"),
+                                     (f"x^(1/{a})*x^(1/{b})*exp(-x)", len(f"x^(1/{a})*"), "an x power")]:
+            with pytest.raises(IntegrandSyntaxError, match=f"expected {what} of at most {limit} digits") as exc:
+                parse_integrand(text)
+            assert exc.value.position == position
+
+    def test_coefficient_cap_follows_the_interpreter_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # no limit
+            assert parse_integrand(f"{'9' * 3000}*{'9' * 3000}*exp(-x)")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_stray_character(self):
         with pytest.raises(IntegrandSyntaxError) as exc_info:

@@ -321,6 +321,14 @@ class TestKernelAgainstReference:
         assert rational_const(Fraction(6, 2)) == 3
         assert hash(rational_const(3)) == hash(rational_const(Fraction(3)))
 
+    def test_equal_rationals_hash_equal(self):
+        # a constant equal to an int or a Fraction hashes as it does, so a set holds one
+        assert len({ONE, 1, Fraction(1)}) == 1
+        assert hash(rational_const(0)) == hash(SymbolicConstant()) == hash(0) == hash(Fraction(0))
+        assert hash(rational_const(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+        assert {rational_const(Fraction(-3, 4)): "a"}[Fraction(-3, 4)] == "a"
+        assert len({GAMMA, ONE, 1, rational_const(2), 2}) == 3
+
     def test_public_constructor_round_trips_through_terms(self):
         rng = random.Random(6)
         for c in kernel_draws(14):
@@ -568,6 +576,16 @@ class TestEvaluate:
         with pytest.raises(MissingBindingError) as exc_info:
             zeta_const(7).evaluate({})
         assert "zeta(7)" in str(exc_info.value)
+
+    def test_monomials_are_summed_exactly_then_rounded_once(self):
+        # monomials 2^53, 1 and -2^53 sum to 1, where a plain float sum of the first two loses it
+        c = rational_const(2**53) * LOG2_CONST + ONE - rational_const(2**53) * SQRT_PI_CONST
+        assert c.evaluate({LOG2: 1.0, SQRT_PI: 1.0}) == 1.0
+
+    def test_a_sum_beyond_the_float_range_is_a_value_error(self):
+        big = rational_const(10**308)
+        with pytest.raises(ValueError, match="closed-form value lies outside the float range"):
+            (big * GAMMA + big * LOG2_CONST).evaluate({EULER_GAMMA: 1.0, LOG2: 1.0})
 
     def test_evaluation_homomorphism(self, table):
         rng = random.Random(4242)

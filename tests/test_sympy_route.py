@@ -12,6 +12,7 @@ SymPy is used here only, as an independent reference.
 """
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ sympy = pytest.importorskip("sympy")
 S = sympy.Symbol("s")
 MU = sympy.Symbol("mu", positive=True)
 POINTS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 2), Fraction(21, 2)]
+# A seeded sample of deeper points: each costs SymPy up to about a second.
+DEEPER = random.Random(1).sample([(s0, n) for s0 in POINTS for n in (7, 8, 9)], 2)
 
 
 def _fraction(q) -> Fraction:
@@ -96,3 +99,8 @@ def test_engine_equals_sympy_exactly(s0, n):
     expected = reference(s0, n)
     assert expected and expected.terms[0][0] == s0
     assert fold_even_zetas(eval_general(IntegralSpec.simple(s0, n))) == expected
+
+
+@pytest.mark.parametrize("s0, n", DEEPER, ids=lambda v: str(v))
+def test_engine_equals_sympy_exactly_deeper(s0, n):
+    test_engine_equals_sympy_exactly(s0, n)
