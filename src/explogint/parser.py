@@ -22,9 +22,11 @@ so is a log exponent, or a factor taking its term's log power, above
 factor or term past the digits ``str()`` prints (sys.get_int_max_str_digits).
 Parsing yields an :class:`Integrand` in one pass, with no tree between:
 its canonical text and its expansion, multiplied out with like terms
-merged as each product forms.  Normalization either maps the expansion
-onto a single :class:`~explogint.evaluator.IntegralSpec` or rejects it
-with a diagnostic naming the offending factor.
+merged as each product forms.  Exponentials multiply by adding their
+rates, so ``exp(-x)*exp(-x)`` expands as ``exp(-2*x)`` does.
+Normalization either maps the expansion onto a single
+:class:`~explogint.evaluator.IntegralSpec` or rejects it with a
+diagnostic naming the offending factor.
 
 The constant language is the display form of
 :meth:`~explogint.ring.SymbolicConstant.render`, read back by
@@ -82,7 +84,7 @@ class UnsupportedIntegrandError(ValueError):
 
 class Integrand(NamedTuple):
     """A parsed integrand: its canonical text, which parses back to the same
-    integrand, and its expansion ``{(x power, log power, rates): coeff}``."""
+    integrand, and its expansion ``{(x power, log power, rate): coeff}``."""
 
     text: str
     terms: dict
@@ -178,7 +180,8 @@ class _Parser:
         return tok, Fraction(tok.text) if "." in tok.text else int(tok.text)
 
     def integer(self, expected: str, least: int = 0, most: float = inf) -> int:
-        """The constant language's one number reader: a decimal is an error here."""
+        """An integer from ``least`` to ``most``, or a syntax error at its token;
+        a decimal is an error here.  Constants and log exponents read it."""
         tok, value = self.number(expected)
         if "." in tok.text:
             self._fail(tok, "an integer")
@@ -193,14 +196,15 @@ class _Parser:
         raise IntegrandSyntaxError(tok.position, expected, found) from None
 
     # Each integrand rule returns its canonical text and its expansion
-    # {(x power, log power, rates): coeff}, where rates lists the decay rates
-    # of a term's exponential factors.  Like terms merge as each product
-    # forms, so a product of k binomials holds at most k + 1 terms, not 2^k.
-    # A sum that cancels stays as a zero coefficient, so the checks in
-    # to_integral_spec see every term, and keys keep the order in which they
-    # first appear in the full expansion, so a rejection names the same first
-    # offender.  A sum keeps its parentheses as a factor of a product and as
-    # a whole term after '-', and drops them everywhere else.
+    # {(x power, log power, rate): coeff}, where rate is the term's decay
+    # rate, 0 for a term without an exponential: exponential factors multiply
+    # by adding their rates, as x and log powers add.  Like terms merge as
+    # each product forms, so a product of k binomials holds at most k + 1
+    # terms, not 2^k.  A sum that cancels stays as a zero coefficient, so the
+    # checks in to_integral_spec see every term, and keys keep the order in
+    # which they first appear in the full expansion, so a rejection names the
+    # same first offender.  A sum keeps its parentheses as a factor of a
+    # product and as a whole term after '-', and drops them everywhere else.
 
     # expr := term (('+'|'-') term)*
     def parse_expr(self) -> tuple[str, dict]:
@@ -216,7 +220,7 @@ class _Parser:
 
     # term := factor ('*' factor)*
     def parse_term(self) -> tuple[str, dict]:
-        texts, terms = [], {(Fraction(0), 0, ()): Fraction(1)}  # the product starts at 1
+        texts, terms = [], {(Fraction(0), 0, 0): Fraction(1)}  # the product starts at 1
         while not texts or self.accept("*"):
             tok = self.peek()
             factor_text, factor_terms = self.parse_factor()
@@ -231,12 +235,13 @@ class _Parser:
 
     def _check_caps(self, tok: _Token, terms: dict) -> dict:
         """``terms``, or a syntax error at ``tok`` if a term is past a cap."""
-        for (x, n, _), c in terms.items():
+        for (x, n, rate), c in terms.items():
             if n > MAX_LOG_POWER:
                 self._fail(tok, f"log powers summing to at most {MAX_LOG_POWER} in a term", f"a sum of {n}")
             self._check_digits(tok, x, "an x power")
             if abs(x) > MAX_X_POWER:
                 self._fail(tok, f"x powers summing to at most {MAX_X_POWER} in size in a term", f"a sum of {x}")
+            self._check_digits(tok, rate, "a decay rate")
             self._check_digits(tok, c, "a term coefficient")
         return terms
 
@@ -249,7 +254,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             value = self.parse_rational()
-            return _fraction_text(value), {(Fraction(0), 0, ()): value}
+            return _fraction_text(value), {(Fraction(0), 0, 0): value}
         if self.accept("("):
             if self.depth == MAX_NESTING:
                 self._fail(tok, f"at most {MAX_NESTING} nested parentheses")
@@ -285,12 +290,12 @@ class _Parser:
 
     def parse_x(self) -> tuple[str, dict]:
         if not self.accept("^"):
-            return "x", {(Fraction(1), 0, ()): Fraction(1)}
+            return "x", {(Fraction(1), 0, 0): Fraction(1)}
         self.expect("(")
         sign = -1 if self.accept("-") else 1
         exponent = sign * self.parse_rational()
         self.expect(")")
-        return f"x^({_fraction_text(exponent)})", {(exponent, 0, ()): Fraction(1)}
+        return f"x^({_fraction_text(exponent)})", {(exponent, 0, 0): Fraction(1)}
 
     def parse_exp(self) -> tuple[str, dict]:
         self.expect("(")
@@ -303,22 +308,14 @@ class _Parser:
         self.expect(")")
         if rate <= 0:
             raise UnsupportedIntegrandError("the exponential decay rate must be positive", _exp_text(rate), tok.position)
-        return _exp_text(rate), {(Fraction(0), 0, (rate,)): Fraction(1)}
+        return _exp_text(rate), {(Fraction(0), 0, rate): Fraction(1)}
 
     def parse_log(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("x")
         self.expect(")")
-        power = 1
-        if self.accept("^"):
-            tok, power = self.number("an integer exponent")
-            if "." in tok.text:
-                self._fail(tok, "an integer exponent")
-            if power < 1:
-                self._fail(tok, "a positive exponent", tok.text)
-            if power > MAX_LOG_POWER:
-                self._fail(tok, f"an exponent up to {MAX_LOG_POWER}")
-        return _log_text(power), {(Fraction(0), power, ()): Fraction(1)}
+        power = self.integer(f"an exponent from 1 to {MAX_LOG_POWER}", 1, MAX_LOG_POWER) if self.accept("^") else 1
+        return _log_text(power), {(Fraction(0), power, 0): Fraction(1)}
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
@@ -414,18 +411,9 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
     """Map a parsed integrand onto the supported integral class."""
     terms = integrand.terms
 
-    for _, _, rates in terms:
-        if len(rates) == 0:
-            raise UnsupportedIntegrandError(
-                "every additive term needs exactly one exponential factor",
-                integrand.text,
-            )
-        if len(rates) > 1:
-            raise UnsupportedIntegrandError(
-                "a term contains more than one exponential factor",
-                " * ".join(map(_exp_text, rates)),
-            )
-    rates = {r for _, _, (r,) in terms}
+    rates = {r for _, _, r in terms}
+    if 0 in rates:
+        raise UnsupportedIntegrandError("every additive term needs an exponential factor", integrand.text)
     if len(rates) > 1:
         raise UnsupportedIntegrandError(
             "all terms must share one decay rate",

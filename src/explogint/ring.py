@@ -25,7 +25,9 @@ adds vectors, and equality is dict equality.
 from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
 and build the text of each distinct part once per call, in a dict local to
 that call: a deep closed form has thousands of monomials but only a few
-hundred distinct parts.
+hundred distinct parts.  They print a coefficient of any length: past
+``sys.get_int_max_str_digits()`` digits, where ``str`` raises, through
+``decimal``, which has no such limit.
 
 Every constant is built by one accumulation loop, :func:`sum_of_products`,
 which sums ``c * a * b`` over triples into one dict over one denominator,
@@ -402,7 +404,10 @@ class SymbolicConstant:
             d = den * scale
             if d != 1:
                 num, d = _lowest(num, d)
-            mag = str(abs(num)) if d == 1 else f"{abs(num)}/{d}"
+            try:
+                mag = str(abs(num)) if d == 1 else f"{abs(num)}/{d}"
+            except ValueError:  # too many digits for str (module docstring)
+                mag = str(Decimal(abs(num))) if d == 1 else f"{Decimal(abs(num))}/{Decimal(d)}"
             if not text:
                 body = mag
             elif mag == "1":
@@ -440,7 +445,11 @@ class SymbolicConstant:
                 powers["log_mu"] = e[1]
             if e and e[0]:
                 powers["gamma"] = e[0]
-            terms.append({"coeff": f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den), "powers": powers})
+            try:
+                coeff = f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den)
+            except ValueError:  # too many digits for str (module docstring)
+                coeff = "%s/%s" % tuple(map(Decimal, _lowest(c, den)))
+            terms.append({"coeff": coeff, "powers": powers})
         return {"terms": terms}
 
     @classmethod

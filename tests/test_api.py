@@ -1,12 +1,15 @@
 """The package's public names and modules are exactly those README documents,
-and its runtime needs nothing outside the standard library."""
+README's examples show what the code prints, and its runtime needs nothing
+outside the standard library."""
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import explogint
+from explogint.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -43,6 +46,36 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE))
     modules = {p.stem for p in (ROOT / "src" / "explogint").glob("*.py")}
     assert listed == modules - {"__init__", "__main__"}
+
+
+def test_readme_command_examples_print_what_the_cli_prints(capsys):
+    # each "$ explogint ARGS" line in a code block is followed by its stdout
+    text = README.read_text(encoding="utf-8")
+    examples = re.findall(r"^\$ explogint ([^\n]+)\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert examples
+    for args, shown in examples:
+        main(shlex.split(args))
+        assert capsys.readouterr().out == shown, args
+
+
+def test_readme_library_results_are_the_reprs():
+    # each "# <result>" line under an expression of the snippet is that expression's repr
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Library")) + len("```python\n")
+    lines = text[start:text.index("\n```", start)].splitlines()
+    namespace, statements, checked = {}, [], 0
+    for i, line in enumerate(lines):
+        if line.startswith("# "):
+            continue  # a result, checked with the line above it
+        if i + 1 < len(lines) and lines[i + 1].startswith("# "):
+            exec("\n".join(statements), namespace)
+            statements = []
+            assert repr(eval(line, namespace)) == lines[i + 1][2:], line
+            checked += 1
+        else:
+            statements.append(line)
+    exec("\n".join(statements), namespace)
+    assert checked == 3
 
 
 def test_runtime_imports_only_the_standard_library():

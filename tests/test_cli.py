@@ -8,11 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 import explogint.cli as cli
 from explogint.cli import main
 from explogint.oracle import QuadratureResult
+from explogint.parser import parse_integrand, to_integral_spec
 
 
 class TestEval:
@@ -46,6 +50,56 @@ class TestEval:
     def test_integrand_prints_as_it_evaluates(self, capsys, expr, printed):
         assert main(["eval", expr, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["integrand"] == printed
+
+
+    def test_coefficient_past_the_str_digit_limit_prints(self, capsys):
+        # Gamma(2001) = 2000! has 5736 digits, more than str() prints by default
+        digits = str(Decimal(math.factorial(2000)))
+        assert main(["eval", "x^(2000)*exp(-x)"]) == 0
+        assert f"at mu = 1   : {digits}\n" in capsys.readouterr().out
+        assert main(["eval", "x^(2000)*exp(-x)", "--json"]) == 0
+        (term,) = json.loads(capsys.readouterr().out)["closed_form_json"]["terms"]
+        assert term["constant"]["terms"] == [{"coeff": f"{digits}/1", "powers": {}}]
+
+
+class TestExponentialProducts:
+    """Exponential factors multiply by adding their rates: a product of them
+    gives the output of the one exponential at the summed rate, all but the
+    integrand line."""
+
+    @staticmethod
+    def _doc(capsys, argv):
+        code = main(argv + ["--json"])
+        doc = json.loads(capsys.readouterr().out)
+        return code, doc.pop("integrand"), doc
+
+    def test_product_verifies(self, capsys):
+        expr = "exp(-x)*exp(-1/2*x)*x^(3/2)*log(x)^3"
+        assert main(["verify", expr]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"integrand   : {expr}\n") and out.endswith("PASS\n")
+
+    def test_product_matches_the_summed_rate(self, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rates = st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4), min_size=1, max_size=4)
+
+        @hypothesis.settings(max_examples=20, deadline=None, database=None)
+        @hypothesis.given(rates, st.integers(1, 5), st.integers(-5, 5), st.integers(-1, 4), st.integers(0, 4), st.data())
+        def check(rs, a, b, twice_p, n, data):
+            factors = [f"exp(-{r.numerator}/{r.denominator}*x)" for r in rs]
+            factors += [f"({a} {'-' if b < 0 else '+'} {abs(b)}*x)", f"x^({twice_p}/2)"] + ([f"log(x)^{n}"] if n else [])
+            product = "*".join(data.draw(st.permutations(factors)))
+            total = sum(rs)
+            summed = "*".join([f"exp(-{total.numerator}/{total.denominator}*x)"] + factors[len(rs):])
+            assert to_integral_spec(parse_integrand(product)) == to_integral_spec(parse_integrand(summed))
+            for command in ("eval", "verify"):
+                code, printed, doc = self._doc(capsys, [command, product])
+                summed_code, _, summed_doc = self._doc(capsys, [command, summed])
+                assert printed == parse_integrand(product).text
+                assert (code, doc) == (summed_code, summed_doc)
+
+        check()
 
 
 class TestVerify:
@@ -202,7 +256,7 @@ class TestErrorPaths:
         assert main(["eval", "(" * 100 + "x" + ")" * 100 + "*exp(-x)*log(x)"]) == 0
 
     @pytest.mark.parametrize("expr, position, expected", [
-        ("exp(-x)*log(x)^41", 15, "expected an exponent up to 40, found '41'"),
+        ("exp(-x)*log(x)^41", 15, "expected an exponent from 1 to 40, found '41'"),
         ("exp(-x)*log(x)^30*log(x)^30", 18,
          "expected log powers summing to at most 40 in a term, found a sum of 60"),
     ])

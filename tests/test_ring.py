@@ -622,6 +622,15 @@ class TestRendering:
         assert GAMMA.render(paper_style=True) == "gamma"
         assert (GAMMA * LOG_MU_CONST).render(paper_style=True) == "log_mu*gamma"
 
+    def test_coefficients_past_the_str_digit_limit_print(self):
+        # str() of an int past sys.get_int_max_str_digits() digits raises; render and to_json do not
+        big = 10**5000 + 1
+        digits = "1" + "0" * 4999 + "1"
+        c = rational_const(Fraction(-big, 7)) * GAMMA + rational_const(big)
+        assert c.render() == c.render(paper_style=True) == f"-{digits}/7*gamma + {digits}"
+        assert c.to_json() == {"terms": [{"coeff": f"-{digits}/7", "powers": {"gamma": 1}},
+                                         {"coeff": f"{digits}/1", "powers": {}}]}
+
     def test_json_golden_shape(self):
         c = -(GAMMA**3)
         assert c.to_json() == {"terms": [{"coeff": "-1/1", "powers": {"gamma": 3}}]}
