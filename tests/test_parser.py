@@ -76,11 +76,12 @@ class TestGoldenNormalizations:
     @pytest.mark.parametrize(
         "text,summed",
         [
-            ("exp(-x)*exp(-x)", "exp(-2*x)"),
-            ("exp(-x)*exp(-2*x)*log(x)", "exp(-3*x)*log(x)"),
-            ("exp(-1/2*x)*exp(-x)", "exp(-3/2*x)"),
-            ("x*exp(-x)*log(x)^2*exp(-0.25*x)*exp(-x)", "x*exp(-9/4*x)*log(x)^2"),
-            ("(exp(-x) + x*exp(-x))*exp(-x)", "(1 + x)*exp(-2*x)"),
+            # ids name the rates that add, so each case keeps a short distinct name
+            pytest.param("exp(-x)*exp(-x)", "exp(-2*x)", id="1+1"),
+            pytest.param("exp(-x)*exp(-2*x)*log(x)", "exp(-3*x)*log(x)", id="1+2"),
+            pytest.param("exp(-1/2*x)*exp(-x)", "exp(-3/2*x)", id="1/2+1"),
+            pytest.param("x*exp(-x)*log(x)^2*exp(-0.25*x)*exp(-x)", "x*exp(-9/4*x)*log(x)^2", id="1+1/4+1"),
+            pytest.param("(exp(-x) + x*exp(-x))*exp(-x)", "(1 + x)*exp(-2*x)", id="sum-times-1"),
         ],
     )
     def test_exponentials_multiply_by_adding_rates(self, text, summed):
