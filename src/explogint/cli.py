@@ -189,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _max_n(args: argparse.Namespace) -> int:
     if args.max_n < 0:
-        raise ValueError("max-n must be nonnegative")
+        raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
     return args.max_n
 
 

@@ -210,9 +210,11 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
         guesses = [u for u in guesses if u] + [-n / r for _, r in pairs]
     peak, u_peak = max((lc + r * u - math.exp(u + log_mu) + (n and n * math.log(abs(u))), u)
                        for u in guesses for lc, r in logs)
-    if not (abs(peak) < 700.0 and log_mu > -700.0):
-        raise ValueError(f"decay rate mu = {mu_value:.6g} puts the integrand's peak (near "
-                         f"1e{peak / math.log(10.0):+.0f}) or x = 1/mu outside the float range")
+    if log_mu <= -700.0:
+        raise ValueError(f"decay rate mu = {mu_value:.6g} puts x = 1/mu outside the float range")
+    if abs(peak) >= 700.0:
+        raise ValueError(f"the integrand's peak, near 1e{peak / math.log(10.0):+.0f} at x near "
+                         f"e^{u_peak:.4g}, lies outside the float range (decay rate mu = {mu_value:.6g})")
     # Nodes are multiples of an 8-bit h, so r_j u - shift is exact and a term is
     # c_j e^(...) / e^shift to 2^-53 (|exponent| + 2 mu e^u + n + J + 8) relatively;
     # ``rounding`` takes that at the peak, to scale the terms' sizes before they cancel.

@@ -104,6 +104,16 @@ def _log_text(power: int) -> str:
     return "no log(x)" if power == 0 else "log(x)" if power == 1 else f"log(x)^{power}"
 
 
+def _term_text(x: Fraction, n: int, coeff: Fraction) -> str:
+    """A term without an exponential, written as the parser writes its factors."""
+    factors = [] if x == 0 else ["x" if x == 1 else f"x^({_fraction_text(x)})"]
+    if n:
+        factors.append(_log_text(n))
+    if abs(coeff) != 1 or not factors:
+        factors.insert(0, _fraction_text(abs(coeff)))
+    return ("-" if coeff < 0 else "") + "*".join(factors)
+
+
 def _grouped(text: str) -> str:
     """A canonical text in parentheses if it is a sum, that is, if it has a
     space outside parentheses: canonical spaces stand only around '+' and '-'."""
@@ -200,10 +210,10 @@ class _Parser:
     # rate, 0 for a term without an exponential: exponential factors multiply
     # by adding their rates, as x and log powers add.  Like terms merge as
     # each product forms, so a product of k binomials holds at most k + 1
-    # terms, not 2^k.  A sum that cancels stays as a zero coefficient, so the
-    # checks in to_integral_spec see every term, and keys keep the order in
-    # which they first appear in the full expansion, so a rejection names the
-    # same first offender.  A sum keeps its parentheses as a factor of a
+    # terms, not 2^k.  A sum that cancels may stay as a zero coefficient,
+    # which to_integral_spec skips, and keys keep the order in which they
+    # first appear in the full expansion, so a rejection names the same
+    # first offender.  A sum keeps its parentheses as a factor of a
     # product and as a whole term after '-', and drops them everywhere else.
 
     # expr := term (('+'|'-') term)*
@@ -408,12 +418,16 @@ def parse_constant(text: str) -> SymbolicConstant:
 
 
 def to_integral_spec(integrand: Integrand) -> IntegralSpec:
-    """Map a parsed integrand onto the supported integral class."""
-    terms = integrand.terms
+    """Map a parsed integrand onto the supported integral class.  Terms whose
+    coefficients cancelled to zero are skipped: every check reads the rest."""
+    terms = {key: c for key, c in integrand.terms.items() if c}
+    if not terms:
+        raise UnsupportedIntegrandError("the integrand is identically zero", integrand.text)
 
     rates = {r for _, _, r in terms}
     if 0 in rates:
-        raise UnsupportedIntegrandError("every additive term needs an exponential factor", integrand.text)
+        x, n, c = next((x, n, c) for (x, n, r), c in terms.items() if not r)
+        raise UnsupportedIntegrandError("every nonzero term needs an exponential factor", _term_text(x, n, c))
     if len(rates) > 1:
         raise UnsupportedIntegrandError(
             "all terms must share one decay rate",
@@ -430,12 +444,8 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
     log_power = log_powers.pop()
 
     # one rate and one log power: the keys differ in their x power only
-    merged = {p: c for (p, _, _), c in terms.items() if c}
-    if not merged:
-        raise UnsupportedIntegrandError("the integrand is identically zero", integrand.text)
-
-    base = min(merged)
-    for p in merged:
+    base = min(p for p, _, _ in terms)
+    for p, _, _ in terms:
         step = p - base
         if step.denominator != 1:
             raise UnsupportedIntegrandError(
@@ -449,6 +459,6 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
         )
 
     prefactor = tuple(
-        PrefactorTerm(int(p - base), c) for p, c in sorted(merged.items())
+        PrefactorTerm(int(p - base), c) for (p, _, _), c in sorted(terms.items())
     )
     return IntegralSpec(prefactor, ArgPoint.of(s_value), log_power, mu)

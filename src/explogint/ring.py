@@ -13,8 +13,9 @@ language's tokenizer and diagnostics.
 
 A generator is its position in an exponent vector: gamma, log_mu, log2,
 sqrt_pi, zeta(2), zeta(3), ... are 0, 1, 2, 3, 4, 5, ..., which is also
-their total order, and its name, weight and zeta index are read from a
-per-position table built once per position.  An element is a dict from
+their total order, and its name, weight and zeta index follow from the
+position: gamma weighs 1, log_mu, log2 and sqrt_pi have no weight, and
+zeta(k) at k + 2 weighs k.  An element is a dict from
 exponent vectors (trailing zeros trimmed) to nonzero int numerators over
 one positive int denominator, with gcd(denominator, every numerator) = 1.
 Numerators are scaled to the lcm of the inputs' denominators and one gcd
@@ -90,39 +91,33 @@ class Generator(_GeneratorFields):
 
     @property
     def name(self) -> str:
-        return _slot(self.index).name
+        return _name(self.index)
 
     @property
     def weight(self) -> Optional[Fraction]:
         """Grading weight: gamma has weight 1, zeta(k) weight k, others none."""
-        return _slot(self.index).weight
+        i = self.index
+        return Fraction(1) if i == 0 else Fraction(i - 2) if i >= len(_NAMES) else None
 
     @property
     def k(self) -> int:
         """The zeta index; 0 for every other generator."""
-        return _slot(self.index).k
+        return self.index - 2 if self.index >= len(_NAMES) else 0
 
     def __repr__(self) -> str:
         return f"Generator({self.name})"
-
-
-class _Slot(NamedTuple):
-    generator: Generator
-    name: str
-    weight: Optional[Fraction]
-    k: int
 
 
 # Positions 0..3; zeta(k) sits at position k + 2.
 _NAMES = ("gamma", "log_mu", "log2", "sqrt_pi")
 
 
-@lru_cache(maxsize=None)
-def _slot(i: int) -> _Slot:
-    """Everything known about position i, built once per position."""
-    if i < len(_NAMES):
-        return _Slot(Generator(i), _NAMES[i], Fraction(1) if i == 0 else None, 0)
-    return _Slot(Generator(i), f"zeta({i - 2})", Fraction(i - 2), i - 2)
+def _name(i: int) -> str:
+    return _NAMES[i] if i < len(_NAMES) else f"zeta({i - 2})"
+
+
+# One instance per position, for readers that hand out a Generator per factor.
+_generator = lru_cache(maxsize=None)(Generator)
 
 
 EULER_GAMMA, LOG_MU, LOG2, SQRT_PI = (Generator(i) for i in range(len(_NAMES)))
@@ -141,7 +136,7 @@ MAX_ZETA_INDEX = 1000
 
 def generator_from_name(name: str) -> Generator:
     if name in _NAMES:
-        return _slot(_NAMES.index(name)).generator
+        return Generator(_NAMES.index(name))
     m = re.fullmatch(r"zeta\((\d+)\)", name)
     if m and int(m.group(1)) <= MAX_ZETA_INDEX:
         return zeta_gen(int(m.group(1)))
@@ -238,7 +233,7 @@ class SymbolicConstant:
     @property
     def terms(self) -> tuple[Monomial, ...]:
         return tuple(
-            Monomial(Fraction(c, self._den), tuple((_slot(i).generator, k) for i, k in enumerate(e) if k))
+            Monomial(Fraction(c, self._den), tuple((_generator(i), k) for i, k in enumerate(e) if k))
             for e, c in self._d.items()
         )
 
@@ -326,7 +321,7 @@ class SymbolicConstant:
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
         """Floating value: the ``math.fsum`` of the monomials, each its coefficient
         as the correctly rounded int division ``num / den`` times its generators' values."""
-        values = [bindings.get(_slot(i).generator) for i in range(max(map(len, self._d), default=0))]
+        values = [bindings.get(_generator(i)) for i in range(max(map(len, self._d), default=0))]
         terms, den = [], self._den
         for e, c in self._d.items():
             try:
@@ -337,7 +332,7 @@ class SymbolicConstant:
             for i, k in enumerate(e):
                 if k:
                     if values[i] is None:
-                        raise MissingBindingError(_slot(i).generator)
+                        raise MissingBindingError(_generator(i))
                     v *= values[i] ** k
             terms.append(v)
         try:
@@ -381,7 +376,7 @@ class SymbolicConstant:
                     scale = 6**e
                     factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
                 else:
-                    name = gamma_name if i == 0 else _slot(i).name
+                    name = gamma_name if i == 0 else _name(i)
                     factors.append(name if e == 1 else f"{name}^{e}")
             return "*".join(factors), scale
 
@@ -439,7 +434,7 @@ class SymbolicConstant:
             try:
                 items = tails[tail]
             except KeyError:
-                items = tails[tail] = {_slot(i).name: e[i] for i in range(len(e) - 1, 1, -1) if e[i]}
+                items = tails[tail] = {_name(i): e[i] for i in range(len(e) - 1, 1, -1) if e[i]}
             powers = items.copy()
             if len(e) > 1 and e[1]:
                 powers["log_mu"] = e[1]
@@ -621,20 +616,16 @@ def grade(const: SymbolicConstant) -> Grade:
 
     The grading is defined only on the subring generated by gamma and the
     zeta values; any occurrence of log_mu, log2 or sqrt_pi makes the
-    expression ungradable.
+    expression ungradable.  A monomial's weight is the int e[0] plus
+    (i - 2) e[i] over positions i >= 4 of its exponent vector e.
     """
     if not const:
         return Grade(HOMOGENEOUS, None)
-    weights: set[Fraction] = set()
+    weights: set[int] = set()
     for e in const._d:
-        w = Fraction(0)
-        for i, k in enumerate(e):
-            if k:
-                gw = _slot(i).weight
-                if gw is None:
-                    return Grade(UNGRADABLE)
-                w += gw * k
-        weights.add(w)
+        if any(e[1:4]):
+            return Grade(UNGRADABLE)
+        weights.add((e[0] if e else 0) + sum(i * k for i, k in enumerate(e[4:], 2)))
     if len(weights) == 1:
-        return Grade(HOMOGENEOUS, weights.pop())
+        return Grade(HOMOGENEOUS, Fraction(weights.pop()))
     return Grade(INHOMOGENEOUS)

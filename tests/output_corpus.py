@@ -1,0 +1,99 @@
+"""Output corpus for byte-identity checks of the command-line front end.
+
+Runs each command of the corpus in this process through
+``explogint.cli.main`` and prints one line per command: its exit code, the
+SHA-256 of its stdout and of its stderr, and the command as JSON.  Two
+checkouts print the same lines exactly when every command behaves the same:
+
+    PYTHONPATH=src python3 tests/output_corpus.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tests/output_corpus.py > before.txt
+    diff before.txt after.txt
+
+``explogint`` is imported from ``PYTHONPATH``; the requests are drawn with
+``perfbench/draws.py`` next to this file, read only.  The corpus is the
+554 distinct commands below, followed by the probes, whose output is
+expected to change when the behaviour they probe does:
+
+- ``verify`` of every verify_mix request of seeds 1-3, as text, ``--json``
+  and ``--paper-style``;
+- ``eval`` of every deep_log request of seeds 1-2 as the benchmark sends it,
+  and as ``--paper-style`` text;
+- ``catalog``, ``catalog --json``, ``catalog --mu 3 --max-n 6`` and
+  ``weight --max-n 12 --json``.
+
+Standard library only; pytest does not collect it (no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import traceback
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import draws  # noqa: E402
+from explogint import cli  # noqa: E402
+
+PROBES = [
+    # terms that cancel decide nothing
+    "exp(-x)*log(x) + exp(-x) - exp(-x)",
+    "x*exp(-x) + log(x) - log(x)",
+    "exp(-x) + exp(-2*x) - exp(-2*x)",
+    "exp(-x) + x^(1/2)*exp(-x) - x^(1/2)*exp(-x)",
+    "x - x",
+    # the no-exponential rejection names its term
+    "(x + 1)*(log(x) + exp(-x))",
+    "3 + exp(-x)",
+    # the float-range checks of quadrature
+    "x^(170)*exp(-x)*log(x)^2",
+    "x^(1/2)*exp(-1/1" + "0" * 300 + "*x)",
+    "x^(-1/2)*exp(-1/1" + "0" * 307 + "*x)",
+]
+
+
+def corpus() -> list[list[str]]:
+    commands = []
+    for seed in (1, 2, 3):
+        for req in draws.verify_mix(seed):
+            commands += [["verify", req["expr"], *extra] for extra in ([], ["--json"], ["--paper-style"])]
+    for seed in (1, 2):
+        for req in draws.deep_log(seed):
+            commands.append(["eval", req["expr"], "--json"] + (["--paper-style"] if req["paper"] else []))
+            commands.append(["eval", req["expr"], "--paper-style"])
+    commands += [["catalog"], ["catalog", "--json"], ["catalog", "--mu", "3", "--max-n", "6"],
+                 ["weight", "--max-n", "12", "--json"]]
+    distinct = list(dict.fromkeys(map(tuple, commands)))
+    probes = [[cmd, expr, *extra] for expr in PROBES for cmd in ("eval", "verify") for extra in ([], ["--json"])]
+    probes += [[cmd, "--max-n", "-1", *extra] for cmd in ("catalog", "weight") for extra in ([], ["--json"])]
+    return [list(c) for c in distinct] + probes
+
+
+def run(argv: list[str]) -> tuple[str, bytes, bytes]:
+    out, err, escaped = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = str(exc.code)
+        except Exception as exc:  # an escaped exception is an outcome too; the corpus goes on
+            code, escaped = f"raised {type(exc).__name__}", exc
+    if escaped is not None:
+        traceback.print_exception(escaped)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def main() -> int:
+    for argv in corpus():
+        code, out, err = run(argv)
+        digests = " ".join(hashlib.sha256(b).hexdigest() for b in (out, err))
+        print(f"{code} {digests} {json.dumps(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

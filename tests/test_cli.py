@@ -116,6 +116,13 @@ class TestVerify:
         assert doc["quadrature_converged"] is True
         assert doc["rel_err"] <= 1e-9
 
+    def test_cancelled_terms_verify_as_the_simplified_integrand(self, capsys):
+        expr = "exp(-x)*log(x) + exp(-x) - exp(-x)"
+        assert main(["verify", expr]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"integrand   : {expr}\nclosed form : -gamma\n")
+        assert out.endswith("PASS\n")
+
     def test_verification_failure_exits_one(self, capsys, monkeypatch):
         # make the quadrature disagree: the command must report and exit 1
         def bad_quadrature(spec, mu, rel_tol=1e-10):
@@ -189,6 +196,22 @@ class TestErrorPaths:
         assert main(["verify", expr, "--json"]) == 2
         assert "decay rate" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            # x^170 e^-x (ln x)^2 peaks near x = 171 at about 1e309: s is the cause, not mu
+            ("x^(170)*exp(-x)*log(x)^2",
+             "the integrand's peak, near 1e+309 at x near e^5.142, lies outside the float range (decay rate mu = 1)"),
+            ("x^(-1/2)*exp(-1/1" + "0" * 307 + "*x)", "decay rate mu = 1e-307 puts x = 1/mu outside the float range"),
+        ],
+        ids=["peak", "mu"],
+    )
+    def test_float_range_message_names_its_cause(self, capsys, expr, message):
+        assert main(["verify", expr]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["verify", expr, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
     def test_prefactor_coefficient_beyond_float_range_exits_two(self, capsys):
         big = "1" + "0" * 400
         assert main(["verify", f"{big}*exp(-x)"]) == 2
@@ -240,6 +263,13 @@ class TestErrorPaths:
 
     def test_negative_max_n_exits_two(self, capsys):
         assert main(["weight", "--max-n", "-1"]) == 2
+
+    @pytest.mark.parametrize("command", ["catalog", "weight"])
+    def test_negative_max_n_names_the_flag(self, capsys, command):
+        assert main([command, "--max-n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --max-n must be nonnegative, got -1\n"
+        assert main([command, "--max-n", "-1", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "--max-n must be nonnegative, got -1"}
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_deep_nesting_exits_two_with_a_position(self, capsys, as_json):

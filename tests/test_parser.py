@@ -87,6 +87,18 @@ class TestGoldenNormalizations:
     def test_exponentials_multiply_by_adding_rates(self, text, summed):
         assert to_integral_spec(parse_integrand(text)) == to_integral_spec(parse_integrand(summed))
 
+    @pytest.mark.parametrize(
+        "text,simplified",
+        [
+            pytest.param("exp(-x)*log(x) + exp(-x) - exp(-x)", "exp(-x)*log(x)", id="log-power"),
+            pytest.param("x*exp(-x) + log(x) - log(x)", "x*exp(-x)", id="no-exponential"),
+            pytest.param("exp(-x) + exp(-2*x) - exp(-2*x)", "exp(-x)", id="rate"),
+            pytest.param("exp(-x) + x^(1/2)*exp(-x) - x^(1/2)*exp(-x)", "exp(-x)", id="x-power"),
+        ],
+    )
+    def test_cancelled_terms_do_not_decide_the_class(self, text, simplified):
+        assert to_integral_spec(parse_integrand(text)) == to_integral_spec(parse_integrand(simplified))
+
     def test_long_product_merges_like_terms(self):
         # (x + 1)^40 written as 40 factors: 41 terms, never 2^40 cross terms
         spec = to_integral_spec(parse_integrand("*".join(["(x + 1)"] * 40) + "*exp(-x)"))
@@ -330,6 +342,27 @@ class TestUnsupportedClass:
         with pytest.raises(UnsupportedIntegrandError) as exc_info:
             to_integral_spec(parse_integrand(text))
         assert exc_info.value.factor == factor
+
+    @pytest.mark.parametrize(
+        "text,term",
+        [
+            ("(x + 1)*(log(x) + exp(-x))", "x*log(x)"),
+            ("3 + exp(-x)", "3"),
+            ("exp(-x) - 2*x^(1/2)*log(x)^2", "-2*x^(1/2)*log(x)^2"),
+            ("exp(-x) - x + x*exp(-x)", "-x"),
+        ],
+    )
+    def test_no_exponential_names_the_first_such_term(self, text, term):
+        with pytest.raises(UnsupportedIntegrandError) as exc_info:
+            to_integral_spec(parse_integrand(text))
+        assert str(exc_info.value) == (
+            f"unsupported integrand: every nonzero term needs an exponential factor (offending factor: {term})"
+        )
+
+    @pytest.mark.parametrize("text", ["x - x", "log(x) - log(x)", "exp(-x) - exp(-x)"])
+    def test_cancelled_integrand_is_identically_zero(self, text):
+        with pytest.raises(UnsupportedIntegrandError, match="identically zero"):
+            to_integral_spec(parse_integrand(text))
 
     def test_nonpositive_decay_rate(self):
         with pytest.raises(UnsupportedIntegrandError) as exc_info:

@@ -146,6 +146,18 @@ class TestGenerator:
         assert zeta_gen(5).weight == 5
         assert LOG_MU.weight is None and LOG2.weight is None and SQRT_PI.weight is None
 
+    @pytest.mark.parametrize("i", range(61))
+    def test_name_weight_and_zeta_index_follow_from_the_position(self, i):
+        g = Generator(i)
+        named = ["gamma", "log_mu", "log2", "sqrt_pi"]
+        if i < 4:
+            expected = (named[i], Fraction(1) if i == 0 else None, 0)
+        else:
+            expected = (f"zeta({i - 2})", Fraction(i - 2), i - 2)
+        assert (g.name, g.weight, g.k) == expected
+        assert type(g.weight) is (type(None) if g.weight is None else Fraction)
+        assert generator_from_name(g.name) == g and repr(g) == f"Generator({g.name})"
+
 
 # --- ring operations ---------------------------------------------------------
 
@@ -544,6 +556,34 @@ class TestGrade:
 
     def test_zero_is_homogeneous_of_every_weight(self):
         assert grade(rational_const(0)) == Grade("homogeneous", None)
+
+    def test_grade_agrees_with_the_per_factor_sum_of_generator_weights(self):
+        def reference(const):
+            if not const:
+                return Grade("homogeneous", None)
+            weights = set()
+            for mono in const.terms:
+                w = Fraction(0)
+                for g, e in mono.powers:
+                    if g.weight is None:
+                        return Grade("ungradable")
+                    w += g.weight * e
+                weights.add(w)
+            return Grade("homogeneous", weights.pop()) if len(weights) == 1 else Grade("inhomogeneous")
+
+        rng = random.Random(2718)
+        pool = GEN_POOL + [zeta_gen(k) for k in (7, 40, MAX_ZETA_INDEX)]
+        homogeneous_pool = [EULER_GAMMA, zeta_gen(2), zeta_gen(3), zeta_gen(50)]
+        kinds = set()
+        for _ in range(400):
+            c = random_constant(rng, pool=rng.choice([pool, homogeneous_pool]))
+            if rng.random() < 0.3:
+                c = random_homogeneous(rng, rng.randint(0, 8)) * (c if rng.random() < 0.5 else ONE)
+            g = grade(c)
+            assert g == reference(c)
+            assert g.weight is None or type(g.weight) is Fraction
+            kinds.add(g.kind if c else "zero")
+        assert kinds == {"homogeneous", "inhomogeneous", "ungradable", "zero"}
 
     def test_product_of_homogeneous_is_homogeneous(self):
         rng = random.Random(31415)
