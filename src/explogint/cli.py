@@ -155,8 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
-    # The map holds every zeta(k) the closed form names.
-    table = compute_constants(max((const.max_zeta() for _, const in closed.terms), default=0))
+    table = compute_constants(closed.max_zeta())  # every zeta(k) its blocks name
     closed_value = closed.evaluate(mu, table)
     rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:
@@ -190,6 +189,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _max_n(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
+    if args.max_n > MAX_LOG_POWER:  # the integrand language's cap on a term's n
+        raise ValueError(f"--max-n of {args.command} must be at most {MAX_LOG_POWER}, got {args.max_n}")
     return args.max_n
 
 
@@ -240,8 +241,6 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_weight(args: argparse.Namespace) -> int:
     max_n = _max_n(args)
-    if max_n > MAX_LOG_POWER:  # Gamma^(n)(1) is the integrand language's log power n
-        raise ValueError(f"--max-n of weight must be at most {MAX_LOG_POWER}, got {max_n}")
     rows = []
     all_pass = True
     for n in range(max_n + 1):

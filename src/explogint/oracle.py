@@ -1,7 +1,8 @@
 """Independent ground truth: constants, quadrature and the pass rule.
 
 This module supplies correctly rounded values of the ring generators, built
-in integer arithmetic, high-accuracy quadrature over the integral class, and
+in integer arithmetic and kept as those ints for binding, ln of a double in
+the same arithmetic, high-accuracy quadrature over the integral class, and
 the rule by which a closed form's value passes against quadrature.  Of the
 package it imports only the ring's generator identities at run time, so it
 shares no code path with the exact engine in :mod:`special_values` /
@@ -20,10 +21,11 @@ calibrated to that.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ring import EULER_GAMMA, LOG2, SQRT_PI, zeta_gen
 
@@ -31,37 +33,81 @@ if TYPE_CHECKING:
     from .evaluator import IntegralSpec
     from .ring import Generator
 
-_BITS = 128  # working precision of the constants: each is built as an int times 2^-_BITS
+# Working precision of the constants, each an int times 2^-_BITS: the ring's BITS, at
+# which binding reads them, and which this module does not import (module docstring).
+_BITS = 128
 _ONE = 1 << _BITS
 
 
-def _atan_inv(x: int) -> int:  # atan(1/x) = sum_k (-1)^k / ((2k + 1) x^(2k+1))
-    total, term, k = 0, _ONE // x, 1
+def _arc(p: int, q: int, sign: int) -> int:
+    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-_BITS, for 0 <= p/q <= 1/3:
+    the sum over k of sign^k (p/q)^(2k+1) / (2k + 1)."""
+    total, term, k = 0, (p << _BITS) // q, 1
     while term:
-        total, term, k = total + term // k, -term // (x * x), k + 2
+        total, term, k = total + term // k, sign * term * p * p // (q * q), k + 2
     return total
 
 
+_LN2 = 2 * _arc(1, 3, 1)  # ln 2 at 2^-_BITS
+
+
+def fixed_log(x: float) -> int:
+    """ln x at 2^-_BITS, for a finite double x > 0, from the constants' own ln 2: x = m 2^e
+    with m in [2/3, 4/3), and ln m = 2 atanh((m - 1)/(m + 1)) with |(m - 1)/(m + 1)| <= 1/5."""
+    m, e = math.frexp(x)
+    if m < 2 / 3:
+        m, e = 2 * m, e - 1
+    p, q = m.as_integer_ratio()
+    half = _arc(p - q, p + q, 1) if p >= q else -_arc(q - p, p + q, 1)
+    return 2 * half + e * _LN2
+
+
+class Constants(Mapping):
+    """Read-only map of generators to doubles, as :func:`compute_constants` builds it.
+
+    ``fixed`` holds each value as the int at 2^-_BITS that its double was rounded
+    from, and binding reads those ints, not the doubles (``ring.binder``).
+    ``blocks`` holds the values ``ClosedForm.evaluate`` has bound of Gamma^(k)(s)
+    blocks under this map, by (k, s): each map keeps its own, so a value bound
+    under one map is never read under another.
+    """
+
+    __slots__ = ("fixed", "blocks", "_doubles")
+
+    def __init__(self, fixed: dict[Generator, int]):
+        self.fixed = MappingProxyType(fixed)
+        self.blocks: dict = {}
+        self._doubles = {g: x / _ONE for g, x in fixed.items()}
+
+    def __getitem__(self, g: Generator) -> float:
+        return self._doubles[g]
+
+    def __iter__(self):
+        return iter(self._doubles)
+
+    def __len__(self) -> int:
+        return len(self._doubles)
+
+
 @lru_cache(maxsize=None)
-def compute_constants(max_zeta: int = 12) -> Mapping[Generator, float]:
+def compute_constants(max_zeta: int = 12) -> Constants:
     """Read-only map of gamma, log2, sqrt_pi and zeta(2) .. zeta(max_zeta) to their
-    values, which ``ClosedForm.evaluate`` reads; built once per ``max_zeta``.
+    values, whose ints at 2^-_BITS ``evaluate`` binds; built once per ``max_zeta``.
 
     Each is built as an int at 2^-_BITS, a few hundred units off at most (measured
     against mpmath), and rounded once to the nearest double by int division: ln 2 and
     pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34, 1980) at N = 2^j, and
     zeta(s) = eta(s)/(1 - 2^(1-s)) by Borwein's alternating series (CMS Conf. Proc. 27, 2000).
     """
-    ln2 = sum((_ONE >> k) // k for k in range(1, _BITS + 1))  # sum_k 1/(k 2^k)
-    pi = 16 * _atan_inv(5) - 4 * _atan_inv(239)  # Machin's formula
+    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)  # Machin's formula
     j = (_BITS // 5).bit_length()  # pi e^(-4N) < 2^-_BITS
-    a = u = -j * ln2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
+    a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
     b = v = _ONE  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
     for k in range(1, 5 << j):  # the terms fall below e^(-4N) before k = 5N
         b = (b << 2 * j) // (k * k)
         a = ((a << 2 * j) // k + b) // k
         u, v = u + a, v + b
-    fixed = {EULER_GAMMA: (u << _BITS) // v, LOG2: ln2, SQRT_PI: math.isqrt(pi << _BITS)}
+    fixed = {EULER_GAMMA: (u << _BITS) // v, LOG2: _LN2, SQRT_PI: math.isqrt(pi << _BITS)}
     # eta(s) = sum_(k<n) (-1)^k (d_n - d_k)/((k+1)^s d_n) to within 3 (3 + sqrt 8)^-n < 2^(-5n/2),
     # with integer weights d_k = sum_(i<=k) n (n+i-1)! 4^i/((n-i)! (2i)!) that serve every s
     n, f = _BITS // 2, math.factorial
@@ -70,7 +116,7 @@ def compute_constants(max_zeta: int = 12) -> Mapping[Generator, float]:
     for s in range(2, max_zeta + 1):
         eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))
         fixed[zeta_gen(s)] = (eta << s - 1) // (d[n] * ((1 << s - 1) - 1))
-    return MappingProxyType({g: x / _ONE for g, x in fixed.items()})
+    return Constants(fixed)
 
 
 # ---------------------------------------------------------------------------

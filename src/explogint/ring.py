@@ -20,7 +20,7 @@ exponent vectors (trailing zeros trimmed) to nonzero int numerators over
 one positive int denominator, with gcd(denominator, every numerator) = 1.
 Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
-formed only to read (``terms``), print or bind it.  Multiplying monomials
+formed only to read (``terms``) or print it.  Multiplying monomials
 adds vectors, and equality is dict equality.
 ``render`` and ``to_json`` split each vector into two parts, its entries
 from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
@@ -44,6 +44,9 @@ gamma^i log_mu^j T numerator is C(i+j, j) times that of gamma^(i+j) T and
 it has sum (m+1) monomials over its log_mu-free gamma^m T; its delta form
 is that part with gamma read as delta.
 
+A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
+rounds its value to a double once.
+
 All values are immutable and all operations are pure: nothing of a
 constant is written after it is built, and every reader iterates ``_d`` as
 it stands.  ``from_rational``, ``from_generator`` and negation keep term
@@ -57,9 +60,9 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, fsum, gcd, lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -319,26 +322,8 @@ class SymbolicConstant:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, bindings: Mapping[Generator, float]) -> float:
-        """Floating value: the ``math.fsum`` of the monomials, each its coefficient
-        as the correctly rounded int division ``num / den`` times its generators' values."""
-        values = [bindings.get(_generator(i)) for i in range(max(map(len, self._d), default=0))]
-        terms, den = [], self._den
-        for e, c in self._d.items():
-            try:
-                v = c / den
-            except OverflowError:
-                near = (Decimal(c) / den).normalize()
-                raise ValueError(f"closed-form coefficient near {near:.2g} lies outside the float range") from None
-            for i, k in enumerate(e):
-                if k:
-                    if values[i] is None:
-                        raise MissingBindingError(_generator(i))
-                    v *= values[i] ** k
-            terms.append(v)
-        try:
-            return fsum(terms)
-        except OverflowError:  # finite monomials whose sum is not
-            raise ValueError("closed-form value lies outside the float range") from None
+        """The value, bound by ``binder(bindings)`` and rounded once to the nearest double."""
+        return to_float(*binder(bindings)(self))
 
     # -- rendering -----------------------------------------------------------
 
@@ -550,6 +535,53 @@ def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
     """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs.
     Vectors are trimmed first, so each monomial has one key."""
     return sum_of_products((c, ONE, _wrap({_trim(e) if e and not e[-1] else e: 1})) for e, c in pairs)
+
+
+BITS = 128  # binding precision: a generator's value is held as an int at 2^-BITS
+_UNIT = 1 << BITS
+
+
+def to_float(num: int, den: int) -> float:
+    """num / den rounded once to the nearest double; ValueError when it lies outside the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError("closed-form value lies outside the float range") from None
+
+
+def binder(
+    bindings: Mapping[Generator, float], log_mu: Optional[int] = None
+) -> Callable[[SymbolicConstant], tuple[int, int]]:
+    """A function from a constant to the numerator and denominator of its value, exact but
+    for one table of powers per generator and one product per distinct (gamma, log_mu) part
+    and tail ``vec[2:]``, each an int at 2^-BITS formed once across the function's calls.
+
+    Generator values: a map from ``compute_constants`` hands over its ``fixed`` ints, any
+    other map's values are read exactly and rounded to 2^-BITS, and ``log_mu``, an int at
+    2^-BITS, stands for log_mu when given."""
+    fixed = getattr(bindings, "fixed", None)
+    fixed = {g: round(Fraction(v) * _UNIT) for g, v in bindings.items()} if fixed is None else dict(fixed)
+    if log_mu is not None:
+        fixed[LOG_MU] = log_mu
+
+    @lru_cache(maxsize=None)
+    def power(i: int, k: int) -> int:  # generator i to the k
+        if k > 1:
+            return power(i, k - 1) * power(i, 1) >> BITS
+        if _generator(i) not in fixed:
+            raise MissingBindingError(_generator(i))
+        return fixed[_generator(i)]
+
+    @lru_cache(maxsize=None)
+    def part(vec: Exponents, start: int) -> int:
+        value = _UNIT
+        for i, k in enumerate(vec, start):
+            if k:
+                value = value * power(i, k) >> BITS
+        return value
+
+    return lambda const: (sum(c * part(e[:2], 0) * part(e[2:], 2) for e, c in const._d.items()),
+                          const._den << 2 * BITS)
 
 
 def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:

@@ -224,15 +224,15 @@ class TestErrorPaths:
         assert term["constant"]["terms"] == [{"coeff": f"{big}/1", "powers": {}}]
 
     def test_closed_form_coefficient_beyond_float_range_is_named_by_its_size(self, capsys):
-        # the closed form of this valid integrand has an 867-digit coefficient
+        # the closed form of this valid integrand has an 867-digit coefficient; binding
+        # is in ints, so no coefficient is out of range and verify passes, with
+        # mpmath giving -3.00226197983924e-178
         expr = "x^(399)*exp(-400*x)*log(x)"
-        assert main(["verify", expr]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and len(err) < 200
-        assert "closed-form coefficient near -1.6e+866 lies outside the float range" in err
-        assert main(["verify", expr, "--json"]) == 2
-        message = json.loads(capsys.readouterr().out)["error"]
-        assert len(message) < 200 and "-1.6e+866" in message
+        assert main(["verify", expr]) == 0
+        assert "closed value: -3.00226197983924e-178\n" in capsys.readouterr().out
+        assert main(["verify", expr, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["closed_value"], doc["status"]) == (-3.002261979839e-178, "pass")
 
     @pytest.mark.parametrize(
         "template,position",
@@ -344,6 +344,14 @@ class TestWeight:
 
 
 class TestCatalog:
+    def test_max_n_beyond_the_log_power_cap_exits_two_before_the_grid(self, capsys, monkeypatch):
+        # param_grid would build range(max_n + 1) first
+        monkeypatch.setattr("explogint.catalog.param_grid", lambda *a: pytest.fail("grid built"))
+        assert main(["catalog", "--max-n", "400000000"]) == 2
+        assert capsys.readouterr().err == "error: --max-n of catalog must be at most 40, got 400000000\n"
+        assert main(["catalog", "--max-n", "400000000", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "--max-n of catalog must be at most 40, got 400000000"}
+
     def test_small_grid(self, capsys):
         assert main(["catalog", "--mu", "0.5", "--mu", "2", "--max-n", "1"]) == 0
         out = capsys.readouterr().out

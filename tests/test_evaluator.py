@@ -12,7 +12,7 @@ from explogint.evaluator import (
     eval_general,
     eval_In,
 )
-from explogint.oracle import compute_constants
+from explogint.oracle import Constants, compute_constants
 from explogint.parser import parse_integrand, to_integral_spec
 from explogint.ring import (
     EULER_GAMMA,
@@ -179,10 +179,15 @@ class TestClosedForm:
                 J(1).evaluate(bad, table)
 
     def test_evaluate_names_a_coefficient_beyond_the_float_range(self):
+        # ints have no range: a coefficient beyond the doubles binds, and only a
+        # value outside the double range is an error
         big = "1" + "0" * 400
         cf = eval_general(to_integral_spec(parse_integrand(f"{big}*exp(-x)")))
-        with pytest.raises(ValueError, match=r"closed-form coefficient near 1e\+400 lies outside the float range"):
+        with pytest.raises(ValueError, match="closed-form value lies outside the float range"):
             cf.evaluate(1.0, compute_constants())
+        assert cf.evaluate(1e300, compute_constants()) == float(10**400 / Fraction(1e300))  # 10^400/mu
+        tiny = eval_general(to_integral_spec(parse_integrand(f"1/{big}*exp(-x)")))
+        assert tiny.evaluate(1.0, compute_constants()) == 0.0
 
     def test_render(self):
         assert J(1).render() == "mu^(-1) * (-gamma - log_mu)"
@@ -301,6 +306,49 @@ class TestLeibnizAssembly:
         assert len(keys) > 2000
         assert 1 + sum(a < b for a, b in zip(keys, keys[1:])) <= n + 1
 
+    # Each reader of a block form, applied to a fresh form so that each one is
+    # the first to expand it; ``at_mu_one`` reads only the blocks.
+    READERS = {
+        "terms": lambda cf: [(e, c.to_json()) for e, c in cf.terms],
+        "render": lambda cf: cf.render(),
+        "paper": lambda cf: cf.render(paper_style=True),
+        "json": lambda cf: cf.to_json(),
+        "hash": hash,
+        "at_mu_one": lambda cf: (cf.at_mu_one(), cf.at_mu_one().to_json()),
+        "round trip": lambda cf: ClosedForm.from_json(cf.to_json()) == cf,
+    }
+
+    def test_block_form_reads_as_the_eager_form(self):
+        # s in 1/2 .. 21/2, n <= 12, one to three terms; the x * mu term shares its
+        # mu exponent with the constant term, as in 4.353.2
+        import random
+
+        rng = random.Random(2609)
+        cases = [(ArgPoint(7), 12, self.PREFACTOR[:1] + self.PREFACTOR[3:])]
+        for _ in range(16):
+            terms = rng.sample(self.PREFACTOR, rng.randint(1, 3))
+            cases.append((ArgPoint(rng.randint(1, 21)), rng.randint(0, 12), tuple(terms)))
+        for point, n, prefactor in cases:
+            spec = IntegralSpec(prefactor, point, n)
+            expected = horner_reference(spec)
+            for name, read in self.READERS.items():
+                assert read(eval_general(spec)) == read(expected), (point, n, name)
+            assert eval_general(spec) == expected and eval_general(spec).max_zeta() >= expected.max_zeta()
+
+    def test_a_block_bound_under_one_map_is_not_read_under_another(self):
+        cf = eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14")))
+        table = compute_constants(14)
+        other = Constants({g: x + (1 << 90) for g, x in table.fixed.items()})  # each 2^-38 larger
+        first = cf.evaluate(2.0, table)
+        assert table.blocks  # bound once, kept under the map
+        shifted = cf.evaluate(2.0, other)
+        assert shifted == cf.evaluate(2.0, Constants(dict(other.fixed))) != first
+        doubles = cf.evaluate(2.0, dict(table))  # the same map's doubles, read afresh
+        assert doubles == cf.evaluate(2.0, dict(table)) != first
+        assert cf.evaluate(2.0, table) == first
+        assert eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14"))).evaluate(
+            2.0, compute_constants(15)) == first
+
     def test_shared_exponent_terms_are_summed(self):
         point = ArgPoint.of(Fraction(3, 2))
         shared = IntegralSpec(self.PREFACTOR[:1] + self.PREFACTOR[3:], point, 3)
@@ -327,3 +375,46 @@ class TestSpecValidation:
             PrefactorTerm(-1, Fraction(1))
         with pytest.raises(ValueError):
             PrefactorTerm(0, Fraction(0))
+
+
+class TestBindingAgainstMpmath:
+    """``evaluate`` against the engine's exact form bound by mpmath at 60 digits."""
+
+    def test_sweep_is_within_1e_15(self):
+        mpmath = pytest.importorskip("mpmath")
+        import random
+
+        rng = random.Random(26)
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        named = {"gamma": mp.euler, "log2": mp.log(2), "sqrt_pi": mp.sqrt(mp.pi),
+                 **{f"zeta({k})": mp.zeta(k) for k in range(2, 23)}}
+        blocks, products = {}, {}
+
+        def block(k, point):  # Gamma^(k)(s), bound monomial by monomial
+            if (k, point) not in blocks:
+                terms = gamma_deriv_at(k, point).terms
+                for m in terms:
+                    if m.powers not in products:
+                        products[m.powers] = mp.fprod(named[g.name] ** e for g, e in m.powers)
+                blocks[k, point] = mp.fsum(
+                    mp.mpf(m.coeff.numerator) / m.coeff.denominator * products[m.powers] for m in terms)
+            return blocks[k, point]
+
+        checked = 0
+        for s in (HALF, Fraction(7, 2), Fraction(21, 2), Fraction(100)):
+            point = ArgPoint.of(s)
+            for n in sorted(rng.sample(range(23), 4)) + [22] * (s == Fraction(21, 2)):
+                cf = eval_general(IntegralSpec.simple(s, n))
+                table = compute_constants(cf.max_zeta())
+                for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
+                    log_mu = mp.log(mp.mpf(mu))
+                    exact = mp.mpf(mu) ** (-mp.mpf(s.numerator) / s.denominator) * mp.fsum(
+                        math.comb(n, k) * (-log_mu) ** (n - k) * block(k, point) for k in range(n + 1))
+                    if abs(exact) > mp.mpf(2) ** 1024:  # beyond the doubles, e.g. mu = 1e-3 at s = 100
+                        with pytest.raises(ValueError, match="outside the float range"):
+                            cf.evaluate(mu, table)
+                        continue
+                    assert abs(cf.evaluate(mu, table) - exact) <= 1e-15 * abs(exact), (s, n, mu)
+                    checked += 1
+        assert checked >= 80

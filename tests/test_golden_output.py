@@ -2,12 +2,12 @@
 
 The hashes fix every character the CLI prints for a few deep commands:
 term order, coefficients, paper-style rendering, JSON layout and the
-verify floats.  A verify float is the ``math.fsum`` of the monomials'
-float values, each its correctly rounded coefficient times powers of the
-correctly rounded constants, so it does not depend on the term order but
-moves with any change to a constant or a coefficient.  A change to the
-ring kernel or the exact engine that alters any of these shows up here
-even when the value stays mathematically equal.
+verify floats.  A verify float is the closed form bound in ints at
+2^-128, from the constants' own 128-bit ints, and rounded to a double
+once, so it does not depend on the term order and is within an ulp or
+so of the exact value.  A change to the ring kernel or the exact engine
+that alters the text shows up here even when the value stays
+mathematically equal.
 """
 
 import hashlib
@@ -35,11 +35,11 @@ GOLDEN = [
     ),
     (
         ["verify", "x^(3/2)*exp(-0.5*x)*log(x)^6", "--json"],
-        "5e66d4c7744c5bec5cdbedeee8732ba8068beed8fccabb3af7db8a5c9140cba2",
+        "497634dfd37abad7253f3a64c55f453c8de457773836d47b45120586af63a11b",
     ),
     (
         ["verify", "(2 + x^(2))*exp(-5*x)*log(x)^5"],
-        "ccccdba8a60e202c56b4ef2e6604d7b6fdd79cd686f37bf88a9f0b70b4717b0f",
+        "1207f618c329d3312c3ff2c27ef9a1c6f8cc39e0bdadb67df9ee6d2c94b4f7d7",
     ),
     (
         ["weight", "--max-n", "12", "--json"],
@@ -47,22 +47,22 @@ GOLDEN = [
     ),
     (
         ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
-        "96faef28eacf61f70140d4c4037b4f6cedfd3857307a1f975c9097c1d5c4ba11",
+        "33ae0e5a03c0658ed6cd7116489841e4ffb1dc0b88f96ce455cd219ed63525fd",
     ),
     (
         # shifts of m = 20 and 21 from the base point 1/2
         ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
-        "40601f02729122d0e95a31518d9d72e21d294e54b4ee22705bc29772ee91249c",
+        "0ecf0de9f2e4bc113ed440c0846100a2596d5a0e58ec56ca619462e9d07a165d",
     ),
     (
         # a shift of m = 15 from the base point 1
         ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
-        "61c0877b0908da71491c776c2bd18f774207cb29eeb7e599dbd6cc2551b9b084",
+        "f378412072826adf20e3f075547a83c83c36385e6dd25eaa1073be598ca802b0",
     ),
     (
         # a 604-monomial constant through the delta rewrite, in text mode
         ["verify", "x^(7)*exp(-1/2*x)*log(x)^11", "--paper-style"],
-        "07e0f8fe0eff1ebd8adff7ad7def582be26661398ac8798fa671447fb501d964",
+        "5f2f810f3a0f69b43ec8b660c5a8cd53a18d61c09be4105ef9a1791d23aef8a8",
     ),
     (
         # mixed denominators 3, 4 and 2^m through to_json (587 KB)
@@ -70,9 +70,9 @@ GOLDEN = [
         "b6e7004bc06879ebdcd1d6a80f162fe26e471e16b7b9fe9ca66a3a0ee287cc29",
     ),
     (
-        # PASS at rel err 1.1e-12: pins the bound value and the reduced text
+        # PASS at rel err 5.2e-16 (1.1e-12 when bound in doubles): pins the bound value and the reduced text
         ["verify", "(5/4 - x - 3/2*x^(2))*x^(9/2)*exp(-0.168*x)*log(x)^12", "--json"],
-        "e1a2082280a7b0b1cb30a99c7635358c93fdfc63df8c94ef95e3066fa585f51b",
+        "512242415a062ff617f7fa67391566fa040c1010db3010cf2efcc6d51bb7a0bb",
     ),
     (
         # n = 24 at the base point 1 (2.26 MB): deep Leibniz products
@@ -104,26 +104,26 @@ GOLDEN = [
     (
         # three prefactor terms, each a large form in term order; PASS
         ["verify", "(2 - x + 1/3*x^(2))*x^(1/2)*exp(-4*x)*log(x)^11", "--json"],
-        "8b11670e974b029c630eaf862f849150696c9a1d9ae37488974a7f0d9381a4c1",
+        "4825dc35174bae1aacd6349e5cbd85680227c27c462cdc608bac0247521e6581",
     ),
     (
         # the mu = 1 path through at_mu_one, in paper style; PASS
         ["verify", "(1 + x)*x^(3/2)*exp(-x)*log(x)^10", "--paper-style"],
-        "337097c2f301f442304e45eb544e65202ac5ea111c632f04a90e4cf669c65f6e",
+        "a5a3a419ce82386fec08a4744cd55d1f7687e0edc69999dc2e3997971452b31b",
     ),
     (
         ["catalog", "--json"],
-        "8fef5ca18566582dc82574ac81598407fff973dbb10e978c41072a19a0d5feb7",
+        "f374d49e2fbca6f9f69462ea33e46ca3d280a1ba4b8e0d0c07d160bf6ad60d30",
     ),
     (
         # text mode prints each entry's integrand and closed-form strings,
         # which the JSON report leaves out
         ["catalog"],
-        "641dc05d222e8b815959b1e44d07da50cca5e28de16d80bdaa53d09ff448c69d",
+        "f3695a2c99f57709167dc46b8cf0ff0bc7c7d88356b23d08ca249e4d0ee078b9",
     ),
     (
         ["catalog", "--mu", "3", "--max-n", "6"],
-        "3e3cfbf66b4474b7fc839eebc868f94c936ab9360661ebf3e1d1133e3b772b44",
+        "455747958abb643b66b73e23f02d9fdb6f833ac39a21c10e2f098343a267ce37",
     ),
 ]
 
