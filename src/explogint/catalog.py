@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
-from .oracle import compute_constants, quadrature, verdict
+from .oracle import check_arguments, compute_constants, quadrature, verdict
 from .ring import (
     GAMMA,
     Generator,
@@ -185,7 +185,9 @@ def param_grid(entry: CatalogEntry, max_n: int = 4) -> list[Param]:
 
 
 class CatalogCheck(NamedTuple):
-    """Verification outcome for one (entry, parameter) pair."""
+    """Verification outcome for one (entry, parameter) pair.  ``error`` names the mu and
+    the cause when a value or the integrand's peak lies outside the float range; the
+    check then fails, with ``numeric_rel_err`` infinite (null in the report)."""
 
     id: str
     params: dict
@@ -193,15 +195,19 @@ class CatalogCheck(NamedTuple):
     numeric_rel_err: float
     converged: bool
     status: str  # "pass" or "fail"
+    error: Optional[str] = None
 
     def report_dict(self) -> dict:
-        return {
+        report = {
             "id": self.id,
             "params": self.params,
             "symbolic_equal": self.symbolic_equal,
-            "numeric_rel_err": self.numeric_rel_err,
+            "numeric_rel_err": None if self.error else self.numeric_rel_err,
             "status": self.status,
         }
+        if self.error:
+            report["error"] = self.error
+        return report
 
 
 def check_entry(
@@ -223,17 +229,24 @@ def check_entry(
         symbolic_equal = computed == printed
         mu_values = list(mu_grid)
 
+    for mu in mu_values:  # a bad argument raises, before any check
+        check_arguments(mu, quad_tol)
     worst = 0.0
     all_converged = all_passed = True
+    error = None
     for mu in mu_values:
-        closed_value = computed.evaluate(mu, table)
-        quad = quadrature(spec, mu, rel_tol=quad_tol)
+        try:
+            closed_value = computed.evaluate(mu, table)
+            quad = quadrature(spec, mu, rel_tol=quad_tol)
+        except ValueError as exc:  # so outside the float range; the other checks still run
+            error, worst, all_converged = f"at mu = {mu:g}, {exc}", math.inf, False
+            break
         rel_err, passed = verdict(closed_value, quad, quad_tol)
         all_converged = all_converged and quad.converged
         all_passed = all_passed and passed
         worst = max(worst, rel_err)
 
-    ok = symbolic_equal and all_passed
+    ok = symbolic_equal and all_passed and error is None
     return CatalogCheck(
         id=entry.id,
         # n reports as an int, nu as its text ("3/2")
@@ -242,6 +255,7 @@ def check_entry(
         numeric_rel_err=worst,
         converged=all_converged,
         status="pass" if ok else "fail",
+        error=error,
     )
 
 

@@ -219,7 +219,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         report = []
         for c in checks:
             d = c.report_dict()
-            d["numeric_rel_err"] = _round12(d["numeric_rel_err"])
+            if c.error is None:
+                d["numeric_rel_err"] = _round12(d["numeric_rel_err"])
             report.append(d)
         _emit_json(report)
         return 0 if all_pass else 1
@@ -229,10 +230,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     for c in checks:
         params = " ".join(f"{k}={v}" for k, v in c.params.items())
         sym = "ok " if c.symbolic_equal else "BAD"
-        print(
-            f"{c.id:<9} {params:<8} symbolic={sym} rel_err={c.numeric_rel_err:.2e} "
-            f"{c.status.upper()}"
-        )
+        outcome = f"FAIL: {c.error}" if c.error else f"rel_err={c.numeric_rel_err:.2e} {c.status.upper()}"
+        print(f"{c.id:<9} {params:<8} symbolic={sym} {outcome}")
     n_pass = sum(1 for c in checks if c.status == "pass")
     print(f"{n_pass}/{len(checks)} catalog checks passed "
           f"(mu grid: {', '.join(str(m) for m in mu_grid)})")

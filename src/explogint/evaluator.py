@@ -13,14 +13,15 @@ with respect to s and expanding with the Leibniz rule gives
 
 which is what :func:`eval_general` assembles.  mu stays symbolic throughout:
 a closed form is a sum of (mu-exponent, constant) pairs where the constant
-may mention the log_mu generator.  The form keeps the sum as its blocks:
-the constants are expanded only when read, by one call of the ring's
-accumulation kernel :func:`explogint.ring.sum_of_products` per mu exponent,
-where term k is the one monomial log_mu^(n-k) times the Gamma^(k) block, a
-kernel output and so in term order, so the n + 1 runs merge inside the
-kernel's sort.  Binding never expands them: each Gamma^(k)(s) block is
-bound once per constants map to an int at 2^-BITS, and a value is then
-the Leibniz sum of those ints, rounded to a double once.
+may mention the log_mu generator.  The form holds the sum as groups of
+items a log_mu^j K with log_mu-free K, here the Gamma^(k)(s) blocks (see
+:class:`ClosedForm`).  The constants are expanded only when read, by one
+call of the ring's kernel :func:`explogint.ring.sum_of_products` per mu
+exponent; item k is the monomial log_mu^(n-k) times the Gamma^(k) block, a
+kernel output and so in term order, so the n + 1 runs merge in the kernel's
+sort.  Binding never expands them: each K is bound once to an int at
+2^-BITS (a block once per constants map), and a value is the sum of the
+items, rounded to a double once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .ring import (
     _json_field,
     _json_rational,
     _json_terms,
-    at_log_mu_zero,
     binder,
+    log_mu_slices,
     sum_of_products,
     to_float,
 )
@@ -108,37 +109,32 @@ class IntegralSpec(_IntegralSpecFields):
 class ClosedForm:
     """A finite sum  sum_e mu^(-e) * c_e  with exact constants c_e.
 
-    Exponents are distinct and sorted; zero constants are dropped, so equal
-    values have identical representations and ``==`` is exact semantic
-    equality.
+    Exponents are distinct, sorted and multiples of 1/2; zero constants are
+    dropped, so equal values have identical representations and ``==`` is
+    exact semantic equality.
 
-    A form from :func:`eval_general` holds its Leibniz blocks instead: for each
-    prefactor term, its mu exponent e, coefficient c, log power n and lattice
-    point s, standing for c mu^(-e) sum_k C(n,k) (-log_mu)^(n-k) Gamma^(k)(s).
-    Its constants (``terms``) are expanded once, the first time ``terms``,
-    ``render``, ``to_json``, ``==`` or ``hash`` reads them; ``at_mu_one`` and
-    ``evaluate`` read the blocks.
+    It is also held as groups (e, d, items), each mu^(-e)/d sum a log_mu^j K
+    over its items (a, j, K, key): a an int, K a log_mu-free constant, key the
+    (k, s) of a Gamma^(k)(s) block, k = 0 .. n in order, or None.  Each of the
+    terms and the groups is built from the other when first read:
+    :func:`eval_general` writes groups, and a constant c gets d = c's
+    denominator and int-coefficient K (``log_mu_slices``), so rounding a K to
+    2^-BITS loses nothing relative to a tiny c.  ``evaluate``, ``max_zeta``
+    and ``at_mu_one`` read the groups, the rest the terms.
     """
 
-    __slots__ = ("_terms", "_blocks")
+    __slots__ = ("_terms", "_groups")
 
     def __init__(self, terms: Iterable[tuple[Fraction, SymbolicConstant]] = ()):
         acc: dict[Fraction, SymbolicConstant] = {}
         for exponent, const in terms:
             e = Fraction(exponent)
+            if e.denominator > 2:
+                raise ValueError(f"'mu_exponent' must be a multiple of 1/2, got {e}")
             prev = acc.get(e)
             acc[e] = const if prev is None else prev + const
-        cleaned = [(e, c) for e, c in acc.items() if c]
-        cleaned.sort(key=lambda item: item[0])
-        object.__setattr__(self, "_terms", tuple(cleaned))
-        object.__setattr__(self, "_blocks", None)
-
-    @classmethod
-    def _of_blocks(cls, blocks: Iterable[tuple[Fraction, Fraction, int, ArgPoint]]) -> "ClosedForm":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_terms", None)
-        object.__setattr__(obj, "_blocks", tuple(blocks))
-        return obj
+        object.__setattr__(self, "_terms", tuple(sorted((e, c) for e, c in acc.items() if c)))  # by e alone
+        object.__setattr__(self, "_groups", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ClosedForm is immutable")
@@ -146,17 +142,28 @@ class ClosedForm:
     @property
     def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
         if self._terms is None:
-            # One kernel call per mu exponent; each block is a kernel output and so in term
-            # order, and a product by the one monomial log_mu^(n-k) keeps it: presorted runs.
+            # One kernel call per mu exponent; each Gamma^(k) block is a kernel output and so
+            # in term order, and a product by the one monomial log_mu^j keeps it: presorted runs.
             triples: dict[Fraction, list] = {}
-            for e, coeff, n, point in self._blocks:
+            for e, d, items in self._groups:
                 triples.setdefault(e, []).extend(
-                    ((-1) ** (n - k) * math.comb(n, k) * coeff,
-                     SymbolicConstant.from_generator(LOG_MU, n - k), gamma_deriv_at(k, point))
-                    for k in range(n + 1))
+                    (Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K) for a, j, K, _ in items)
             consts = ((e, sum_of_products(parts)) for e, parts in sorted(triples.items()))
             object.__setattr__(self, "_terms", tuple((e, c) for e, c in consts if c))
         return self._terms
+
+    @classmethod
+    def _of_groups(cls, groups: Iterable[tuple[Fraction, int, tuple]]) -> "ClosedForm":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_terms", None)
+        object.__setattr__(obj, "_groups", tuple(groups))
+        return obj
+
+    def _grouped(self) -> tuple[tuple[Fraction, int, tuple], ...]:
+        if self._groups is None:
+            object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
+                                                      for e, c in self._terms for d, slices in [log_mu_slices(c)]))
+        return self._groups
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -170,53 +177,46 @@ class ClosedForm:
         return hash(self.terms)
 
     def max_zeta(self) -> int:
-        """Largest k with zeta(k) among the constants, or 0; a block form reads only its
-        blocks of top order n, since Gamma^(k)(s) names zeta(k) and no higher one."""
-        if self._blocks is None:
-            return max((const.max_zeta() for _, const in self._terms), default=0)
-        return max(gamma_deriv_at(n, point).max_zeta() for _, _, n, point in self._blocks)
+        """Largest k with zeta(k) among the constants, or 0.  Gamma^(k)(s) names zeta(k) and
+        no higher one, so of a group's blocks, k = 0 .. n in order, only the last is read."""
+        tops = (items[-1:] if items[-1][3] else items for _, _, items in self._grouped())
+        return max((K.max_zeta() for items in tops for _, _, K, _ in items), default=0)
 
     def at_mu_one(self) -> SymbolicConstant:
-        """Specialize mu = 1: log_mu vanishes and every mu power is 1, so a block
-        form is the sum of its coefficients times its blocks of top order n."""
-        if self._blocks is None:
-            return at_log_mu_zero(const for _, const in self._terms)
-        return sum_of_products((coeff, ONE, gamma_deriv_at(n, point)) for _, coeff, n, point in self._blocks)
+        """Specialize mu = 1: log_mu vanishes and every mu power is 1; the items with j = 0."""
+        return sum_of_products(
+            (Fraction(a, d), ONE, K) for _, d, items in self._grouped() for a, j, K, _ in items if not j)
 
     def evaluate(self, mu_value: float, bindings: Mapping[Generator, float]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e).
 
-        Every value is an int at 2^-BITS until the end: the generators are read
-        by ``binder(bindings)``, ln mu is ``fixed_log(mu_value)``, and each
-        mu^(-e) is an int scaled by its own binary exponent (``_mu_power``).  A
-        block form binds each Gamma^(k)(s) block once per constants map, and keeps
-        its value in the map's ``blocks`` (a map without them binds afresh on each
-        call); each term is then sum_k C(n,k) (-ln mu)^(n-k) V_k.  The terms are
-        summed exactly over one denominator and rounded once to the nearest
-        double; ValueError when that lies outside the double range.
+        Every value is an int at 2^-BITS until the end: each K is bound by
+        ``binder(bindings)`` and rounded down, ln mu is ``fixed_log(mu_value)``,
+        and each mu^(-e) is scaled by its own binary exponent (``_mu_power``).  A
+        block's value is kept under its key in the map's ``blocks``, if it has
+        them.  The groups are summed exactly over one denominator and rounded once
+        to the nearest double; ValueError when that lies outside the double range.
         """
         if not 0 < mu_value < math.inf:
             raise ValueError("mu must be positive and finite")
         log_mu = fixed_log(mu_value)
-        if self._blocks is None:
-            bind = binder(bindings, log_mu)
-            parts = [(*bind(const), e) for e, const in self._terms]  # value num/den mu^(-e)
-        else:
-            bind, parts = None, []
-            cache = getattr(bindings, "blocks", {})
-            powers = [1 << BITS]  # (-ln mu)^j at 2^-BITS
-            for e, coeff, n, point in self._blocks:
-                while len(powers) <= n:
-                    powers.append(-powers[-1] * log_mu >> BITS)
-                total = 0
-                for k in range(n + 1):
-                    value = cache.get((k, point))
-                    if value is None:
-                        bind = bind or binder(bindings)
-                        num, den = bind(gamma_deriv_at(k, point))
-                        value = cache[k, point] = (num << BITS) // den
-                    total += math.comb(n, k) * powers[n - k] * value
-                parts.append((coeff.numerator * total, coeff.denominator << 2 * BITS, e))
+        cache = getattr(bindings, "blocks", {})
+        bind, parts = None, []
+        powers = [1 << BITS]  # (ln mu)^j at 2^-BITS
+        for e, d, items in self._grouped():
+            total = 0
+            for a, j, K, key in items:
+                while len(powers) <= j:
+                    powers.append(powers[-1] * log_mu >> BITS)
+                value = cache.get(key)
+                if value is None:
+                    bind = bind or binder(bindings)
+                    num, den = bind(K)
+                    value = (num << BITS) // den
+                    if key is not None:
+                        cache[key] = value
+                total += a * powers[j] * value
+            parts.append((total, d << 2 * BITS, e))
         if not parts:
             return 0.0
         scaled = [(num * m, den, x) for num, den, e in parts for m, x in [_mu_power(mu_value, e)]]
@@ -271,26 +271,26 @@ def eval_In(n: int) -> SymbolicConstant:
 
 
 def eval_general(spec: IntegralSpec) -> ClosedForm:
-    """Closed form of the integral described by ``spec``; mu stays symbolic.  It holds
-    one Leibniz block per prefactor term c x^p mu^m: exponent s + p - m, coefficient c,
-    log power n and lattice point s + p (see :class:`ClosedForm`)."""
-    return ClosedForm._of_blocks(
-        (spec.s.value + pf.power - pf.mu_power, pf.coeff, spec.log_power, spec.s.shifted(pf.power))
-        for pf in spec.prefactor
-    )
+    """Closed form of the integral described by ``spec``; mu stays symbolic.  Each prefactor
+    term c x^p mu^m gives one group (see :class:`ClosedForm`): exponent s + p - m, c's
+    denominator, and the Leibniz items a = (-1)^(n-k) C(n,k) times c's numerator,
+    j = n - k, K = Gamma^(k)(s + p), key (k, s + p)."""
+    n = spec.log_power
+    groups = []
+    for pf in spec.prefactor:
+        point = spec.s.shifted(pf.power)
+        items = tuple(((-1) ** (n - k) * math.comb(n, k) * pf.coeff.numerator, n - k, gamma_deriv_at(k, point),
+                       (k, point)) for k in range(n + 1))
+        groups.append((spec.s.value + pf.power - pf.mu_power, pf.coeff.denominator, items))
+    return ClosedForm._of_groups(groups)
 
 
 def _mu_power(mu: float, e: Fraction) -> tuple[int, int]:
     """mu^(-e) as m 2^x, with m an int of about BITS + 4 bits that is the floor of
-    its exact value: for mu = a/b and e = p/q, the q-th root of (a/b)^(-p)."""
+    its exact value: for mu = a/b and e = p/q, q = 1 or 2, the q-th root of (a/b)^(-p)."""
     a, b = mu.as_integer_ratio()
     p, q = -e.numerator, e.denominator
     num, den = (a**p, b**p) if p >= 0 else (b**-p, a**-p)
     x = (num.bit_length() - den.bit_length()) // q - BITS - 4
     r = (num << -q * x) // den if x <= 0 else num // (den << q * x)
-    if q <= 2:  # e on the half-integer lattice
-        return (r if q == 1 else math.isqrt(r)), x
-    m = 1 << -(-r.bit_length() // q)  # Newton's method for floor(r^(1/q)), from above
-    while (step := ((q - 1) * m + r // m ** (q - 1)) // q) < m:
-        m = step
-    return m, x
+    return (r if q == 1 else math.isqrt(r)), x

@@ -215,6 +215,14 @@ def _strip_mass(logs, n: int, log_mu: float, pad: float, lo: float) -> float:
     return total
 
 
+def check_arguments(mu_value: float, rel_tol: float) -> None:
+    """ValueError unless mu_value is positive and finite and rel_tol lies in [MIN_REL_TOL, MAX_REL_TOL]."""
+    if not 0 < mu_value < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not MIN_REL_TOL <= rel_tol <= MAX_REL_TOL:
+        raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {rel_tol}")
+
+
 def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> QuadratureResult:
     """Trapezoid rule on the u = ln x axis, in one pass at a step chosen beforehand.
 
@@ -233,10 +241,7 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
     sum is made at the step |value| - estimate asks for.  A sum has at most
     MAX_NODES nodes; a coefficient or peak beyond the float range raises ValueError.
     """
-    if not 0 < mu_value < math.inf:
-        raise ValueError("mu must be positive and finite")
-    if not MIN_REL_TOL <= rel_tol <= MAX_REL_TOL:
-        raise ValueError(f"rel_tol must lie in [{MIN_REL_TOL}, {MAX_REL_TOL}], got {rel_tol}")
+    check_arguments(mu_value, rel_tol)
     n, log_mu = spec.log_power, math.log(mu_value)
     pairs = []
     for pf in spec.prefactor:

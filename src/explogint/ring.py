@@ -34,15 +34,16 @@ Every constant is built by one accumulation loop, :func:`sum_of_products`,
 which sums ``c * a * b`` over triples into one dict over one denominator,
 reduced and in graded-lexicographic term order, biggest first.  A product
 by one monomial keeps that order, so a sum of such products reaches the
-sort as presorted runs, which it merges.  Sums, scalar multiples and
-log_mu = 0 pass ``ONE`` as the smaller factor, so each key is kept as it
-stands; the constructor, ``from_json`` and ``parse_constant`` pass each
-``(vector, coeff)`` pair as a one-monomial factor (``_place``).  Nothing is
-substituted: log_mu = 0 keeps the monomials whose entry 1 is 0.  A constant
-is a polynomial in delta = gamma + log_mu exactly when each
-gamma^i log_mu^j T numerator is C(i+j, j) times that of gamma^(i+j) T and
-it has sum (m+1) monomials over its log_mu-free gamma^m T; its delta form
-is that part with gamma read as delta.
+sort as presorted runs, which it merges.  Sums, scalar multiples and the
+log_mu-free parts of ``log_mu_slices`` pass ``ONE`` as the smaller factor,
+so each key is kept as it stands; the constructor, ``from_json`` and
+``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
+factor (``_place``).  Nothing is substituted: a part is the monomials
+with one log_mu power, that entry set to 0.  A constant is a polynomial
+in delta = gamma + log_mu exactly when each gamma^i log_mu^j T numerator
+is C(i+j, j) times that of gamma^(i+j) T and it has sum (m+1) monomials
+over its log_mu-free gamma^m T; its delta form is that part with gamma
+read as delta.
 
 A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
 rounds its value to a double once.
@@ -549,20 +550,16 @@ def to_float(num: int, den: int) -> float:
         raise ValueError("closed-form value lies outside the float range") from None
 
 
-def binder(
-    bindings: Mapping[Generator, float], log_mu: Optional[int] = None
-) -> Callable[[SymbolicConstant], tuple[int, int]]:
+def binder(bindings: Mapping[Generator, float]) -> Callable[[SymbolicConstant], tuple[int, int]]:
     """A function from a constant to the numerator and denominator of its value, exact but
     for one table of powers per generator and one product per distinct (gamma, log_mu) part
     and tail ``vec[2:]``, each an int at 2^-BITS formed once across the function's calls.
 
-    Generator values: a map from ``compute_constants`` hands over its ``fixed`` ints, any
-    other map's values are read exactly and rounded to 2^-BITS, and ``log_mu``, an int at
-    2^-BITS, stands for log_mu when given."""
+    Generator values: a map from ``compute_constants`` hands over its ``fixed`` ints; any other
+    map's values, a plain copy of such a map's doubles among them, are rounded to 2^-BITS."""
     fixed = getattr(bindings, "fixed", None)
-    fixed = {g: round(Fraction(v) * _UNIT) for g, v in bindings.items()} if fixed is None else dict(fixed)
-    if log_mu is not None:
-        fixed[LOG_MU] = log_mu
+    if fixed is None:
+        fixed = {g: round(Fraction(v) * _UNIT) for g, v in bindings.items()}
 
     @lru_cache(maxsize=None)
     def power(i: int, k: int) -> int:  # generator i to the k
@@ -584,12 +581,14 @@ def binder(
                           const._den << 2 * BITS)
 
 
-def at_log_mu_zero(consts: Iterable[SymbolicConstant]) -> SymbolicConstant:
-    """Exact sum of the constants with log_mu set to 0: their monomials whose
-    vector entry 1 is 0, each set over its constant's denominator and summed."""
-    return sum_of_products(
-        (1, ONE, _wrap({e: c for e, c in k._d.items() if len(e) < 2 or not e[1]}, k._den)) for k in consts
-    )
+def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, SymbolicConstant]]]:
+    """const's denominator d and the (j, N_j), j ascending, of const = sum_j log_mu^j N_j / d, each N_j
+    nonzero, log_mu-free and of int coefficients: the monomials with entry 1 equal to j, that entry 0."""
+    slices: dict[int, dict[Exponents, int]] = {}
+    for e, c in const._d.items():
+        j = e[1] if len(e) > 1 else 0
+        slices.setdefault(j, {})[_trim(e[:1] + (0,) + e[2:]) if j else e] = c
+    return const._den, [(j, sum_of_products([(1, ONE, _wrap(slices[j]))])) for j in sorted(slices)]
 
 
 def _in_delta(d: dict) -> bool:

@@ -70,6 +70,9 @@ def corpus() -> list[list[str]]:
     distinct = list(dict.fromkeys(map(tuple, commands)))
     probes = [[cmd, expr, *extra] for expr in PROBES for cmd in ("eval", "verify") for extra in ([], ["--json"])]
     probes += [[cmd, "--max-n", "-1", *extra] for cmd in ("catalog", "weight") for extra in ([], ["--json"])]
+    # catalog checks whose value or peak lies outside the float range
+    probes += [["catalog", "--mu", *grid, *extra] for grid in (["1e-8", "--max-n", "40"], ["1e-300"])
+               for extra in ([], ["--json"])]
     return [list(c) for c in distinct] + probes
 
 

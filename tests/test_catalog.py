@@ -4,6 +4,8 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import explogint.catalog as catalog_module
 
 from explogint.catalog import (
@@ -128,6 +130,18 @@ class TestIndividualEntries:
         check = check_entry(broken, None, table, mu_grid=(1.0,))
         assert not check.symbolic_equal
         assert check.status == "fail"
+
+    def test_only_a_float_range_error_fails_the_check(self, table):
+        # a value outside the doubles fails this check alone; a bad argument still raises
+        entry = next(e for e in catalog() if e.id == "4.352.2")
+        check = check_entry(entry, 33, table, mu_grid=(1.0, 1e-8))
+        assert check.status == "fail" and not check.converged and check.numeric_rel_err == float("inf")
+        assert check.error == "at mu = 1e-08, closed-form value lies outside the float range"
+        assert check_entry(entry, 33, table, mu_grid=(1.0,)).error is None
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            check_entry(entry, 1, table, mu_grid=(-1.0,))
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            check_entry(entry, 1, table, quad_tol=1.0)
 
 
 class TestFullRun:

@@ -352,6 +352,33 @@ class TestCatalog:
         assert main(["catalog", "--max-n", "400000000", "--json"]) == 2
         assert json.loads(capsys.readouterr().out) == {"error": "--max-n of catalog must be at most 40, got 400000000"}
 
+    def test_a_value_outside_the_float_range_fails_its_own_check(self, capsys):
+        # n! / mu^(n+1) leaves the doubles at n = 33, the value or the integrand's peak;
+        # every other check still runs
+        assert main(["catalog", "--mu", "1e-8", "--max-n", "40", "--json"]) == 1
+        text = capsys.readouterr().out
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads(text)
+        failed = {(r["id"], r["params"]["n"]): r["error"] for r in report if "error" in r}
+        assert len(report) == 3 + 6 + 41 + 41 + 6 + 6 + 41
+        assert set(failed) == {(i, n) for i in ("4.352.2", "4.352.3", "4.353.2") for n in range(33, 41)}
+        assert failed["4.352.2", 33] == "at mu = 1e-08, closed-form value lies outside the float range"
+        for record in report:
+            if "error" in record:
+                assert record["error"].startswith("at mu = 1e-08, ") and "outside the float range" in record["error"]
+                assert record["status"] == "fail" and record["numeric_rel_err"] is None
+            else:
+                assert record["status"] == "pass" and isinstance(record["numeric_rel_err"], float)
+
+    def test_a_peak_outside_the_float_range_fails_its_own_line(self, capsys):
+        assert main(["catalog", "--mu", "1e-300"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[11] == (
+            "4.335.1            symbolic=ok  FAIL: at mu = 1e-300, the integrand's peak, near 1e+305 at x near "
+            "e^690.8, lies outside the float range (decay rate mu = 1e-300)")
+        assert lines[10] == "4.331.1            symbolic=ok  rel_err=6.62e-16 PASS"
+        assert lines[-1] == "18/36 catalog checks passed (mu grid: 1e-300)"
+
     def test_small_grid(self, capsys):
         assert main(["catalog", "--mu", "0.5", "--mu", "2", "--max-n", "1"]) == 0
         out = capsys.readouterr().out

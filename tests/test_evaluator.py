@@ -23,7 +23,9 @@ from explogint.ring import (
     SQRT_PI_CONST,
     Grade,
     grade,
+    log_mu_slices,
     rational_const,
+    sum_of_products,
     zeta_const,
 )
 from explogint.special_values import ArgPoint, gamma_deriv_at
@@ -205,6 +207,15 @@ class TestClosedForm:
         cf = eval_general(spec)
         assert ClosedForm.from_json(cf.to_json()) == cf
 
+    def test_an_exponent_off_the_half_integer_lattice_is_named(self):
+        with pytest.raises(ValueError, match=r"'mu_exponent' must be a multiple of 1/2, got 1/3"):
+            ClosedForm([(Fraction(1, 3), GAMMA)])
+        doc = {"terms": [{"mu_exponent": "1/3", "constant": GAMMA.to_json()}]}
+        with pytest.raises(ValueError, match="'mu_exponent'"):
+            ClosedForm.from_json(doc)
+        doc["terms"][0]["mu_exponent"] = "-3/2"
+        assert ClosedForm.from_json(doc).evaluate(4.0, compute_constants()) == 8 * compute_constants()[EULER_GAMMA]
+
     def test_scaled_and_add(self):
         # doubling every constant is adding the form to itself term by term
         cf = eval_general(IntegralSpec.simple(Fraction(7, 2), 2))
@@ -348,6 +359,49 @@ class TestLeibnizAssembly:
         assert cf.evaluate(2.0, table) == first
         assert eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14"))).evaluate(
             2.0, compute_constants(15)) == first
+
+    def test_both_constructors_take_the_one_route(self):
+        # The form from eval_general and the form rebuilt from its (exponent, constant)
+        # pairs bind through the same groups; their doubles agree exactly.
+        import random
+
+        rng = random.Random(2701)
+        table = compute_constants(12)
+        for _ in range(24):
+            prefactor = tuple(rng.sample(self.PREFACTOR, rng.randint(1, 3)))
+            spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
+            cf = eval_general(spec)
+            pairs = ClosedForm(cf.terms)
+            fresh = Constants(dict(table.fixed))
+            for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
+                assert cf.evaluate(mu, table) == pairs.evaluate(mu, fresh), (spec, mu)
+            assert not fresh.blocks  # a caller's constants are bound afresh, never cached
+            assert cf.at_mu_one() == pairs.at_mu_one() and cf.max_zeta() == pairs.max_zeta()
+            for _, const in cf.terms:
+                den, slices = log_mu_slices(const)
+                assert sum_of_products(((1, LOG_MU_CONST**j, k) for j, k in slices), den) == const
+
+    def test_tiny_and_huge_coefficients_keep_their_precision(self):
+        # A constant's denominator stays outside the 2^-BITS rounding of its slices, so a
+        # form built from pairs binds a tiny constant as exactly as eval_general's form.
+        table = compute_constants()
+        tiny = rational_const(Fraction(1, 10**60))
+        assert ClosedForm([(0, tiny)]).evaluate(1.0, table) == 1e-60
+        assert ClosedForm([(-20, tiny)]).evaluate(1e3, table) == 1.0  # 10^-60 * 1000^20
+        cubed = LOG_MU_CONST**3 * rational_const(Fraction(3, 10**80))
+        assert ClosedForm([(1, cubed)]).evaluate(1 / 20, table) == -1.6130961137777235e-77
+        mixed = GAMMA * LOG_MU_CONST + zeta_const(3)
+        assert ClosedForm([(0, mixed * tiny)]).evaluate(3.0, table) == 1.836193125832152e-60
+        huge = mixed * rational_const(10**60 + Fraction(1, 7))
+        assert ClosedForm([(HALF, huge)]).evaluate(1e-3, table) == -8.807599940565788e61
+        for coeff in (Fraction(1, 10**60), Fraction(10**60, 7)):
+            for n in (0, 3):
+                pf = (PrefactorTerm(0, coeff), PrefactorTerm(2, 3 * coeff, mu_power=1))
+                cf = eval_general(IntegralSpec(pf, ArgPoint(3), n))
+                for mu in (1e-3, 1.0, 1e3):
+                    assert ClosedForm(cf.terms).evaluate(mu, table) == cf.evaluate(mu, table), (coeff, n, mu)
+        assert eval_general(IntegralSpec((PrefactorTerm(0, Fraction(1, 10**60)),), ArgPoint(2), 0)).evaluate(
+            1e3, table) == 1e-63
 
     def test_shared_exponent_terms_are_summed(self):
         point = ArgPoint.of(Fraction(3, 2))

@@ -30,9 +30,9 @@ from explogint.ring import (
     _place,
     _trim,
     _wrap,
-    at_log_mu_zero,
     generator_from_name,
     grade,
+    log_mu_slices,
     rational_const,
     sum_of_products,
     zeta_const,
@@ -485,6 +485,7 @@ class TestCanonicalOrder:
             doc = a.to_json()
             rng.shuffle(doc["terms"])
             log_mu_j = SymbolicConstant.from_generator(LOG_MU, j)
+            den, slices = log_mu_slices(a)
             routes = [
                 (a, _place(shuffled)),
                 (a, SymbolicConstant.from_json(doc)),
@@ -496,7 +497,7 @@ class TestCanonicalOrder:
                 (a * (b + c), c * a + a * b),
                 ((a - b) * (a + b), a * a - b * b),
                 (log_mu_j * a + 2 * b, sum_of_products([(2, ONE, b), (1, a, log_mu_j)])),
-                (at_log_mu_zero([a, b]), at_log_mu_zero([b, a])),
+                (a, sum_of_products(((1, SymbolicConstant.from_generator(LOG_MU, i), k) for i, k in slices), den)),
             ]
             for x, y in routes:
                 _assert_canonical(x)
@@ -504,6 +505,12 @@ class TestCanonicalOrder:
                 assert x == y and hash(x) == hash(y)
                 assert x.render() == y.render() and x.render(paper_style=True) == y.render(paper_style=True)
                 assert x.to_json() == y.to_json()
+            # a = sum_i log_mu^i N_i / den over a's denominator: each N_i nonzero, log_mu-free,
+            # canonical and of integer coefficients, i ascending
+            assert den == a._den
+            assert [i for i, _ in slices] == sorted({e[1] if len(e) > 1 else 0 for e in a._d})
+            for _, k in slices:
+                assert _assert_canonical(k)._den == 1 and all(len(e) < 2 or not e[1] for e in k._d)
 
         check()
 
