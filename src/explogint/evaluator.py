@@ -15,13 +15,13 @@ which is what :func:`eval_general` assembles.  mu stays symbolic throughout:
 a closed form is a sum of (mu-exponent, constant) pairs where the constant
 may mention the log_mu generator.  The form holds the sum as groups of
 items a log_mu^j K with log_mu-free K, here the Gamma^(k)(s) blocks (see
-:class:`ClosedForm`).  The constants are expanded only when read, by one
-call of the ring's kernel :func:`explogint.ring.sum_of_products` per mu
-exponent; item k is the monomial log_mu^(n-k) times the Gamma^(k) block, a
-kernel output and so in term order, so the n + 1 runs merge in the kernel's
-sort.  Binding never expands them: each K is bound once to an int at
-2^-BITS (a block once per constants map), and a value is the sum of the
-items, rounded to a double once.
+:class:`ClosedForm`).  Plain text and JSON never expand them: item k is
+log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
+order, and :class:`explogint.ring.LeibnizSum` reads the items of one mu
+exponent in the order of their sum by sorting only their runs of one degree
+and gamma power.  Binding never expands them either: each K is bound once
+to an int at 2^-BITS (a block once per constants map), and a value is the
+sum of the items, rounded to a double once.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 from .oracle import fixed_log
 from .ring import (
     BITS,
-    LOG_MU,
     ONE,
     Generator,
+    LeibnizSum,
     SymbolicConstant,
     _json_field,
     _json_rational,
@@ -120,7 +120,10 @@ class ClosedForm:
     :func:`eval_general` writes groups, and a constant c gets d = c's
     denominator and int-coefficient K (``log_mu_slices``), so rounding a K to
     2^-BITS loses nothing relative to a tiny c.  ``evaluate``, ``max_zeta``
-    and ``at_mu_one`` read the groups, the rest the terms.
+    and ``at_mu_one`` read the groups; plain ``render`` and ``to_json`` walk
+    them in term order, one ``LeibnizSum`` per mu exponent, and never build
+    the terms.  The terms, which ``==``, ``hash`` and paper style read, are
+    built from the same walk, so one place decides the order.
     """
 
     __slots__ = ("_terms", "_groups")
@@ -142,14 +145,7 @@ class ClosedForm:
     @property
     def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
         if self._terms is None:
-            # One kernel call per mu exponent; each Gamma^(k) block is a kernel output and so
-            # in term order, and a product by the one monomial log_mu^j keeps it: presorted runs.
-            triples: dict[Fraction, list] = {}
-            for e, d, items in self._groups:
-                triples.setdefault(e, []).extend(
-                    (Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K) for a, j, K, _ in items)
-            consts = ((e, sum_of_products(parts)) for e, parts in sorted(triples.items()))
-            object.__setattr__(self, "_terms", tuple((e, c) for e, c in consts if c))
+            object.__setattr__(self, "_terms", tuple((e, walk.constant()) for e, walk in self._walks()))
         return self._terms
 
     @classmethod
@@ -164,6 +160,16 @@ class ClosedForm:
             object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
                                                       for e, c in self._terms for d, slices in [log_mu_slices(c)]))
         return self._groups
+
+    def _walks(self):
+        """(e, the LeibnizSum of its items) for each mu exponent e, ascending, whose sum is nonzero."""
+        parts: dict[Fraction, list] = {}
+        for e, d, items in self._grouped():
+            parts.setdefault(e, []).extend((a, d, j, K) for a, j, K, _ in items)
+        for e in sorted(parts):
+            walk = LeibnizSum(parts[e])
+            if walk:
+                yield e, walk
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -225,11 +231,15 @@ class ClosedForm:
         return to_float(num << low, den) if low >= 0 else to_float(num, den << -low)
 
     def render(self, paper_style: bool = False) -> str:
-        if not self.terms:
+        """Plain text walks the groups; paper style reads ``terms``: its delta test reads a whole constant."""
+        if paper_style:
+            bodies = [(e, c.render(paper_style=True)) for e, c in self.terms]
+        else:
+            bodies = [(e, walk.render()) for e, walk in self._walks()]
+        if not bodies:
             return "0"
         parts = []
-        for e, const in self.terms:
-            body = const.render(paper_style=paper_style)
+        for e, body in bodies:
             if e == 0:
                 parts.append(body)
             else:
@@ -248,9 +258,9 @@ class ClosedForm:
             "terms": [
                 {
                     "mu_exponent": f"{e.numerator}/{e.denominator}",
-                    "constant": c.to_json(),
+                    "constant": walk.to_json(),
                 }
-                for e, c in self.terms
+                for e, walk in self._walks()
             ]
         }
 

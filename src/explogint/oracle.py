@@ -140,18 +140,20 @@ MAX_NODES = 2**20  # quadrature's node budget
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
-def _log_tail(beta: float, kappa: float, n: int) -> float:
-    # ln integral_0^inf e^(-kappa t) (beta + t)^n dt = ln(n!/kappa^(n+1) sum_{j<=n} (beta kappa)^j/j!)
+def _log_tail(beta: float, kappa: float, n: int, log_fact: float) -> float:
+    # ln integral_0^inf e^(-kappa t) (beta + t)^n dt = ln(n!/kappa^(n+1) sum_{j<=n} (beta kappa)^j/j!),
+    # with log_fact = ln n!
     acc = 1.0
     for j in range(n, 0, -1):
         acc = 1.0 + acc * beta * kappa / j
-    return math.log(math.factorial(n)) + math.log(acc) - (n + 1) * math.log(kappa)
+    return log_fact + math.log(acc) - (n + 1) * math.log(kappa)
 
 
 def _log_beyond(logs, n: int, pad: float, u: float, decay: float) -> float:
     # ln sum_j |c_j| e^(r_j u - decay) integral_0^inf e^(-kappa_j t) (|u| + pad + t)^n dt, with
     # kappa_j = r_j left of u (decay = 0) and mu e^u - r_j > 0 right of u (decay = mu e^u)
-    xs = [lc + r * u - decay + _log_tail(abs(u) + pad, abs(decay - r), n) for lc, r in logs]
+    log_fact = math.log(math.factorial(n))
+    xs = [lc + r * u - decay + _log_tail(abs(u) + pad, abs(decay - r), n, log_fact) for lc, r in logs]
     top = max(xs)
     return top + math.log(sum(math.exp(x - top) for x in xs))
 

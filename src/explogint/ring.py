@@ -22,19 +22,27 @@ Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``) or print it.  Multiplying monomials
 adds vectors, and equality is dict equality.
-``render`` and ``to_json`` split each vector into two parts, its entries
-from position 2 on (log2, sqrt_pi, zeta(k)) and the (gamma, log_mu) pair,
-and build the text of each distinct part once per call, in a dict local to
-that call: a deep closed form has thousands of monomials but only a few
-hundred distinct parts.  They print a coefficient of any length: past
+``render`` and ``to_json`` are one text and one JSON printer, which read
+runs of monomials of one (gamma, log_mu) power pair over one denominator,
+either a constant's own dict or a ``LeibnizSum``.  They split each vector
+into that pair and its tail, the entries from position 2 on (log2, sqrt_pi,
+zeta(k)), and build the text of each distinct tail and pair once per
+process: a deep closed form has thousands of monomials but only a few
+hundred distinct tails.  Each coefficient is reduced by one gcd against the
+denominator.  They print a coefficient of any length: past
 ``sys.get_int_max_str_digits()`` digits, where ``str`` raises, through
 ``decimal``, which has no such limit.
 
-Every constant is built by one accumulation loop, :func:`sum_of_products`,
-which sums ``c * a * b`` over triples into one dict over one denominator,
-reduced and in graded-lexicographic term order, biggest first.  A product
-by one monomial keeps that order, so a sum of such products reaches the
-sort as presorted runs, which it merges.  Sums, scalar multiples and the
+Every constant but a ``LeibnizSum``'s is built by one accumulation loop,
+:func:`sum_of_products`, which sums ``c * a * b`` over triples into one dict
+over one denominator, reduced and in graded-lexicographic term order,
+biggest first.  A product by one monomial keeps that order, so a sum of
+such products reaches the sort as presorted runs, which it merges.  A sum
+of log_mu^j K over distinct j with log_mu-free K, such as a closed form's
+Leibniz sum, has no two monomials that collide, so ``LeibnizSum`` needs
+neither the loop nor the sort: it reads the K's in term order by sorting
+only their runs of one degree and gamma power, to print the sum and to
+build its constant alike.  Sums, scalar multiples and the
 log_mu-free parts of ``log_mu_slices`` pass ``ONE`` as the smaller factor,
 so each key is kept as it stands; the constructor, ``from_json`` and
 ``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
@@ -61,6 +69,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, islice
 from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
@@ -192,12 +201,6 @@ def _wrap(d: dict, den: int = 1) -> "SymbolicConstant":
     object.__setattr__(obj, "_d", d)
     object.__setattr__(obj, "_den", den)
     return obj
-
-
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms, for printing one monomial's coefficient."""
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 class SymbolicConstant:
@@ -335,70 +338,13 @@ class SymbolicConstant:
         possible: zeta(2) powers fold into pi^2 multiples, and gamma + log_mu
         collapses to delta whenever the whole expression is a polynomial in
         delta alone (see the module docstring).
-
-        The text of each distinct part of the exponent vectors (see the
-        module docstring) is built once per call; in paper style a part's
-        entry also keeps the 6^e that its pi^(2e) puts under the coefficient.
         """
         items = self._d.items()
         gamma_name = "gamma"
         if paper_style and _in_delta(self._d):
             items = [item for item in items if len(item[0]) < 2 or not item[0][1]]
             gamma_name = "delta"
-        if not items:
-            return "0"
-        den = self._den
-        zeta2 = zeta_gen(2).index
-
-        def part_text(vec: Exponents, positions: range) -> tuple[str, int]:
-            # Factors in descending generator order, and the 6^e of pi^(2e).
-            factors = []
-            scale = 1
-            for i in positions:
-                e = vec[i]
-                if not e:
-                    continue
-                if paper_style and i == zeta2:
-                    scale = 6**e
-                    factors.append("pi^2" if e == 1 else f"pi^{2 * e}")
-                else:
-                    name = gamma_name if i == 0 else _name(i)
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            return "*".join(factors), scale
-
-        tails: dict[Exponents, tuple[str, int]] = {}
-        heads: dict[Exponents, str] = {}
-        parts: list[str] = []
-        for vec, num in items:
-            tail = vec[2:]
-            try:
-                text, scale = tails[tail]
-            except KeyError:
-                text, scale = tails[tail] = part_text(vec, range(len(vec) - 1, 1, -1))
-            head = vec[:2]
-            try:
-                head_text = heads[head]
-            except KeyError:
-                head_text = heads[head] = part_text(head, range(len(head) - 1, -1, -1))[0]
-            if head_text:
-                text = f"{text}*{head_text}" if text else head_text
-            d = den * scale
-            if d != 1:
-                num, d = _lowest(num, d)
-            try:
-                mag = str(abs(num)) if d == 1 else f"{abs(num)}/{d}"
-            except ValueError:  # too many digits for str (module docstring)
-                mag = str(Decimal(abs(num))) if d == 1 else f"{Decimal(abs(num))}/{Decimal(d)}"
-            if not text:
-                body = mag
-            elif mag == "1":
-                body = text
-            else:
-                body = f"{mag}*{text}"
-            parts.append(f" - {body}" if num < 0 else f" + {body}")
-        first = parts[0]  # the leading term is "body" or "-body"
-        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-        return "".join(parts)
+        return _text(_own_runs(items), self._den, paper_style, gamma_name)
 
     def __str__(self) -> str:
         return self.render()
@@ -410,28 +356,8 @@ class SymbolicConstant:
 
     def to_json(self) -> dict:
         """``{"terms": [{"coeff": "a/b", "powers": {name: exponent}}]}``, terms
-        in term order, powers in descending generator order.  The items of
-        each distinct vector from position 2 on are built once per call."""
-        den = self._den
-        tails: dict[Exponents, dict[str, int]] = {}
-        terms = []
-        for e, c in self._d.items():
-            tail = e[2:]
-            try:
-                items = tails[tail]
-            except KeyError:
-                items = tails[tail] = {_name(i): e[i] for i in range(len(e) - 1, 1, -1) if e[i]}
-            powers = items.copy()
-            if len(e) > 1 and e[1]:
-                powers["log_mu"] = e[1]
-            if e and e[0]:
-                powers["gamma"] = e[0]
-            try:
-                coeff = f"{c}/1" if den == 1 else "%d/%d" % _lowest(c, den)
-            except ValueError:  # too many digits for str (module docstring)
-                coeff = "%s/%s" % tuple(map(Decimal, _lowest(c, den)))
-            terms.append({"coeff": coeff, "powers": powers})
-        return {"terms": terms}
+        in term order, powers in descending generator order."""
+        return _json(_own_runs(self._d.items()), self._den)
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicConstant":
@@ -440,6 +366,102 @@ class SymbolicConstant:
             coeff = _json_rational(item, "coeff")
             pairs.append((_json_powers(item), coeff))
         return _place(pairs)
+
+
+# The printers read runs (g, j, m, items): each item (e, c) of a run is the monomial
+# m c / den gamma^g log_mu^j times the generators of e's tail e[2:].  A constant hands over
+# its own dict (``_own_runs``), a form the runs of a ``LeibnizSum``.  The text and powers of
+# each distinct tail and head are built once per process: a deep closed form has thousands
+# of monomials but only a few hundred distinct tails.
+
+def _own_runs(items: Iterable[tuple[Exponents, int]]):
+    """A constant's (e, c) items as runs of one gamma and log_mu power each."""
+    for head, run in groupby(items, key=lambda item: item[0][:2]):
+        yield head[0] if head else 0, head[1] if len(head) > 1 else 0, 1, run
+
+
+@lru_cache(maxsize=None)
+def _tail_text(tail: Exponents, paper_style: bool) -> tuple[str, int]:
+    """The factors of a tail in descending generator order, and the 6^e that a pi^(2e)
+    of paper style puts under the coefficient."""
+    factors = []
+    scale = 1
+    for i in range(len(tail) + 1, 1, -1):
+        k = tail[i - 2]
+        if not k:
+            continue
+        if paper_style and i == zeta_gen(2).index:
+            scale = 6**k
+            factors.append("pi^2" if k == 1 else f"pi^{2 * k}")
+        else:
+            factors.append(_name(i) if k == 1 else f"{_name(i)}^{k}")
+    return "*".join(factors), scale
+
+
+@lru_cache(maxsize=None)
+def _head_text(g: int, j: int, gamma_name: str) -> str:
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in (("log_mu", j), (gamma_name, g)) if k)
+
+
+@lru_cache(maxsize=None)
+def _tail_powers(tail: Exponents) -> tuple[tuple[str, int], ...]:
+    """The JSON (name, exponent) pairs of a tail, in descending generator order."""
+    return tuple((_name(i + 2), tail[i]) for i in range(len(tail) - 1, -1, -1) if tail[i])
+
+
+def _text(runs, den: int, paper_style: bool = False, gamma_name: str = "gamma") -> str:
+    """The display form of the runs' monomials, in their order (see ``SymbolicConstant.render``)."""
+    parts: list[str] = []
+    append = parts.append
+    for g, j, m, items in runs:
+        head = _head_text(g, j, gamma_name)
+        for e, num in items:
+            text, scale = _tail_text(e[2:], paper_style)
+            if head:
+                text = f"{text}*{head}" if text else head
+            num *= m
+            if num < 0:
+                sign, num = " - ", -num
+            else:
+                sign = " + "
+            d = den * scale
+            if d != 1:
+                r = gcd(num, d)
+                num, d = num // r, d // r
+            try:
+                mag = str(num) if d == 1 else f"{num}/{d}"
+            except ValueError:  # too many digits for str (module docstring)
+                mag = str(Decimal(num)) if d == 1 else f"{Decimal(num)}/{Decimal(d)}"
+            if not text:
+                append(sign + mag)
+            elif mag == "1":
+                append(sign + text)
+            else:
+                append(f"{sign}{mag}*{text}")
+    if not parts:
+        return "0"
+    first = parts[0]  # the leading term is "body" or "-body"
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
+
+
+def _json(runs, den: int) -> dict:
+    """The JSON form of the runs' monomials, in their order (see ``SymbolicConstant.to_json``)."""
+    terms = []
+    append = terms.append
+    for g, j, m, items in runs:
+        head = {"log_mu": j} if j else {}
+        if g:
+            head["gamma"] = g
+        for e, num in items:
+            num *= m
+            r = gcd(num, den)
+            try:
+                coeff = f"{num // r}/{den // r}"
+            except ValueError:  # too many digits for str (module docstring)
+                coeff = "%s/%s" % (Decimal(num // r), Decimal(den // r))
+            append({"coeff": coeff, "powers": dict(_tail_powers(e[2:]), **head)})
+    return {"terms": terms}
 
 
 def _json_terms(data) -> list:
@@ -589,6 +611,68 @@ def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, Symboli
         j = e[1] if len(e) > 1 else 0
         slices.setdefault(j, {})[_trim(e[:1] + (0,) + e[2:]) if j else e] = c
     return const._den, [(j, sum_of_products([(1, ONE, _wrap(slices[j]))])) for j in sorted(slices)]
+
+
+_HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most one
+
+
+class LeibnizSum:
+    """The sum of a/d log_mu^j K over parts (a, d, j, K), each K log_mu-free, read in term
+    order without building its dict.  It holds a denominator ``den``, ``blocks`` (m, the dict
+    of a K) and ``runs`` (D, g, j, i, count): the next ``count`` items (e, c) of block i are
+    the monomials m c / den gamma^g log_mu^j e[2:] of total degree D.
+
+    Parts that share j are summed first (``sum_of_products``), so no two monomials collide.
+    A K is in term order, so its monomials of one degree and gamma power are one contiguous
+    run, and its runs keep their order in the sum; the sum is ordered by D, then g, then j,
+    then within runs (see ``_grlex_key``), so only the runs are sorted, by (D, g, j), which
+    are distinct, and each monomial's degree and gamma power are read once, at C speed.
+    """
+
+    __slots__ = ("den", "blocks", "runs")
+
+    def __init__(self, parts: Iterable[tuple[int, int, int, SymbolicConstant]]):
+        by_j: dict[int, list] = {}
+        for a, d, j, K in parts:
+            by_j.setdefault(j, []).append((a, d, K))
+        blocks = []
+        for j, group in by_j.items():
+            if len(group) > 1:
+                K = sum_of_products((Fraction(a, d), ONE, K) for a, d, K in group)
+                group = [(1, 1, K)] if K else []
+            blocks += [(j, a, d * K._den, K._d) for a, d, K in group]
+        self.den = lcm(*(d for _, _, d, _ in blocks))
+        self.blocks = [(a * (self.den // d), block) for _, a, d, block in blocks]
+        self.runs = sorted(((deg + j, head[0] if head else 0, j, i, len(list(run)))
+                            for i, (j, _, _, block) in enumerate(blocks)
+                            for (deg, head), run in groupby(zip(map(sum, block), map(_HEAD, block)))),
+                           reverse=True)
+
+    def __bool__(self) -> bool:
+        return bool(self.runs)
+
+    def _runs(self):
+        """(g, j, m, the run's (e, c) items) per run, in term order."""
+        blocks = [(m, iter(block.items())) for m, block in self.blocks]
+        for _, g, j, i, count in self.runs:
+            m, items = blocks[i]
+            yield g, j, m, islice(items, count)
+
+    def render(self) -> str:
+        return _text(self._runs(), self.den)
+
+    def to_json(self) -> dict:
+        return _json(self._runs(), self.den)
+
+    def constant(self) -> SymbolicConstant:
+        """The sum as one constant, reduced; its dict is in term order like a kernel output."""
+        d = {}
+        for g, j, m, items in self._runs():
+            for e, c in items:
+                d[(g, j) + e[2:] if j else e] = m * c
+        den = self.den
+        r = gcd(den, *d.values()) if den != 1 else 1
+        return _wrap(d if r == 1 else {e: c // r for e, c in d.items()}, den // r)
 
 
 def _in_delta(d: dict) -> bool:

@@ -1,6 +1,8 @@
 """Closed-form evaluation: I_n, J_n, the general reduction, ClosedForm."""
 
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -309,7 +311,7 @@ class TestLeibnizAssembly:
 
     def test_leibniz_sum_arrives_as_one_descending_run_per_term(self):
         # Each Gamma^(k) block is a kernel output, so in term order, and log_mu^(n-k)
-        # keeps that order: the kernel's sort meets at most n + 1 runs, and emits one.
+        # keeps that order: the form reads n + 1 sorted blocks, and its constant is one run.
         n = 12
         ((_, const),) = eval_general(IntegralSpec.simple(Fraction(7, 2), n)).terms
         width = max(map(len, const._d))
@@ -409,6 +411,97 @@ class TestLeibnizAssembly:
         exponents = [e for e, _ in eval_general(shared).terms]
         assert exponents == [Fraction(3, 2)]
         assert eval_general(shared) == horner_reference(shared)
+
+
+def kernel_terms(cf):
+    """A form's (e, constant) pairs, each expanded from its groups by one kernel call."""
+    triples = {}
+    for e, d, items in cf._grouped():
+        triples.setdefault(e, []).extend((Fraction(a, d), LOG_MU_CONST**j, K) for a, j, K, _ in items)
+    consts = ((e, sum_of_products(parts)) for e, parts in sorted(triples.items()))
+    return [(e, c) for e, c in consts if c]
+
+
+def kernel_prints(cf):
+    """Plain text, paper-style text and JSON of a form, each constant printed on its own."""
+    pairs = kernel_terms(cf)
+
+    def text(paper_style):
+        bodies = [(e, c.render(paper_style=paper_style)) for e, c in pairs]
+        return "  +  ".join(body if e == 0 else f"mu^({-e}) * ({body})" for e, body in bodies) or "0"
+
+    doc = {"terms": [{"mu_exponent": f"{e.numerator}/{e.denominator}", "constant": c.to_json()}
+                     for e, c in pairs]}
+    return text(False), text(True), doc
+
+
+class TestPrintingFromBlocks:
+    # A form prints by walking its Gamma^(k)(s) blocks in term order; every print
+    # must match the kernel-expanded constants printed one by one.
+    PREFACTOR = TestLeibnizAssembly.PREFACTOR
+
+    @staticmethod
+    def assert_prints_like_the_kernel(cf, label, read_back=True):
+        expected = kernel_prints(cf)
+        assert (cf.render(), cf.render(paper_style=True), cf.to_json()) == expected, label
+        copies = [ClosedForm(cf.terms)] + ([ClosedForm.from_json(cf.to_json())] if read_back else [])
+        for copy in copies:
+            assert (copy.render(), copy.render(paper_style=True), copy.to_json()) == expected, label
+
+    def test_seeded_forms_print_like_the_kernel(self):
+        import random
+
+        rng = random.Random(2801)
+        for _ in range(24):
+            prefactor = tuple(rng.sample(self.PREFACTOR, rng.randint(1, 3)))
+            spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
+            self.assert_prints_like_the_kernel(eval_general(spec), spec)
+
+    def test_catalog_forms_print_like_the_kernel(self):
+        from explogint.catalog import catalog, param_grid
+
+        for entry in catalog():
+            for param in param_grid(entry):
+                self.assert_prints_like_the_kernel(eval_general(entry.build(param)), (entry.id, param))
+                self.assert_prints_like_the_kernel(entry.printed_form(param), (entry.id, param, "printed"))
+
+    def test_an_exponent_whose_groups_cancel_is_dropped(self):
+        # x mu and -x mu share an exponent and a point: their Leibniz items cancel
+        # item by item, while the constant term's exponent stays.
+        point = ArgPoint.of(Fraction(3, 2))
+        pf = (PrefactorTerm(1, Fraction(2, 3), mu_power=1), PrefactorTerm(0, Fraction(5)),
+              PrefactorTerm(1, Fraction(-2, 3), mu_power=1))
+        for n in (0, 4):
+            cf = eval_general(IntegralSpec(pf, point, n))
+            assert [e for e, _ in cf.terms] == [Fraction(3, 2)]
+            self.assert_prints_like_the_kernel(cf, n)
+            gone = eval_general(IntegralSpec(pf[:1] + pf[2:], point, n))
+            assert not gone and gone.render() == "0" and gone.to_json() == {"terms": []}
+            self.assert_prints_like_the_kernel(gone, n)
+
+    def test_a_coefficient_past_the_str_limit_prints_through_decimal(self):
+        cf = eval_general(to_integral_spec(parse_integrand("x^(2000)*exp(-x)")))
+        ((_, const),) = kernel_terms(cf)
+        assert len(str(Decimal(const.terms[0].coeff.numerator))) > sys.get_int_max_str_digits()
+        # JSON reads back through int(), which has the limit: only the pairs are copied
+        self.assert_prints_like_the_kernel(cf, "x^(2000)", read_back=False)
+
+    def test_printing_leaves_the_form_unexpanded(self):
+        import random
+
+        rng = random.Random(2802)
+        for _ in range(12):
+            prefactor = tuple(rng.sample(self.PREFACTOR, rng.randint(1, 3)))
+            spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
+            cf = eval_general(spec)
+            cf.render()
+            cf.to_json()
+            assert cf._terms is None, spec
+            # the walk-built constants keep the kernel's item order, which the hash reads
+            expected = kernel_terms(cf)
+            assert [(e, list(c._d.items()), c._den) for e, c in cf.terms] == \
+                [(e, list(c._d.items()), c._den) for e, c in expected], spec
+            assert hash(cf) == hash(ClosedForm(expected)) and cf == ClosedForm(expected)
 
 
 class TestSpecValidation:
