@@ -13,7 +13,7 @@ with respect to s and expanding with the Leibniz rule gives
 
 which is what :func:`eval_general` assembles.  mu stays symbolic throughout:
 a closed form is a sum of (mu-exponent, constant) pairs where the constant
-may mention the log_mu generator.  The form holds the sum as groups of
+may mention the log_mu generator.  The form holds the sum only as groups of
 items a log_mu^j K with log_mu-free K, here the Gamma^(k)(s) blocks (see
 :class:`ClosedForm`).  Plain text and JSON never expand them: item k is
 log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 from .oracle import fixed_log
 from .ring import (
     BITS,
+    LOG_MU,
     ONE,
     Generator,
     LeibnizSum,
@@ -109,21 +110,21 @@ class IntegralSpec(_IntegralSpecFields):
 class ClosedForm:
     """A finite sum  sum_e mu^(-e) * c_e  with exact constants c_e.
 
-    Exponents are distinct, sorted and multiples of 1/2; zero constants are
-    dropped, so equal values have identical representations and ``==`` is
-    exact semantic equality.
-
-    It is also held as groups (e, d, items), each mu^(-e)/d sum a log_mu^j K
+    It is held only as groups (e, d, items), each mu^(-e)/d sum a log_mu^j K
     over its items (a, j, K, key): a an int, K a log_mu-free constant, key the
-    (k, s) of a Gamma^(k)(s) block, k = 0 .. n in order, or None.  Each of the
-    terms and the groups is built from the other when first read:
-    :func:`eval_general` writes groups, and a constant c gets d = c's
-    denominator and int-coefficient K (``log_mu_slices``), so rounding a K to
-    2^-BITS loses nothing relative to a tiny c.  ``evaluate``, ``max_zeta``
+    (k, s) of a Gamma^(k)(s) block, k = 0 .. n in order, or None.
+    :func:`eval_general` writes its Leibniz items, and its groups may share an
+    exponent (4.353.2): each reader merges them.  Pairs (e, c) are summed per
+    e first, so pairs that cancel, even in part, bind exactly; each nonzero
+    sum c gives one group with d = c's denominator and int-coefficient K
+    (``log_mu_slices``), so rounding a K to 2^-BITS loses nothing relative to
+    a tiny c.  Exponents are multiples of 1/2.  ``evaluate``, ``max_zeta``
     and ``at_mu_one`` read the groups; plain ``render`` and ``to_json`` walk
-    them in term order, one ``LeibnizSum`` per mu exponent, and never build
-    the terms.  The terms, which ``==``, ``hash`` and paper style read, are
-    built from the same walk, so one place decides the order.
+    them in term order, one ``LeibnizSum`` per mu exponent.  ``terms``, which
+    ``==``, ``hash`` and paper style read, is built when first read: each c_e
+    is one ``sum_of_products`` over its items and zero ones are dropped, so
+    the kernel orders every constant, equal values have identical terms and
+    ``==`` is exact semantic equality.
     """
 
     __slots__ = ("_terms", "_groups")
@@ -136,40 +137,38 @@ class ClosedForm:
                 raise ValueError(f"'mu_exponent' must be a multiple of 1/2, got {e}")
             prev = acc.get(e)
             acc[e] = const if prev is None else prev + const
-        object.__setattr__(self, "_terms", tuple(sorted((e, c) for e, c in acc.items() if c)))  # by e alone
-        object.__setattr__(self, "_groups", None)
+        object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
+                                                  for e, c in acc.items() if c for d, slices in [log_mu_slices(c)]))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ClosedForm is immutable")
 
-    @property
-    def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
-        if self._terms is None:
-            object.__setattr__(self, "_terms", tuple((e, walk.constant()) for e, walk in self._walks()))
-        return self._terms
-
     @classmethod
     def _of_groups(cls, groups: Iterable[tuple[Fraction, int, tuple]]) -> "ClosedForm":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_terms", None)
+        obj = cls()
         object.__setattr__(obj, "_groups", tuple(groups))
         return obj
 
-    def _grouped(self) -> tuple[tuple[Fraction, int, tuple], ...]:
-        if self._groups is None:
-            object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
-                                                      for e, c in self._terms for d, slices in [log_mu_slices(c)]))
-        return self._groups
-
-    def _walks(self):
-        """(e, the LeibnizSum of its items) for each mu exponent e, ascending, whose sum is nonzero."""
+    def _parts(self) -> list[tuple[Fraction, list[tuple[int, int, int, SymbolicConstant]]]]:
+        """(e, the items (a, d, j, K) of every group with exponent e) for each e, ascending."""
         parts: dict[Fraction, list] = {}
-        for e, d, items in self._grouped():
+        for e, d, items in self._groups:
             parts.setdefault(e, []).extend((a, d, j, K) for a, j, K, _ in items)
-        for e in sorted(parts):
-            walk = LeibnizSum(parts[e])
-            if walk:
-                yield e, walk
+        return sorted(parts.items())
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
+        """The (e, c_e) pairs, each c_e one kernel sum of its items a/d log_mu^j K."""
+        if self._terms is None:
+            consts = ((e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
+                                          for a, d, j, K in parts)) for e, parts in self._parts())
+            object.__setattr__(self, "_terms", tuple((e, c) for e, c in consts if c))
+        return self._terms
+
+    def _walks(self) -> list[tuple[Fraction, LeibnizSum]]:
+        """(e, the LeibnizSum of its items) for each mu exponent e, ascending, whose sum is nonzero."""
+        return [(e, walk) for e, parts in self._parts() for walk in [LeibnizSum(parts)] if walk]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -185,13 +184,13 @@ class ClosedForm:
     def max_zeta(self) -> int:
         """Largest k with zeta(k) among the constants, or 0.  Gamma^(k)(s) names zeta(k) and
         no higher one, so of a group's blocks, k = 0 .. n in order, only the last is read."""
-        tops = (items[-1:] if items[-1][3] else items for _, _, items in self._grouped())
+        tops = (items[-1:] if items[-1][3] else items for _, _, items in self._groups)
         return max((K.max_zeta() for items in tops for _, _, K, _ in items), default=0)
 
     def at_mu_one(self) -> SymbolicConstant:
         """Specialize mu = 1: log_mu vanishes and every mu power is 1; the items with j = 0."""
         return sum_of_products(
-            (Fraction(a, d), ONE, K) for _, d, items in self._grouped() for a, j, K, _ in items if not j)
+            (Fraction(a, d), ONE, K) for _, d, items in self._groups for a, j, K, _ in items if not j)
 
     def evaluate(self, mu_value: float, bindings: Mapping[Generator, float]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e).
@@ -209,7 +208,7 @@ class ClosedForm:
         cache = getattr(bindings, "blocks", {})
         bind, parts = None, []
         powers = [1 << BITS]  # (ln mu)^j at 2^-BITS
-        for e, d, items in self._grouped():
+        for e, d, items in self._groups:
             total = 0
             for a, j, K, key in items:
                 while len(powers) <= j:
@@ -247,8 +246,7 @@ class ClosedForm:
                 parts.append(f"mu^({exp}) * ({body})")
         return "  +  ".join(parts)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"ClosedForm({self.render()!r})"
@@ -266,11 +264,8 @@ class ClosedForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "ClosedForm":
-        terms = []
-        for item in _json_terms(data):
-            e = _json_rational(item, "mu_exponent")
-            terms.append((e, SymbolicConstant.from_json(_json_field(item, "constant"))))
-        return cls(terms)
+        return cls((_json_rational(item, "mu_exponent"), SymbolicConstant.from_json(_json_field(item, "constant")))
+                   for item in _json_terms(data))
 
 
 def eval_In(n: int) -> SymbolicConstant:

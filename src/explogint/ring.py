@@ -33,39 +33,40 @@ denominator.  They print a coefficient of any length: past
 ``sys.get_int_max_str_digits()`` digits, where ``str`` raises, through
 ``decimal``, which has no such limit.
 
-Every constant but a ``LeibnizSum``'s is built by one accumulation loop,
+Every constant is built by one accumulation loop,
 :func:`sum_of_products`, which sums ``c * a * b`` over triples into one dict
 over one denominator, reduced and in graded-lexicographic term order,
-biggest first.  A product by one monomial keeps that order, so a sum of
-such products reaches the sort as presorted runs, which it merges.  A sum
-of log_mu^j K over distinct j with log_mu-free K, such as a closed form's
-Leibniz sum, has no two monomials that collide, so ``LeibnizSum`` needs
+biggest first, unless it is in term order by construction (below).  A
+product by one monomial keeps that order, so a sum of such products
+reaches the sort as presorted runs, which it merges.  A sum of log_mu^j K
+over distinct j with log_mu-free K, such as a closed form's Leibniz sum,
+has no two monomials that collide, so ``LeibnizSum`` prints it with
 neither the loop nor the sort: it reads the K's in term order by sorting
-only their runs of one degree and gamma power, to print the sum and to
-build its constant alike.  Sums, scalar multiples and the
-log_mu-free parts of ``log_mu_slices`` pass ``ONE`` as the smaller factor,
-so each key is kept as it stands; the constructor, ``from_json`` and
-``parse_constant`` pass each ``(vector, coeff)`` pair as a one-monomial
-factor (``_place``).  Nothing is substituted: a part is the monomials
-with one log_mu power, that entry set to 0.  A constant is a polynomial
-in delta = gamma + log_mu exactly when each gamma^i log_mu^j T numerator
-is C(i+j, j) times that of gamma^(i+j) T and it has sum (m+1) monomials
-over its log_mu-free gamma^m T; its delta form is that part with gamma
-read as delta.
+only their runs of one degree and gamma power.  Sums and scalar multiples
+pass ``ONE`` as the smaller factor, so each key is kept as it stands; the
+constructor, ``from_json`` and ``parse_constant`` pass each
+``(vector, coeff)`` pair as a one-monomial factor (``_place``).  A slice
+of ``log_mu_slices`` is the monomials with one log_mu power, that entry
+set to 0; they share the entry, so the slice keeps their order.  A
+constant is a polynomial in delta = gamma + log_mu exactly when each
+gamma^i log_mu^j T numerator is C(i+j, j) times that of gamma^(i+j) T and
+it has sum (m+1) monomials over its log_mu-free gamma^m T; its delta form
+is that part with gamma read as delta.
 
 A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
 rounds its value to a double once.
 
 All values are immutable and all operations are pure: nothing of a
 constant is written after it is built, and every reader iterates ``_d`` as
-it stands.  ``from_rational``, ``from_generator`` and negation keep term
-order by construction, so equal constants have identical item order, which
-the hash reads.
+it stands.  ``from_rational``, ``from_generator``, negation and the slices
+keep term order by construction, so equal constants have identical item
+order, which the hash reads.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -346,8 +347,7 @@ class SymbolicConstant:
             gamma_name = "delta"
         return _text(_own_runs(items), self._den, paper_style, gamma_name)
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"SymbolicConstant({self.render()!r})"
@@ -504,6 +504,9 @@ def _json_rational(item, field: str) -> Scalar:
         num, _, den = text.partition("/")
         return int(num) if den in ("", "1") else Fraction(int(num), int(den))
     except (AttributeError, ValueError, ZeroDivisionError):
+        digits = max(map(len, re.findall(r"\d+", text)), default=0) if isinstance(text, str) else 0
+        if (limit := sys.get_int_max_str_digits()) and digits > limit:  # int() reads no more; to_json writes more
+            raise ValueError(f"{field!r} must be a rational of at most {limit} digits a side, got {digits}") from None
         raise ValueError(f"{field!r} must be a rational 'a/b' with b nonzero, got {text!r}") from None
 
 
@@ -605,22 +608,23 @@ def binder(bindings: Mapping[Generator, float]) -> Callable[[SymbolicConstant], 
 
 def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, SymbolicConstant]]]:
     """const's denominator d and the (j, N_j), j ascending, of const = sum_j log_mu^j N_j / d, each N_j
-    nonzero, log_mu-free and of int coefficients: the monomials with entry 1 equal to j, that entry 0."""
+    nonzero, log_mu-free and of int coefficients: the monomials with entry 1 equal to j, that entry 0,
+    in the order of const (module docstring)."""
     slices: dict[int, dict[Exponents, int]] = {}
     for e, c in const._d.items():
         j = e[1] if len(e) > 1 else 0
         slices.setdefault(j, {})[_trim(e[:1] + (0,) + e[2:]) if j else e] = c
-    return const._den, [(j, sum_of_products([(1, ONE, _wrap(slices[j]))])) for j in sorted(slices)]
+    return const._den, [(j, _wrap(slices[j])) for j in sorted(slices)]
 
 
 _HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most one
 
 
 class LeibnizSum:
-    """The sum of a/d log_mu^j K over parts (a, d, j, K), each K log_mu-free, read in term
-    order without building its dict.  It holds a denominator ``den``, ``blocks`` (m, the dict
-    of a K) and ``runs`` (D, g, j, i, count): the next ``count`` items (e, c) of block i are
-    the monomials m c / den gamma^g log_mu^j e[2:] of total degree D.
+    """The sum of a/d log_mu^j K over parts (a, d, j, K), each K log_mu-free, as the printers
+    read it: in term order, without building its dict.  It holds a denominator ``den``,
+    ``blocks`` (m, the dict of a K) and ``runs`` (D, g, j, i, count): the next ``count`` items
+    (e, c) of block i are the monomials m c / den gamma^g log_mu^j e[2:] of total degree D.
 
     Parts that share j are summed first (``sum_of_products``), so no two monomials collide.
     A K is in term order, so its monomials of one degree and gamma power are one contiguous
@@ -663,16 +667,6 @@ class LeibnizSum:
 
     def to_json(self) -> dict:
         return _json(self._runs(), self.den)
-
-    def constant(self) -> SymbolicConstant:
-        """The sum as one constant, reduced; its dict is in term order like a kernel output."""
-        d = {}
-        for g, j, m, items in self._runs():
-            for e, c in items:
-                d[(g, j) + e[2:] if j else e] = m * c
-        den = self.den
-        r = gcd(den, *d.values()) if den != 1 else 1
-        return _wrap(d if r == 1 else {e: c // r for e, c in d.items()}, den // r)
 
 
 def _in_delta(d: dict) -> bool:

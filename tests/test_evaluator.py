@@ -1,6 +1,7 @@
 """Closed-form evaluation: I_n, J_n, the general reduction, ClosedForm."""
 
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +25,7 @@ from explogint.ring import (
     SQRT_PI,
     SQRT_PI_CONST,
     Grade,
+    SymbolicConstant,
     grade,
     log_mu_slices,
     rational_const,
@@ -405,6 +407,36 @@ class TestLeibnizAssembly:
         assert eval_general(IntegralSpec((PrefactorTerm(0, Fraction(1, 10**60)),), ArgPoint(2), 0)).evaluate(
             1e3, table) == 1e-63
 
+    def test_pairs_are_held_as_their_groups(self):
+        # Pairs that share an exponent, over different denominators, read as their sum.
+        point = ArgPoint.of(Fraction(3, 2))
+        one, coupled = PrefactorTerm(0, Fraction(1, 3)), PrefactorTerm(1, Fraction(2, 5), mu_power=1)
+        ((e, a),), ((_, b),) = (eval_general(IntegralSpec((pf,), point, 4)).terms for pf in (one, coupled))
+        rest = (0, GAMMA / 7)
+        pairs = ClosedForm([(e, a), rest, (e, b)])
+        summed = ClosedForm([rest, (e, a + b)])
+        assert pairs.terms == summed.terms == ((0, GAMMA / 7), (e, a + b))
+        assert ClosedForm([(e, a), (e, b)]) == eval_general(IntegralSpec((one, coupled), point, 4))
+        for read in (lambda cf: [(e, list(c._d.items()), c._den) for e, c in cf.terms], hash, ClosedForm.render,
+                     lambda cf: cf.render(paper_style=True), ClosedForm.to_json):
+            assert read(pairs) == read(summed)
+        # Pairs that cancel are the zero form, with no group left to name the zeta(4)
+        # that cancelled; pairs that cancel in part bind as their sum does.
+        cancelled = ClosedForm([(1, a), (1, -a)])
+        assert cancelled.terms == () and not cancelled and cancelled.render() == "0"
+        assert cancelled.to_json() == {"terms": []} and cancelled.at_mu_one() == 0
+        assert cancelled == ClosedForm([]) and hash(cancelled) == hash(ClosedForm([]))
+        assert cancelled._groups == () and cancelled.max_zeta() == 0 < a.max_zeta()
+        table = compute_constants(a.max_zeta())
+        tiny = GAMMA / 10**40
+        for mu in (0.3, 1.0, 3.0):
+            assert cancelled.evaluate(mu, table) == 0.0
+            in_part = ClosedForm([(1, a), (1, tiny - a)])
+            assert in_part.evaluate(mu, table) == ClosedForm([(1, tiny)]).evaluate(mu, table)
+        # A zero constant adds no group.
+        assert ClosedForm([(1, a - a), rest])._groups == ClosedForm([rest])._groups
+        assert ClosedForm([(HALF, rational_const(0))])._groups == ()
+
     def test_shared_exponent_terms_are_summed(self):
         point = ArgPoint.of(Fraction(3, 2))
         shared = IntegralSpec(self.PREFACTOR[:1] + self.PREFACTOR[3:], point, 3)
@@ -416,7 +448,7 @@ class TestLeibnizAssembly:
 def kernel_terms(cf):
     """A form's (e, constant) pairs, each expanded from its groups by one kernel call."""
     triples = {}
-    for e, d, items in cf._grouped():
+    for e, d, items in cf._groups:
         triples.setdefault(e, []).extend((Fraction(a, d), LOG_MU_CONST**j, K) for a, j, K, _ in items)
     consts = ((e, sum_of_products(parts)) for e, parts in sorted(triples.items()))
     return [(e, c) for e, c in consts if c]
@@ -485,6 +517,11 @@ class TestPrintingFromBlocks:
         assert len(str(Decimal(const.terms[0].coeff.numerator))) > sys.get_int_max_str_digits()
         # JSON reads back through int(), which has the limit: only the pairs are copied
         self.assert_prints_like_the_kernel(cf, "x^(2000)", read_back=False)
+        # the readers keep the limit, and name it
+        cap = f"'coeff' must be a rational of at most {sys.get_int_max_str_digits()} digits a side, got 5736"
+        for read, doc in ((ClosedForm.from_json, cf.to_json()), (SymbolicConstant.from_json, const.to_json())):
+            with pytest.raises(ValueError, match=re.escape(cap)):
+                read(doc)
 
     def test_printing_leaves_the_form_unexpanded(self):
         import random
