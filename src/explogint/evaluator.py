@@ -13,15 +13,17 @@ with respect to s and expanding with the Leibniz rule gives
 
 which is what :func:`eval_general` assembles.  mu stays symbolic throughout:
 a closed form is a sum of (mu-exponent, constant) pairs where the constant
-may mention the log_mu generator.  The form holds the sum only as groups of
-items a log_mu^j K with log_mu-free K, here the Gamma^(k)(s) blocks (see
-:class:`ClosedForm`).  Plain text and JSON never expand them: item k is
-log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
-order, and :class:`explogint.ring.LeibnizSum` reads the items of one mu
-exponent in the order of their sum by sorting only their runs of one degree
-and gamma power.  Binding never expands them either: each K is bound once
-to an int at 2^-BITS (a block once per constants map), and a value is the
-sum of the items, rounded to a double once.
+may mention the log_mu generator.  The form holds the sum only as one group
+per mu exponent of items a log_mu^j K, one per ln mu power j, with
+log_mu-free K, here the Gamma^(k)(s) blocks (see :class:`ClosedForm`).
+Printing never expands them: item k is log_mu^(n-k) times the Gamma^(k)
+block, a kernel output and so in term order, and
+:class:`explogint.ring.LeibnizSum` reads a group's items in the order of
+their sum by sorting only their runs of one degree and gamma power; paper
+style reads its delta test off the items too.  Binding never expands them
+either: each K is bound once to an int at 2^-BITS (a block once per
+constants map), and a value is the sum of the items, rounded to a double
+once.
 """
 
 from __future__ import annotations
@@ -110,21 +112,18 @@ class IntegralSpec(_IntegralSpecFields):
 class ClosedForm:
     """A finite sum  sum_e mu^(-e) * c_e  with exact constants c_e.
 
-    It is held only as groups (e, d, items), each mu^(-e)/d sum a log_mu^j K
-    over its items (a, j, K, key): a an int, K a log_mu-free constant, key the
-    (k, s) of a Gamma^(k)(s) block, k = 0 .. n in order, or None.
-    :func:`eval_general` writes its Leibniz items, and its groups may share an
-    exponent (4.353.2): each reader merges them.  Pairs (e, c) are summed per
-    e first, so pairs that cancel, even in part, bind exactly; each nonzero
-    sum c gives one group with d = c's denominator and int-coefficient K
-    (``log_mu_slices``), so rounding a K to 2^-BITS loses nothing relative to
-    a tiny c.  Exponents are multiples of 1/2.  ``evaluate``, ``max_zeta``
-    and ``at_mu_one`` read the groups; plain ``render`` and ``to_json`` walk
-    them in term order, one ``LeibnizSum`` per mu exponent.  ``terms``, which
-    ``==``, ``hash`` and paper style read, is built when first read: each c_e
-    is one ``sum_of_products`` over its items and zero ones are dropped, so
-    the kernel orders every constant, equal values have identical terms and
-    ``==`` is exact semantic equality.
+    It is held only as groups (e, d, items), one per mu exponent e, ascending, each
+    mu^(-e)/d sum a log_mu^j K over its items (a, j, K, key): a an int, j distinct, K a
+    nonzero log_mu-free constant, key the (k, s) of a Gamma^(k)(s) block, k = 0 .. n in
+    order, or None.  So no group is zero.  :func:`eval_general` writes its Leibniz items;
+    pairs (e, c) are summed per e first, so pairs that cancel, even in part, bind exactly;
+    each nonzero sum c gives one group with d = c's denominator and int-coefficient K
+    (``log_mu_slices``), so rounding a K to 2^-BITS loses nothing relative to a tiny c.
+    Exponents are multiples of 1/2.  ``evaluate``, ``max_zeta``, ``at_mu_one``, ``render``
+    and ``to_json`` read the groups, the printers one ``LeibnizSum`` per group.
+    ``terms``, which ``==`` and ``hash`` read, is built when first read: each c_e is one
+    ``sum_of_products`` over its items, so the kernel orders every constant, equal values
+    have identical terms and ``==`` is exact semantic equality.
     """
 
     __slots__ = ("_terms", "_groups")
@@ -139,7 +138,8 @@ class ClosedForm:
             acc[e] = const if prev is None else prev + const
         object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
-                                                  for e, c in acc.items() if c for d, slices in [log_mu_slices(c)]))
+                                                  for e, c in sorted(acc.items()) if c
+                                                  for d, slices in [log_mu_slices(c)]))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ClosedForm is immutable")
@@ -150,28 +150,17 @@ class ClosedForm:
         object.__setattr__(obj, "_groups", tuple(groups))
         return obj
 
-    def _parts(self) -> list[tuple[Fraction, list[tuple[int, int, int, SymbolicConstant]]]]:
-        """(e, the items (a, d, j, K) of every group with exponent e) for each e, ascending."""
-        parts: dict[Fraction, list] = {}
-        for e, d, items in self._groups:
-            parts.setdefault(e, []).extend((a, d, j, K) for a, j, K, _ in items)
-        return sorted(parts.items())
-
     @property
     def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
         """The (e, c_e) pairs, each c_e one kernel sum of its items a/d log_mu^j K."""
         if self._terms is None:
-            consts = ((e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
-                                          for a, d, j, K in parts)) for e, parts in self._parts())
-            object.__setattr__(self, "_terms", tuple((e, c) for e, c in consts if c))
+            object.__setattr__(self, "_terms", tuple(
+                (e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
+                                    for a, j, K, _ in items)) for e, d, items in self._groups))
         return self._terms
 
-    def _walks(self) -> list[tuple[Fraction, LeibnizSum]]:
-        """(e, the LeibnizSum of its items) for each mu exponent e, ascending, whose sum is nonzero."""
-        return [(e, walk) for e, parts in self._parts() for walk in [LeibnizSum(parts)] if walk]
-
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._groups)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClosedForm):
@@ -229,22 +218,13 @@ class ClosedForm:
         num = sum(n * (den // d) << x - low for n, d, x in scaled)
         return to_float(num << low, den) if low >= 0 else to_float(num, den << -low)
 
+    def _walks(self):
+        """(e, the LeibnizSum of its items) per group."""
+        return ((e, LeibnizSum(d, ((a, j, K) for a, j, K, _ in items))) for e, d, items in self._groups)
+
     def render(self, paper_style: bool = False) -> str:
-        """Plain text walks the groups; paper style reads ``terms``: its delta test reads a whole constant."""
-        if paper_style:
-            bodies = [(e, c.render(paper_style=True)) for e, c in self.terms]
-        else:
-            bodies = [(e, walk.render()) for e, walk in self._walks()]
-        if not bodies:
-            return "0"
-        parts = []
-        for e, body in bodies:
-            if e == 0:
-                parts.append(body)
-            else:
-                exp = f"-{e}" if e > 0 else str(-e)
-                parts.append(f"mu^({exp}) * ({body})")
-        return "  +  ".join(parts)
+        bodies = ((e, walk.render(paper_style)) for e, walk in self._walks())
+        return "  +  ".join(body if e == 0 else f"mu^({-e}) * ({body})" for e, body in bodies) or "0"
 
     __str__ = render
 
@@ -279,14 +259,29 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
     """Closed form of the integral described by ``spec``; mu stays symbolic.  Each prefactor
     term c x^p mu^m gives one group (see :class:`ClosedForm`): exponent s + p - m, c's
     denominator, and the Leibniz items a = (-1)^(n-k) C(n,k) times c's numerator,
-    j = n - k, K = Gamma^(k)(s + p), key (k, s + p)."""
+    j = n - k, K = Gamma^(k)(s + p), key (k, s + p).  Terms that share an exponent, which
+    only mu_power != 0 allows (4.353.2), give one group over the lcm D of their denominators:
+    the items of each j are one ``sum_of_products`` of their a D/d K, with key None, and
+    zero sums are dropped."""
     n = spec.log_power
-    groups = []
+    by_exponent: dict[Fraction, list] = {}
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
         items = tuple(((-1) ** (n - k) * math.comb(n, k) * pf.coeff.numerator, n - k, gamma_deriv_at(k, point),
                        (k, point)) for k in range(n + 1))
-        groups.append((spec.s.value + pf.power - pf.mu_power, pf.coeff.denominator, items))
+        by_exponent.setdefault(spec.s.value + pf.power - pf.mu_power, []).append((pf.coeff.denominator, items))
+    groups = []
+    for e, shared in sorted(by_exponent.items()):
+        (d, items), *rest = shared
+        if rest:
+            d = math.lcm(*(d for d, _ in shared))
+            by_j: dict[int, list] = {}
+            for d_i, items in shared:
+                for a, j, K, _ in items:
+                    by_j.setdefault(j, []).append((a * (d // d_i), ONE, K))
+            items = tuple((1, j, K, None) for j, triples in by_j.items() for K in [sum_of_products(triples)] if K)
+        if items:
+            groups.append((e, d, items))
     return ClosedForm._of_groups(groups)
 
 

@@ -22,9 +22,11 @@ Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``) or print it.  Multiplying monomials
 adds vectors, and equality is dict equality.
-``render`` and ``to_json`` are one text and one JSON printer, which read
-runs of monomials of one (gamma, log_mu) power pair over one denominator,
-either a constant's own dict or a ``LeibnizSum``.  They split each vector
+Constants and closed forms print by one walk, ``LeibnizSum``, over one
+denominator and items a log_mu^j K with distinct j and log_mu-free K: a
+constant's items are its ``log_mu_slices``, a closed form's those of each
+mu exponent.  One text and one JSON printer read the walk's runs of
+monomials of one (gamma, log_mu) power pair.  They split each vector
 into that pair and its tail, the entries from position 2 on (log2, sqrt_pi,
 zeta(k)), and build the text of each distinct tail and pair once per
 process: a deep closed form has thousands of monomials but only a few
@@ -47,11 +49,11 @@ pass ``ONE`` as the smaller factor, so each key is kept as it stands; the
 constructor, ``from_json`` and ``parse_constant`` pass each
 ``(vector, coeff)`` pair as a one-monomial factor (``_place``).  A slice
 of ``log_mu_slices`` is the monomials with one log_mu power, that entry
-set to 0; they share the entry, so the slice keeps their order.  A
-constant is a polynomial in delta = gamma + log_mu exactly when each
-gamma^i log_mu^j T numerator is C(i+j, j) times that of gamma^(i+j) T and
-it has sum (m+1) monomials over its log_mu-free gamma^m T; its delta form
-is that part with gamma read as delta.
+set to 0; they share the entry, so the slice keeps their order.  A walk's
+sum of m_j log_mu^j K_j is a polynomial in delta = gamma + log_mu exactly
+when m_j K_j[gamma^i T] = C(i+j, j) m_0 K_0[gamma^(i+j) T] for each
+monomial gamma^i T of each K_j with j > 0, and it has sum (m+1) monomials
+over K_0's gamma^m T; its delta form is m_0 K_0 with gamma read as delta.
 
 A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
 rounds its value to a double once.
@@ -340,12 +342,7 @@ class SymbolicConstant:
         collapses to delta whenever the whole expression is a polynomial in
         delta alone (see the module docstring).
         """
-        items = self._d.items()
-        gamma_name = "gamma"
-        if paper_style and _in_delta(self._d):
-            items = [item for item in items if len(item[0]) < 2 or not item[0][1]]
-            gamma_name = "delta"
-        return _text(_own_runs(items), self._den, paper_style, gamma_name)
+        return _walk(self).render(paper_style)
 
     __str__ = render
 
@@ -357,7 +354,7 @@ class SymbolicConstant:
     def to_json(self) -> dict:
         """``{"terms": [{"coeff": "a/b", "powers": {name: exponent}}]}``, terms
         in term order, powers in descending generator order."""
-        return _json(_own_runs(self._d.items()), self._den)
+        return _walk(self).to_json()
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicConstant":
@@ -368,16 +365,10 @@ class SymbolicConstant:
         return _place(pairs)
 
 
-# The printers read runs (g, j, m, items): each item (e, c) of a run is the monomial
-# m c / den gamma^g log_mu^j times the generators of e's tail e[2:].  A constant hands over
-# its own dict (``_own_runs``), a form the runs of a ``LeibnizSum``.  The text and powers of
-# each distinct tail and head are built once per process: a deep closed form has thousands
-# of monomials but only a few hundred distinct tails.
-
-def _own_runs(items: Iterable[tuple[Exponents, int]]):
-    """A constant's (e, c) items as runs of one gamma and log_mu power each."""
-    for head, run in groupby(items, key=lambda item: item[0][:2]):
-        yield head[0] if head else 0, head[1] if len(head) > 1 else 0, 1, run
+# The printers read the runs (g, j, m, items) of a ``LeibnizSum``: each item (e, c) of a run
+# is the monomial m c / den gamma^g log_mu^j times the generators of e's tail e[2:].  The
+# text and powers of each distinct tail and head are built once per process: a deep closed
+# form has thousands of monomials but only a few hundred distinct tails.
 
 
 @lru_cache(maxsize=None)
@@ -621,64 +612,63 @@ _HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most on
 
 
 class LeibnizSum:
-    """The sum of a/d log_mu^j K over parts (a, d, j, K), each K log_mu-free, as the printers
-    read it: in term order, without building its dict.  It holds a denominator ``den``,
-    ``blocks`` (m, the dict of a K) and ``runs`` (D, g, j, i, count): the next ``count`` items
-    (e, c) of block i are the monomials m c / den gamma^g log_mu^j e[2:] of total degree D.
+    """The sum of a/d log_mu^j K over items (a, j, K), the j distinct and each K nonzero and
+    log_mu-free, as the printers read it: in term order, without building its dict.  It holds
+    a denominator ``den``, ``blocks`` (j, m, the dict of a K) and ``runs`` (D, g, j, i, count):
+    the next ``count`` items (e, c) of block i are the monomials m c / den gamma^g log_mu^j
+    e[2:] of total degree D.
 
-    Parts that share j are summed first (``sum_of_products``), so no two monomials collide.
-    A K is in term order, so its monomials of one degree and gamma power are one contiguous
-    run, and its runs keep their order in the sum; the sum is ordered by D, then g, then j,
-    then within runs (see ``_grlex_key``), so only the runs are sorted, by (D, g, j), which
-    are distinct, and each monomial's degree and gamma power are read once, at C speed.
+    No two items share j, so no two monomials collide.  A K is in term order, so its
+    monomials of one degree and gamma power are one contiguous run, and its runs keep their
+    order in the sum; the sum is ordered by D, then g, then j, then within runs (see
+    ``_grlex_key``), so only the runs are sorted, by (D, g, j), which are distinct, and each
+    monomial's degree and gamma power are read once, at C speed.
     """
 
     __slots__ = ("den", "blocks", "runs")
 
-    def __init__(self, parts: Iterable[tuple[int, int, int, SymbolicConstant]]):
-        by_j: dict[int, list] = {}
-        for a, d, j, K in parts:
-            by_j.setdefault(j, []).append((a, d, K))
-        blocks = []
-        for j, group in by_j.items():
-            if len(group) > 1:
-                K = sum_of_products((Fraction(a, d), ONE, K) for a, d, K in group)
-                group = [(1, 1, K)] if K else []
-            blocks += [(j, a, d * K._den, K._d) for a, d, K in group]
-        self.den = lcm(*(d for _, _, d, _ in blocks))
-        self.blocks = [(a * (self.den // d), block) for _, a, d, block in blocks]
+    def __init__(self, d: int, items: Iterable[tuple[int, int, SymbolicConstant]]):
+        items = list(items)
+        self.den = d * lcm(*(K._den for _, _, K in items))
+        self.blocks = [(j, a * (self.den // (d * K._den)), K._d) for a, j, K in items]
         self.runs = sorted(((deg + j, head[0] if head else 0, j, i, len(list(run)))
-                            for i, (j, _, _, block) in enumerate(blocks)
+                            for i, (j, _, block) in enumerate(self.blocks)
                             for (deg, head), run in groupby(zip(map(sum, block), map(_HEAD, block)))),
                            reverse=True)
 
-    def __bool__(self) -> bool:
-        return bool(self.runs)
-
-    def _runs(self):
-        """(g, j, m, the run's (e, c) items) per run, in term order."""
-        blocks = [(m, iter(block.items())) for m, block in self.blocks]
+    def _runs(self, delta: bool = False):
+        """(g, j, m, the run's (e, c) items) per run, in term order; with ``delta``, those of j = 0."""
+        blocks = [(m, iter(block.items())) for _, m, block in self.blocks]
         for _, g, j, i, count in self.runs:
-            m, items = blocks[i]
-            yield g, j, m, islice(items, count)
+            if not (delta and j):
+                m, items = blocks[i]
+                yield g, j, m, islice(items, count)
 
-    def render(self) -> str:
-        return _text(self._runs(), self.den)
+    def _in_delta(self) -> bool:
+        """Whether the sum is a polynomial in delta (see the module docstring)."""
+        m0, base = next(((m, block) for j, m, block in self.blocks if not j), (0, {}))
+        if sum(len(block) for _, _, block in self.blocks) != sum(e[0] + 1 if e else 1 for e in base):
+            return False
+        for j, m, block in self.blocks:
+            if j:
+                for e, c in block.items():
+                    i = e[0] if e else 0
+                    if m * c != comb(i + j, j) * m0 * base.get((i + j,) + e[1:], 0):
+                        return False
+        return True
+
+    def render(self, paper_style: bool = False) -> str:
+        delta = paper_style and self._in_delta()
+        return _text(self._runs(delta), self.den, paper_style, "delta" if delta else "gamma")
 
     def to_json(self) -> dict:
         return _json(self._runs(), self.den)
 
 
-def _in_delta(d: dict) -> bool:
-    """Whether ``d`` is a polynomial in delta (see the module docstring), in one pass."""
-    count = 0
-    for e, c in d.items():
-        j = e[1] if len(e) > 1 else 0
-        if not j:
-            count += (e[0] if e else 0) + 1
-        elif c != comb(m := e[0] + j, j) * d.get((m, 0) + e[2:] if len(e) > 2 else (m,), 0):
-            return False
-    return count == len(d)
+def _walk(const: SymbolicConstant) -> LeibnizSum:
+    """The walk over a constant's ``log_mu_slices``."""
+    den, slices = log_mu_slices(const)
+    return LeibnizSum(den, ((1, j, N) for j, N in slices))
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

@@ -474,7 +474,9 @@ class TestTracedChild:
 
     COMMANDS = [
         ["eval", "exp(-x)*log(x)^3", "--json"],
+        ["eval", "x^(5/2)*exp(-2*x)*log(x)^8", "--json", "--paper-style"],
         ["verify", "x^(3/2)*exp(-2*x)*log(x)^4", "--json"],
+        ["verify", "x^(5/2)*exp(-2*x)*log(x)^8", "--json"],
         ["catalog", "--max-n", "0", "--mu", "1", "--json"],
     ]
     SPANS = {
@@ -483,20 +485,22 @@ class TestTracedChild:
         "oracle.compute_constants", "oracle.quadrature", "catalog.check_entry",
     }
 
-    def test_traced_output_matches_and_names_every_layer(self, capsys, tmp_path):
+    def test_traced_output_matches_and_names_every_layer(self, tmp_path):
         root = Path(__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         spans, kinds = set(), set()
         for i, argv in enumerate(self.COMMANDS):
             trace = tmp_path / f"trace{i}.json"
-            proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), str(trace), *argv],
-                                  capture_output=True, text=True, env=env, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            assert main(argv) == 0
-            assert proc.stdout == capsys.readouterr().out
+            traced, plain = (subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                                            env=env, timeout=300)
+                             for prefix in ([str(root / "perfbench" / "child.py"), str(trace)], ["-m", "explogint"]))
+            assert traced.returncode == plain.returncode == 0, traced.stderr
+            assert traced.stdout == plain.stdout
             doc = json.loads(trace.read_text())
             spans |= {span[0] for span in doc["spans"]}
             kinds |= {event["kind"] for event in doc["events"]}
+            # an eval event counts the monomials of closed.terms and of each constant's terms
+            assert all(event["monomials"] > 0 for event in doc["events"] if event["kind"] == "eval"), argv
         assert spans >= self.SPANS
         assert kinds >= {"eval", "cache", "bind", "quadrature"}
 

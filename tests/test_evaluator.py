@@ -21,6 +21,7 @@ from explogint.ring import (
     EULER_GAMMA,
     GAMMA,
     LOG_MU,
+    LOG2_CONST,
     LOG_MU_CONST,
     SQRT_PI,
     SQRT_PI_CONST,
@@ -444,6 +445,53 @@ class TestLeibnizAssembly:
         assert exponents == [Fraction(3, 2)]
         assert eval_general(shared) == horner_reference(shared)
 
+    # evaluate's doubles at MUS of forms whose two terms share an exponent, pinned: summing
+    # the terms' blocks before they are bound must not move them.  4.353.2 is
+    # (mu x - n - 1/2) x^(n-1/2) at log power 1, for n = 0 .. 6; the other is
+    # (3/5 - 7/4 mu x) x^(5/2) at log power 0 .. 8.
+    MUS = (1e-3, 0.5, 1.0, 3.0, 1e3)
+    MERGED_DOUBLES = {
+        "4.353.2": [
+            "0x1.c06638593fb58p+5 0x1.40d931ff62706p+1 0x1.c5bf891b4ef6bp+0 0x1.05f8bd37c0e62p+0 0x1.cb292f7603cc5p-5",
+            "0x1.b5e3d30728374p+14 0x1.40d931ff62706p+1 0x1.c5bf891b4ef6bp-1 0x1.5d4ba6f50132dp-3 0x1.d62e45147ec4fp-16",
+            "0x1.40b85d0fbdf47p+25 0x1.e145caff13a88p+2 0x1.544fa6d47b390p+0 0x1.5d4ba6f50132dp-4 0x1.69194b94dc3d2p-25",
+            "0x1.87810d99b760ep+36 0x1.2ccb9edf6c495p+5 0x1.a96390899a074p+1 0x1.23146076d6550p-4 0x1.ce34db9fd239cp-34",
+            "0x1.4e89865f19721p+48 0x1.07322b037ec03p+8 0x1.74371e7866c65p+3 0x1.5397c5dffa0dep-4 0x1.9e23129b7cdfcp-42",
+            "0x1.6f8896dffab48p+60 0x1.28187063ee983p+11 0x1.a2be0247739f2p+5 0x1.fd63a8cff714dp-4 0x1.dd15f8c38184ep-50",
+            "0x1.ed83a89740e3ep+72 0x1.97219a8968114p+14 0x1.1fe2a1911f7d6p+8 0x1.d2f0b013f7d31p-3 0x1.4fde50ebf0af7p-57",
+        ],
+        "two terms": [
+            "-0x1.0e61ed648f722p+39 -0x1.9f79403e33f88p+7 -0x1.25c8c3056e603p+4 -0x1.920dbed7580bdp-2 -0x1.3f361ae0c6c98p-31",
+            "-0x1.1974de6121001p+42 -0x1.b6f51a4e7394fp+8 -0x1.a124d32447a4cp+4 -0x1.02594a955bbf4p-3 0x1.b5f24f4048e26p-29",
+            "-0x1.25f4b4eee878bp+45 -0x1.e7a963fd001e1p+9 -0x1.49f0e073163e7p+5 -0x1.0bf97ce2a7f57p-3 -0x1.2eb7d655f1b60p-26",
+            "-0x1.33febab92b137p+48 -0x1.19b271f0ac4c0p+11 -0x1.16f0b69b70671p+6 -0x1.5219fd669179fp-4 0x1.a5b9e23cb9d4bp-24",
+            "-0x1.43b4c8c75e622p+51 -0x1.5023d647cc965p+12 -0x1.f0abf9ee2ff87p+6 -0x1.a937d777b5193p-4 -0x1.280e9b99e9378p-21",
+            "-0x1.553dbdd995e81p+54 -0x1.9c5f85cfb2adep+13 -0x1.cd39bb5f79993p+7 -0x1.525323d4d018ap-4 0x1.a2f4b3801daf9p-19",
+            "-0x1.68c608f480b08p+57 -0x1.0327219a18f5dp+15 -0x1.bbb2455e929f7p+8 -0x1.d31168f39551cp-4 -0x1.2accab7b627f2p-16",
+            "-0x1.7e804ae709522p+60 -0x1.4cd4a801fd017p+16 -0x1.b84a521d5a504p+9 -0x1.fdcb937a8bf6ap-4 0x1.ada16a1bf168cp-14",
+            "-0x1.96a611dab2552p+63 -0x1.b3d80bf97640cp+17 -0x1.c0c5ec68c362ap+10 -0x1.8bf910eaeefe2p-4 -0x1.375db150e8ed5p-11",
+        ],
+    }
+
+    def test_merged_terms_bind_to_the_pinned_doubles(self):
+        # A merged group's items have key None: bound on each call, never cached.
+        table = Constants(dict(compute_constants(12).fixed))
+        specs = [(IntegralSpec((PrefactorTerm(1, Fraction(1), mu_power=1), PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
+                               ArgPoint(2 * n + 1), 1), doubles)
+                 for n, doubles in enumerate(self.MERGED_DOUBLES["4.353.2"])]
+        specs += [(IntegralSpec((PrefactorTerm(0, Fraction(3, 5)), PrefactorTerm(1, Fraction(-7, 4), mu_power=1)),
+                                ArgPoint(7), n), doubles) for n, doubles in enumerate(self.MERGED_DOUBLES["two terms"])]
+        for spec, doubles in specs:
+            cf = eval_general(spec)
+            ((_, _, items),) = cf._groups
+            assert all(key is None for *_, key in items), spec
+            assert " ".join(cf.evaluate(mu, table).hex() for mu in self.MUS) == doubles, spec
+            n = spec.log_power
+            assert cf.max_zeta() == (n if n >= 2 else 0), spec
+            assert cf.at_mu_one() == sum((gamma_deriv_at(n, spec.s.shifted(pf.power)) * pf.coeff
+                                          for pf in spec.prefactor), rational_const(0)), spec
+        assert not table.blocks
+
 
 def kernel_terms(cf):
     """A form's (e, constant) pairs, each expanded from its groups by one kernel call."""
@@ -473,12 +521,21 @@ class TestPrintingFromBlocks:
     PREFACTOR = TestLeibnizAssembly.PREFACTOR
 
     @staticmethod
-    def assert_prints_like_the_kernel(cf, label, read_back=True):
+    def assert_layout(cf, label):
+        """One group per mu exponent, ascending; within a group one item per j, each K nonzero."""
+        exponents = [e for e, _, _ in cf._groups]
+        assert exponents == sorted(set(exponents)), label
+        for _, _, items in cf._groups:
+            js = [j for _, j, _, _ in items]
+            assert items and len(js) == len(set(js)) and all(K for _, _, K, _ in items), label
+
+    @classmethod
+    def assert_prints_like_the_kernel(cls, cf, label, read_back=True):
         expected = kernel_prints(cf)
-        assert (cf.render(), cf.render(paper_style=True), cf.to_json()) == expected, label
         copies = [ClosedForm(cf.terms)] + ([ClosedForm.from_json(cf.to_json())] if read_back else [])
-        for copy in copies:
-            assert (copy.render(), copy.render(paper_style=True), copy.to_json()) == expected, label
+        for form in [cf] + copies:
+            cls.assert_layout(form, label)
+            assert (form.render(), form.render(paper_style=True), form.to_json()) == expected, label
 
     def test_seeded_forms_print_like_the_kernel(self):
         import random
@@ -496,6 +553,16 @@ class TestPrintingFromBlocks:
             for param in param_grid(entry):
                 self.assert_prints_like_the_kernel(eval_general(entry.build(param)), (entry.id, param))
                 self.assert_prints_like_the_kernel(entry.printed_form(param), (entry.id, param, "printed"))
+
+    def test_pair_built_forms_print_like_the_kernel(self):
+        # delta polynomials print in delta, others in gamma and log_mu
+        in_delta = [DELTA**3 - 2 * zeta_const(3), DELTA * zeta_const(2) / 7 + Fraction(1, 3), DELTA**2]
+        not_in_delta = [GAMMA * LOG2_CONST + LOG_MU_CONST, DELTA**2 * SQRT_PI_CONST + LOG_MU_CONST, GAMMA**2]
+        for c in in_delta + not_in_delta:
+            for pairs in ([(1, c)], [(HALF, c), (0, c * c), (-HALF, GAMMA), (HALF, GAMMA - GAMMA)]):
+                cf = ClosedForm(pairs)
+                self.assert_prints_like_the_kernel(cf, pairs)
+                assert ("delta" in cf.render(paper_style=True)) == (c in in_delta), pairs
 
     def test_an_exponent_whose_groups_cancel_is_dropped(self):
         # x mu and -x mu share an exponent and a point: their Leibniz items cancel
@@ -532,6 +599,7 @@ class TestPrintingFromBlocks:
             spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
             cf = eval_general(spec)
             cf.render()
+            cf.render(paper_style=True)
             cf.to_json()
             assert cf._terms is None, spec
             # the walk-built constants keep the kernel's item order, which the hash reads
