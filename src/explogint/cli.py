@@ -155,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
-    table = compute_constants(closed.max_zeta())  # every zeta(k) its blocks name
+    table = compute_constants(spec.log_power)  # Gamma^(k)(s), k <= n, names no zeta above zeta(n)
     closed_value = closed.evaluate(mu, table)
     rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:

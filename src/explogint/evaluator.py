@@ -15,15 +15,16 @@ which is what :func:`eval_general` assembles.  mu stays symbolic throughout:
 a closed form is a sum of (mu-exponent, constant) pairs where the constant
 may mention the log_mu generator.  The form holds the sum only as one group
 per mu exponent of items a log_mu^j K, one per ln mu power j, with
-log_mu-free K, here the Gamma^(k)(s) blocks (see :class:`ClosedForm`).
-Printing never expands them: item k is log_mu^(n-k) times the Gamma^(k)
-block, a kernel output and so in term order, and
-:class:`explogint.ring.LeibnizSum` reads a group's items in the order of
-their sum by sorting only their runs of one degree and gamma power; paper
-style reads its delta test off the items too.  Binding never expands them
-either: each K is bound once to an int at 2^-BITS (a block once per
-constants map), and a value is the sum of the items, rounded to a double
-once.
+log_mu-free K, here the Gamma^(k)(s) blocks, of which none names a zeta(i)
+with i > k (see :class:`ClosedForm`; one merge, :func:`_merged`, builds
+the groups of both constructors).  Printing never expands them: item k is
+log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
+order, and :class:`explogint.ring.LeibnizSum` reads a group's items in the
+order of their sum by sorting only their runs of one degree and gamma
+power; paper style reads its delta test off the items too.  Binding never
+expands them either: each K is bound once to an int at 2^-BITS (a keyed
+item once per constants map), and a value is the sum of the items,
+rounded to a double once.
 """
 
 from __future__ import annotations
@@ -114,50 +115,45 @@ class ClosedForm:
 
     It is held only as groups (e, d, items), one per mu exponent e, ascending, each
     mu^(-e)/d sum a log_mu^j K over its items (a, j, K, key): a an int, j distinct, K a
-    nonzero log_mu-free constant, key the (k, s) of a Gamma^(k)(s) block, k = 0 .. n in
-    order, or None.  So no group is zero.  :func:`eval_general` writes its Leibniz items;
-    pairs (e, c) are summed per e first, so pairs that cancel, even in part, bind exactly;
-    each nonzero sum c gives one group with d = c's denominator and int-coefficient K
-    (``log_mu_slices``), so rounding a K to 2^-BITS loses nothing relative to a tiny c.
-    Exponents are multiples of 1/2.  ``evaluate``, ``max_zeta``, ``at_mu_one``, ``render``
-    and ``to_json`` read the groups, the printers one ``LeibnizSum`` per group.
-    ``terms``, which ``==`` and ``hash`` read, is built when first read: each c_e is one
-    ``sum_of_products`` over its items, so the kernel orders every constant, equal values
-    have identical terms and ``==`` is exact semantic equality.
+    nonzero log_mu-free constant, key the slot under which ``evaluate`` keeps K's bound
+    value, or None.  So no group is zero.  Both constructors hand their parts to
+    :func:`_merged`, the one place that groups items by exponent: :func:`eval_general` its
+    Leibniz items, ``ClosedForm(pairs)`` each pair's ``log_mu_slices``, c's denominator d
+    and int-coefficient K with key None, so rounding a K to 2^-BITS loses nothing relative
+    to a tiny c, and pairs that cancel, even in part, bind exactly, since their slices are
+    summed before they are bound.  Exponents are multiples of 1/2.  ``evaluate``,
+    ``at_mu_one``, ``render`` and ``to_json`` read the groups, the printers one
+    ``LeibnizSum`` per group.  ``terms``, which ``==`` and ``hash`` read, is built on each
+    read: each c_e is one ``sum_of_products`` over its items, so the kernel orders every
+    constant, equal values have identical terms and ``==`` is exact semantic equality.
     """
 
-    __slots__ = ("_terms", "_groups")
+    __slots__ = ("_groups",)
 
     def __init__(self, terms: Iterable[tuple[Fraction, SymbolicConstant]] = ()):
-        acc: dict[Fraction, SymbolicConstant] = {}
+        parts = []
         for exponent, const in terms:
             e = Fraction(exponent)
             if e.denominator > 2:
                 raise ValueError(f"'mu_exponent' must be a multiple of 1/2, got {e}")
-            prev = acc.get(e)
-            acc[e] = const if prev is None else prev + const
-        object.__setattr__(self, "_terms", None)
-        object.__setattr__(self, "_groups", tuple((e, d, tuple((1, j, K, None) for j, K in slices))
-                                                  for e, c in sorted(acc.items()) if c
-                                                  for d, slices in [log_mu_slices(c)]))
+            d, slices = log_mu_slices(const)
+            parts.append((e, d, tuple((1, j, N, None) for j, N in slices)))
+        object.__setattr__(self, "_groups", _merged(parts))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ClosedForm is immutable")
 
     @classmethod
-    def _of_groups(cls, groups: Iterable[tuple[Fraction, int, tuple]]) -> "ClosedForm":
-        obj = cls()
-        object.__setattr__(obj, "_groups", tuple(groups))
+    def _of_parts(cls, parts: Iterable[tuple[Fraction, int, tuple]]) -> "ClosedForm":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_groups", _merged(parts))
         return obj
 
     @property
     def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
         """The (e, c_e) pairs, each c_e one kernel sum of its items a/d log_mu^j K."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", tuple(
-                (e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
-                                    for a, j, K, _ in items)) for e, d, items in self._groups))
-        return self._terms
+        return tuple((e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
+                                         for a, j, K, _ in items)) for e, d, items in self._groups)
 
     def __bool__(self) -> bool:
         return bool(self._groups)
@@ -170,12 +166,6 @@ class ClosedForm:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def max_zeta(self) -> int:
-        """Largest k with zeta(k) among the constants, or 0.  Gamma^(k)(s) names zeta(k) and
-        no higher one, so of a group's blocks, k = 0 .. n in order, only the last is read."""
-        tops = (items[-1:] if items[-1][3] else items for _, _, items in self._groups)
-        return max((K.max_zeta() for items in tops for _, _, K, _ in items), default=0)
-
     def at_mu_one(self) -> SymbolicConstant:
         """Specialize mu = 1: log_mu vanishes and every mu power is 1; the items with j = 0."""
         return sum_of_products(
@@ -187,7 +177,7 @@ class ClosedForm:
         Every value is an int at 2^-BITS until the end: each K is bound by
         ``binder(bindings)`` and rounded down, ln mu is ``fixed_log(mu_value)``,
         and each mu^(-e) is scaled by its own binary exponent (``_mu_power``).  A
-        block's value is kept under its key in the map's ``blocks``, if it has
+        K's value is kept under its item's key in the map's ``blocks``, if it has
         them.  The groups are summed exactly over one denominator and rounded once
         to the nearest double; ValueError when that lies outside the double range.
         """
@@ -257,32 +247,46 @@ def eval_In(n: int) -> SymbolicConstant:
 
 def eval_general(spec: IntegralSpec) -> ClosedForm:
     """Closed form of the integral described by ``spec``; mu stays symbolic.  Each prefactor
-    term c x^p mu^m gives one group (see :class:`ClosedForm`): exponent s + p - m, c's
+    term c x^p mu^m gives one part (see :func:`_merged`): exponent s + p - m, c's
     denominator, and the Leibniz items a = (-1)^(n-k) C(n,k) times c's numerator,
-    j = n - k, K = Gamma^(k)(s + p), key (k, s + p).  Terms that share an exponent, which
-    only mu_power != 0 allows (4.353.2), give one group over the lcm D of their denominators:
-    the items of each j are one ``sum_of_products`` of their a D/d K, with key None, and
-    zero sums are dropped."""
+    j = n - k, K = Gamma^(k)(s + p), key (k, s + p).  Only mu_power != 0 lets two terms
+    share an exponent (4.353.2)."""
     n = spec.log_power
-    by_exponent: dict[Fraction, list] = {}
+    parts = []
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
         items = tuple(((-1) ** (n - k) * math.comb(n, k) * pf.coeff.numerator, n - k, gamma_deriv_at(k, point),
                        (k, point)) for k in range(n + 1))
-        by_exponent.setdefault(spec.s.value + pf.power - pf.mu_power, []).append((pf.coeff.denominator, items))
+        parts.append((spec.s.value + pf.power - pf.mu_power, pf.coeff.denominator, items))
+    return ClosedForm._of_parts(parts)
+
+
+def _merged(parts: Iterable[tuple[Fraction, int, tuple]]) -> tuple:
+    """The groups (see :class:`ClosedForm`) of parts (e, d, items), ascending in e.  A part
+    alone on its exponent is its group.  Parts that share one give one group over the lcm D
+    of their denominators: the items of each j are one ``sum_of_products`` of their a D/d K,
+    keyed by the tuple of their (a D/d, key), or None when one of those keys is None.  Zero
+    sums are dropped, and so are groups left without items."""
+    by_exponent: dict[Fraction, list] = {}
+    for e, d, items in parts:
+        by_exponent.setdefault(e, []).append((d, items))
     groups = []
     for e, shared in sorted(by_exponent.items()):
         (d, items), *rest = shared
         if rest:
             d = math.lcm(*(d for d, _ in shared))
             by_j: dict[int, list] = {}
-            for d_i, items in shared:
-                for a, j, K, _ in items:
-                    by_j.setdefault(j, []).append((a * (d // d_i), ONE, K))
-            items = tuple((1, j, K, None) for j, triples in by_j.items() for K in [sum_of_products(triples)] if K)
+            for d_i, part in shared:
+                for a, j, K, key in part:
+                    by_j.setdefault(j, []).append((a * (d // d_i), K, key))
+            items = []
+            for j, scaled in by_j.items():
+                coeffs, Ks, keys = zip(*scaled)
+                if K := sum_of_products(zip(coeffs, [ONE] * len(Ks), Ks)):
+                    items.append((1, j, K, None if None in keys else tuple(zip(coeffs, keys))))
         if items:
-            groups.append((e, d, items))
-    return ClosedForm._of_groups(groups)
+            groups.append((e, d, tuple(items)))
+    return tuple(groups)
 
 
 def _mu_power(mu: float, e: Fraction) -> tuple[int, int]:

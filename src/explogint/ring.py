@@ -250,12 +250,6 @@ class SymbolicConstant:
     def __bool__(self) -> bool:
         return bool(self._d)
 
-    def max_zeta(self) -> int:
-        """Largest k with zeta(k) among the generators, or 0 when there is none.
-        zeta(k) sits at position k + 2 in trimmed vectors: only lengths are read."""
-        k = max(map(len, self._d), default=0) - 3
-        return k if k >= 2 else 0
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod

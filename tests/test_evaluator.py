@@ -349,7 +349,7 @@ class TestLeibnizAssembly:
             expected = horner_reference(spec)
             for name, read in self.READERS.items():
                 assert read(eval_general(spec)) == read(expected), (point, n, name)
-            assert eval_general(spec) == expected and eval_general(spec).max_zeta() >= expected.max_zeta()
+            assert eval_general(spec) == expected
 
     def test_a_block_bound_under_one_map_is_not_read_under_another(self):
         cf = eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14")))
@@ -381,10 +381,34 @@ class TestLeibnizAssembly:
             for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
                 assert cf.evaluate(mu, table) == pairs.evaluate(mu, fresh), (spec, mu)
             assert not fresh.blocks  # a caller's constants are bound afresh, never cached
-            assert cf.at_mu_one() == pairs.at_mu_one() and cf.max_zeta() == pairs.max_zeta()
+            assert cf.at_mu_one() == pairs.at_mu_one()
             for _, const in cf.terms:
                 den, slices = log_mu_slices(const)
                 assert sum_of_products(((1, LOG_MU_CONST**j, k) for j, k in slices), den) == const
+
+    def test_the_log_power_bounds_the_zetas(self):
+        # Gamma^(k)(s) names no zeta above zeta(k), so a form of log power n binds under
+        # zeta(2) .. zeta(n) alone, to the same doubles as under every zeta: verify sizes
+        # its table from the input.  The mu_power = 1 terms make merged groups.
+        import random
+
+        rng = random.Random(3201)
+        merged = 0
+        for _ in range(40):
+            prefactor = {}
+            for _ in range(rng.randint(1, 3)):
+                power, mu_power = rng.randint(0, 3), rng.randint(0, 1)
+                if prefactor and rng.random() < 0.5:  # x mu shares the exponent of a drawn term
+                    power, mu_power = (x + 1 for x in rng.choice(sorted(prefactor)))
+                prefactor[power, mu_power] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            spec = IntegralSpec(tuple(PrefactorTerm(p, c, m) for (p, m), c in prefactor.items()),
+                                ArgPoint(rng.randint(1, 21)), rng.randint(0, 16))
+            cf = eval_general(spec)
+            merged += any(isinstance(key[0], tuple) for _, _, items in cf._groups for *_, key in items)
+            n = spec.log_power
+            for mu in (1e-3, 1.0, 1e3):
+                assert cf.evaluate(mu, compute_constants(n)) == cf.evaluate(mu, compute_constants(41)), (spec, mu)
+        assert merged >= 8
 
     def test_tiny_and_huge_coefficients_keep_their_precision(self):
         # A constant's denominator stays outside the 2^-BITS rounding of its slices, so a
@@ -421,14 +445,14 @@ class TestLeibnizAssembly:
         for read in (lambda cf: [(e, list(c._d.items()), c._den) for e, c in cf.terms], hash, ClosedForm.render,
                      lambda cf: cf.render(paper_style=True), ClosedForm.to_json):
             assert read(pairs) == read(summed)
-        # Pairs that cancel are the zero form, with no group left to name the zeta(4)
-        # that cancelled; pairs that cancel in part bind as their sum does.
+        # Pairs that cancel are the zero form, with no group left; pairs that cancel in
+        # part bind as their sum does.
         cancelled = ClosedForm([(1, a), (1, -a)])
         assert cancelled.terms == () and not cancelled and cancelled.render() == "0"
         assert cancelled.to_json() == {"terms": []} and cancelled.at_mu_one() == 0
         assert cancelled == ClosedForm([]) and hash(cancelled) == hash(ClosedForm([]))
-        assert cancelled._groups == () and cancelled.max_zeta() == 0 < a.max_zeta()
-        table = compute_constants(a.max_zeta())
+        assert cancelled._groups == ()
+        table = compute_constants(4)  # log power 4
         tiny = GAMMA / 10**40
         for mu in (0.3, 1.0, 3.0):
             assert cancelled.evaluate(mu, table) == 0.0
@@ -474,23 +498,41 @@ class TestLeibnizAssembly:
     }
 
     def test_merged_terms_bind_to_the_pinned_doubles(self):
-        # A merged group's items have key None: bound on each call, never cached.
-        table = Constants(dict(compute_constants(12).fixed))
+        # A merged item is keyed by its parts' (scaled coefficient, (k, s)): bound once per
+        # map and kept in its blocks, as an unmerged Gamma^(k)(s) block is.
+        fixed = compute_constants(12).fixed
+        table = Constants(dict(fixed))
         specs = [(IntegralSpec((PrefactorTerm(1, Fraction(1), mu_power=1), PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
                                ArgPoint(2 * n + 1), 1), doubles)
                  for n, doubles in enumerate(self.MERGED_DOUBLES["4.353.2"])]
         specs += [(IntegralSpec((PrefactorTerm(0, Fraction(3, 5)), PrefactorTerm(1, Fraction(-7, 4), mu_power=1)),
                                 ArgPoint(7), n), doubles) for n, doubles in enumerate(self.MERGED_DOUBLES["two terms"])]
+        keys = set()
         for spec, doubles in specs:
             cf = eval_general(spec)
             ((_, _, items),) = cf._groups
-            assert all(key is None for *_, key in items), spec
+            for *_, key in items:  # the merged parts' (a D/d, (k, s))
+                assert [(type(c), type(part)) for c, part in key] == [(int, tuple)] * 2, spec
+            keys.update(key for *_, key in items)
             assert " ".join(cf.evaluate(mu, table).hex() for mu in self.MUS) == doubles, spec
             n = spec.log_power
-            assert cf.max_zeta() == (n if n >= 2 else 0), spec
             assert cf.at_mu_one() == sum((gamma_deriv_at(n, spec.s.shifted(pf.power)) * pf.coeff
                                           for pf in spec.prefactor), rational_const(0)), spec
-        assert not table.blocks
+        assert set(table.blocks) == keys  # one entry per merged item
+        for spec, doubles in specs:  # read back, none bound again
+            assert " ".join(eval_general(spec).evaluate(mu, table).hex() for mu in self.MUS) == doubles, spec
+        assert set(table.blocks) == keys
+        # The same (k, s) parts under other coefficients: a key that left the coefficients
+        # out would hand each the value cached for the first.  (6/5, -7/2) scales to the
+        # same parts as (3/5, -7/4) over half the denominator, and shares their slot.
+        for coeffs in ((Fraction(3, 5), Fraction(7, 4)), (Fraction(1), Fraction(-1)), (Fraction(-7, 4), Fraction(3, 5)),
+                       (Fraction(6, 5), Fraction(-7, 2)), (Fraction(3, 5), Fraction(-7, 4))):
+            for n in (0, 1, 4):
+                cf = eval_general(IntegralSpec((PrefactorTerm(0, coeffs[0]), PrefactorTerm(1, coeffs[1], mu_power=1)),
+                                               ArgPoint(7), n))
+                fresh = Constants(dict(fixed))
+                for mu in self.MUS:
+                    assert cf.evaluate(mu, table) == cf.evaluate(mu, fresh), (coeffs, n, mu)
 
 
 def kernel_terms(cf):
@@ -590,18 +632,22 @@ class TestPrintingFromBlocks:
             with pytest.raises(ValueError, match=re.escape(cap)):
                 read(doc)
 
-    def test_printing_leaves_the_form_unexpanded(self):
+    def test_printing_leaves_the_form_unexpanded(self, monkeypatch):
         import random
+
+        def expand(cf):
+            raise AssertionError("printing expanded the form")
 
         rng = random.Random(2802)
         for _ in range(12):
             prefactor = tuple(rng.sample(self.PREFACTOR, rng.randint(1, 3)))
             spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
             cf = eval_general(spec)
-            cf.render()
-            cf.render(paper_style=True)
-            cf.to_json()
-            assert cf._terms is None, spec
+            with monkeypatch.context() as patched:
+                patched.setattr(ClosedForm, "terms", property(expand))
+                cf.render()
+                cf.render(paper_style=True)
+                cf.to_json()
             # the walk-built constants keep the kernel's item order, which the hash reads
             expected = kernel_terms(cf)
             assert [(e, list(c._d.items()), c._den) for e, c in cf.terms] == \
@@ -658,7 +704,7 @@ class TestBindingAgainstMpmath:
             point = ArgPoint.of(s)
             for n in sorted(rng.sample(range(23), 4)) + [22] * (s == Fraction(21, 2)):
                 cf = eval_general(IntegralSpec.simple(s, n))
-                table = compute_constants(cf.max_zeta())
+                table = compute_constants(n)
                 for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
                     log_mu = mp.log(mp.mpf(mu))
                     exact = mp.mpf(mu) ** (-mp.mpf(s.numerator) / s.denominator) * mp.fsum(

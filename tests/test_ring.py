@@ -349,12 +349,6 @@ class TestKernelAgainstReference:
             assert rebuilt.terms == c.terms
             assert rebuilt == c
 
-    def test_max_zeta_is_the_largest_zeta_generator(self):
-        draws = list(kernel_draws(17)) + [rational_const(0), GAMMA, zeta_const(2), zeta_const(9) + 1]
-        assert {c.max_zeta() for c in draws} >= {0, 2, 9}
-        for c in draws:
-            assert c.max_zeta() == max([0] + [g.k for m in c.terms for g, _ in m.powers])
-
 
 # --- canonical storage: int numerators over one denominator ------------------
 
