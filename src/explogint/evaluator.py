@@ -21,10 +21,12 @@ the groups of both constructors).  Printing never expands them: item k is
 log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
 order, and :class:`explogint.ring.LeibnizSum` reads a group's items in the
 order of their sum by sorting only their runs of one degree and gamma
-power; paper style reads its delta test off the items too.  Binding never
-expands them either: each K is bound once to an int at 2^-BITS (a keyed
-item once per constants map), and a value is the sum of the items,
-rounded to a double once.
+power; those runs and the text of each monomial's other factors come from
+the block's print plan, kept under the item's key from its first print (a
+keyless item's is built per print), and paper style reads its delta test
+off the items too.  Binding never expands them either: each K is bound
+once to an int at 2^-BITS (a keyed item once per constants map), and a
+value is the sum of the items, rounded to a double once.
 """
 
 from __future__ import annotations
@@ -116,12 +118,13 @@ class ClosedForm:
     It is held only as groups (e, d, items), one per mu exponent e, ascending, each
     mu^(-e)/d sum a log_mu^j K over its items (a, j, K, key): a an int, j distinct, K a
     nonzero log_mu-free constant, key the slot under which ``evaluate`` keeps K's bound
-    value, or None.  So no group is zero.  Both constructors hand their parts to
-    :func:`_merged`, the one place that groups items by exponent: :func:`eval_general` its
-    Leibniz items, ``ClosedForm(pairs)`` each pair's ``log_mu_slices``, c's denominator d
-    and int-coefficient K with key None, so rounding a K to 2^-BITS loses nothing relative
-    to a tiny c, and pairs that cancel, even in part, bind exactly, since their slices are
-    summed before they are bound.  Exponents are multiples of 1/2.  ``evaluate``,
+    value and the printers its print plan, or None.  So no group is zero.  Both
+    constructors hand their parts to :func:`_merged`, the one place that groups items by
+    exponent: :func:`eval_general` its Leibniz items, ``ClosedForm(pairs)`` each pair's
+    ``log_mu_slices``, c's denominator d and int-coefficient K with key None, so rounding a
+    K to 2^-BITS loses nothing relative to a tiny c, and pairs that cancel, even in part,
+    bind exactly, since their slices are summed before they are bound.  Exponents are
+    multiples of 1/2.  ``evaluate``,
     ``at_mu_one``, ``render`` and ``to_json`` read the groups, the printers one
     ``LeibnizSum`` per group.  ``terms``, which ``==`` and ``hash`` read, is built on each
     read: each c_e is one ``sum_of_products`` over its items, so the kernel orders every
@@ -210,7 +213,7 @@ class ClosedForm:
 
     def _walks(self):
         """(e, the LeibnizSum of its items) per group."""
-        return ((e, LeibnizSum(d, ((a, j, K) for a, j, K, _ in items))) for e, d, items in self._groups)
+        return ((e, LeibnizSum(d, items)) for e, d, items in self._groups)
 
     def render(self, paper_style: bool = False) -> str:
         bodies = ((e, walk.render(paper_style)) for e, walk in self._walks())

@@ -26,9 +26,13 @@ Constants and closed forms print by one walk, ``LeibnizSum``, over one
 denominator and items a log_mu^j K with distinct j and log_mu-free K: a
 constant's items are its ``log_mu_slices``, a closed form's those of each
 mu exponent.  One text and one JSON printer read the walk's runs of
-monomials of one (gamma, log_mu) power pair.  They split each vector
-into that pair and its tail, the entries from position 2 on (log2, sqrt_pi,
-zeta(k)), and build the text of each distinct tail and pair once per
+monomials of one (gamma, log_mu) power pair, each K's coefficients beside
+its print plan: its runs and, built on each printer's first use, the text
+or JSON powers of each monomial's tail, the entries from position 2 on
+(log2, sqrt_pi, zeta(k)).  The plan of a keyed K (a closed form's
+Gamma^(k)(s) block, or a merged item) is built once per process and kept
+under its key, so a warm print formats only coefficients; a keyless K's is
+built per call.  The text of each distinct tail and pair is built once per
 process: a deep closed form has thousands of monomials but only a few
 hundred distinct tails.  Each coefficient is reduced by one gcd against the
 denominator.  They print a coefficient of any length: past
@@ -359,10 +363,11 @@ class SymbolicConstant:
         return _place(pairs)
 
 
-# The printers read the runs (g, j, m, items) of a ``LeibnizSum``: each item (e, c) of a run
-# is the monomial m c / den gamma^g log_mu^j times the generators of e's tail e[2:].  The
-# text and powers of each distinct tail and head are built once per process: a deep closed
-# form has thousands of monomials but only a few hundred distinct tails.
+# The printers walk the runs (g, j, m, pairs) of a ``LeibnizSum``: each pair (c, tail) of a run
+# is the monomial m c / den gamma^g log_mu^j times its tail, the factors from position 2 on of
+# its vector as text or JSON powers, read from its block's ``_Plan``.  The text and powers of
+# each distinct tail and head are built once per process, and plans hold references to them:
+# a deep closed form has thousands of monomials but only a few hundred distinct tails.
 
 
 @lru_cache(maxsize=None)
@@ -394,14 +399,53 @@ def _tail_powers(tail: Exponents) -> tuple[tuple[str, int], ...]:
     return tuple((_name(i + 2), tail[i]) for i in range(len(tail) - 1, -1, -1) if tail[i])
 
 
-def _text(runs, den: int, paper_style: bool = False, gamma_name: str = "gamma") -> str:
+_HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most one
+
+
+class _Plan:
+    """The print plan of one block (a K's dict, in term order): its ``runs`` (D, g, count),
+    the next ``count`` monomials of total degree D and gamma power g, and per printer each
+    monomial's tail, built on that printer's first use (``tails``)."""
+
+    __slots__ = ("runs", "_tails")
+
+    def __init__(self, block: dict):
+        self.runs = [(deg, head[0] if head else 0, len(list(run)))
+                     for (deg, head), run in groupby(zip(map(sum, block), map(_HEAD, block)))]
+        self._tails: dict = {}
+
+    def tails(self, block: dict, style: Union[bool, str]) -> list:
+        """Each monomial's tail in term order: ``_tail_text`` of paper style ``style`` (a bool),
+        or ``_tail_powers`` for style "json"."""
+        tails = self._tails.get(style)
+        if tails is None:
+            tails = self._tails[style] = [_tail_powers(e[2:]) if style == "json" else _tail_text(e[2:], style)
+                                          for e in block]
+        return tails
+
+
+# The plan of each keyed block, under its item's key (see ``LeibnizSum``), from its first print
+# to the end of the process, as the engine keeps the blocks themselves (``gamma_deriv_at``).
+_PLANS: dict = {}
+
+
+def _plan(key, block: dict) -> _Plan:
+    """The plan of ``block``: the one kept under ``key``, or for key None one built for this call."""
+    if key is None:
+        return _Plan(block)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(block)
+    return plan
+
+
+def _text(runs, den: int, gamma_name: str = "gamma") -> str:
     """The display form of the runs' monomials, in their order (see ``SymbolicConstant.render``)."""
     parts: list[str] = []
     append = parts.append
-    for g, j, m, items in runs:
+    for g, j, m, pairs in runs:
         head = _head_text(g, j, gamma_name)
-        for e, num in items:
-            text, scale = _tail_text(e[2:], paper_style)
+        for num, (text, scale) in pairs:
             if head:
                 text = f"{text}*{head}" if text else head
             num *= m
@@ -434,18 +478,18 @@ def _json(runs, den: int) -> dict:
     """The JSON form of the runs' monomials, in their order (see ``SymbolicConstant.to_json``)."""
     terms = []
     append = terms.append
-    for g, j, m, items in runs:
+    for g, j, m, pairs in runs:
         head = {"log_mu": j} if j else {}
         if g:
             head["gamma"] = g
-        for e, num in items:
+        for num, powers in pairs:
             num *= m
             r = gcd(num, den)
             try:
                 coeff = f"{num // r}/{den // r}"
             except ValueError:  # too many digits for str (module docstring)
                 coeff = "%s/%s" % (Decimal(num // r), Decimal(den // r))
-            append({"coeff": coeff, "powers": dict(_tail_powers(e[2:]), **head)})
+            append({"coeff": coeff, "powers": dict(powers, **head)})
     return {"terms": terms}
 
 
@@ -602,48 +646,47 @@ def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, Symboli
     return const._den, [(j, _wrap(slices[j])) for j in sorted(slices)]
 
 
-_HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most one
-
-
 class LeibnizSum:
-    """The sum of a/d log_mu^j K over items (a, j, K), the j distinct and each K nonzero and
+    """The sum of a/d log_mu^j K over items (a, j, K, key), the j distinct and each K nonzero and
     log_mu-free, as the printers read it: in term order, without building its dict.  It holds
-    a denominator ``den``, ``blocks`` (j, m, the dict of a K) and ``runs`` (D, g, j, i, count):
-    the next ``count`` items (e, c) of block i are the monomials m c / den gamma^g log_mu^j
-    e[2:] of total degree D.
+    a denominator ``den``, ``blocks`` (j, m, the dict of a K, its ``_Plan``) and ``runs`` (D, g,
+    j, i, count): the next ``count`` items (e, c) of block i are the monomials m c / den gamma^g
+    log_mu^j e[2:] of total degree D.  A keyed K's plan is built on its first print and kept
+    under its key, which names one K for the life of the process (``ClosedForm``'s item keys);
+    a K of key None gets a plan built for this walk alone.
 
     No two items share j, so no two monomials collide.  A K is in term order, so its
     monomials of one degree and gamma power are one contiguous run, and its runs keep their
     order in the sum; the sum is ordered by D, then g, then j, then within runs (see
-    ``_grlex_key``), so only the runs are sorted, by (D, g, j), which are distinct, and each
-    monomial's degree and gamma power are read once, at C speed.
+    ``_grlex_key``), so only the runs are sorted, by (D, g, j), which are distinct.
     """
 
     __slots__ = ("den", "blocks", "runs")
 
-    def __init__(self, d: int, items: Iterable[tuple[int, int, SymbolicConstant]]):
+    def __init__(self, d: int, items: Iterable[tuple[int, int, SymbolicConstant, object]]):
         items = list(items)
-        self.den = d * lcm(*(K._den for _, _, K in items))
-        self.blocks = [(j, a * (self.den // (d * K._den)), K._d) for a, j, K in items]
-        self.runs = sorted(((deg + j, head[0] if head else 0, j, i, len(list(run)))
-                            for i, (j, _, block) in enumerate(self.blocks)
-                            for (deg, head), run in groupby(zip(map(sum, block), map(_HEAD, block)))),
-                           reverse=True)
+        self.den = d * lcm(*(K._den for _, _, K, _ in items))
+        self.blocks = [(j, a * (self.den // (d * K._den)), K._d, _plan(key, K._d)) for a, j, K, key in items]
+        self.runs = sorted(((deg + j, g, j, i, count) for i, (j, _, _, plan) in enumerate(self.blocks)
+                            for deg, g, count in plan.runs), reverse=True)
 
-    def _runs(self, delta: bool = False):
-        """(g, j, m, the run's (e, c) items) per run, in term order; with ``delta``, those of j = 0."""
-        blocks = [(m, iter(block.items())) for _, m, block in self.blocks]
+    def _runs(self, style: Union[bool, str], delta: bool = False):
+        """(g, j, m, the run's (c, tail) pairs) per run, in term order, each tail of ``style``
+        (see ``_Plan.tails``); with ``delta``, those of j = 0.  A block's runs read on from one
+        iterator over its coefficients and one over its tails."""
+        blocks = [None if delta and j else (m, iter(block.values()), iter(plan.tails(block, style)))
+                  for j, m, block, plan in self.blocks]
         for _, g, j, i, count in self.runs:
             if not (delta and j):
-                m, items = blocks[i]
-                yield g, j, m, islice(items, count)
+                m, values, tails = blocks[i]
+                yield g, j, m, zip(islice(values, count), islice(tails, count))
 
     def _in_delta(self) -> bool:
         """Whether the sum is a polynomial in delta (see the module docstring)."""
-        m0, base = next(((m, block) for j, m, block in self.blocks if not j), (0, {}))
-        if sum(len(block) for _, _, block in self.blocks) != sum(e[0] + 1 if e else 1 for e in base):
+        m0, base = next(((m, block) for j, m, block, _ in self.blocks if not j), (0, {}))
+        if sum(len(block) for _, _, block, _ in self.blocks) != sum(e[0] + 1 if e else 1 for e in base):
             return False
-        for j, m, block in self.blocks:
+        for j, m, block, _ in self.blocks:
             if j:
                 for e, c in block.items():
                     i = e[0] if e else 0
@@ -653,16 +696,16 @@ class LeibnizSum:
 
     def render(self, paper_style: bool = False) -> str:
         delta = paper_style and self._in_delta()
-        return _text(self._runs(delta), self.den, paper_style, "delta" if delta else "gamma")
+        return _text(self._runs(paper_style, delta), self.den, "delta" if delta else "gamma")
 
     def to_json(self) -> dict:
-        return _json(self._runs(), self.den)
+        return _json(self._runs("json"), self.den)
 
 
 def _walk(const: SymbolicConstant) -> LeibnizSum:
     """The walk over a constant's ``log_mu_slices``."""
     den, slices = log_mu_slices(const)
-    return LeibnizSum(den, ((1, j, N) for j, N in slices))
+    return LeibnizSum(den, ((1, j, N, None) for j, N in slices))
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

@@ -544,6 +544,14 @@ def kernel_terms(cf):
     return [(e, c) for e, c in consts if c]
 
 
+def kernel_json(cf):
+    """A form's JSON written from the kernel-expanded ``terms`` one monomial at a time, without
+    the printers' walk."""
+    return {"terms": [{"mu_exponent": f"{e.numerator}/{e.denominator}", "constant": {"terms": [
+        {"coeff": f"{m.coeff.numerator}/{m.coeff.denominator}", "powers": {g.name: k for g, k in reversed(m.powers)}}
+        for m in c.terms]}} for e, c in kernel_terms(cf)]}
+
+
 def kernel_prints(cf):
     """Plain text, paper-style text and JSON of a form, each constant printed on its own."""
     pairs = kernel_terms(cf)
@@ -653,6 +661,90 @@ class TestPrintingFromBlocks:
             assert [(e, list(c._d.items()), c._den) for e, c in cf.terms] == \
                 [(e, list(c._d.items()), c._den) for e, c in expected], spec
             assert hash(cf) == hash(ClosedForm(expected)) and cf == ClosedForm(expected)
+
+    @staticmethod
+    def shared_block_forms(seed):
+        """Engine forms over few points, so that their Gamma^(k)(s) blocks recur under other
+        coefficients, denominators and log powers (so other j), and 4.353.2-shaped forms whose
+        merged items recur with them."""
+        import random
+
+        rng = random.Random(seed)
+        forms = []
+        for _ in range(16):
+            prefactor = {}
+            for _ in range(rng.randint(1, 3)):
+                prefactor[rng.randint(0, 2)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+            spec = IntegralSpec(tuple(PrefactorTerm(p, c) for p, c in prefactor.items()),
+                                ArgPoint(rng.choice([3, 4])), rng.randint(0, 8))
+            forms.append(eval_general(spec))
+        for n in range(4):
+            for coeff in (Fraction(1), Fraction(-5, 3)):
+                lead = PrefactorTerm(1, coeff, mu_power=1)
+                forms.append(eval_general(IntegralSpec((lead, PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
+                                                       ArgPoint(2 * n + 1), 1)))
+        rng.shuffle(forms)
+        return forms
+
+    def test_shared_blocks_print_alike_cold_and_warm(self, monkeypatch):
+        import random
+
+        from explogint import ring
+
+        forms = self.shared_block_forms(3301)
+        keys = [key for cf in forms for _, _, items in cf._groups for *_, key in items]
+        assert len(set(keys)) < len(keys)  # blocks recur across forms
+        assert len({key for key in keys if isinstance(key[0], int)}) > len({key[0] for key in keys})  # one k, many s
+        assert any(isinstance(key[0], tuple) for key in keys)  # merged items
+        printers = (ClosedForm.render, lambda cf: cf.render(paper_style=True), ClosedForm.to_json)
+        jobs = [(i, p) for i in range(len(forms)) for p in range(3)]
+        expected = [kernel_prints(cf) for cf in forms]
+        assert [doc for _, _, doc in expected] == [kernel_json(cf) for cf in forms]
+        monkeypatch.setattr(ring, "_PLANS", {})
+        rng = random.Random(3302)
+        for state in ("cold", "warm"):
+            rng.shuffle(jobs)
+            for i, p in jobs:
+                assert printers[p](forms[i]) == expected[i][p], (state, i, p)
+        assert set(ring._PLANS) == set(keys)
+
+    def test_only_keyed_blocks_keep_plans_and_a_warm_print_builds_no_tail(self, monkeypatch):
+        from explogint import ring
+
+        def prints(value):
+            return value.render(), value.render(paper_style=True), value.to_json()
+
+        forms = self.shared_block_forms(3303)
+        monkeypatch.setattr(ring, "_PLANS", {})
+        for cf in forms:
+            pairs = ClosedForm(cf.terms)
+            for keyless in (pairs, ClosedForm.from_json(pairs.to_json()), cf.at_mu_one(), *(c for _, c in cf.terms)):
+                prints(keyless)
+        prints(GAMMA * LOG2_CONST + DELTA**2)
+        assert ring._PLANS == {}
+        # n + 1 blocks at each of two points, then the same blocks under other coefficients and
+        # denominators, and a subset of them under another log power, so at other j
+        specs = [IntegralSpec(pf, ArgPoint(5), n) for pf, n in (
+            ((PrefactorTerm(0, Fraction(1)), PrefactorTerm(2, Fraction(-3, 5))), 8),
+            ((PrefactorTerm(2, Fraction(1, 9)), PrefactorTerm(0, Fraction(-2))), 5),
+            ((PrefactorTerm(0, Fraction(7, 3)), PrefactorTerm(2, Fraction(2))), 8),
+            ((PrefactorTerm(2, Fraction(-4, 7)), PrefactorTerm(0, Fraction(5))), 5))]
+        first, *again = [eval_general(spec) for spec in specs]
+        expected = [kernel_prints(cf) for cf in again]
+        prints(first)
+        assert len(ring._PLANS) == 18
+        calls = []
+        for name in ("_tail_text", "_tail_powers"):
+            monkeypatch.setattr(ring, name, lambda *args, f=getattr(ring, name), name=name: calls.append(name) or f(*args))
+        # plain text and JSON of the subset need no tail; its paper style prints in delta, whose
+        # blocks k = 5 the n = 8 form printed at j = 3, where delta does not read them
+        assert prints(again[0]) == expected[0]
+        assert "_tail_powers" not in calls
+        assert len(calls) == sum(len(gamma_deriv_at(5, ArgPoint(twice))._d) for twice in (5, 9))
+        calls.clear()
+        for cf, printed in zip(again, expected):
+            assert prints(cf) == printed
+        assert calls == [] and len(ring._PLANS) == 18
 
 
 class TestSpecValidation:
