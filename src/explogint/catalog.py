@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
-from .oracle import check_arguments, compute_constants, quadrature, verdict
+from .oracle import Constants, check_arguments, compute_constants, quadrature, verdict
 from .ring import (
     GAMMA,
-    Generator,
     LOG2_CONST,
     LOG_MU_CONST,
     SQRT_PI_CONST,
@@ -213,7 +212,7 @@ class CatalogCheck(NamedTuple):
 def check_entry(
     entry: CatalogEntry,
     param: Param,
-    table: Mapping[Generator, float],
+    table: Constants,
     mu_grid: Sequence[float] = DEFAULT_MU_GRID,
     quad_tol: float = 1e-10,
 ) -> CatalogCheck:

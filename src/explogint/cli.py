@@ -155,8 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("decay rate mu lies outside the float range; verify binds mu as a float")
     quad = quadrature(spec, mu, rel_tol=tol)
     closed = eval_general(spec)
-    table = compute_constants(spec.log_power)  # Gamma^(k)(s), k <= n, names no zeta above zeta(n)
-    closed_value = closed.evaluate(mu, table)
+    closed_value = closed.evaluate(mu, compute_constants())
     rel_err, passed = verdict(closed_value, quad, tol)
     if spec.mu == 1:
         shown_form = closed.at_mu_one().render(paper_style=args.paper_style)

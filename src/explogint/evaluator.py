@@ -25,7 +25,7 @@ power; those runs and the text of each monomial's other factors come from
 the block's print plan, kept under the item's key from its first print (a
 keyless item's is built per print), and paper style reads its delta test
 off the items too.  Binding never expands them either: each K is bound
-once to an int at 2^-BITS (a keyed item once per constants map), and a
+once to an int at 2^-BITS (a keyed item once per constants table), and a
 value is the sum of the items, rounded to a double once.
 """
 
@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .oracle import fixed_log
+from .oracle import Constants, fixed_log
 from .ring import (
     BITS,
     LOG_MU,
@@ -174,15 +174,15 @@ class ClosedForm:
         return sum_of_products(
             (Fraction(a, d), ONE, K) for _, d, items in self._groups for a, j, K, _ in items if not j)
 
-    def evaluate(self, mu_value: float, bindings: Mapping[Generator, float]) -> float:
+    def evaluate(self, mu_value: float, bindings: Union[Constants, Mapping[Generator, float]]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e).
 
         Every value is an int at 2^-BITS until the end: each K is bound by
         ``binder(bindings)`` and rounded down, ln mu is ``fixed_log(mu_value)``,
         and each mu^(-e) is scaled by its own binary exponent (``_mu_power``).  A
-        K's value is kept under its item's key in the map's ``blocks``, if it has
-        them.  The groups are summed exactly over one denominator and rounded once
-        to the nearest double; ValueError when that lies outside the double range.
+        K's value is kept under its item's key in the table's ``blocks``, if any.
+        The groups are summed exactly over one denominator and rounded once to
+        the nearest double; ValueError when that lies outside the double range.
         """
         if not 0 < mu_value < math.inf:
             raise ValueError("mu must be positive and finite")

@@ -1,8 +1,8 @@
 """Independent ground truth: constants, quadrature and the pass rule.
 
-This module supplies correctly rounded values of the ring generators, built
-in integer arithmetic and kept as those ints for binding, ln of a double in
-the same arithmetic, high-accuracy quadrature over the integral class, and
+This module supplies one table of the ring generators' values as ints for
+binding, each zeta(k) built on its first read, ln of a double in the same
+arithmetic, high-accuracy quadrature over the integral class, and
 the rule by which a closed form's value passes against quadrature.  Of the
 package it imports only the ring's generator identities at run time, so it
 shares no code path with the exact engine in :mod:`special_values` /
@@ -21,13 +21,12 @@ calibrated to that.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ring import EULER_GAMMA, LOG2, SQRT_PI, zeta_gen
+from .ring import EULER_GAMMA, LOG2, SQRT_PI
 
 if TYPE_CHECKING:
     from .evaluator import IntegralSpec
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
 # Working precision of the constants, each an int times 2^-_BITS: the ring's BITS, at
 # which binding reads them, and which this module does not import (module docstring).
 _BITS = 128
-_ONE = 1 << _BITS
 
 
 def _arc(p: int, q: int, sign: int) -> int:
@@ -62,61 +60,58 @@ def fixed_log(x: float) -> int:
     return 2 * half + e * _LN2
 
 
-class Constants(Mapping):
-    """Read-only map of generators to doubles, as :func:`compute_constants` builds it.
+class Constants:
+    """Generator values as ints at 2^-_BITS in ``fixed``, a read-only view that binding
+    reads (``ring.binder``), and in ``blocks`` the values ``ClosedForm.evaluate`` has bound
+    under this table of Gamma^(k)(s) blocks, by (k, s), so none is read under another."""
 
-    ``fixed`` holds each value as the int at 2^-_BITS that its double was rounded
-    from, and binding reads those ints, not the doubles (``ring.binder``).
-    ``blocks`` holds the values ``ClosedForm.evaluate`` has bound of Gamma^(k)(s)
-    blocks under this map, by (k, s): each map keeps its own, so a value bound
-    under one map is never read under another.
-    """
-
-    __slots__ = ("fixed", "blocks", "_doubles")
+    __slots__ = ("fixed", "blocks")
 
     def __init__(self, fixed: dict[Generator, int]):
         self.fixed = MappingProxyType(fixed)
         self.blocks: dict = {}
-        self._doubles = {g: x / _ONE for g, x in fixed.items()}
-
-    def __getitem__(self, g: Generator) -> float:
-        return self._doubles[g]
-
-    def __iter__(self):
-        return iter(self._doubles)
-
-    def __len__(self) -> int:
-        return len(self._doubles)
 
 
 @lru_cache(maxsize=None)
-def compute_constants(max_zeta: int = 12) -> Constants:
-    """Read-only map of gamma, log2, sqrt_pi and zeta(2) .. zeta(max_zeta) to their
-    values, whose ints at 2^-_BITS ``evaluate`` binds; built once per ``max_zeta``.
-
-    Each is built as an int at 2^-_BITS, a few hundred units off at most (measured
-    against mpmath), and rounded once to the nearest double by int division: ln 2 and
-    pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34, 1980) at N = 2^j, and
-    zeta(s) = eta(s)/(1 - 2^(1-s)) by Borwein's alternating series (CMS Conf. Proc. 27, 2000).
-    """
-    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)  # Machin's formula
-    j = (_BITS // 5).bit_length()  # pi e^(-4N) < 2^-_BITS
-    a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
-    b = v = _ONE  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
-    for k in range(1, 5 << j):  # the terms fall below e^(-4N) before k = 5N
-        b = (b << 2 * j) // (k * k)
-        a = ((a << 2 * j) // k + b) // k
-        u, v = u + a, v + b
-    fixed = {EULER_GAMMA: (u << _BITS) // v, LOG2: _LN2, SQRT_PI: math.isqrt(pi << _BITS)}
+def _borwein() -> tuple[int, list[int]]:
     # eta(s) = sum_(k<n) (-1)^k (d_n - d_k)/((k+1)^s d_n) to within 3 (3 + sqrt 8)^-n < 2^(-5n/2),
     # with integer weights d_k = sum_(i<=k) n (n+i-1)! 4^i/((n-i)! (2i)!) that serve every s
     n, f = _BITS // 2, math.factorial
     d = list(accumulate(n * f(n + i - 1) * 4**i // (f(n - i) * f(2 * i)) for i in range(n + 1)))
-    weights = [(-1) ** k * (d[n] - d[k]) << _BITS for k in range(n)]
-    for s in range(2, max_zeta + 1):
+    return d[n], [(-1) ** k * (d[n] - d[k]) << _BITS for k in range(n)]
+
+
+class _ZetaOnRead(dict):
+    """A dict that builds zeta(s) = eta(s)/(1 - 2^(1-s)) at 2^-_BITS when a missing one is
+    read by subscript, by Borwein's alternating series (CMS Conf. Proc. 27, 2000)."""
+
+    def __missing__(self, g: Generator) -> int:
+        if (s := getattr(g, "k", 0)) < 2:
+            raise KeyError(g)
+        d_n, weights = _borwein()
         eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))
-        fixed[zeta_gen(s)] = (eta << s - 1) // (d[n] * ((1 << s - 1) - 1))
-    return Constants(fixed)
+        self[g] = value = (eta << s - 1) // (d_n * ((1 << s - 1) - 1))
+        return value
+
+
+@lru_cache(maxsize=None)
+def compute_constants() -> Constants:
+    """The process table: gamma, log2 and sqrt_pi, built on the first call, and each
+    zeta(k), built when binding first reads it; the same table on every call.
+
+    Each is an int at 2^-_BITS, a few hundred units off at most (measured against
+    mpmath): ln 2 and pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34,
+    1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`.
+    """
+    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)  # Machin's formula
+    j = (_BITS // 5).bit_length()  # pi e^(-4N) < 2^-_BITS
+    a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
+    b = v = 1 << _BITS  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
+    for k in range(1, 5 << j):  # the terms fall below e^(-4N) before k = 5N
+        b = (b << 2 * j) // (k * k)
+        a = ((a << 2 * j) // k + b) // k
+        u, v = u + a, v + b
+    return Constants(_ZetaOnRead({EULER_GAMMA: (u << _BITS) // v, LOG2: _LN2, SQRT_PI: math.isqrt(pi << _BITS)}))
 
 
 # ---------------------------------------------------------------------------

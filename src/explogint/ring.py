@@ -79,7 +79,10 @@ from functools import lru_cache
 from itertools import groupby, islice
 from math import comb, gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    from .oracle import Constants
 
 Scalar = Union[int, Fraction]
 
@@ -326,7 +329,7 @@ class SymbolicConstant:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, bindings: Mapping[Generator, float]) -> float:
+    def evaluate(self, bindings: Union[Constants, Mapping[Generator, float]]) -> float:
         """The value, bound by ``binder(bindings)`` and rounded once to the nearest double."""
         return to_float(*binder(bindings)(self))
 
@@ -511,14 +514,14 @@ def _json_field(item, field: str):
 
 def _json_powers(item) -> Exponents:
     """The exponent vector written under ``'powers'`` of one JSON term: an
-    object from generator names to positive int exponents."""
+    object from generator names to positive int exponents <= MAX_ZETA_INDEX."""
     powers = _json_field(item, "powers")
     if not isinstance(powers, dict):
         raise ValueError(f"'powers' must be an object of generator names to exponents, got {powers!r}")
     pairs = []
     for name, e in powers.items():
-        if type(e) is not int or e <= 0:
-            raise ValueError(f"'powers' exponents must be positive integers, got {name!r}: {e!r}")
+        if type(e) is not int or not 0 < e <= MAX_ZETA_INDEX:
+            raise ValueError(f"'powers' exponents must be positive integers <= {MAX_ZETA_INDEX}, got {name!r}: {e!r}")
         try:
             pairs.append((generator_from_name(name), e))
         except (TypeError, ValueError):
@@ -604,24 +607,26 @@ def to_float(num: int, den: int) -> float:
         raise ValueError("closed-form value lies outside the float range") from None
 
 
-def binder(bindings: Mapping[Generator, float]) -> Callable[[SymbolicConstant], tuple[int, int]]:
+def binder(bindings: Union[Constants, Mapping[Generator, float]]) -> Callable[[SymbolicConstant], tuple[int, int]]:
     """A function from a constant to the numerator and denominator of its value, exact but
     for one table of powers per generator and one product per distinct (gamma, log_mu) part
     and tail ``vec[2:]``, each an int at 2^-BITS formed once across the function's calls.
 
-    Generator values: a map from ``compute_constants`` hands over its ``fixed`` ints; any other
-    map's values, a plain copy of such a map's doubles among them, are rounded to 2^-BITS."""
+    Values: a ``Constants`` table's ``fixed`` ints by subscript (``compute_constants()``'s builds a
+    zeta on first read), else a map's values rounded to 2^-BITS; MissingBindingError when absent."""
     fixed = getattr(bindings, "fixed", None)
     if fixed is None:
         fixed = {g: round(Fraction(v) * _UNIT) for g, v in bindings.items()}
 
     @lru_cache(maxsize=None)
-    def power(i: int, k: int) -> int:  # generator i to the k
-        if k > 1:
-            return power(i, k - 1) * power(i, 1) >> BITS
-        if _generator(i) not in fixed:
-            raise MissingBindingError(_generator(i))
-        return fixed[_generator(i)]
+    def power(i: int, k: int) -> int:  # generator i to the k, each power floored from the one below
+        try:
+            value = x = fixed[_generator(i)]
+        except KeyError:
+            raise MissingBindingError(_generator(i)) from None
+        for _ in range(k - 1):
+            value = value * x >> BITS
+        return value
 
     @lru_cache(maxsize=None)
     def part(vec: Exponents, start: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from explogint.catalog import run_catalog
 from explogint.oracle import compute_constants
+from explogint.ring import EULER_GAMMA, LOG2, SQRT_PI, zeta_gen
 
 # pyproject.toml puts src on this process's path; the tests that start a child
 # interpreter (python -m explogint) need it there too.
@@ -44,7 +45,14 @@ INTEGRAND_CORPUS = [
 
 @pytest.fixture(scope="session")
 def table():
-    return compute_constants(12)
+    return compute_constants()
+
+
+@pytest.fixture(scope="session")
+def ints(table):
+    # the process table's ints for gamma, log2, sqrt_pi and zeta(2) .. zeta(41), each read
+    # once: a table built from them (Constants(dict(ints))) binds every form of log power <= 40
+    return {g: table.fixed[g] for g in (EULER_GAMMA, LOG2, SQRT_PI, *map(zeta_gen, range(2, 42)))}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The nine-formula catalog: symbolic equality and numeric verification."""
 
 import ast
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,18 @@ class TestCatalogShape:
                 printed = entry.printed_form(p)
                 assert spec.prefactor
                 assert printed.terms
+
+    def test_the_benchmark_grid_is_the_default_grid(self, monkeypatch):
+        # perfbench/worker.py builds the catalog workload's grid by its own copy of
+        # param_grid's rule; read-only here, so that the two copies cannot drift apart
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))  # the worker imports its neighbours by name
+        spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        grid = [(e, p) for e in catalog() for p in param_grid(e)]
+        assert worker.catalog_grid(catalog_module) == grid
+        assert len(grid) == 36
 
 
 # The engine's routes to Gamma values and closed forms; the printed forms must

@@ -147,7 +147,7 @@ class TestVerify:
         assert doc["quadrature_nodes"] < 5000
 
     def test_zeta_table_covers_high_log_powers(self, capsys):
-        # I_13 and I_14 name zeta(13) and zeta(14); verify sizes its table to them
+        # I_13 and I_14 name zeta(13) and zeta(14), which the one table builds on first read
         for n in (13, 14):
             assert main(["verify", f"exp(-x)*log(x)^{n}", "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["status"] == "pass"

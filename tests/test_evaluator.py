@@ -177,7 +177,7 @@ class TestClosedForm:
     def test_evaluate_binds_mu_both_ways(self, table):
         cf = J(1)  # -(gamma + ln mu)/mu
         for mu in (0.5, 1.0, 2.0, 10.0):
-            expected = -(table[EULER_GAMMA] + math.log(mu)) / mu
+            expected = -(table.fixed[EULER_GAMMA] / 2**128 + math.log(mu)) / mu
             assert abs(cf.evaluate(mu, table) - expected) < 1e-14
 
     def test_evaluate_rejects_bad_mu(self, table):
@@ -219,7 +219,8 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="'mu_exponent'"):
             ClosedForm.from_json(doc)
         doc["terms"][0]["mu_exponent"] = "-3/2"
-        assert ClosedForm.from_json(doc).evaluate(4.0, compute_constants()) == 8 * compute_constants()[EULER_GAMMA]
+        assert ClosedForm.from_json(doc).evaluate(4.0, compute_constants()) == 8 * (
+            compute_constants().fixed[EULER_GAMMA] / 2**128)
 
     def test_scaled_and_add(self):
         # doubling every constant is adding the form to itself term by term
@@ -351,33 +352,39 @@ class TestLeibnizAssembly:
                 assert read(eval_general(spec)) == read(expected), (point, n, name)
             assert eval_general(spec) == expected
 
-    def test_a_block_bound_under_one_map_is_not_read_under_another(self):
+    def test_a_block_bound_under_one_map_is_not_read_under_another(self, ints):
         cf = eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14")))
-        table = compute_constants(14)
-        other = Constants({g: x + (1 << 90) for g, x in table.fixed.items()})  # each 2^-38 larger
+        table = compute_constants()
+        other = Constants({g: x + (1 << 90) for g, x in ints.items()})  # each 2^-38 larger
         first = cf.evaluate(2.0, table)
         assert table.blocks  # bound once, kept under the map
         shifted = cf.evaluate(2.0, other)
         assert shifted == cf.evaluate(2.0, Constants(dict(other.fixed))) != first
-        doubles = cf.evaluate(2.0, dict(table))  # the same map's doubles, read afresh
-        assert doubles == cf.evaluate(2.0, dict(table)) != first
+        doubles = {g: x / 2**128 for g, x in ints.items()}  # a plain map is read value by value
+        assert cf.evaluate(2.0, doubles) == cf.evaluate(2.0, dict(doubles)) != first
         assert cf.evaluate(2.0, table) == first
         assert eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14"))).evaluate(
-            2.0, compute_constants(15)) == first
+            2.0, compute_constants()) == first
 
-    def test_both_constructors_take_the_one_route(self):
+    def test_one_table_binds_every_log_power(self):
+        # zeta(13) .. zeta(20) are built on their first read; a table sized to the
+        # log power, zeta(2) .. zeta(20), bound the same double
+        cf = eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^20")))
+        assert cf.evaluate(2.0, compute_constants()) == 9043082.718658617
+
+    def test_both_constructors_take_the_one_route(self, ints):
         # The form from eval_general and the form rebuilt from its (exponent, constant)
         # pairs bind through the same groups; their doubles agree exactly.
         import random
 
         rng = random.Random(2701)
-        table = compute_constants(12)
+        table = compute_constants()
         for _ in range(24):
             prefactor = tuple(rng.sample(self.PREFACTOR, rng.randint(1, 3)))
             spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
             cf = eval_general(spec)
             pairs = ClosedForm(cf.terms)
-            fresh = Constants(dict(table.fixed))
+            fresh = Constants(dict(ints))
             for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
                 assert cf.evaluate(mu, table) == pairs.evaluate(mu, fresh), (spec, mu)
             assert not fresh.blocks  # a caller's constants are bound afresh, never cached
@@ -386,10 +393,10 @@ class TestLeibnizAssembly:
                 den, slices = log_mu_slices(const)
                 assert sum_of_products(((1, LOG_MU_CONST**j, k) for j, k in slices), den) == const
 
-    def test_the_log_power_bounds_the_zetas(self):
+    def test_the_log_power_bounds_the_zetas(self, ints):
         # Gamma^(k)(s) names no zeta above zeta(k), so a form of log power n binds under
-        # zeta(2) .. zeta(n) alone, to the same doubles as under every zeta: verify sizes
-        # its table from the input.  The mu_power = 1 terms make merged groups.
+        # zeta(2) .. zeta(n) alone, to the same doubles as under the process table, which
+        # builds no other zeta for it.  The mu_power = 1 terms make merged groups.
         import random
 
         rng = random.Random(3201)
@@ -405,9 +412,9 @@ class TestLeibnizAssembly:
                                 ArgPoint(rng.randint(1, 21)), rng.randint(0, 16))
             cf = eval_general(spec)
             merged += any(isinstance(key[0], tuple) for _, _, items in cf._groups for *_, key in items)
-            n = spec.log_power
+            sized = Constants({g: x for g, x in ints.items() if g.k <= spec.log_power})
             for mu in (1e-3, 1.0, 1e3):
-                assert cf.evaluate(mu, compute_constants(n)) == cf.evaluate(mu, compute_constants(41)), (spec, mu)
+                assert cf.evaluate(mu, sized) == cf.evaluate(mu, compute_constants()), (spec, mu)
         assert merged >= 8
 
     def test_tiny_and_huge_coefficients_keep_their_precision(self):
@@ -452,7 +459,7 @@ class TestLeibnizAssembly:
         assert cancelled.to_json() == {"terms": []} and cancelled.at_mu_one() == 0
         assert cancelled == ClosedForm([]) and hash(cancelled) == hash(ClosedForm([]))
         assert cancelled._groups == ()
-        table = compute_constants(4)  # log power 4
+        table = compute_constants()
         tiny = GAMMA / 10**40
         for mu in (0.3, 1.0, 3.0):
             assert cancelled.evaluate(mu, table) == 0.0
@@ -497,11 +504,10 @@ class TestLeibnizAssembly:
         ],
     }
 
-    def test_merged_terms_bind_to_the_pinned_doubles(self):
+    def test_merged_terms_bind_to_the_pinned_doubles(self, ints):
         # A merged item is keyed by its parts' (scaled coefficient, (k, s)): bound once per
         # map and kept in its blocks, as an unmerged Gamma^(k)(s) block is.
-        fixed = compute_constants(12).fixed
-        table = Constants(dict(fixed))
+        table = Constants(dict(ints))
         specs = [(IntegralSpec((PrefactorTerm(1, Fraction(1), mu_power=1), PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
                                ArgPoint(2 * n + 1), 1), doubles)
                  for n, doubles in enumerate(self.MERGED_DOUBLES["4.353.2"])]
@@ -530,7 +536,7 @@ class TestLeibnizAssembly:
             for n in (0, 1, 4):
                 cf = eval_general(IntegralSpec((PrefactorTerm(0, coeffs[0]), PrefactorTerm(1, coeffs[1], mu_power=1)),
                                                ArgPoint(7), n))
-                fresh = Constants(dict(fixed))
+                fresh = Constants(dict(ints))
                 for mu in self.MUS:
                     assert cf.evaluate(mu, table) == cf.evaluate(mu, fresh), (coeffs, n, mu)
 
@@ -796,7 +802,7 @@ class TestBindingAgainstMpmath:
             point = ArgPoint.of(s)
             for n in sorted(rng.sample(range(23), 4)) + [22] * (s == Fraction(21, 2)):
                 cf = eval_general(IntegralSpec.simple(s, n))
-                table = compute_constants(n)
+                table = compute_constants()
                 for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
                     log_mu = mp.log(mp.mpf(mu))
                     exact = mp.mpf(mu) ** (-mp.mpf(s.numerator) / s.denominator) * mp.fsum(

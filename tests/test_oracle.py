@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import subprocess
 import sys
 import types
 from decimal import Decimal, localcontext
@@ -14,7 +15,7 @@ import pytest
 
 import explogint.oracle as oracle_module
 from explogint.evaluator import IntegralSpec, PrefactorTerm
-from explogint.oracle import _strip_mass, compute_constants, quadrature
+from explogint.oracle import Constants, _strip_mass, compute_constants, quadrature
 from explogint.parser import parse_integrand, to_integral_spec
 from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, SymbolicConstant, zeta_gen
 from explogint.special_values import ArgPoint
@@ -161,77 +162,103 @@ def bernoulli(m: int) -> Fraction:
     return b[m]
 
 
-class TestConstants:
-    def test_gamma_against_reference(self, table):
-        assert table[EULER_GAMMA] == GAMMA_REF
+def double(g) -> float:
+    """The process table's int for g, rounded once to the nearest double."""
+    return compute_constants().fixed[g] / 2**128
 
-    def test_gamma_cross_checked_by_quadrature(self, table):
+
+class TestConstants:
+    def test_gamma_against_reference(self):
+        assert double(EULER_GAMMA) == GAMMA_REF
+
+    def test_gamma_cross_checked_by_quadrature(self):
         # the integrand e^-x ln x transforms onto the whole real axis as
         # -t e^-t e^(-e^-t); its quadrature must land on -gamma
         result = quadrature(IntegralSpec.simple(1, 1), 1.0, rel_tol=1e-12)
         assert result.converged
-        assert abs(result.value + table[EULER_GAMMA]) < 1e-12
+        assert abs(result.value + double(EULER_GAMMA)) < 1e-12
 
-    def test_zeta_values(self, table):
-        assert table[zeta_gen(2)] == ZETA2_REF
-        assert table[zeta_gen(3)] == ZETA3_REF
+    def test_zeta_values(self):
+        assert double(zeta_gen(2)) == ZETA2_REF
+        assert double(zeta_gen(3)) == ZETA3_REF
 
-    def test_zeta2_equals_pi_squared_over_six(self, table):
-        pi_sq_over_6 = table[SQRT_PI]**4 / 6.0
-        assert abs(table[zeta_gen(2)] - pi_sq_over_6) < 1e-14
+    def test_zeta2_equals_pi_squared_over_six(self):
+        pi_sq_over_6 = double(SQRT_PI)**4 / 6.0
+        assert abs(double(zeta_gen(2)) - pi_sq_over_6) < 1e-14
 
-    def test_zeta_tends_to_one(self, table):
-        assert table[zeta_gen(12)] - 1.0 < 3e-4
+    def test_zeta_tends_to_one(self):
+        assert double(zeta_gen(12)) - 1.0 < 3e-4
         for k in range(2, 12):
-            assert table[zeta_gen(k)] > table[zeta_gen(k + 1)] > 1.0
+            assert double(zeta_gen(k)) > double(zeta_gen(k + 1)) > 1.0
 
     def test_table_shape(self, table):
-        assert max(g.k for g in table) == 12
-        assert set(table) == {EULER_GAMMA, LOG2, SQRT_PI, *map(zeta_gen, range(2, 13))}
-        assert LOG_MU not in table
-        assert all(type(v) is float for v in table.values())
-        assert table[LOG2] == math.log(2.0)
+        assert {EULER_GAMMA, LOG2, SQRT_PI} <= set(table.fixed)
+        assert all(g.k >= 2 for g in set(table.fixed) - {EULER_GAMMA, LOG2, SQRT_PI})
+        assert all(type(x) is int for x in table.fixed.values())
+        with pytest.raises(KeyError):  # ln mu is bound per call, not held
+            table.fixed[LOG_MU]
+        assert double(LOG2) == math.log(2.0)
 
-    def test_below_two_holds_no_zeta(self):
-        assert set(compute_constants(1)) == set(compute_constants(0)) == {EULER_GAMMA, LOG2, SQRT_PI}
+    def test_a_zeta_is_built_on_first_read(self, table):
+        fresh = compute_constants.__wrapped__()  # a new process table, outside the cache
+        assert set(fresh.fixed) == {EULER_GAMMA, LOG2, SQRT_PI}
+        assert zeta_gen(7) not in fresh.fixed  # `in` does not build it; a subscript does
+        assert fresh.fixed[zeta_gen(7)] == table.fixed[zeta_gen(7)]
+        assert set(fresh.fixed) == {EULER_GAMMA, LOG2, SQRT_PI, zeta_gen(7)}
+        # a table a caller builds holds exactly the ints it is given
+        mine = Constants({LOG2: 1 << 128})
+        with pytest.raises(KeyError):
+            mine.fixed[zeta_gen(2)]
+        assert dict(mine.fixed) == {LOG2: 1 << 128}
+        # the zeta weights are built on the first read, not at import or by the first call
+        code = ("import explogint.cli, explogint.oracle as o; o.compute_constants(); "
+                "print(o._borwein.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
 
     def test_table_is_built_once_and_read_only(self):
-        assert compute_constants(15) is compute_constants(15)
-        assert dict(compute_constants(15)) == {g: v for g, v in compute_constants(41).items() if g.k <= 15}
+        table = compute_constants()
+        assert compute_constants() is table
         with pytest.raises(TypeError):
-            compute_constants(15)[zeta_gen(2)] = 0.0
+            compute_constants(15)
+        with pytest.raises(TypeError):  # no map of doubles to copy
+            dict(table)
+        with pytest.raises(TypeError):
+            {**table}
+        with pytest.raises(TypeError):
+            table.fixed[zeta_gen(2)] = 0
 
-    def test_correctly_rounded_against_mpmath(self):
+    def test_correctly_rounded_against_mpmath(self, ints):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             expected = {EULER_GAMMA: mpmath.euler, LOG2: mpmath.log(2), SQRT_PI: mpmath.sqrt(mpmath.pi),
                         **{zeta_gen(k): mpmath.zeta(k) for k in range(2, 42)}}
-            assert dict(compute_constants(41)) == {g: float(v) for g, v in expected.items()}
+            assert {g: x / 2**128 for g, x in ints.items()} == {g: float(v) for g, v in expected.items()}
 
-    def test_correctly_rounded_by_the_standard_library(self, table):
+    def test_correctly_rounded_by_the_standard_library(self):
         # zeta(2k) = (-1)^(k+1) B_2k (2 pi)^(2k) / (2 (2k)!), with pi from a series the
         # oracle does not use and exact Bernoulli numbers, at 60 digits in decimal
         pi = decimal_pi(60)
         with localcontext() as ctx:
             ctx.prec = 60
-            assert table[SQRT_PI] == float(pi.sqrt())
-            assert table[LOG2] == float(Decimal(2).ln())
+            assert double(SQRT_PI) == float(pi.sqrt())
+            assert double(LOG2) == float(Decimal(2).ln())
             for k in range(1, 21):
                 b = bernoulli(2 * k)
-                value = (-1) ** (k + 1) * Decimal(b.numerator) / b.denominator * (2 * pi) ** (2 * k)
-                assert compute_constants(40)[zeta_gen(2 * k)] == float(value / (2 * math.factorial(2 * k)))
+                exact = (-1) ** (k + 1) * Decimal(b.numerator) / b.denominator * (2 * pi) ** (2 * k)
+                assert double(zeta_gen(2 * k)) == float(exact / (2 * math.factorial(2 * k)))
 
 
 class TestDigamma:
-    def test_classical_values_at_one(self, table):
-        assert abs(digamma_m(0, 1.0) + table[EULER_GAMMA]) < 1e-13
-        assert abs(digamma_m(1, 1.0) - table[zeta_gen(2)]) < 1e-12 * table[zeta_gen(2)]
-        assert abs(digamma_m(2, 1.0) + 2.0 * table[zeta_gen(3)]) < 1e-12 * 2.0 * table[zeta_gen(3)]
+    def test_classical_values_at_one(self):
+        assert abs(digamma_m(0, 1.0) + double(EULER_GAMMA)) < 1e-13
+        assert abs(digamma_m(1, 1.0) - double(zeta_gen(2))) < 1e-12 * double(zeta_gen(2))
+        assert abs(digamma_m(2, 1.0) + 2.0 * double(zeta_gen(3))) < 1e-12 * 2.0 * double(zeta_gen(3))
 
-    def test_polygamma_at_one_is_zeta(self, table):
+    def test_polygamma_at_one_is_zeta(self):
         # psi^(k-1)(1) = (-1)^k (k-1)! zeta(k)
         for k in range(2, 13):
-            expected = (-1) ** k * math.factorial(k - 1) * table[zeta_gen(k)]
+            expected = (-1) ** k * math.factorial(k - 1) * double(zeta_gen(k))
             assert abs(digamma_m(k - 1, 1.0) - expected) < 1e-14 * abs(expected)
 
     def test_half_argument_identity(self):
@@ -301,7 +328,7 @@ class TestQuadrature:
         assert result.converged
         assert abs(result.value - 1.9781119906) < 1e-9
 
-    def test_polynomial_prefactor(self, table):
+    def test_polynomial_prefactor(self):
         # (x - 1/2) x^(-1/2) e^-x ln x integrates to Gamma(1/2) = sqrt(pi)
         spec = IntegralSpec(
             (PrefactorTerm(0, Fraction(-1, 2)), PrefactorTerm(1, Fraction(1))),
@@ -311,7 +338,7 @@ class TestQuadrature:
         )
         result = quadrature(spec, 1.0, rel_tol=1e-10)
         assert result.converged
-        assert abs(result.value - table[SQRT_PI]) <= 1e-9 * table[SQRT_PI]
+        assert abs(result.value - double(SQRT_PI)) <= 1e-9 * double(SQRT_PI)
 
     def test_coefficient_below_float_range_adds_nothing(self):
         # (1 - 10^-400 x) e^-x: the second coefficient rounds to 0.0

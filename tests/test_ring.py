@@ -12,6 +12,7 @@ import pytest
 
 from explogint import parse_constant
 from explogint.evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
+from explogint.oracle import Constants, compute_constants, fixed_log
 from explogint.ring import (
     EULER_GAMMA,
     GAMMA,
@@ -613,10 +614,22 @@ class TestEvaluate:
     def test_zero(self, table):
         assert rational_const(0).evaluate(table) == 0.0
 
-    def test_missing_binding_names_the_generator(self):
+    def test_missing_binding_names_the_generator(self, ints):
         with pytest.raises(MissingBindingError) as exc_info:
             zeta_const(7).evaluate({})
         assert "zeta(7)" in str(exc_info.value)
+        with pytest.raises(MissingBindingError, match="log_mu"):  # bound per call, never held
+            LOG_MU_CONST.evaluate(compute_constants())
+        with pytest.raises(MissingBindingError, match=re.escape("zeta(5)")):  # a caller's table holds what it is given
+            zeta_const(5).evaluate(Constants({g: x for g, x in ints.items() if g.k < 5}))
+
+    def test_high_powers_bind_without_recursion(self, table):
+        # each generator's powers are built in a loop, each floored from the one below
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            expected = mpmath.zeta(3) ** 999
+        assert abs(parse_constant("zeta(3)^999").evaluate(table) - expected) <= 1e-12 * expected
+        assert parse_constant("gamma^1000").evaluate(table) == 0.0  # below 2^-128 by gamma^160
 
     def test_monomials_are_summed_exactly_then_rounded_once(self):
         # monomials 2^53, 1 and -2^53 sum to 1, where a plain float sum of the first two loses it
@@ -628,9 +641,9 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="closed-form value lies outside the float range"):
             (big * GAMMA + big * LOG2_CONST).evaluate({EULER_GAMMA: 1.0, LOG2: 1.0})
 
-    def test_evaluation_homomorphism(self, table):
+    def test_evaluation_homomorphism(self, ints):
         rng = random.Random(4242)
-        bindings = {**table, LOG_MU: math.log(2.0)}
+        bindings = Constants({**ints, LOG_MU: fixed_log(2.0)})
         for _ in range(300):
             a = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
             b = random_constant(rng, num_bound=1000, den_bound=60, max_exp=2)
@@ -702,6 +715,8 @@ class TestRendering:
             ({"terms": [{**term, "powers": {"tau": 1}}]}, "'powers'"),
             ({"terms": [{**term, "powers": {f"zeta({MAX_ZETA_INDEX + 1})": 1}}]}, "'powers'"),
             ({"terms": [{**term, "powers": {"zeta(3000000)": 1}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"gamma": MAX_ZETA_INDEX + 1}}]}, "'powers'"),
+            ({"terms": [{**term, "powers": {"gamma": 10**9}}]}, "'powers'"),
         ]
         for doc, field in cases:
             with pytest.raises(ValueError, match=re.escape(field)):
