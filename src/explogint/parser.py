@@ -28,6 +28,17 @@ Normalization either maps the expansion onto a single
 :class:`~explogint.evaluator.IntegralSpec` or rejects it with a
 diagnostic naming the offending factor.
 
+The expansion carries every whole number, literal or formed, as an
+``int``, and a ``Fraction`` only for a number that is not whole: most
+literals are small integers, and int arithmetic costs a fraction of
+``Fraction``'s.  A sum with a zero or a product with a unit is not formed
+at all.  ``to_integral_spec`` converts to ``Fraction`` once, so a spec's
+numbers are Fractions.  The digit caps read the limit,
+``sys.get_int_max_str_digits()``, once per parse.  An int of at most
+``3*limit`` bits has fewer than ``limit`` digits, so it passes with one
+comparison; the exact test against ``10**limit`` runs only past that
+length, on an int or on a Fraction's larger part.
+
 The constant language is the display form of
 :meth:`~explogint.ring.SymbolicConstant.render`, read back by
 :func:`parse_constant`.  Its numbers are integers only, and a decimal is
@@ -54,6 +65,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb, inf
 from typing import NamedTuple, Optional
 
@@ -90,13 +102,19 @@ class Integrand(NamedTuple):
     terms: dict
 
 
-def _fraction_text(value: Fraction) -> str:
+def _exact(value: int | Fraction) -> int | Fraction:
+    """``value`` as an int if it is whole; the parser keeps a Fraction only
+    for a value that is not an integer."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _fraction_text(value: int | Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def _exp_text(rate: Fraction) -> str:
+def _exp_text(rate: int | Fraction) -> str:
     return "exp(-x)" if rate == 1 else f"exp(-{_fraction_text(rate)}*x)"
 
 
@@ -104,7 +122,7 @@ def _log_text(power: int) -> str:
     return "no log(x)" if power == 0 else "log(x)" if power == 1 else f"log(x)^{power}"
 
 
-def _term_text(x: Fraction, n: int, coeff: Fraction) -> str:
+def _term_text(x: int | Fraction, n: int, coeff: int | Fraction) -> str:
     """A term without an exponential, written as the parser writes its factors."""
     factors = [] if x == 0 else ["x" if x == 1 else f"x^({_fraction_text(x)})"]
     if n:
@@ -117,12 +135,29 @@ def _term_text(x: Fraction, n: int, coeff: Fraction) -> str:
 def _grouped(text: str) -> str:
     """A canonical text in parentheses if it is a sum, that is, if it has a
     space outside parentheses: canonical spaces stand only around '+' and '-'."""
+    if " " not in text:
+        return text
     depth = 0
     for ch in text:
         depth += (ch == "(") - (ch == ")")
         if ch == " " and not depth:
             return f"({text})"
     return text
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two expansions, like terms merged, every whole value an
+    int.  A sum with a zero and a product with a unit are not formed: with a
+    Fraction, either would make a new Fraction equal to the other operand."""
+    product: dict = {}
+    for (xa, la, ra), ca in a.items():
+        for (xb, lb, rb), cb in b.items():
+            x = _exact(xa + xb) if xa and xb else xa or xb
+            rate = _exact(ra + rb) if ra and rb else ra or rb
+            c = ca if cb == 1 else cb if ca == 1 else _exact(ca * cb)
+            key = (x, la + lb, rate)
+            product[key] = _exact(product[key] + c) if key in product else c
+    return product
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -143,15 +178,16 @@ class _Token(NamedTuple):
     position: int
 
 
+_token = partial(tuple.__new__, _Token)  # a _Token without the Python-level __new__ of a NamedTuple
+
+
 def _tokenize(text: str) -> list[_Token]:
     # A match is whitespace and one token, and 'bad' takes any other character,
     # so the matches cover the text up to trailing whitespace.
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise IntegrandSyntaxError(m.start(kind), "a number, name or operator", repr(m[kind]))
-        tokens.append(_Token(kind, m[kind], m.start(kind)))
+    tokens = [_token((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))) for m in _TOKEN.finditer(text)]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise IntegrandSyntaxError(tok.position, "a number, name or operator", repr(tok.text))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -164,6 +200,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        # str() prints an int of at most `limit` digits (0: no limit), and an int
+        # of at most 3*limit bits has fewer, so only a longer one needs the exact test
+        self.limit = sys.get_int_max_str_digits()
+        self.bits = 3 * self.limit or inf
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -180,14 +220,16 @@ class _Parser:
             self._fail(self.peek(), f"'{text}'")
 
     def number(self, expected: str) -> tuple[_Token, int | Fraction]:
-        """The number token and its value: an int, or a Fraction if it has a '.'."""
+        """The number token and its exact value: an int unless it has a '.'
+        and is not whole, then a Fraction."""
         tok = self.peek()
         if tok.kind != "number":
             self._fail(tok, expected)
         self.index += 1
-        if (limit := sys.get_int_max_str_digits()) and (digits := len(tok.text) - ("." in tok.text)) > limit:
-            self._fail(tok, f"a number of at most {limit} digits", f"{digits} digits")  # str() could not print it
-        return tok, Fraction(tok.text) if "." in tok.text else int(tok.text)
+        whole, point, frac = tok.text.partition(".")
+        if self.limit and (digits := len(whole) + len(frac)) > self.limit:
+            self._fail(tok, f"a number of at most {self.limit} digits", f"{digits} digits")  # str() could not print it
+        return tok, _exact(Fraction(int(whole + frac), 10 ** len(frac))) if point else int(whole)
 
     def integer(self, expected: str, least: int = 0, most: float = inf) -> int:
         """An integer from ``least`` to ``most``, or a syntax error at its token;
@@ -215,6 +257,7 @@ class _Parser:
     # first appear in the full expansion, so a rejection names the same
     # first offender.  A sum keeps its parentheses as a factor of a
     # product and as a whole term after '-', and drops them everywhere else.
+    # Every number in an expansion is an int unless it is not whole.
 
     # expr := term (('+'|'-') term)*
     def parse_expr(self) -> tuple[str, dict]:
@@ -224,47 +267,53 @@ class _Parser:
             tok = self.peek()
             term_text, term_terms = self.parse_term()
             text += f" {op} {_grouped(term_text) if op == '-' else term_text}"
-            merged = {key: terms.get(key, 0) + (c if op == "+" else -c) for key, c in term_terms.items()}
+            merged = {}
+            for key, c in term_terms.items():
+                if op == "-":
+                    c = -c
+                merged[key] = _exact(terms[key] + c) if key in terms else c
             terms.update(self._check_caps(tok, merged))
         return text, terms
 
     # term := factor ('*' factor)*
     def parse_term(self) -> tuple[str, dict]:
-        texts, terms = [], {(Fraction(0), 0, 0): Fraction(1)}  # the product starts at 1
-        while not texts or self.accept("*"):
+        texts, terms = [], None
+        while terms is None or self.accept("*"):
             tok = self.peek()
             factor_text, factor_terms = self.parse_factor()
             texts.append(factor_text)
-            product: dict = {}
-            for (xa, la, ra), ca in terms.items():
-                for (xb, lb, rb), cb in factor_terms.items():
-                    key = (xa + xb, la + lb, ra + rb)
-                    product[key] = product.get(key, 0) + ca * cb
-            terms = self._check_caps(tok, product)
+            terms = self._check_caps(tok, factor_terms if terms is None else _times(terms, factor_terms))
         return (texts[0] if len(texts) == 1 else "*".join(map(_grouped, texts))), terms
 
     def _check_caps(self, tok: _Token, terms: dict) -> dict:
-        """``terms``, or a syntax error at ``tok`` if a term is past a cap."""
+        """``terms``, or a syntax error at ``tok`` if a term is past a cap.
+        An int costs one comparison: one of at most ``MAX_X_POWER`` in size
+        or ``self.bits`` bits is within its digit cap."""
+        bits = self.bits
         for (x, n, rate), c in terms.items():
             if n > MAX_LOG_POWER:
                 self._fail(tok, f"log powers summing to at most {MAX_LOG_POWER} in a term", f"a sum of {n}")
-            self._check_digits(tok, x, "an x power")
-            if abs(x) > MAX_X_POWER:
-                self._fail(tok, f"x powers summing to at most {MAX_X_POWER} in size in a term", f"a sum of {x}")
-            self._check_digits(tok, rate, "a decay rate")
-            self._check_digits(tok, c, "a term coefficient")
+            if x.__class__ is not int or not -MAX_X_POWER <= x <= MAX_X_POWER:
+                self._check_digits(tok, x, "an x power")
+                if abs(x) > MAX_X_POWER:
+                    self._fail(tok, f"x powers summing to at most {MAX_X_POWER} in size in a term", f"a sum of {x}")
+            if rate.__class__ is not int or rate.bit_length() > bits:
+                self._check_digits(tok, rate, "a decay rate")
+            if c.__class__ is not int or c.bit_length() > bits:
+                self._check_digits(tok, c, "a term coefficient")
         return terms
 
-    def _check_digits(self, tok: _Token, value: Fraction, what: str) -> None:
-        part = max(abs(value.numerator), value.denominator)  # str() of a longer int raises; 0: no limit
-        if (limit := sys.get_int_max_str_digits()) and part.bit_length() > 3 * limit and part >= 10**limit:
-            self._fail(tok, f"{what} of at most {limit} digits", "one with more")
+    def _check_digits(self, tok: _Token, value: int | Fraction, what: str) -> None:
+        """A syntax error at ``tok`` if ``str()`` could not print ``value``."""
+        part = abs(value) if value.__class__ is int else max(abs(value.numerator), value.denominator)
+        if part.bit_length() > self.bits and part >= 10**self.limit:
+            self._fail(tok, f"{what} of at most {self.limit} digits", "one with more")
 
     def parse_factor(self) -> tuple[str, dict]:
         tok = self.peek()
         if tok.kind == "number":
             value = self.parse_rational()
-            return _fraction_text(value), {(Fraction(0), 0, 0): value}
+            return _fraction_text(value), {(0, 0, 0): value}
         if self.accept("("):
             if self.depth == MAX_NESTING:
                 self._fail(tok, f"at most {MAX_NESTING} nested parentheses")
@@ -288,29 +337,31 @@ class _Parser:
             )
         self._fail(tok, "a factor (number, x, exp, log or '(')")
 
-    def parse_rational(self) -> Fraction:
-        tok, value = self.peek(), Fraction(self.number("a number")[1])  # decimal literals become exact fractions
+    def parse_rational(self) -> int | Fraction:
+        tok, value = self.peek(), self.number("a number")[1]
         if self.accept("/"):
             den_tok, den = self.number("a denominator")
             if den == 0:
                 self._fail(den_tok, "a nonzero denominator", "'0'")
-            value /= den
+            value = _exact(Fraction(value, den))
         self._check_digits(tok, value, "a number")
         return value
 
     def parse_x(self) -> tuple[str, dict]:
         if not self.accept("^"):
-            return "x", {(Fraction(1), 0, 0): Fraction(1)}
+            return "x", {(1, 0, 0): 1}
         self.expect("(")
-        sign = -1 if self.accept("-") else 1
-        exponent = sign * self.parse_rational()
+        negative = self.accept("-")
+        exponent = self.parse_rational()
+        if negative:
+            exponent = -exponent
         self.expect(")")
-        return f"x^({_fraction_text(exponent)})", {(exponent, 0, 0): Fraction(1)}
+        return f"x^({_fraction_text(exponent)})", {(exponent, 0, 0): 1}
 
     def parse_exp(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("-")
-        rate, tok = Fraction(1), self.peek()
+        rate, tok = 1, self.peek()
         if tok.kind == "number":
             rate = self.parse_rational()
             self.accept("*")
@@ -318,14 +369,14 @@ class _Parser:
         self.expect(")")
         if rate <= 0:
             raise UnsupportedIntegrandError("the exponential decay rate must be positive", _exp_text(rate), tok.position)
-        return _exp_text(rate), {(Fraction(0), 0, rate): Fraction(1)}
+        return _exp_text(rate), {(0, 0, rate): 1}
 
     def parse_log(self) -> tuple[str, dict]:
         self.expect("(")
         self.expect("x")
         self.expect(")")
         power = self.integer(f"an exponent from 1 to {MAX_LOG_POWER}", 1, MAX_LOG_POWER) if self.accept("^") else 1
-        return _log_text(power), {(Fraction(0), power, 0): Fraction(1)}
+        return _log_text(power), {(0, power, 0): 1}
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
@@ -419,14 +470,15 @@ def parse_constant(text: str) -> SymbolicConstant:
 
 def to_integral_spec(integrand: Integrand) -> IntegralSpec:
     """Map a parsed integrand onto the supported integral class.  Terms whose
-    coefficients cancelled to zero are skipped: every check reads the rest."""
-    terms = {key: c for key, c in integrand.terms.items() if c}
+    coefficients cancelled to zero are skipped: every check reads the rest.
+    The spec's numbers are Fractions, as the engine takes them."""
+    terms = [(key, c) for key, c in integrand.terms.items() if c]
     if not terms:
         raise UnsupportedIntegrandError("the integrand is identically zero", integrand.text)
 
-    rates = {r for _, _, r in terms}
+    rates = {r for (_, _, r), _ in terms}
     if 0 in rates:
-        x, n, c = next((x, n, c) for (x, n, r), c in terms.items() if not r)
+        x, n, c = next((x, n, c) for (x, n, r), c in terms if not r)
         raise UnsupportedIntegrandError("every nonzero term needs an exponential factor", _term_text(x, n, c))
     if len(rates) > 1:
         raise UnsupportedIntegrandError(
@@ -435,7 +487,7 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
         )
     mu = rates.pop()
 
-    log_powers = {p for _, p, _ in terms}
+    log_powers = {n for (_, n, _), _ in terms}
     if len(log_powers) > 1:
         raise UnsupportedIntegrandError(
             "all terms must carry the same power of log(x)",
@@ -444,21 +496,19 @@ def to_integral_spec(integrand: Integrand) -> IntegralSpec:
     log_power = log_powers.pop()
 
     # one rate and one log power: the keys differ in their x power only
-    base = min(p for p, _, _ in terms)
-    for p, _, _ in terms:
+    base = min(p for (p, _, _), _ in terms)
+    prefactor = []
+    for (p, _, _), c in terms:
         step = p - base
         if step.denominator != 1:
             raise UnsupportedIntegrandError(
                 "x powers must differ by integers", f"x^({_fraction_text(p)})"
             )
-    s_value = base + 1
-    if 2 * s_value < 1 or (2 * s_value).denominator != 1:
+        prefactor.append(PrefactorTerm(int(step), Fraction(c)))
+    twice = 2 * (base + 1)
+    if twice < 1 or twice.denominator != 1:
         raise UnsupportedIntegrandError(
             "the base exponent s must be a positive integer or half-integer",
             f"x^({_fraction_text(base)})",
         )
-
-    prefactor = tuple(
-        PrefactorTerm(int(p - base), c) for (p, _, _), c in sorted(terms.items())
-    )
-    return IntegralSpec(prefactor, ArgPoint.of(s_value), log_power, mu)
+    return IntegralSpec(tuple(sorted(prefactor)), ArgPoint(int(twice)), log_power, Fraction(mu))

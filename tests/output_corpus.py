@@ -11,7 +11,7 @@ checkouts print the same lines exactly when every command behaves the same:
 
 ``explogint`` is imported from ``PYTHONPATH``; the requests are drawn with
 ``perfbench/draws.py`` next to this file, read only.  The corpus is the
-554 distinct commands below, followed by the probes, whose output is
+554 distinct commands below, followed by 74 probes, whose output is
 expected to change when the behaviour they probe does:
 
 - ``verify`` of every verify_mix request of seeds 1-3, as text, ``--json``
@@ -20,6 +20,10 @@ expected to change when the behaviour they probe does:
   and as ``--paper-style`` text;
 - ``catalog``, ``catalog --json``, ``catalog --mu 3 --max-n 6`` and
   ``weight --max-n 12 --json``.
+
+The probes are the ``PROBES`` integrands under ``eval`` and ``verify``,
+each as text and ``--json`` (40); the ``PARSE_PROBES`` under ``eval`` and
+``eval --json`` (26); and eight flag probes of ``catalog`` and ``weight``.
 
 Standard library only; pytest does not collect it (no ``test_`` prefix).
 """
@@ -55,6 +59,24 @@ PROBES = [
     "x^(-1/2)*exp(-1/1" + "0" * 307 + "*x)",
 ]
 
+# Parser diagnostics and canonical texts, run as eval and eval --json only:
+# a moved message or caret, or a number printed otherwise, shows here.
+PARSE_PROBES = [
+    "1e3*exp(-x)",
+    "exp(-x)/2",
+    "exp(-0*x)",
+    "x^(1/0)*exp(-x)",
+    "exp(-x)*log(x)^41",
+    "exp(-x)*log(x)^0",
+    "sin(x)",
+    "(" * 101 + "x*exp(-x)" + ")" * 101,  # one past the nesting cap
+    "1" * 4301 + "*exp(-x)",  # one digit past the default int_max_str_digits
+    "2.50*exp(-x)",
+    "007*exp(-x)",
+    "x^(2/4)*exp(-x)",
+    "x^(-0)*exp(-x)",
+]
+
 
 def corpus() -> list[list[str]]:
     commands = []
@@ -69,6 +91,7 @@ def corpus() -> list[list[str]]:
                  ["weight", "--max-n", "12", "--json"]]
     distinct = list(dict.fromkeys(map(tuple, commands)))
     probes = [[cmd, expr, *extra] for expr in PROBES for cmd in ("eval", "verify") for extra in ([], ["--json"])]
+    probes += [["eval", expr, *extra] for expr in PARSE_PROBES for extra in ([], ["--json"])]
     probes += [[cmd, "--max-n", "-1", *extra] for cmd in ("catalog", "weight") for extra in ([], ["--json"])]
     # catalog checks whose value or peak lies outside the float range
     probes += [["catalog", "--mu", *grid, *extra] for grid in (["1e-8", "--max-n", "40"], ["1e-300"])

@@ -577,6 +577,15 @@ class TestColdImports:
         assert "explogint.catalog" not in imported
 
 
+def _long_strings() -> list:
+    """Strings past the writer's length threshold, each holding one character
+    that forces the encoder, at its start, middle or end, and one plain."""
+    plain = ("12/5*gamma^2*log_mu + zeta(3)*" * (cli._LONG // 20))[:cli._LONG + 7]
+    special = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001d70b"]
+    half = len(plain) // 2
+    return [plain] + [s for c in special for s in (c + plain, plain[:half] + c + plain[half:], plain + c)]
+
+
 class TestJsonEmitter:
     """``--json`` output is exactly ``json.dumps(doc, indent=2)``."""
 
@@ -607,6 +616,7 @@ class TestJsonEmitter:
             [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1, 1.5e300],
             {"caf\u00e9 \u2211": "\u0393(1/2) = \u221a\u03c0", "tab\t\"q\"\n\\": "\x00\x1f\u2028"},
             ("tuple", ["nested", ("deeper", {"k": 1.0})]),
+            *({"closed_form": text, "list": [text]} for text in _long_strings()),
         ],
     )
     def test_edge_cases(self, doc):

@@ -109,6 +109,9 @@ class TestGoldenNormalizations:
             spec = to_integral_spec(parse_integrand(text))
             assert spec.mu is not None and spec.mu > 0
             assert spec.s.twice >= 1
+            # the parser's ints stay inside it: the spec carries Fractions only
+            assert type(spec.mu) is Fraction
+            assert all(type(pf.coeff) is Fraction for pf in spec.prefactor)
 
 
 class TestRoundTrip:
@@ -128,6 +131,27 @@ class TestRoundTrip:
         for _ in range(300):
             integrand = parse_integrand(random_text(rng))
             assert parse_integrand(integrand.text) == integrand, integrand.text
+
+    def test_random_expansions_match_sympy(self):
+        # An oracle for the parser's own arithmetic: log(x) and exp(-x) are
+        # symbols L and E, so exp(-r*x) is E^r, and SymPy expands the text.
+        sympy = pytest.importorskip("sympy")
+        from sympy.parsing.sympy_parser import convert_xor, parse_expr, rationalize, standard_transformations
+
+        x, L, E = sympy.symbols("x L E", positive=True)
+        names = {"x": x, "log": lambda arg: L, "exp": lambda arg: E ** (-arg / x)}
+        transformations = standard_transformations + (convert_xor, rationalize)
+        rng = random.Random(4807)
+        for _ in range(300):
+            text = random_text(rng)
+            expected = {}
+            for monomial, coeff in sympy.expand(parse_expr(text, names, transformations)).as_coefficients_dict().items():
+                powers = monomial.as_powers_dict()
+                key = tuple(Fraction(str(powers.get(symbol, 0))) for symbol in (x, L, E))
+                if coeff:
+                    expected[key] = Fraction(str(coeff))
+            terms = {key: c for key, c in parse_integrand(text).terms.items() if c}
+            assert terms == expected, text
 
     def test_distinct_nodes_survive(self):
         # x and x^(1) expand alike but print differently
