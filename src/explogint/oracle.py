@@ -135,21 +135,24 @@ MAX_NODES = 2**20  # quadrature's node budget
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
-def _log_tail(beta: float, kappa: float, n: int, log_fact: float) -> float:
-    # ln integral_0^inf e^(-kappa t) (beta + t)^n dt = ln(n!/kappa^(n+1) sum_{j<=n} (beta kappa)^j/j!),
-    # with log_fact = ln n!
-    acc = 1.0
-    for j in range(n, 0, -1):
-        acc = 1.0 + acc * beta * kappa / j
-    return log_fact + math.log(acc) - (n + 1) * math.log(kappa)
+@lru_cache(maxsize=None)
+def _log_factorial(n: int) -> float:
+    return math.log(math.factorial(n))
 
 
 def _log_beyond(logs, n: int, pad: float, u: float, decay: float) -> float:
-    # ln sum_j |c_j| e^(r_j u - decay) integral_0^inf e^(-kappa_j t) (|u| + pad + t)^n dt, with
-    # kappa_j = r_j left of u (decay = 0) and mu e^u - r_j > 0 right of u (decay = mu e^u)
-    log_fact = math.log(math.factorial(n))
-    xs = [lc + r * u - decay + _log_tail(abs(u) + pad, abs(decay - r), n, log_fact) for lc, r in logs]
+    # ln sum_j |c_j| e^(r_j u - decay) integral_0^inf e^(-kappa_j t) (beta + t)^n dt, beta = |u| + pad, with
+    # kappa_j = r_j left of u (decay = 0) and mu e^u - r_j > 0 right of u (decay = mu e^u); each integral is
+    # n!/kappa_j^(n+1) sum_{k<=n} (beta kappa_j)^k/k!, summed by Horner's rule
+    log_fact, beta, xs = _log_factorial(n), abs(u) + pad, []
+    for lc, r in logs:
+        kappa, acc = abs(decay - r), 1.0
+        for j in range(n, 0, -1):
+            acc = 1.0 + acc * beta * kappa / j
+        xs.append(lc + r * u - decay + (log_fact + math.log(acc) - (n + 1) * math.log(kappa)))
     top = max(xs)
+    if len(xs) == 1 and abs(top) < math.inf:  # top + ln e^0 is top; an infinite top gives nan
+        return top
     return top + math.log(sum(math.exp(x - top) for x in xs))
 
 
@@ -188,27 +191,36 @@ def _strip_mass(logs, n: int, log_mu: float, pad: float, lo: float) -> float:
     cell inside one half it lies below the tangents at both ends, and the cell adds
     the integral of e^(the lower tangent), a closed form.  Cells, at most twice
     1 / sqrt(1 - phi_j''), run through u = 0 from lo to where
-    mu cos(pad) e^u = 2 max r_j + 4, and _log_beyond bounds the rest.
+    mu cos(pad) e^u = 2 max r_j + 4, and _log_beyond bounds the rest.  The grid walk
+    writes one table of cells that every summand reads: a row holds x, the cell's width
+    up to x, mu cos(pad) e^x, n ln(|x| + pad) and its slopes left and right of x.
     """
     high, log_mu = max(r for _, r in logs), log_mu + math.log(math.cos(pad))
     hi = math.log(2 * high + 4) - log_mu
-    mu, exp, expm1, xs = math.exp(log_mu), math.exp, math.expm1, [min(lo, hi)]
-    while (x := xs[-1]) < hi:
-        step = 2.0 / math.sqrt(1.0 + mu * exp(x) + n / (abs(x) + pad) ** 2)
-        xs.append(0.0 if x < 0.0 < x + step else x + step)
-    total = exp(_log_beyond(logs, n, pad, xs[0], 0.0)) + exp(_log_beyond(logs, n, pad, xs[-1], mu * exp(xs[-1])))
+    mu, exp, expm1, x = math.exp(log_mu), math.exp, math.expm1, min(lo, hi)
+    rows, width = [], 0.0
+    while True:
+        decay, w = mu * exp(x), abs(x) + pad
+        rows.append((x, width, decay, n * math.log(w), -(n / w) if x <= 0 else n / w, -(n / w) if x < 0 else n / w))
+        if not x < hi:
+            break
+        step = 2.0 / math.sqrt(1.0 + decay + n / w**2)
+        nx = 0.0 if x < 0.0 < x + step else x + step
+        x, width = nx, nx - x
+    total = exp(_log_beyond(logs, n, pad, rows[0][0], 0.0)) + exp(_log_beyond(logs, n, pad, x, decay))
+    if len(rows) == 1:  # no cell
+        return total
     for lc, r in logs:
-        prev = None
-        for x in xs:
-            decay, w = mu * exp(x), abs(x) + pad
-            phi, slope = lc + r * x - decay + n * math.log(w), r - decay
-            if prev:  # the cell from the previous point p to x; the tangents cross at p + t
-                p, dp, width = prev[0], prev[1], x - prev[2]
-                dx = slope - n / w if x <= 0 else slope + n / w
-                t = min(max((phi - p - dx * width) / (dp - dx), 0.0), width) if dp > dx else 0.5 * width
-                total += exp(p) * (expm1(dp * t) / dp if dp else t)
-                total += exp(phi) * (expm1(-dx * (width - t)) / -dx if dx else width - t)
-            prev = phi, slope - n / w if x < 0 else slope + n / w, x
+        x, _, decay, log_w, _, right = rows[0]
+        p, dp = lc + r * x - decay + log_w, r - decay + right
+        ep = exp(p)
+        for x, width, decay, log_w, left, right in rows[1:]:  # the cell from p to x; the tangents cross at p + t
+            phi, slope = lc + r * x - decay + log_w, r - decay
+            dx, ephi = slope + left, exp(phi)
+            t = min(max((phi - p - dx * width) / (dp - dx), 0.0), width) if dp > dx else 0.5 * width
+            total += ep * (expm1(dp * t) / dp if dp else t)
+            total += ephi * (expm1(-dx * (width - t)) / -dx if dx else width - t)
+            p, dp, ep = phi, slope + right, ephi
     return total
 
 
@@ -239,14 +251,14 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
     MAX_NODES nodes; a coefficient or peak beyond the float range raises ValueError.
     """
     check_arguments(mu_value, rel_tol)
-    n, log_mu = spec.log_power, math.log(mu_value)
+    n, log_mu, s = spec.log_power, math.log(mu_value), float(spec.s.value)
     pairs = []
     for pf in spec.prefactor:
         try:
             c = float(pf.coeff)
         except OverflowError:
             raise ValueError(f"prefactor coefficient {pf.coeff} lies outside the float range") from None
-        pairs.append((c * mu_value**pf.mu_power, float(spec.s.value) + pf.power))
+        pairs.append((c * mu_value**pf.mu_power, s + pf.power))
     pairs = [(c, r) for c, r in pairs if c]  # a coefficient that rounds to 0.0 adds nothing
     if not pairs:
         raise ValueError("every prefactor coefficient is below the float range")
@@ -293,10 +305,13 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
         e = math.frexp(h)[1] - 8
         h = max(math.ldexp(math.floor(math.ldexp(h, -e)), e),  # h rounded down to 8 bits, ...
                 math.ldexp(1.0, math.ceil(math.log2((b - a) / (MAX_NODES - 3)))))  # ... in budget
-        us = [i * h for i in range(math.floor(a / h), math.ceil(b / h) + 1)]
-        decays, powers, terms = [mu_value * math.exp(u) for u in us], [u**n for u in us], []
-        for c, r in pairs:
-            terms += [c * math.exp(r * u - shift - d) * p for u, d, p in zip(us, decays, powers)]
+        us, exp = [i * h for i in range(math.floor(a / h), math.ceil(b / h) + 1)], math.exp
+        if len(pairs) == 1:
+            ((c, r),) = pairs
+            terms = [c * exp(r * u - shift - mu_value * exp(u)) * u**n for u in us]
+        else:  # term by term, in this order, which sum(map(abs, terms)) reads
+            decays, powers = [mu_value * exp(u) for u in us], [u**n for u in us]
+            terms = [c * exp(r * u - shift - d) * p for c, r in pairs for u, d, p in zip(us, decays, powers)]
         bound = min(2 * mass * math.exp(-x) / -math.expm1(-x)  # 2M / (e^x - 1), x = 2 pi pad / h
                     for pad, mass in masses for x in [2 * math.pi * pad / h])
         return h * math.fsum(terms), bound + tails + rounding * h * sum(map(abs, terms)), len(us)

@@ -163,8 +163,8 @@ def _times(a: dict, b: dict) -> dict:
 # --- tokenizer --------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])"
-    r"|(?P<bad>\S))"
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<exponent>(?<=\d)[eE][-+]?\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()/])|(?P<bad>\S))"
 )
 
 MAX_NESTING = 100  # parenthesis depth; deeper input is a syntax error, not a RecursionError
@@ -183,11 +183,15 @@ _token = partial(tuple.__new__, _Token)  # a _Token without the Python-level __n
 
 def _tokenize(text: str) -> list[_Token]:
     # A match is whitespace and one token, and 'bad' takes any other character,
-    # so the matches cover the text up to trailing whitespace.
+    # so the matches cover the text up to trailing whitespace.  'exponent' takes
+    # the e3 of 1e3, which would otherwise read as a name.
     tokens = [_token((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))) for m in _TOKEN.finditer(text)]
     for tok in tokens:
         if tok.kind == "bad":
             raise IntegrandSyntaxError(tok.position, "a number, name or operator", repr(tok.text))
+        if tok.kind == "exponent":
+            raise IntegrandSyntaxError(tok.position, "a number written out in digits, as 1000 or 1/1000 "
+                                       "(exponent notation is not part of the language)", repr(tok.text))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -245,6 +249,8 @@ class _Parser:
     def _fail(tok: _Token, expected: str, found: Optional[str] = None):
         if found is None:
             found = "end of input" if tok.kind == "end" else f"'{tok.text}'"
+            if tok.text == "/":  # a rational literal's '/' is read with its number and never fails here
+                found += " (division is allowed only between two numbers, as in 2/3)"
         raise IntegrandSyntaxError(tok.position, expected, found) from None
 
     # Each integrand rule returns its canonical text and its expansion
@@ -331,7 +337,7 @@ class _Parser:
             if tok.text == "log":
                 return self.parse_log()
             raise UnsupportedIntegrandError(
-                "only x powers, one decaying exponential and integer log powers are supported",
+                "only x powers, decaying exponentials exp(-c*x) and integer powers of log(x) are supported",
                 tok.text,
                 tok.position,
             )

@@ -299,6 +299,20 @@ class TestErrorPaths:
         doc = json.loads(capsys.readouterr().out)
         assert doc["position"] == position and expected in doc["error"]
 
+    @pytest.mark.parametrize("expr, position, expected", [
+        ("1e3*exp(-x)", 1, "expected a number written out in digits, as 1000 or 1/1000 "
+                           "(exponent notation is not part of the language), found 'e3'"),
+        ("2.5e-3*exp(-x)", 3, "expected a number written out in digits, as 1000 or 1/1000 "
+                              "(exponent notation is not part of the language), found 'e-3'"),
+        ("exp(-x)/2", 7, "expected end of input, found '/' (division is allowed only between two numbers, as in 2/3)"),
+        ("(x/2)*exp(-x)", 2, "expected ')', found '/' (division is allowed only between two numbers, as in 2/3)"),
+    ])
+    def test_exponent_notation_and_division_name_their_cause(self, capsys, expr, position, expected):
+        assert main(["eval", expr]) == 2
+        first, source, caret = capsys.readouterr().err.splitlines()
+        assert first == f"error: syntax error at position {position}: {expected}"
+        assert (source, caret) == (f"    {expr}", "    " + " " * position + "^")
+
     def test_unprintable_coefficient_and_x_power_exit_two_at_their_factor(self, capsys):
         nines = "9" * 3000
         for expr, position in ((f"{nines}*{nines}*exp(-x)", 3001), ("exp(-x)*x^(100000)", 8)):

@@ -1,14 +1,17 @@
 """Numeric ground truth: constants, special functions, quadrature, FD."""
 
 import ast
+import hashlib
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
 import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -469,6 +472,9 @@ class TestOnePass:
         (((1, 0), (-2, 1)), Fraction(5, 2), 2, 2.0, 1.1),
         (((3, 0), (-1, 2)), Fraction(1), 1, 0.5, 1.5),
         (((1, 0),), Fraction(100), 1, 100.0, 0.35),
+        # the costliest shapes: the |u|^n bump near u = -n/s lies far left of the peak
+        (((1, 0), (-3, 1), (2, 2)), Fraction(1, 2), 13, 1.0, 1.1),
+        (((1, 0),), Fraction(1), 14, 1e-3, 0.7),
     ]
 
     @pytest.mark.parametrize("prefactor, s, n, mu, pad", STRIPS)
@@ -488,12 +494,48 @@ class TestOnePass:
                 decay = mu_ * mpmath.cos(pad_) * mpmath.exp(u)
                 return sum(abs(c) * mpmath.exp((s_ + p) * u - decay) for c, p in prefactor) * (abs(u) + pad_) ** n
 
-            # both are below e^-30 of their peak beyond these ends
+            # both are below e^-30 of their peak beyond these ends, the left one past the bump
+            # of e^(s u) |u|^n at u = -n/s
             peak = mpmath.log(s_ / (mu_ * mpmath.cos(pad_)))
-            points = sorted({peak - 60, peak - 5, mpmath.mpf(0), peak, peak + 5})
+            points = sorted({peak - 60 - 3 * n / s_, peak - 5, mpmath.mpf(0), peak, peak + 5})
             on_strip, whole = mpmath.quad(strip, points), mpmath.quad(bound, points)
         assert mass >= on_strip and mass >= whole
         assert mass <= 4 * whole
+
+
+class TestSameBits:
+    """Quadrature's output, bit for bit, over a fixed grid: a change to how the
+    oracle computes its floats must leave every result as it is."""
+
+    # (coeff, power) prefactors of two and three terms, some cancelling
+    PREFACTORS = [((1, 0), (-2, 1)), ((3, 0), (1, 2)), ((1, 0), (-3, 1), (1, 2)), ((5, 0), (2, 1), (-1, 3))]
+
+    @staticmethod
+    def grid():
+        from explogint.catalog import DEFAULT_MU_GRID, catalog, param_grid
+
+        for entry in catalog():
+            for param in param_grid(entry):
+                spec = entry.build(param)
+                yield from ((spec, mu) for mu in ([float(spec.mu)] if spec.mu else DEFAULT_MU_GRID))
+        for prefactor, s, n, mu in itertools.product(
+                TestSameBits.PREFACTORS, (Fraction(1, 2), Fraction(5, 2)), (0, 3, 7, 13, 14), (1e-3, 1.0, 1e3)):
+            terms = tuple(PrefactorTerm(p, Fraction(c)) for c, p in prefactor)
+            yield IntegralSpec(terms, ArgPoint.of(s), n), mu
+
+    def test_results_keep_their_bits(self, monkeypatch):
+        # CPython 3.12 made sum() of floats compensated, which moves the last bits of the
+        # error estimates, so the oracle sums here left to right, as CPython did before 3.12,
+        # and the pin holds under every supported CPython
+        monkeypatch.setattr(oracle_module, "sum", lambda items: reduce(operator.add, items, 0), raising=False)
+        digest = hashlib.sha256()
+        count = 0
+        for (spec, mu), tol in itertools.product(self.grid(), (1e-10, 1e-13)):
+            r = quadrature(spec, mu, rel_tol=tol)
+            digest.update(repr((r.value.hex(), r.abs_error_estimate.hex(), r.nodes_used, r.converged)).encode())
+            count += 1
+        assert count == 456
+        assert digest.hexdigest() == "60b569ebae3bb7aab37344466373c60886312901f0adbf3a2cba04144727b3b8"
 
 
 class TestFiniteDifferences:

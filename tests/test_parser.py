@@ -336,6 +336,8 @@ class TestUnsupportedClass:
             parse_integrand("sin(x)")
         assert exc_info.value.factor == "sin"
         assert exc_info.value.position == 0
+        # exponentials multiply by adding rates, so the message names no "one exponential" limit
+        assert "only x powers, decaying exponentials exp(-c*x) and integer powers of log(x)" in str(exc_info.value)
 
     @pytest.mark.parametrize(
         "text",
