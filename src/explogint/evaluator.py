@@ -22,11 +22,11 @@ log_mu^(n-k) times the Gamma^(k) block, a kernel output and so in term
 order, and :class:`explogint.ring.LeibnizSum` reads a group's items in the
 order of their sum by sorting only their runs of one degree and gamma
 power; those runs and the text of each monomial's other factors come from
-the block's print plan, kept under the item's key from its first print (a
-keyless item's is built per print), and paper style reads its delta test
-off the items too.  Binding never expands them either: each K is bound
-once to an int at 2^-BITS (a keyed item once per constants table), and a
-value is the sum of the items, rounded to a double once.
+the K's print plan, kept with the K from its first print, and paper style
+reads its delta test off the items too.  Binding never expands them either:
+each K is bound to an int at 2^-BITS, kept with the K beside the constants
+table it was bound under and read back under that table, and a value is the
+sum of the items, rounded to a double once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .ring import (
     _json_field,
     _json_rational,
     _json_terms,
-    binder,
+    fixed_values,
     log_mu_slices,
     sum_of_products,
     to_float,
@@ -116,14 +116,13 @@ class ClosedForm:
     """A finite sum  sum_e mu^(-e) * c_e  with exact constants c_e.
 
     It is held only as groups (e, d, items), one per mu exponent e, ascending, each
-    mu^(-e)/d sum a log_mu^j K over its items (a, j, K, key): a an int, j distinct, K a
-    nonzero log_mu-free constant, key the slot under which ``evaluate`` keeps K's bound
-    value and the printers its print plan, or None.  So no group is zero.  Both
-    constructors hand their parts to :func:`_merged`, the one place that groups items by
-    exponent: :func:`eval_general` its Leibniz items, ``ClosedForm(pairs)`` each pair's
-    ``log_mu_slices``, c's denominator d and int-coefficient K with key None, so rounding a
-    K to 2^-BITS loses nothing relative to a tiny c, and pairs that cancel, even in part,
-    bind exactly, since their slices are summed before they are bound.  Exponents are
+    mu^(-e)/d sum a log_mu^j K over its items (a, j, K): a an int, j distinct, K a nonzero
+    log_mu-free constant, which keeps its own print plan and bound value.  So no group is
+    zero.  Both constructors hand their parts to :func:`_merged`, the one place that groups
+    items by exponent: :func:`eval_general` its Leibniz items, ``ClosedForm(pairs)`` each
+    pair's ``log_mu_slices``, c's denominator d and int-coefficient K, so rounding a K to
+    2^-BITS loses nothing relative to a tiny c, and pairs that cancel, even in part, bind
+    exactly, since their slices are summed before they are bound.  Exponents are
     multiples of 1/2.  ``evaluate``,
     ``at_mu_one``, ``render`` and ``to_json`` read the groups, the printers one
     ``LeibnizSum`` per group.  ``terms``, which ``==`` and ``hash`` read, is built on each
@@ -140,7 +139,7 @@ class ClosedForm:
             if e.denominator > 2:
                 raise ValueError(f"'mu_exponent' must be a multiple of 1/2, got {e}")
             d, slices = log_mu_slices(const)
-            parts.append((e, d, tuple((1, j, N, None) for j, N in slices)))
+            parts.append((e, d, tuple((1, j, N) for j, N in slices)))
         object.__setattr__(self, "_groups", _merged(parts))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -156,7 +155,7 @@ class ClosedForm:
     def terms(self) -> tuple[tuple[Fraction, SymbolicConstant], ...]:
         """The (e, c_e) pairs, each c_e one kernel sum of its items a/d log_mu^j K."""
         return tuple((e, sum_of_products((Fraction(a, d), SymbolicConstant.from_generator(LOG_MU, j), K)
-                                         for a, j, K, _ in items)) for e, d, items in self._groups)
+                                         for a, j, K in items)) for e, d, items in self._groups)
 
     def __bool__(self) -> bool:
         return bool(self._groups)
@@ -172,36 +171,27 @@ class ClosedForm:
     def at_mu_one(self) -> SymbolicConstant:
         """Specialize mu = 1: log_mu vanishes and every mu power is 1; the items with j = 0."""
         return sum_of_products(
-            (Fraction(a, d), ONE, K) for _, d, items in self._groups for a, j, K, _ in items if not j)
+            (Fraction(a, d), ONE, K) for _, d, items in self._groups for a, j, K in items if not j)
 
     def evaluate(self, mu_value: float, bindings: Union[Constants, Mapping[Generator, float]]) -> float:
         """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e).
 
-        Every value is an int at 2^-BITS until the end: each K is bound by
-        ``binder(bindings)`` and rounded down, ln mu is ``fixed_log(mu_value)``,
-        and each mu^(-e) is scaled by its own binary exponent (``_mu_power``).  A
-        K's value is kept under its item's key in the table's ``blocks``, if any.
-        The groups are summed exactly over one denominator and rounded once to
-        the nearest double; ValueError when that lies outside the double range.
+        Every value is an int at 2^-BITS until the end: each K's is rounded down by
+        ``fixed_values``, which keeps it with K under a ``Constants`` table, ln mu is
+        ``fixed_log(mu_value)``, and each mu^(-e) is scaled by its own binary exponent
+        (``_mu_power``).  The groups are summed exactly over one denominator and rounded
+        once to the nearest double; ValueError when that lies outside the double range.
         """
         if not 0 < mu_value < math.inf:
             raise ValueError("mu must be positive and finite")
         log_mu = fixed_log(mu_value)
-        cache = getattr(bindings, "blocks", {})
-        bind, parts = None, []
-        powers = [1 << BITS]  # (ln mu)^j at 2^-BITS
+        parts, powers, bind = [], [1 << BITS], None  # powers: (ln mu)^j at 2^-BITS
         for e, d, items in self._groups:
+            values, bind = fixed_values(items, bindings, bind)
             total = 0
-            for a, j, K, key in items:
+            for (a, j, _), value in zip(items, values):
                 while len(powers) <= j:
                     powers.append(powers[-1] * log_mu >> BITS)
-                value = cache.get(key)
-                if value is None:
-                    bind = bind or binder(bindings)
-                    num, den = bind(K)
-                    value = (num << BITS) // den
-                    if key is not None:
-                        cache[key] = value
                 total += a * powers[j] * value
             parts.append((total, d << 2 * BITS, e))
         if not parts:
@@ -211,12 +201,8 @@ class ClosedForm:
         num = sum(n * (den // d) << x - low for n, d, x in scaled)
         return to_float(num << low, den) if low >= 0 else to_float(num, den << -low)
 
-    def _walks(self):
-        """(e, the LeibnizSum of its items) per group."""
-        return ((e, LeibnizSum(d, items)) for e, d, items in self._groups)
-
     def render(self, paper_style: bool = False) -> str:
-        bodies = ((e, walk.render(paper_style)) for e, walk in self._walks())
+        bodies = ((e, LeibnizSum(d, items).render(paper_style)) for e, d, items in self._groups)
         return "  +  ".join(body if e == 0 else f"mu^({-e}) * ({body})" for e, body in bodies) or "0"
 
     __str__ = render
@@ -229,9 +215,9 @@ class ClosedForm:
             "terms": [
                 {
                     "mu_exponent": f"{e.numerator}/{e.denominator}",
-                    "constant": walk.to_json(),
+                    "constant": LeibnizSum(d, items).to_json(),
                 }
-                for e, walk in self._walks()
+                for e, d, items in self._groups
             ]
         }
 
@@ -252,14 +238,14 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
     """Closed form of the integral described by ``spec``; mu stays symbolic.  Each prefactor
     term c x^p mu^m gives one part (see :func:`_merged`): exponent s + p - m, c's
     denominator, and the Leibniz items a = (-1)^(n-k) C(n,k) times c's numerator,
-    j = n - k, K = Gamma^(k)(s + p), key (k, s + p).  Only mu_power != 0 lets two terms
-    share an exponent (4.353.2)."""
+    j = n - k, K = Gamma^(k)(s + p).  Only mu_power != 0 lets two terms share an exponent
+    (4.353.2)."""
     n = spec.log_power
     parts = []
     for pf in spec.prefactor:
         point = spec.s.shifted(pf.power)
-        items = tuple(((-1) ** (n - k) * math.comb(n, k) * pf.coeff.numerator, n - k, gamma_deriv_at(k, point),
-                       (k, point)) for k in range(n + 1))
+        items = tuple(((-1) ** (n - k) * math.comb(n, k) * pf.coeff.numerator, n - k, gamma_deriv_at(k, point))
+                      for k in range(n + 1))
         parts.append((spec.s.value + pf.power - pf.mu_power, pf.coeff.denominator, items))
     return ClosedForm._of_parts(parts)
 
@@ -267,9 +253,8 @@ def eval_general(spec: IntegralSpec) -> ClosedForm:
 def _merged(parts: Iterable[tuple[Fraction, int, tuple]]) -> tuple:
     """The groups (see :class:`ClosedForm`) of parts (e, d, items), ascending in e.  A part
     alone on its exponent is its group.  Parts that share one give one group over the lcm D
-    of their denominators: the items of each j are one ``sum_of_products`` of their a D/d K,
-    keyed by the tuple of their (a D/d, key), or None when one of those keys is None.  Zero
-    sums are dropped, and so are groups left without items."""
+    of their denominators: the items of each j are one item (1, j, the ``sum_of_products`` of
+    their a D/d K).  Zero sums are dropped, and so are groups left without items."""
     by_exponent: dict[Fraction, list] = {}
     for e, d, items in parts:
         by_exponent.setdefault(e, []).append((d, items))
@@ -280,15 +265,11 @@ def _merged(parts: Iterable[tuple[Fraction, int, tuple]]) -> tuple:
             d = math.lcm(*(d for d, _ in shared))
             by_j: dict[int, list] = {}
             for d_i, part in shared:
-                for a, j, K, key in part:
-                    by_j.setdefault(j, []).append((a * (d // d_i), K, key))
-            items = []
-            for j, scaled in by_j.items():
-                coeffs, Ks, keys = zip(*scaled)
-                if K := sum_of_products(zip(coeffs, [ONE] * len(Ks), Ks)):
-                    items.append((1, j, K, None if None in keys else tuple(zip(coeffs, keys))))
+                for a, j, K in part:
+                    by_j.setdefault(j, []).append((a * (d // d_i), ONE, K))
+            items = tuple((1, j, K) for j, triples in by_j.items() if (K := sum_of_products(triples)))
         if items:
-            groups.append((e, d, tuple(items)))
+            groups.append((e, d, items))
     return tuple(groups)
 
 

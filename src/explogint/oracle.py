@@ -61,15 +61,13 @@ def fixed_log(x: float) -> int:
 
 
 class Constants:
-    """Generator values as ints at 2^-_BITS in ``fixed``, a read-only view that binding
-    reads (``ring.binder``), and in ``blocks`` the values ``ClosedForm.evaluate`` has bound
-    under this table of Gamma^(k)(s) blocks, by (k, s), so none is read under another."""
+    """Generator values as ints at 2^-_BITS in ``fixed``, a read-only view that binding reads
+    (``ring.binder``); a block keeps its value beside the table it was bound under (``ring.fixed_values``)."""
 
-    __slots__ = ("fixed", "blocks")
+    __slots__ = ("fixed",)
 
     def __init__(self, fixed: dict[Generator, int]):
         self.fixed = MappingProxyType(fixed)
-        self.blocks: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +256,11 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
             c = float(pf.coeff)
         except OverflowError:
             raise ValueError(f"prefactor coefficient {pf.coeff} lies outside the float range") from None
-        pairs.append((c * mu_value**pf.mu_power, s + pf.power))
+        try:
+            pairs.append((c * mu_value**pf.mu_power, s + pf.power))
+        except OverflowError:
+            raise ValueError(f"the prefactor's mu^{pf.mu_power} lies outside the float range "
+                             f"(decay rate mu = {mu_value:.6g})") from None
     pairs = [(c, r) for c, r in pairs if c]  # a coefficient that rounds to 0.0 adds nothing
     if not pairs:
         raise ValueError("every prefactor coefficient is below the float range")

@@ -4,7 +4,7 @@ Both share one tokenizer, one cursor and one error type,
 :class:`IntegrandSyntaxError`, which carries the position of the offending
 token.  Integrand grammar (whitespace between tokens is ignored):
 
-    expr     := term (('+' | '-') term)*
+    expr     := [ '-' ] term (('+' | '-') term)*
     term     := factor ('*' factor)*
     factor   := rational
               | 'x' [ '^' '(' signed ')' ]
@@ -133,16 +133,15 @@ def _term_text(x: int | Fraction, n: int, coeff: int | Fraction) -> str:
 
 
 def _grouped(text: str) -> str:
-    """A canonical text in parentheses if it is a sum, that is, if it has a
-    space outside parentheses: canonical spaces stand only around '+' and '-'."""
-    if " " not in text:
-        return text
-    depth = 0
-    for ch in text:
-        depth += (ch == "(") - (ch == ")")
-        if ch == " " and not depth:
-            return f"({text})"
-    return text
+    """A canonical text in parentheses if it starts with '-' or is a sum (has a space
+    outside parentheses: canonical spaces stand only around '+' and '-')."""
+    if " " in text:
+        depth = 0
+        for ch in text:
+            depth += (ch == "(") - (ch == ")")
+            if ch == " " and not depth:
+                return f"({text})"
+    return f"({text})" if text.startswith("-") else text
 
 
 def _times(a: dict, b: dict) -> dict:
@@ -262,17 +261,21 @@ class _Parser:
     # which to_integral_spec skips, and keys keep the order in which they
     # first appear in the full expansion, so a rejection names the same
     # first offender.  A sum keeps its parentheses as a factor of a
-    # product and as a whole term after '-', and drops them everywhere else.
+    # product and as a whole term after '-', and drops them everywhere else;
+    # a text that starts with '-' keeps them everywhere but at an expr's start.
     # Every number in an expansion is an int unless it is not whole.
 
-    # expr := term (('+'|'-') term)*
+    # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> tuple[str, dict]:
+        negative = self.accept("-")
         text, terms = self.parse_term()
+        if negative:
+            text, terms = "-" + _grouped(text), {key: -c for key, c in terms.items()}
         while (op := self.peek().text) in ("+", "-"):
             self.index += 1
             tok = self.peek()
             term_text, term_terms = self.parse_term()
-            text += f" {op} {_grouped(term_text) if op == '-' else term_text}"
+            text += f" {op} {_grouped(term_text) if op == '-' or term_text[0] == '-' else term_text}"
             merged = {}
             for key, c in term_terms.items():
                 if op == "-":

@@ -29,10 +29,11 @@ mu exponent.  One text and one JSON printer read the walk's runs of
 monomials of one (gamma, log_mu) power pair, each K's coefficients beside
 its print plan: its runs and, built on each printer's first use, the text
 or JSON powers of each monomial's tail, the entries from position 2 on
-(log2, sqrt_pi, zeta(k)).  The plan of a keyed K (a closed form's
-Gamma^(k)(s) block, or a merged item) is built once per process and kept
-under its key, so a warm print formats only coefficients; a keyless K's is
-built per call.  The text of each distinct tail and pair is built once per
+(log2, sqrt_pi, zeta(k)).  A K's plan is built on its first print and kept
+with the K (``_plan_of``), so a warm print of a closed form, whose
+Gamma^(k)(s) blocks live as long as ``gamma_deriv_at``'s cache, formats only
+coefficients; a constant's slices are built per print, and so are their
+plans.  The text of each distinct tail and pair is built once per
 process: a deep closed form has thousands of monomials but only a few
 hundred distinct tails.  Each coefficient is reduced by one gcd against the
 denominator.  They print a coefficient of any length: past
@@ -60,13 +61,17 @@ monomial gamma^i T of each K_j with j > 0, and it has sum (m+1) monomials
 over K_0's gamma^m T; its delta form is m_0 K_0 with gamma read as delta.
 
 A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
-rounds its value to a double once.
+rounds its value to a double once; a closed form binds its K through
+``fixed_values``.
 
 All values are immutable and all operations are pure: nothing of a
-constant is written after it is built, and every reader iterates ``_d`` as
-it stands.  ``from_rational``, ``from_generator``, negation and the slices
-keep term order by construction, so equal constants have identical item
-order, which the hash reads.
+constant's value is written after it is built, and every reader iterates
+``_d`` as it stands.  Its two cache slots hold only what follows from it:
+``_plan``, its print plan, written on its first print, and ``_bound``, its
+floored value and the table it was bound under, written when it is bound
+under another table than the last.  ``from_rational``, ``from_generator``,
+negation and the slices keep term order by construction, so equal
+constants have identical item order, which the hash reads.
 """
 
 from __future__ import annotations
@@ -222,7 +227,7 @@ class SymbolicConstant:
     is exactly zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_d", "_den")
+    __slots__ = ("_d", "_den", "_plan", "_bound")  # the last two are caches, unset until first use
 
     def __init__(self, terms: Mapping[Powers, Fraction] | None = None):
         placed = _place((_vector(powers), coeff) for powers, coeff in (terms or {}).items())
@@ -368,7 +373,7 @@ class SymbolicConstant:
 
 # The printers walk the runs (g, j, m, pairs) of a ``LeibnizSum``: each pair (c, tail) of a run
 # is the monomial m c / den gamma^g log_mu^j times its tail, the factors from position 2 on of
-# its vector as text or JSON powers, read from its block's ``_Plan``.  The text and powers of
+# its vector as text or JSON powers, read from its K's ``_Plan``.  The text and powers of
 # each distinct tail and head are built once per process, and plans hold references to them:
 # a deep closed form has thousands of monomials but only a few hundred distinct tails.
 
@@ -427,19 +432,11 @@ class _Plan:
         return tails
 
 
-# The plan of each keyed block, under its item's key (see ``LeibnizSum``), from its first print
-# to the end of the process, as the engine keeps the blocks themselves (``gamma_deriv_at``).
-_PLANS: dict = {}
-
-
-def _plan(key, block: dict) -> _Plan:
-    """The plan of ``block``: the one kept under ``key``, or for key None one built for this call."""
-    if key is None:
-        return _Plan(block)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS[key] = _Plan(block)
-    return plan
+def _plan_of(K: SymbolicConstant) -> _Plan:
+    """K's print plan, built on its first print and kept with K."""
+    if getattr(K, "_plan", None) is None:
+        object.__setattr__(K, "_plan", _Plan(K._d))
+    return K._plan
 
 
 def _text(runs, den: int, gamma_name: str = "gamma") -> str:
@@ -640,6 +637,24 @@ def binder(bindings: Union[Constants, Mapping[Generator, float]]) -> Callable[[S
                           const._den << 2 * BITS)
 
 
+def fixed_values(items: Iterable[tuple], bindings: Union[Constants, Mapping[Generator, float]],
+                 bind: Optional[Callable] = None) -> tuple[list[int], Optional[Callable]]:
+    """The value at 2^-BITS, rounded down, of each K of items (a, j, K), and the binder: ``bind``, or
+    ``binder(bindings)`` made on first need, which the caller passes on to share.  Under a ``Constants``
+    table each value is kept with K beside the table, and read back under that table only."""
+    table, values = bindings if hasattr(bindings, "fixed") else None, []
+    for _, _, K in items:
+        kept = getattr(K, "_bound", None)
+        if kept is None or kept[0] is not table:
+            bind = bind or binder(bindings)
+            num, den = bind(K)
+            kept = (table, (num << BITS) // den)
+            if table is not None:
+                object.__setattr__(K, "_bound", kept)
+        values.append(kept[1])
+    return values, bind
+
+
 def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, SymbolicConstant]]]:
     """const's denominator d and the (j, N_j), j ascending, of const = sum_j log_mu^j N_j / d, each N_j
     nonzero, log_mu-free and of int coefficients: the monomials with entry 1 equal to j, that entry 0,
@@ -652,13 +667,11 @@ def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, Symboli
 
 
 class LeibnizSum:
-    """The sum of a/d log_mu^j K over items (a, j, K, key), the j distinct and each K nonzero and
+    """The sum of a/d log_mu^j K over items (a, j, K), the j distinct and each K nonzero and
     log_mu-free, as the printers read it: in term order, without building its dict.  It holds
-    a denominator ``den``, ``blocks`` (j, m, the dict of a K, its ``_Plan``) and ``runs`` (D, g,
-    j, i, count): the next ``count`` items (e, c) of block i are the monomials m c / den gamma^g
-    log_mu^j e[2:] of total degree D.  A keyed K's plan is built on its first print and kept
-    under its key, which names one K for the life of the process (``ClosedForm``'s item keys);
-    a K of key None gets a plan built for this walk alone.
+    a denominator ``den``, ``parts`` (j, m, the dict of a K, its ``_Plan``) and ``runs`` (D, g,
+    j, i, count): the next ``count`` items (e, c) of part i are the monomials m c / den gamma^g
+    log_mu^j e[2:] of total degree D.
 
     No two items share j, so no two monomials collide.  A K is in term order, so its
     monomials of one degree and gamma power are one contiguous run, and its runs keep their
@@ -666,32 +679,32 @@ class LeibnizSum:
     ``_grlex_key``), so only the runs are sorted, by (D, g, j), which are distinct.
     """
 
-    __slots__ = ("den", "blocks", "runs")
+    __slots__ = ("den", "parts", "runs")
 
-    def __init__(self, d: int, items: Iterable[tuple[int, int, SymbolicConstant, object]]):
+    def __init__(self, d: int, items: Iterable[tuple[int, int, SymbolicConstant]]):
         items = list(items)
-        self.den = d * lcm(*(K._den for _, _, K, _ in items))
-        self.blocks = [(j, a * (self.den // (d * K._den)), K._d, _plan(key, K._d)) for a, j, K, key in items]
-        self.runs = sorted(((deg + j, g, j, i, count) for i, (j, _, _, plan) in enumerate(self.blocks)
+        self.den = d * lcm(*(K._den for _, _, K in items))
+        self.parts = [(j, a * (self.den // (d * K._den)), K._d, _plan_of(K)) for a, j, K in items]
+        self.runs = sorted(((deg + j, g, j, i, count) for i, (j, _, _, plan) in enumerate(self.parts)
                             for deg, g, count in plan.runs), reverse=True)
 
     def _runs(self, style: Union[bool, str], delta: bool = False):
         """(g, j, m, the run's (c, tail) pairs) per run, in term order, each tail of ``style``
-        (see ``_Plan.tails``); with ``delta``, those of j = 0.  A block's runs read on from one
+        (see ``_Plan.tails``); with ``delta``, those of j = 0.  A part's runs read on from one
         iterator over its coefficients and one over its tails."""
-        blocks = [None if delta and j else (m, iter(block.values()), iter(plan.tails(block, style)))
-                  for j, m, block, plan in self.blocks]
+        parts = [None if delta and j else (m, iter(block.values()), iter(plan.tails(block, style)))
+                 for j, m, block, plan in self.parts]
         for _, g, j, i, count in self.runs:
             if not (delta and j):
-                m, values, tails = blocks[i]
+                m, values, tails = parts[i]
                 yield g, j, m, zip(islice(values, count), islice(tails, count))
 
     def _in_delta(self) -> bool:
         """Whether the sum is a polynomial in delta (see the module docstring)."""
-        m0, base = next(((m, block) for j, m, block, _ in self.blocks if not j), (0, {}))
-        if sum(len(block) for _, _, block, _ in self.blocks) != sum(e[0] + 1 if e else 1 for e in base):
+        m0, base = next(((m, block) for j, m, block, _ in self.parts if not j), (0, {}))
+        if sum(len(block) for _, _, block, _ in self.parts) != sum(e[0] + 1 if e else 1 for e in base):
             return False
-        for j, m, block, _ in self.blocks:
+        for j, m, block, _ in self.parts:
             if j:
                 for e, c in block.items():
                     i = e[0] if e else 0
@@ -710,7 +723,7 @@ class LeibnizSum:
 def _walk(const: SymbolicConstant) -> LeibnizSum:
     """The walk over a constant's ``log_mu_slices``."""
     den, slices = log_mu_slices(const)
-    return LeibnizSum(den, ((1, j, N, None) for j, N in slices))
+    return LeibnizSum(den, ((1, j, N) for j, N in slices))
 
 
 # Ring elements for the individual generators, plus scalar shorthands.

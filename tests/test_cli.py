@@ -45,11 +45,23 @@ class TestEval:
             ("exp(-x) - (x*exp(-x) - exp(-x))", "exp(-x) - (x*exp(-x) - exp(-x))"),
             # an added one flattens into the enclosing sum
             ("exp(-x) + (x*exp(-x) - exp(-x))", "exp(-x) + x*exp(-x) - exp(-x)"),
+            # a term with a leading minus keeps its parentheses after either sign
+            ("exp(-x) + (-x*exp(-x))", "exp(-x) + (-x*exp(-x))"),
+            ("exp(-x) - (-x*exp(-x) + exp(-x))", "exp(-x) - (-x*exp(-x) + exp(-x))"),
         ],
     )
     def test_integrand_prints_as_it_evaluates(self, capsys, expr, printed):
         assert main(["eval", expr, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["integrand"] == printed
+
+    def test_a_leading_minus_reads_after_the_end_of_options(self, capsys):
+        # '--' ends the options, so an expression that starts with '-' is not read as one
+        assert main(["eval", "--json", "--", "-x*exp(-x)"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["integrand"], doc["closed_form"], doc["at_mu_1"]) == ("-x*exp(-x)", "mu^(-2) * (-1)", "-1")
+        assert main(["verify", "--json", "--", "-(x + 1)*exp(-2*x)*log(x)"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["integrand"], doc["status"]) == ("-(x + 1)*exp(-2*x)*log(x)", "pass")
 
 
     def test_coefficient_past_the_str_digit_limit_prints(self, capsys):

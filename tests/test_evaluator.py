@@ -39,6 +39,30 @@ HALF = Fraction(1, 2)
 DELTA = GAMMA + LOG_MU_CONST
 
 
+def form_items(cf):
+    """(e, d, a, j, K) per item of a form, in order: the one place the tests read a form's
+    layout, groups (e, d, items) of items (a, j, K) each standing for mu^(-e) a/d log_mu^j K."""
+    return [(e, d, a, j, K) for e, d, items in cf._groups for a, j, K in items]
+
+
+def blocks_of(*forms):
+    """The distinct K objects of the forms' items, in order of first appearance."""
+    return list({id(K): K for cf in forms for *_, K in form_items(cf)}.values())
+
+
+def bound_under(K):
+    """The table under which K's kept value was bound, or None when none is kept."""
+    kept = getattr(K, "_bound", None)
+    return kept and kept[0]
+
+
+def drop_plans(Ks):
+    """Forget the print plans kept with the Ks, so that their next print is cold."""
+    for K in Ks:
+        if getattr(K, "_plan", None) is not None:
+            del K._plan
+
+
 def J(n):
     """integral_0^inf e^(-mu x) (ln x)^n dx through the general reduction."""
     return eval_general(IntegralSpec.simple(1, n))
@@ -357,11 +381,13 @@ class TestLeibnizAssembly:
         table = compute_constants()
         other = Constants({g: x + (1 << 90) for g, x in ints.items()})  # each 2^-38 larger
         first = cf.evaluate(2.0, table)
-        assert table.blocks  # bound once, kept under the map
+        assert all(bound_under(K) is table for K in blocks_of(cf))  # bound once, kept beside the table
         shifted = cf.evaluate(2.0, other)
+        assert all(bound_under(K) is other for K in blocks_of(cf))
         assert shifted == cf.evaluate(2.0, Constants(dict(other.fixed))) != first
         doubles = {g: x / 2**128 for g, x in ints.items()}  # a plain map is read value by value
         assert cf.evaluate(2.0, doubles) == cf.evaluate(2.0, dict(doubles)) != first
+        assert all(bound_under(K) is not doubles for K in blocks_of(cf))  # never kept
         assert cf.evaluate(2.0, table) == first
         assert eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14"))).evaluate(
             2.0, compute_constants()) == first
@@ -387,7 +413,9 @@ class TestLeibnizAssembly:
             fresh = Constants(dict(ints))
             for mu in (1e-3, 1 / 20, 1.0, 3.0, 1e3):
                 assert cf.evaluate(mu, table) == pairs.evaluate(mu, fresh), (spec, mu)
-            assert not fresh.blocks  # a caller's constants are bound afresh, never cached
+            # each form keeps its own blocks' values, each beside its own table
+            assert all(bound_under(K) is table for K in blocks_of(cf))
+            assert all(bound_under(K) is fresh for K in blocks_of(pairs))
             assert cf.at_mu_one() == pairs.at_mu_one()
             for _, const in cf.terms:
                 den, slices = log_mu_slices(const)
@@ -411,7 +439,7 @@ class TestLeibnizAssembly:
             spec = IntegralSpec(tuple(PrefactorTerm(p, c, m) for (p, m), c in prefactor.items()),
                                 ArgPoint(rng.randint(1, 21)), rng.randint(0, 16))
             cf = eval_general(spec)
-            merged += any(isinstance(key[0], tuple) for _, _, items in cf._groups for *_, key in items)
+            merged += len({p - m for p, m in prefactor}) < len(prefactor)  # two terms share an exponent
             sized = Constants({g: x for g, x in ints.items() if g.k <= spec.log_power})
             for mu in (1e-3, 1.0, 1e3):
                 assert cf.evaluate(mu, sized) == cf.evaluate(mu, compute_constants()), (spec, mu)
@@ -458,7 +486,7 @@ class TestLeibnizAssembly:
         assert cancelled.terms == () and not cancelled and cancelled.render() == "0"
         assert cancelled.to_json() == {"terms": []} and cancelled.at_mu_one() == 0
         assert cancelled == ClosedForm([]) and hash(cancelled) == hash(ClosedForm([]))
-        assert cancelled._groups == ()
+        assert form_items(cancelled) == []
         table = compute_constants()
         tiny = GAMMA / 10**40
         for mu in (0.3, 1.0, 3.0):
@@ -466,8 +494,8 @@ class TestLeibnizAssembly:
             in_part = ClosedForm([(1, a), (1, tiny - a)])
             assert in_part.evaluate(mu, table) == ClosedForm([(1, tiny)]).evaluate(mu, table)
         # A zero constant adds no group.
-        assert ClosedForm([(1, a - a), rest])._groups == ClosedForm([rest])._groups
-        assert ClosedForm([(HALF, rational_const(0))])._groups == ()
+        assert form_items(ClosedForm([(1, a - a), rest])) == form_items(ClosedForm([rest]))
+        assert form_items(ClosedForm([(HALF, rational_const(0))])) == []
 
     def test_shared_exponent_terms_are_summed(self):
         point = ArgPoint.of(Fraction(3, 2))
@@ -504,33 +532,36 @@ class TestLeibnizAssembly:
         ],
     }
 
-    def test_merged_terms_bind_to_the_pinned_doubles(self, ints):
-        # A merged item is keyed by its parts' (scaled coefficient, (k, s)): bound once per
-        # map and kept in its blocks, as an unmerged Gamma^(k)(s) block is.
+    def test_merged_terms_bind_to_the_pinned_doubles(self, ints, monkeypatch):
+        # A merged item keeps its value beside the table, as a Gamma^(k)(s) block does: bound
+        # once per form and table.
+        from explogint import ring
+
         table = Constants(dict(ints))
         specs = [(IntegralSpec((PrefactorTerm(1, Fraction(1), mu_power=1), PrefactorTerm(0, -Fraction(2 * n + 1, 2))),
                                ArgPoint(2 * n + 1), 1), doubles)
                  for n, doubles in enumerate(self.MERGED_DOUBLES["4.353.2"])]
         specs += [(IntegralSpec((PrefactorTerm(0, Fraction(3, 5)), PrefactorTerm(1, Fraction(-7, 4), mu_power=1)),
                                 ArgPoint(7), n), doubles) for n, doubles in enumerate(self.MERGED_DOUBLES["two terms"])]
-        keys = set()
+        forms = []
         for spec, doubles in specs:
             cf = eval_general(spec)
-            ((_, _, items),) = cf._groups
-            for *_, key in items:  # the merged parts' (a D/d, (k, s))
-                assert [(type(c), type(part)) for c, part in key] == [(int, tuple)] * 2, spec
-            keys.update(key for *_, key in items)
+            assert len({e for e, *_ in form_items(cf)}) == 1, spec  # one group, of merged items alone
+            gammas = {id(gamma_deriv_at(k, spec.s.shifted(p))) for k in range(spec.log_power + 1) for p in (0, 1)}
+            assert not {id(K) for K in blocks_of(cf)} & gammas, spec
             assert " ".join(cf.evaluate(mu, table).hex() for mu in self.MUS) == doubles, spec
+            assert all(bound_under(K) is table for K in blocks_of(cf)), spec
             n = spec.log_power
             assert cf.at_mu_one() == sum((gamma_deriv_at(n, spec.s.shifted(pf.power)) * pf.coeff
                                           for pf in spec.prefactor), rational_const(0)), spec
-        assert set(table.blocks) == keys  # one entry per merged item
-        for spec, doubles in specs:  # read back, none bound again
-            assert " ".join(eval_general(spec).evaluate(mu, table).hex() for mu in self.MUS) == doubles, spec
-        assert set(table.blocks) == keys
-        # The same (k, s) parts under other coefficients: a key that left the coefficients
-        # out would hand each the value cached for the first.  (6/5, -7/2) scales to the
-        # same parts as (3/5, -7/4) over half the denominator, and shares their slot.
+            forms.append((cf, doubles))
+        with monkeypatch.context() as patched:  # read back, none bound again
+            patched.setattr(ring, "binder", lambda bindings: pytest.fail("a kept value was bound again"))
+            for cf, doubles in forms:
+                assert " ".join(cf.evaluate(mu, table).hex() for mu in self.MUS) == doubles
+        # The same Gamma^(k)(s) parts under other coefficients: a value kept for the parts
+        # alone would hand each the value bound for the first.  (6/5, -7/2) scales to the
+        # same parts as (3/5, -7/4) over half the denominator.
         for coeffs in ((Fraction(3, 5), Fraction(7, 4)), (Fraction(1), Fraction(-1)), (Fraction(-7, 4), Fraction(3, 5)),
                        (Fraction(6, 5), Fraction(-7, 2)), (Fraction(3, 5), Fraction(-7, 4))):
             for n in (0, 1, 4):
@@ -544,8 +575,8 @@ class TestLeibnizAssembly:
 def kernel_terms(cf):
     """A form's (e, constant) pairs, each expanded from its groups by one kernel call."""
     triples = {}
-    for e, d, items in cf._groups:
-        triples.setdefault(e, []).extend((Fraction(a, d), LOG_MU_CONST**j, K) for a, j, K, _ in items)
+    for e, d, a, j, K in form_items(cf):
+        triples.setdefault(e, []).append((Fraction(a, d), LOG_MU_CONST**j, K))
     consts = ((e, sum_of_products(parts)) for e, parts in sorted(triples.items()))
     return [(e, c) for e, c in consts if c]
 
@@ -579,11 +610,13 @@ class TestPrintingFromBlocks:
     @staticmethod
     def assert_layout(cf, label):
         """One group per mu exponent, ascending; within a group one item per j, each K nonzero."""
-        exponents = [e for e, _, _ in cf._groups]
-        assert exponents == sorted(set(exponents)), label
-        for _, _, items in cf._groups:
-            js = [j for _, j, _, _ in items]
-            assert items and len(js) == len(set(js)) and all(K for _, _, K, _ in items), label
+        items = form_items(cf)
+        exponents = [e for e, *_ in items]
+        assert exponents == sorted(exponents), label
+        for e in set(exponents):  # one denominator and distinct j per exponent, so one group
+            group = [(d, j) for e_i, d, _, j, _ in items if e_i == e]
+            assert len({d for d, _ in group}) == 1 and len({j for _, j in group}) == len(group), label
+        assert all(K for *_, K in items), label
 
     @classmethod
     def assert_prints_like_the_kernel(cls, cf, label, read_back=True):
@@ -692,42 +725,53 @@ class TestPrintingFromBlocks:
         rng.shuffle(forms)
         return forms
 
-    def test_shared_blocks_print_alike_cold_and_warm(self, monkeypatch):
+    def test_shared_blocks_print_alike_cold_and_warm(self):
         import random
 
-        from explogint import ring
-
         forms = self.shared_block_forms(3301)
-        keys = [key for cf in forms for _, _, items in cf._groups for *_, key in items]
-        assert len(set(keys)) < len(keys)  # blocks recur across forms
-        assert len({key for key in keys if isinstance(key[0], int)}) > len({key[0] for key in keys})  # one k, many s
-        assert any(isinstance(key[0], tuple) for key in keys)  # merged items
+        blocks = blocks_of(*forms)
+        assert len(blocks) < len([K for cf in forms for *_, K in form_items(cf)])  # blocks recur across forms
+        gammas = {id(gamma_deriv_at(k, ArgPoint(twice))): k for k in range(9) for twice in range(1, 11)}
+        ks = [gammas[id(K)] for K in blocks if id(K) in gammas]
+        assert len(ks) > len(set(ks))  # one k, many s
+        assert len(ks) < len(blocks)  # merged items
         printers = (ClosedForm.render, lambda cf: cf.render(paper_style=True), ClosedForm.to_json)
         jobs = [(i, p) for i in range(len(forms)) for p in range(3)]
         expected = [kernel_prints(cf) for cf in forms]
         assert [doc for _, _, doc in expected] == [kernel_json(cf) for cf in forms]
-        monkeypatch.setattr(ring, "_PLANS", {})
+        drop_plans(blocks)
         rng = random.Random(3302)
         for state in ("cold", "warm"):
             rng.shuffle(jobs)
             for i, p in jobs:
                 assert printers[p](forms[i]) == expected[i][p], (state, i, p)
-        assert set(ring._PLANS) == set(keys)
+        assert all(getattr(K, "_plan", None) is not None for K in blocks)
 
-    def test_only_keyed_blocks_keep_plans_and_a_warm_print_builds_no_tail(self, monkeypatch):
+    def test_blocks_keep_plans_and_warm_prints_build_no_tail(self, monkeypatch):
         from explogint import ring
 
         def prints(value):
             return value.render(), value.render(paper_style=True), value.to_json()
 
+        def planned(Ks):
+            return [K for K in Ks if getattr(K, "_plan", None) is not None]
+
+        # A copy's blocks keep their own plans and a constant keeps none: its slices are built
+        # per print.  None of them prints through the engine forms' blocks.
         forms = self.shared_block_forms(3303)
-        monkeypatch.setattr(ring, "_PLANS", {})
+        drop_plans(blocks_of(*forms))
         for cf in forms:
             pairs = ClosedForm(cf.terms)
-            for keyless in (pairs, ClosedForm.from_json(pairs.to_json()), cf.at_mu_one(), *(c for _, c in cf.terms)):
-                prints(keyless)
-        prints(GAMMA * LOG2_CONST + DELTA**2)
-        assert ring._PLANS == {}
+            for copy in (pairs, ClosedForm.from_json(pairs.to_json())):
+                prints(copy)
+                assert planned(blocks_of(copy)) == blocks_of(copy)
+            constants = [cf.at_mu_one(), *(c for _, c in cf.terms)]
+            for c in constants:
+                prints(c)
+            assert planned(constants) == []
+        sum_of_deltas = GAMMA * LOG2_CONST + DELTA**2
+        prints(sum_of_deltas)
+        assert planned([sum_of_deltas]) == [] and planned(blocks_of(*forms)) == []
         # n + 1 blocks at each of two points, then the same blocks under other coefficients and
         # denominators, and a subset of them under another log power, so at other j
         specs = [IntegralSpec(pf, ArgPoint(5), n) for pf, n in (
@@ -736,9 +780,11 @@ class TestPrintingFromBlocks:
             ((PrefactorTerm(0, Fraction(7, 3)), PrefactorTerm(2, Fraction(2))), 8),
             ((PrefactorTerm(2, Fraction(-4, 7)), PrefactorTerm(0, Fraction(5))), 5))]
         first, *again = [eval_general(spec) for spec in specs]
+        blocks = blocks_of(first, *again)
+        drop_plans(blocks)
         expected = [kernel_prints(cf) for cf in again]
         prints(first)
-        assert len(ring._PLANS) == 18
+        assert len(blocks) == len(planned(blocks)) == 18
         calls = []
         for name in ("_tail_text", "_tail_powers"):
             monkeypatch.setattr(ring, name, lambda *args, f=getattr(ring, name), name=name: calls.append(name) or f(*args))
@@ -750,7 +796,7 @@ class TestPrintingFromBlocks:
         calls.clear()
         for cf, printed in zip(again, expected):
             assert prints(cf) == printed
-        assert calls == [] and len(ring._PLANS) == 18
+        assert calls == [] and len(planned(blocks)) == 18
 
 
 class TestSpecValidation:
@@ -771,6 +817,49 @@ class TestSpecValidation:
             PrefactorTerm(-1, Fraction(1))
         with pytest.raises(ValueError):
             PrefactorTerm(0, Fraction(0))
+
+
+class TestBindingSameBits:
+    """``ClosedForm.evaluate``'s doubles, bit for bit, over a fixed set of forms, mus and
+    bindings: where a bound block value is kept must not move any of them.  The forms are
+    seeded engine forms, their pair-built copies and the catalog's 4.353.2 forms (computed
+    and printed); each binds under the process table, a caller's table and a map of doubles,
+    then under the two tables again, so warm reads and reads after another table are pinned
+    too."""
+
+    MUS = (1e-3, 1 / 20, 1.0, 3.0, 1e3)
+
+    @staticmethod
+    def forms():
+        import random
+
+        from explogint.catalog import catalog, param_grid
+
+        rng = random.Random(3701)
+        for _ in range(16):
+            prefactor = tuple(rng.sample(TestLeibnizAssembly.PREFACTOR, rng.randint(1, 3)))
+            cf = eval_general(IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 14)))
+            yield cf
+            yield ClosedForm(cf.terms)
+        for entry in catalog():
+            if entry.id == "4.353.2":
+                for param in param_grid(entry):
+                    yield eval_general(entry.build(param))
+                    yield entry.printed_form(param)
+
+    def test_bound_values_keep_their_bits(self, ints):
+        import hashlib
+
+        table, caller = compute_constants(), Constants(dict(ints))
+        doubles = {g: x / 2**128 for g, x in ints.items()}
+        digest, count = hashlib.sha256(), 0
+        for cf in self.forms():
+            for bindings in (table, caller, doubles, table, caller):
+                for mu in self.MUS:
+                    digest.update(cf.evaluate(mu, bindings).hex().encode())
+                    count += 1
+        assert count == 1050
+        assert digest.hexdigest() == "9e5056131be1df8237c9d989a228b81bfdfffcd6233cecf5d974f2610b089831"
 
 
 class TestBindingAgainstMpmath:

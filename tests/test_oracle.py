@@ -352,6 +352,25 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="float range"):
             quadrature(spec._replace(prefactor=(tiny,)), 1.0)
 
+    def test_a_mu_power_beyond_the_float_range_is_a_value_error(self, table):
+        # mu^2 at mu = 1e300 and mu^-2 at mu = 1e-300 overflow
+        from explogint.catalog import CatalogEntry, check_entry
+        from explogint.evaluator import eval_general
+
+        def spec(power):
+            return IntegralSpec((PrefactorTerm(8, Fraction(-1), power),), ArgPoint.of(Fraction(13, 2)), 13)
+
+        for power, mu in ((2, 1e300), (-2, 1e-300)):
+            with pytest.raises(ValueError) as raised:
+                quadrature(spec(power), mu)
+            assert str(raised.value) == f"the prefactor's mu^{power} lies outside the float range (decay rate mu = {mu:g})"
+        # a catalog check reports it on its own line, as it does the other range errors; the
+        # closed form's value at mu = 1e300 is within range (0.0)
+        entry = CatalogEntry("test", "", "", None, lambda _p: spec(2), lambda _p: eval_general(spec(2)))
+        check = check_entry(entry, None, table, mu_grid=(1.0, 1e300))
+        assert (check.status, check.error) == (
+            "fail", "at mu = 1e+300, the prefactor's mu^2 lies outside the float range (decay rate mu = 1e+300)")
+
     def test_error_estimate_honest_on_refinement(self):
         spec = IntegralSpec.simple(1, 1)
         coarse = quadrature(spec, 1.0, rel_tol=1e-6)

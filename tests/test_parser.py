@@ -132,7 +132,39 @@ class TestRoundTrip:
             integrand = parse_integrand(random_text(rng))
             assert parse_integrand(integrand.text) == integrand, integrand.text
 
+    @pytest.mark.parametrize(
+        "text,canonical,terms",
+        [
+            ("-x*exp(-x)", "-x*exp(-x)", {(1, 0, 1): -1}),
+            ("-(x+1)*exp(-x)", "-(x + 1)*exp(-x)", {(1, 0, 1): -1, (0, 0, 1): -1}),
+            ("- 1/2*exp(-x) + x*exp(-x)", "-1/2*exp(-x) + x*exp(-x)", {(0, 0, 1): Fraction(-1, 2), (1, 0, 1): 1}),
+            ("-(x - 1)", "-(x - 1)", {(1, 0, 0): -1, (0, 0, 0): 1}),
+            # after '(' too; such a group keeps its parentheses wherever it is not first
+            ("(-x)*exp(-x)", "(-x)*exp(-x)", {(1, 0, 1): -1}),
+            ("2*(-x + 1)*exp(-x)", "2*(-x + 1)*exp(-x)", {(1, 0, 1): -2, (0, 0, 1): 2}),
+            ("exp(-x) + (-x)", "exp(-x) + (-x)", {(0, 0, 1): 1, (1, 0, 0): -1}),
+            ("-(-x)", "-(-x)", {(1, 0, 0): 1}),
+        ],
+    )
+    def test_a_leading_minus_negates_the_first_term(self, text, canonical, terms):
+        integrand = parse_integrand(text)
+        assert integrand == Integrand(canonical, terms)
+        assert parse_integrand(canonical) == integrand
+
+    def test_random_signed_texts_round_trip(self):
+        rng = random.Random(90211)
+        for _ in range(300):
+            integrand = parse_integrand(random_text(rng, signed=True))
+            assert parse_integrand(integrand.text) == integrand, integrand.text
+
     def test_random_expansions_match_sympy(self):
+        self.expansions_match_sympy(random.Random(4807))
+
+    def test_random_signed_expansions_match_sympy(self):
+        self.expansions_match_sympy(random.Random(4808), signed=True)
+
+    @staticmethod
+    def expansions_match_sympy(rng, signed=False):
         # An oracle for the parser's own arithmetic: log(x) and exp(-x) are
         # symbols L and E, so exp(-r*x) is E^r, and SymPy expands the text.
         sympy = pytest.importorskip("sympy")
@@ -141,9 +173,8 @@ class TestRoundTrip:
         x, L, E = sympy.symbols("x L E", positive=True)
         names = {"x": x, "log": lambda arg: L, "exp": lambda arg: E ** (-arg / x)}
         transformations = standard_transformations + (convert_xor, rationalize)
-        rng = random.Random(4807)
         for _ in range(300):
-            text = random_text(rng)
+            text = random_text(rng, signed=signed)
             expected = {}
             for monomial, coeff in sympy.expand(parse_expr(text, names, transformations)).as_coefficients_dict().items():
                 powers = monomial.as_powers_dict()
@@ -165,11 +196,11 @@ def random_rational(rng, allow_negative=False):
     return f"{num}/{den}" if rng.random() < 0.5 else str(num)
 
 
-def random_factor(rng, depth):
+def random_factor(rng, depth, signed=False):
     """Any factor text; a parenthesized sum, or a group in a group, may sit
     wherever a factor may."""
     if depth < 3 and rng.random() < 0.25:
-        return f"({random_text(rng, depth + 1)})"
+        return f"({random_text(rng, depth + 1, signed)})"
     return rng.choice([
         random_rational(rng),
         f"{rng.randint(0, 9)}.{rng.randint(0, 99)}",
@@ -182,12 +213,14 @@ def random_factor(rng, depth):
     ])
 
 
-def random_text(rng, depth=0):
-    text = ""
+def random_text(rng, depth=0, signed=False):
+    """A sum of products of factors; with ``signed``, each expr, nested ones too, may
+    start with a '-'."""
+    text = "-" if signed and rng.random() < 0.4 else ""
     for i in range(rng.randint(1, 3)):
         if i:
             text += f" {rng.choice('+-')} "
-        text += "*".join(random_factor(rng, depth) for _ in range(rng.randint(1, 3)))
+        text += "*".join(random_factor(rng, depth, signed) for _ in range(rng.randint(1, 3)))
     return text
 
 
