@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .oracle import Constants, fixed_log
 from .ring import (
     BITS,
     LOG_MU,
     ONE,
-    Generator,
     LeibnizSum,
     SymbolicConstant,
     _json_field,
@@ -173,11 +172,11 @@ class ClosedForm:
         return sum_of_products(
             (Fraction(a, d), ONE, K) for _, d, items in self._groups for a, j, K in items if not j)
 
-    def evaluate(self, mu_value: float, bindings: Union[Constants, Mapping[Generator, float]]) -> float:
-        """Bind mu numerically: log_mu -> ln(mu), mu^(-e) -> mu_value^(-e).
+    def evaluate(self, mu_value: float, table: Constants) -> float:
+        """Bind mu numerically, log_mu -> ln(mu) and mu^(-e) -> mu_value^(-e), and the rest by ``table``.
 
         Every value is an int at 2^-BITS until the end: each K's is rounded down by
-        ``fixed_values``, which keeps it with K under a ``Constants`` table, ln mu is
+        ``fixed_values``, which keeps it with K beside the table, ln mu is
         ``fixed_log(mu_value)``, and each mu^(-e) is scaled by its own binary exponent
         (``_mu_power``).  The groups are summed exactly over one denominator and rounded
         once to the nearest double; ValueError when that lies outside the double range.
@@ -187,7 +186,7 @@ class ClosedForm:
         log_mu = fixed_log(mu_value)
         parts, powers, bind = [], [1 << BITS], None  # powers: (ln mu)^j at 2^-BITS
         for e, d, items in self._groups:
-            values, bind = fixed_values(items, bindings, bind)
+            values, bind = fixed_values(items, table, bind)
             total = 0
             for (a, j, _), value in zip(items, values):
                 while len(powers) <= j:

@@ -1,10 +1,11 @@
 """Independent ground truth: constants, quadrature and the pass rule.
 
-This module supplies one table of the ring generators' values as ints for
-binding, each zeta(k) built on its first read, ln of a double in the same
-arithmetic, high-accuracy quadrature over the integral class, and
-the rule by which a closed form's value passes against quadrature.  Of the
-package it imports only the ring's generator identities at run time, so it
+This module supplies one table of the ring generators' values as ints at
+2^-BITS, the only input binding reads, each zeta(k) built on its first
+read, ln of a double in the same arithmetic, high-accuracy quadrature over
+the integral class, and the rule by which a closed form's value passes
+against quadrature.  Of the package it imports only constants at run time,
+the ring's generator identities and binding precision ``BITS``, so it
 shares no code path with the exact engine in :mod:`special_values` /
 :mod:`evaluator`, and agreement between the two sides is evidence.
 
@@ -26,31 +27,27 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ring import EULER_GAMMA, LOG2, SQRT_PI
+from .ring import BITS, EULER_GAMMA, LOG2, SQRT_PI
 
 if TYPE_CHECKING:
     from .evaluator import IntegralSpec
     from .ring import Generator
 
-# Working precision of the constants, each an int times 2^-_BITS: the ring's BITS, at
-# which binding reads them, and which this module does not import (module docstring).
-_BITS = 128
-
 
 def _arc(p: int, q: int, sign: int) -> int:
-    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-_BITS, for 0 <= p/q <= 1/3:
+    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-BITS, for 0 <= p/q <= 1/3:
     the sum over k of sign^k (p/q)^(2k+1) / (2k + 1)."""
-    total, term, k = 0, (p << _BITS) // q, 1
+    total, term, k = 0, (p << BITS) // q, 1
     while term:
         total, term, k = total + term // k, sign * term * p * p // (q * q), k + 2
     return total
 
 
-_LN2 = 2 * _arc(1, 3, 1)  # ln 2 at 2^-_BITS
+_LN2 = 2 * _arc(1, 3, 1)  # ln 2 at 2^-BITS
 
 
 def fixed_log(x: float) -> int:
-    """ln x at 2^-_BITS, for a finite double x > 0, from the constants' own ln 2: x = m 2^e
+    """ln x at 2^-BITS, for a finite double x > 0, from the constants' own ln 2: x = m 2^e
     with m in [2/3, 4/3), and ln m = 2 atanh((m - 1)/(m + 1)) with |(m - 1)/(m + 1)| <= 1/5."""
     m, e = math.frexp(x)
     if m < 2 / 3:
@@ -61,7 +58,7 @@ def fixed_log(x: float) -> int:
 
 
 class Constants:
-    """Generator values as ints at 2^-_BITS in ``fixed``, a read-only view that binding reads
+    """Generator values as ints at 2^-BITS in ``fixed``, a read-only view that binding reads
     (``ring.binder``); a block keeps its value beside the table it was bound under (``ring.fixed_values``)."""
 
     __slots__ = ("fixed",)
@@ -74,13 +71,13 @@ class Constants:
 def _borwein() -> tuple[int, list[int]]:
     # eta(s) = sum_(k<n) (-1)^k (d_n - d_k)/((k+1)^s d_n) to within 3 (3 + sqrt 8)^-n < 2^(-5n/2),
     # with integer weights d_k = sum_(i<=k) n (n+i-1)! 4^i/((n-i)! (2i)!) that serve every s
-    n, f = _BITS // 2, math.factorial
+    n, f = BITS // 2, math.factorial
     d = list(accumulate(n * f(n + i - 1) * 4**i // (f(n - i) * f(2 * i)) for i in range(n + 1)))
-    return d[n], [(-1) ** k * (d[n] - d[k]) << _BITS for k in range(n)]
+    return d[n], [(-1) ** k * (d[n] - d[k]) << BITS for k in range(n)]
 
 
 class _ZetaOnRead(dict):
-    """A dict that builds zeta(s) = eta(s)/(1 - 2^(1-s)) at 2^-_BITS when a missing one is
+    """A dict that builds zeta(s) = eta(s)/(1 - 2^(1-s)) at 2^-BITS when a missing one is
     read by subscript, by Borwein's alternating series (CMS Conf. Proc. 27, 2000)."""
 
     def __missing__(self, g: Generator) -> int:
@@ -97,19 +94,19 @@ def compute_constants() -> Constants:
     """The process table: gamma, log2 and sqrt_pi, built on the first call, and each
     zeta(k), built when binding first reads it; the same table on every call.
 
-    Each is an int at 2^-_BITS, a few hundred units off at most (measured against
+    Each is an int at 2^-BITS, a few hundred units off at most (measured against
     mpmath): ln 2 and pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34,
     1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`.
     """
     pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)  # Machin's formula
-    j = (_BITS // 5).bit_length()  # pi e^(-4N) < 2^-_BITS
+    j = (BITS // 5).bit_length()  # pi e^(-4N) < 2^-BITS
     a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
-    b = v = 1 << _BITS  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
+    b = v = 1 << BITS  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)
     for k in range(1, 5 << j):  # the terms fall below e^(-4N) before k = 5N
         b = (b << 2 * j) // (k * k)
         a = ((a << 2 * j) // k + b) // k
         u, v = u + a, v + b
-    return Constants(_ZetaOnRead({EULER_GAMMA: (u << _BITS) // v, LOG2: _LN2, SQRT_PI: math.isqrt(pi << _BITS)}))
+    return Constants(_ZetaOnRead({EULER_GAMMA: (u << BITS) // v, LOG2: _LN2, SQRT_PI: math.isqrt(pi << BITS)}))
 
 
 # ---------------------------------------------------------------------------

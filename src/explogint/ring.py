@@ -60,9 +60,9 @@ when m_j K_j[gamma^i T] = C(i+j, j) m_0 K_0[gamma^(i+j) T] for each
 monomial gamma^i T of each K_j with j > 0, and it has sum (m+1) monomials
 over K_0's gamma^m T; its delta form is m_0 K_0 with gamma read as delta.
 
-A constant is bound (``binder``) in ints at 2^-BITS, and ``evaluate``
-rounds its value to a double once; a closed form binds its K through
-``fixed_values``.
+A constant is bound (``binder``) from a ``Constants`` table, the one input
+binding reads, of ints at 2^-BITS, and ``evaluate`` rounds its value to a
+double once; a closed form binds its K through ``fixed_values``.
 
 All values are immutable and all operations are pure: nothing of a
 constant's value is written after it is built, and every reader iterates
@@ -334,9 +334,9 @@ class SymbolicConstant:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, bindings: Union[Constants, Mapping[Generator, float]]) -> float:
-        """The value, bound by ``binder(bindings)`` and rounded once to the nearest double."""
-        return to_float(*binder(bindings)(self))
+    def evaluate(self, table: Constants) -> float:
+        """The value, bound by ``binder(table)`` and rounded once to the nearest double."""
+        return to_float(*binder(table)(self))
 
     # -- rendering -----------------------------------------------------------
 
@@ -593,7 +593,6 @@ def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
 
 
 BITS = 128  # binding precision: a generator's value is held as an int at 2^-BITS
-_UNIT = 1 << BITS
 
 
 def to_float(num: int, den: int) -> float:
@@ -604,16 +603,17 @@ def to_float(num: int, den: int) -> float:
         raise ValueError("closed-form value lies outside the float range") from None
 
 
-def binder(bindings: Union[Constants, Mapping[Generator, float]]) -> Callable[[SymbolicConstant], tuple[int, int]]:
+def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
     """A function from a constant to the numerator and denominator of its value, exact but
     for one table of powers per generator and one product per distinct (gamma, log_mu) part
     and tail ``vec[2:]``, each an int at 2^-BITS formed once across the function's calls.
 
-    Values: a ``Constants`` table's ``fixed`` ints by subscript (``compute_constants()``'s builds a
-    zeta on first read), else a map's values rounded to 2^-BITS; MissingBindingError when absent."""
-    fixed = getattr(bindings, "fixed", None)
-    if fixed is None:
-        fixed = {g: round(Fraction(v) * _UNIT) for g, v in bindings.items()}
+    Values: the table's ``fixed`` ints by subscript (``compute_constants()``'s builds a zeta on
+    first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``."""
+    try:
+        fixed = table.fixed
+    except AttributeError:
+        raise TypeError(f"binding reads a Constants table, not {type(table).__name__}") from None
 
     @lru_cache(maxsize=None)
     def power(i: int, k: int) -> int:  # generator i to the k, each power floored from the one below
@@ -627,7 +627,7 @@ def binder(bindings: Union[Constants, Mapping[Generator, float]]) -> Callable[[S
 
     @lru_cache(maxsize=None)
     def part(vec: Exponents, start: int) -> int:
-        value = _UNIT
+        value = 1 << BITS
         for i, k in enumerate(vec, start):
             if k:
                 value = value * power(i, k) >> BITS
@@ -637,20 +637,19 @@ def binder(bindings: Union[Constants, Mapping[Generator, float]]) -> Callable[[S
                           const._den << 2 * BITS)
 
 
-def fixed_values(items: Iterable[tuple], bindings: Union[Constants, Mapping[Generator, float]],
+def fixed_values(items: Iterable[tuple], table: Constants,
                  bind: Optional[Callable] = None) -> tuple[list[int], Optional[Callable]]:
     """The value at 2^-BITS, rounded down, of each K of items (a, j, K), and the binder: ``bind``, or
-    ``binder(bindings)`` made on first need, which the caller passes on to share.  Under a ``Constants``
-    table each value is kept with K beside the table, and read back under that table only."""
-    table, values = bindings if hasattr(bindings, "fixed") else None, []
+    ``binder(table)`` made on first need, which the caller passes on to share.  Each value is kept
+    with K beside the table, and read back under that table only."""
+    values = []
     for _, _, K in items:
         kept = getattr(K, "_bound", None)
         if kept is None or kept[0] is not table:
-            bind = bind or binder(bindings)
+            bind = bind or binder(table)
             num, den = bind(K)
             kept = (table, (num << BITS) // den)
-            if table is not None:
-                object.__setattr__(K, "_bound", kept)
+            object.__setattr__(K, "_bound", kept)
         values.append(kept[1])
     return values, bind
 

@@ -29,14 +29,14 @@ ZETA2_REF = 1.64493406684822643647
 ZETA3_REF = 1.20205690315959428540
 
 
-# The ring's generator identities: all the oracle may import of the package at
-# run time, so that agreement with the exact engine is evidence.
-GENERATOR_IDENTITIES = {"EULER_GAMMA", "LOG2", "SQRT_PI", "zeta_gen"}
+# The ring's generator identities and its binding precision BITS: all the oracle may
+# import of the package at run time, so that agreement with the exact engine is evidence.
+RING_IMPORTS = {"BITS", "EULER_GAMMA", "LOG2", "SQRT_PI", "zeta_gen"}
 
 
 def engine_imports(source: str) -> list[str]:
     """Runtime imports in ``source`` (oracle.py) other than the standard library
-    and ``from .ring`` of GENERATOR_IDENTITIES; ``if TYPE_CHECKING:`` never runs."""
+    and ``from .ring`` of RING_IMPORTS; ``if TYPE_CHECKING:`` never runs."""
     tree = ast.parse(source)
     unrun = {id(n) for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
              for n in ast.walk(node)}
@@ -51,7 +51,7 @@ def engine_imports(source: str) -> list[str]:
             module = "." * node.level + (node.module or "")
             if module.partition(".")[0] in sys.stdlib_module_names:
                 continue
-            allowed = GENERATOR_IDENTITIES if module == ".ring" else set()
+            allowed = RING_IMPORTS if module == ".ring" else set()
             found += [f"line {node.lineno}: imports {a.name} from {module}" for a in node.names
                       if a.name not in allowed]
     return found

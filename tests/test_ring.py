@@ -616,12 +616,23 @@ class TestEvaluate:
 
     def test_missing_binding_names_the_generator(self, ints):
         with pytest.raises(MissingBindingError) as exc_info:
-            zeta_const(7).evaluate({})
+            zeta_const(7).evaluate(Constants({}))
         assert "zeta(7)" in str(exc_info.value)
         with pytest.raises(MissingBindingError, match="log_mu"):  # bound per call, never held
             LOG_MU_CONST.evaluate(compute_constants())
         with pytest.raises(MissingBindingError, match=re.escape("zeta(5)")):  # a caller's table holds what it is given
             zeta_const(5).evaluate(Constants({g: x for g, x in ints.items() if g.k < 5}))
+
+    def test_only_a_constants_table_binds(self, table, ints):
+        # a plain map, of doubles or of ints, is no binding input: the error names the one that is,
+        # also for a closed form whose blocks are already bound under the process table
+        cf = eval_general(IntegralSpec((PrefactorTerm(0, Fraction(1)),), ArgPoint(3), 2))
+        cf.evaluate(2.0, table)
+        for plain in ({g: x / 2**128 for g, x in ints.items()}, dict(ints)):
+            with pytest.raises(TypeError, match="Constants table, not dict"):
+                GAMMA.evaluate(plain)
+            with pytest.raises(TypeError, match="Constants table, not dict"):
+                cf.evaluate(2.0, plain)
 
     def test_high_powers_bind_without_recursion(self, table):
         # each generator's powers are built in a loop, each floored from the one below
@@ -634,12 +645,12 @@ class TestEvaluate:
     def test_monomials_are_summed_exactly_then_rounded_once(self):
         # monomials 2^53, 1 and -2^53 sum to 1, where a plain float sum of the first two loses it
         c = rational_const(2**53) * LOG2_CONST + ONE - rational_const(2**53) * SQRT_PI_CONST
-        assert c.evaluate({LOG2: 1.0, SQRT_PI: 1.0}) == 1.0
+        assert c.evaluate(Constants({LOG2: 1 << 128, SQRT_PI: 1 << 128})) == 1.0
 
     def test_a_sum_beyond_the_float_range_is_a_value_error(self):
         big = rational_const(10**308)
         with pytest.raises(ValueError, match="closed-form value lies outside the float range"):
-            (big * GAMMA + big * LOG2_CONST).evaluate({EULER_GAMMA: 1.0, LOG2: 1.0})
+            (big * GAMMA + big * LOG2_CONST).evaluate(Constants({EULER_GAMMA: 1 << 128, LOG2: 1 << 128}))
 
     def test_evaluation_homomorphism(self, ints):
         rng = random.Random(4242)
