@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .evaluator import eval_In, eval_general
 from .oracle import MAX_REL_TOL, MIN_REL_TOL, compute_constants, quadrature, verdict
-from .parser import MAX_LOG_POWER, parse_integrand, to_integral_spec
+from .parser import MAX_LOG_POWER, _term_text, parse_integrand, to_integral_spec
 from .ring import Grade, grade
 
 
@@ -124,13 +124,9 @@ def _print_error(message: str, as_json: bool, source: Optional[str] = None,
 
 
 def _spec_summary(spec) -> dict:
-    pf = " + ".join(
-        (f"{t.coeff}" if t.power == 0 else f"{t.coeff}*x^{t.power}")
-        + (f"*mu^{t.mu_power}" if t.mu_power else "")
-        for t in spec.prefactor
-    )
+    first, *rest = (_term_text(t.power, 0, t.coeff) for t in spec.prefactor)  # a parsed spec's mu_power is 0
     return {
-        "prefactor": pf,
+        "prefactor": first + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in rest),
         "s": str(spec.s.value),
         "log_power": spec.log_power,
         "mu": None if spec.mu is None else str(spec.mu),

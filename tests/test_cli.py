@@ -54,6 +54,22 @@ class TestEval:
         assert main(["eval", expr, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["integrand"] == printed
 
+    @pytest.mark.parametrize(
+        "expr,prefactor,rest",
+        [
+            # a negative coefficient is subtracted and a unit one is not written, as the parser writes a sum
+            ("(0 - x - 1)*exp(-2*x)*log(x)", "-1 - x", "s = 1, n = 1, mu = 2"),
+            ("(1 - 2*x)*x^(5/2)*exp(-3*x)*log(x)", "1 - 2*x", "s = 7/2, n = 1, mu = 3"),
+            ("(3/2 + x^(2))*exp(-x)", "3/2 + x^(2)", "s = 1, n = 0, mu = 1"),
+        ],
+    )
+    def test_prefactor_prints_as_the_parser_writes_it(self, capsys, expr, prefactor, rest):
+        assert main(["eval", expr]) == 0
+        assert f"class       : p(x) = {prefactor}, {rest}\n" in capsys.readouterr().out
+        assert main(["eval", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"]["prefactor"] == prefactor
+        assert parse_integrand(f"({prefactor})*exp(-x)").text == f"({prefactor})*exp(-x)"
+
     def test_a_leading_minus_reads_after_the_end_of_options(self, capsys):
         # '--' ends the options, so an expression that starts with '-' is not read as one
         assert main(["eval", "--json", "--", "-x*exp(-x)"]) == 0
