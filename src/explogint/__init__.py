@@ -7,24 +7,39 @@ The package evaluates integrals of the class
 in exact closed form over a ring of named constants (gamma, log mu, log 2,
 sqrt(pi), zeta(k)), and verifies every closed form independently by
 high-accuracy quadrature and direct special-function numerics.
+
+``import explogint`` loads no module of the package: each name below is
+read from its module the first time it is read (PEP 562), so building the
+constants table, ``explogint.compute_constants()``, loads only the oracle.
 """
 
-from .evaluator import IntegralSpec, eval_general, eval_In
-from .oracle import compute_constants, quadrature
-from .parser import parse_constant, parse_integrand, to_integral_spec
-from .ring import grade
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The API the README documents; everything else is reached through its module.
-__all__ = [
-    "IntegralSpec",
-    "compute_constants",
-    "eval_In",
-    "eval_general",
-    "grade",
-    "parse_constant",
-    "parse_integrand",
-    "quadrature",
-    "to_integral_spec",
-]
+# The API the README documents, each name with the module that defines it; everything
+# else is reached through its module.
+_HOMES = {
+    "IntegralSpec": "evaluator",
+    "compute_constants": "oracle",
+    "eval_In": "evaluator",
+    "eval_general": "evaluator",
+    "grade": "ring",
+    "parse_constant": "parser",
+    "parse_integrand": "parser",
+    "quadrature": "oracle",
+    "to_integral_spec": "parser",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,9 +4,10 @@ This module supplies one table of the ring generators' values as ints at
 2^-BITS, the only input binding reads, each zeta(k) built on its first
 read, ln of a double in the same arithmetic, high-accuracy quadrature over
 the integral class, and the rule by which a closed form's value passes
-against quadrature.  Of the package it imports only constants at run time,
-the ring's generator identities and binding precision ``BITS``, so it
-shares no code path with the exact engine in :mod:`special_values` /
+against quadrature.  Of the package it imports at run time only the
+generator identities and the binding precision ``BITS``, from the leaf
+module :mod:`generators`, so it loads none of the ring's algebra, shares
+no code path with the exact engine in :mod:`special_values` /
 :mod:`evaluator`, and agreement between the two sides is evidence.
 
 Quadrature is one trapezoid sum at a step chosen beforehand from a bound
@@ -27,11 +28,11 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .ring import BITS, EULER_GAMMA, LOG2, SQRT_PI
+from .generators import BITS, EULER_GAMMA, LOG2, SQRT_PI
 
 if TYPE_CHECKING:
     from .evaluator import IntegralSpec
-    from .ring import Generator
+    from .generators import Generator
 
 
 def _arc(p: int, q: int, sign: int) -> int:

@@ -11,11 +11,10 @@ This module holds the algebra, the weight grading, the display form
 :func:`explogint.parser.parse_constant`, which shares the integrand
 language's tokenizer and diagnostics.
 
-A generator is its position in an exponent vector: gamma, log_mu, log2,
-sqrt_pi, zeta(2), zeta(3), ... are 0, 1, 2, 3, 4, 5, ..., which is also
-their total order, and its name, weight and zeta index follow from the
-position: gamma weighs 1, log_mu, log2 and sqrt_pi have no weight, and
-zeta(k) at k + 2 weighs k.  An element is a dict from
+A generator is its position in an exponent vector, which is also its
+order; its name, weight and zeta index follow from the position
+(:mod:`explogint.generators`, where the generators and the binding
+precision ``BITS`` are defined).  An element is a dict from
 exponent vectors (trailing zeros trimmed) to nonzero int numerators over
 one positive int denominator, with gcd(denominator, every numerator) = 1.
 Numerators are scaled to the lcm of the inputs' denominators and one gcd
@@ -86,6 +85,8 @@ from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
+from .generators import BITS, EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, Generator, _NAMES, _generator, _name, zeta_gen
+
 if TYPE_CHECKING:
     from .oracle import Constants
 
@@ -101,60 +102,6 @@ class MissingBindingError(KeyError):
 
     def __str__(self) -> str:
         return f"no numeric binding supplied for generator '{self.generator.name}'"
-
-
-class _GeneratorFields(NamedTuple):
-    index: int
-
-
-class Generator(_GeneratorFields):
-    """A named constant, identified by its exponent-vector position (its order too)."""
-
-    __slots__ = ()
-
-    def __new__(cls, index: int) -> "Generator":
-        if index < 0:
-            raise ValueError(f"generator index must be nonnegative, got {index}")
-        return super().__new__(cls, index)
-
-    @property
-    def name(self) -> str:
-        return _name(self.index)
-
-    @property
-    def weight(self) -> Optional[Fraction]:
-        """Grading weight: gamma has weight 1, zeta(k) weight k, others none."""
-        i = self.index
-        return Fraction(1) if i == 0 else Fraction(i - 2) if i >= len(_NAMES) else None
-
-    @property
-    def k(self) -> int:
-        """The zeta index; 0 for every other generator."""
-        return self.index - 2 if self.index >= len(_NAMES) else 0
-
-    def __repr__(self) -> str:
-        return f"Generator({self.name})"
-
-
-# Positions 0..3; zeta(k) sits at position k + 2.
-_NAMES = ("gamma", "log_mu", "log2", "sqrt_pi")
-
-
-def _name(i: int) -> str:
-    return _NAMES[i] if i < len(_NAMES) else f"zeta({i - 2})"
-
-
-# One instance per position, for readers that hand out a Generator per factor.
-_generator = lru_cache(maxsize=None)(Generator)
-
-
-EULER_GAMMA, LOG_MU, LOG2, SQRT_PI = (Generator(i) for i in range(len(_NAMES)))
-
-
-def zeta_gen(k: int) -> Generator:
-    if k < 2:
-        raise ValueError(f"zeta generator requires k >= 2, got {k}")
-    return Generator(k + 2)
 
 
 # The largest zeta index read from outside, and exponent in constant text:
@@ -592,15 +539,20 @@ def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
     return sum_of_products((c, ONE, _wrap({_trim(e) if e and not e[-1] else e: 1})) for e, c in pairs)
 
 
-BITS = 128  # binding precision: a generator's value is held as an int at 2^-BITS
-
-
 def to_float(num: int, den: int) -> float:
     """num / den rounded once to the nearest double; ValueError when it lies outside the double range."""
     try:
         return num / den
     except OverflowError:
         raise ValueError("closed-form value lies outside the float range") from None
+
+
+def table_ints(table: Constants) -> Mapping[Generator, int]:
+    """``table.fixed``, the ints binding reads; TypeError when ``table`` is no ``Constants``."""
+    try:
+        return table.fixed
+    except AttributeError:
+        raise TypeError(f"binding reads a Constants table, not {type(table).__name__}") from None
 
 
 def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
@@ -610,10 +562,7 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
 
     Values: the table's ``fixed`` ints by subscript (``compute_constants()``'s builds a zeta on
     first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``."""
-    try:
-        fixed = table.fixed
-    except AttributeError:
-        raise TypeError(f"binding reads a Constants table, not {type(table).__name__}") from None
+    fixed = table_ints(table)
 
     @lru_cache(maxsize=None)
     def power(i: int, k: int) -> int:  # generator i to the k, each power floored from the one below

@@ -3,10 +3,14 @@ README's examples show what the code prints, and its runtime needs nothing
 outside the standard library."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import explogint
 from explogint.cli import main
@@ -31,6 +35,29 @@ def test_all_is_the_documented_api():
     assert sorted(explogint.__all__) == sorted(DOCUMENTED)
     for name in DOCUMENTED:
         assert callable(getattr(explogint, name))
+
+
+def test_building_the_constants_table_loads_only_the_oracle():
+    # a fresh interpreter, as a cold start has it: no module is loaded before one of its names is read
+    code = ("import explogint, sys; explogint.compute_constants(); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'explogint'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['explogint', 'explogint.generators', 'explogint.oracle']"
+
+
+def test_star_import_and_dir_give_the_documented_names():
+    namespace = {}
+    exec("from explogint import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(DOCUMENTED)
+    assert set(DOCUMENTED) <= set(dir(explogint))
+
+
+def test_an_undocumented_name_is_no_attribute_and_modules_still_import():
+    with pytest.raises(AttributeError, match="'nope'"):
+        explogint.nope
+    from explogint import cli, oracle
+    assert cli.__name__ == "explogint.cli" and oracle.__name__ == "explogint.oracle"
 
 
 def test_readme_library_section_names_every_export():

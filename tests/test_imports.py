@@ -11,7 +11,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "explogint"
 def unused_imports(source: str) -> list[str]:
     """The names ``source`` imports and never reads, as ``line N: name``.  A read is a name
     anywhere in the code, annotations included; a name in a string annotation, as a
-    ``TYPE_CHECKING`` import is read; or an entry of ``__all__``, which re-exports it."""
+    ``TYPE_CHECKING`` import is read; or an entry of a literal ``__all__``, which re-exports it."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
@@ -25,7 +25,8 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotations = [node.returns]
         elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                read.update(ast.literal_eval(node.value))
             continue
         else:
             continue
