@@ -48,6 +48,7 @@ from .ring import (
     fixed_values,
     log_mu_slices,
     sum_of_products,
+    table_ints,
     to_float,
 )
 from .special_values import ArgPoint, gamma_deriv_at
@@ -179,10 +180,12 @@ class ClosedForm:
         ``fixed_values``, which keeps it with K beside the table, ln mu is
         ``fixed_log(mu_value)``, and each mu^(-e) is scaled by its own binary exponent
         (``_mu_power``).  The groups are summed exactly over one denominator and rounded
-        once to the nearest double; ValueError when that lies outside the double range.
+        once to the nearest double; ValueError when that lies outside the double range, and
+        TypeError when ``table`` is no ``Constants``, even for the zero form, which reads none.
         """
         if not 0 < mu_value < math.inf:
             raise ValueError("mu must be positive and finite")
+        table_ints(table)
         log_mu = fixed_log(mu_value)
         parts, powers, bind = [], [1 << BITS], None  # powers: (ln mu)^j at 2^-BITS
         for e, d, items in self._groups:

@@ -634,6 +634,12 @@ class TestEvaluate:
             with pytest.raises(TypeError, match="Constants table, not dict"):
                 cf.evaluate(2.0, plain)
 
+    def test_the_zero_form_reads_only_a_constants_table(self):
+        # the empty form has no group to bind, yet takes the same one input as any other
+        with pytest.raises(TypeError, match="Constants table, not dict"):
+            ClosedForm([]).evaluate(1.0, {})
+        assert ClosedForm([]).evaluate(1.0, compute_constants()) == 0.0
+
     def test_high_powers_bind_without_recursion(self, table):
         # each generator's powers are built in a loop, each floored from the one below
         mpmath = pytest.importorskip("mpmath")
