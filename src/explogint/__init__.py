@@ -8,9 +8,10 @@ in exact closed form over a ring of named constants (gamma, log mu, log 2,
 sqrt(pi), zeta(k)), and verifies every closed form independently by
 high-accuracy quadrature and direct special-function numerics.
 
-``import explogint`` loads no module of the package: each name below is
-read from its module the first time it is read (PEP 562), so building the
-constants table, ``explogint.compute_constants()``, loads only the oracle.
+``import explogint`` loads no module of the package: the first read of a
+name of ``__all__`` imports the module that defines it (PEP 562), so
+building the constants table, ``explogint.compute_constants()``, loads
+only the oracle and the generators it reads.
 """
 
 from importlib import import_module
