@@ -47,6 +47,7 @@ from .ring import (
     _json_terms,
     fixed_values,
     log_mu_slices,
+    scaled_equal,
     sum_of_products,
     table_ints,
     to_float,
@@ -125,9 +126,11 @@ class ClosedForm:
     exactly, since their slices are summed before they are bound.  Exponents are
     multiples of 1/2.  ``evaluate``,
     ``at_mu_one``, ``render`` and ``to_json`` read the groups, the printers one
-    ``LeibnizSum`` per group.  ``terms``, which ``==`` and ``hash`` read, is built on each
-    read: each c_e is one ``sum_of_products`` over its items, so the kernel orders every
-    constant, equal values have identical terms and ``==`` is exact semantic equality.
+    ``LeibnizSum`` per group.  ``terms``, which only ``hash`` reads, is built on each read:
+    each c_e is one ``sum_of_products`` over its items, so the kernel orders every constant
+    and equal values have identical terms.  ``==`` is exact semantic equality without that
+    sum: groups of one exponent match when their items of each j are equal values,
+    a/d K = b/e L, which :func:`ring.scaled_equal` tells by cross-multiplying.
     """
 
     __slots__ = ("_groups",)
@@ -163,7 +166,17 @@ class ClosedForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        return self.terms == other.terms
+        if len(self._groups) != len(other._groups):
+            return False
+        for (e, d, items), (f, g, others) in zip(self._groups, other._groups):  # each group's value, item by item
+            by_j = {j: (b, L) for b, j, L in others}
+            if e != f or len(by_j) != len(items):
+                return False
+            for a, j, K in items:
+                b, L = by_j.get(j, (0, None))
+                if not b or not scaled_equal(a, d, K, b, g, L):
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self.terms)

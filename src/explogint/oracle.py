@@ -145,22 +145,26 @@ def _log_beyond(logs, n: int, pad: float, u: float, decay: float) -> float:
         kappa, acc = abs(decay - r), 1.0
         for j in range(n, 0, -1):
             acc = 1.0 + acc * beta * kappa / j
-        xs.append(lc + r * u - decay + (log_fact + math.log(acc) - (n + 1) * math.log(kappa)))
+        x = lc + r * u - decay + (log_fact + math.log(acc) - (n + 1) * math.log(kappa))
+        if len(logs) == 1:  # x - x is 0, or nan for an infinite x, as the log-sum-exp below gives
+            return x + (x - x)
+        xs.append(x)
     top = max(xs)
-    if len(xs) == 1 and abs(top) < math.inf:  # top + ln e^0 is top; an infinite top gives nan
-        return top
     return top + math.log(sum(math.exp(x - top) for x in xs))
 
 
-def _left_end(logs, n: int, a: float, log_target: float) -> tuple[float, float]:
-    low = min(r for _, r in logs)  # _window's left end, moved out from a, and its tail bound
-    while (over := _log_beyond(logs, n, 0.0, a, 0.0) - log_target) > 0 or low * abs(a) < n:
+def _left_end(logs, n: int, a: float, beyond: float, log_target: float) -> tuple[float, float]:
+    # _window's left end, moved out from a, where _log_beyond reads ``beyond``, and its tail bound
+    low = min(r for _, r in logs)
+    while (over := beyond - log_target) > 0 or low * abs(a) < n:
         a = a - (over + 1.0) / low if over > 0 else -(n + 1.0) / low
+        beyond = _log_beyond(logs, n, 0.0, a, 0.0)
     return a, math.exp(log_target + over)
 
 
-def _window(logs, n: int, log_mu: float, a: float, log_target: float):
-    """Ends a < b and the sum of the two tail bounds, each at most e^log_target.
+def _window(logs, n: int, log_mu: float, a: float, beyond: float, log_target: float):
+    """Ends a < b and the sum of the two tail bounds, each at most e^log_target; ``beyond``
+    is _log_beyond's bound at a.
 
     ``logs`` holds (ln |c_j|, r_j) of F(u) = sum_j |c_j| e^(r_j u - mu e^u) |u|^n >= |f(u)|.
     By e^(-mu e^u) <= 1, the tangent of -mu e^u at b and |u| <= |end| + t,
@@ -172,7 +176,7 @@ def _window(logs, n: int, log_mu: float, a: float, log_target: float):
     the tail bounds cover the nodes beyond the window too.  Fixed-point steps move
     a out from where given and b from mu e^b = max r_j + 1.
     """
-    (a, tails), high = _left_end(logs, n, a, log_target), max(r for _, r in logs)
+    (a, tails), high = _left_end(logs, n, a, beyond, log_target), max(r for _, r in logs)
     b = math.log(high + 1.0) - log_mu
     while (over := _log_beyond(logs, n, 0.0, b, decay := math.exp(b + log_mu)) - log_target) > 0 \
             or (decay - high) * abs(b) < n:
@@ -193,11 +197,12 @@ def _strip_mass(logs, n: int, log_mu: float, pad: float, lo: float) -> float:
     """
     high, log_mu = max(r for _, r in logs), log_mu + math.log(math.cos(pad))
     hi = math.log(2 * high + 4) - log_mu
-    mu, exp, expm1, x = math.exp(log_mu), math.exp, math.expm1, min(lo, hi)
+    mu, exp, expm1, log, x = math.exp(log_mu), math.exp, math.expm1, math.log, min(lo, hi)
     rows, width = [], 0.0
     while True:
         decay, w = mu * exp(x), abs(x) + pad
-        rows.append((x, width, decay, n * math.log(w), -(n / w) if x <= 0 else n / w, -(n / w) if x < 0 else n / w))
+        g = n / w  # the slope of n ln(|x| + pad), up to its sign
+        rows.append((x, width, decay, n * log(w), -g if x <= 0 else g, -g if x < 0 else g))
         if not x < hi:
             break
         step = 2.0 / math.sqrt(1.0 + decay + n / w**2)
@@ -213,7 +218,11 @@ def _strip_mass(logs, n: int, log_mu: float, pad: float, lo: float) -> float:
         for x, width, decay, log_w, left, right in rows[1:]:  # the cell from p to x; the tangents cross at p + t
             phi, slope = lc + r * x - decay + log_w, r - decay
             dx, ephi = slope + left, exp(phi)
-            t = min(max((phi - p - dx * width) / (dp - dx), 0.0), width) if dp > dx else 0.5 * width
+            t = (phi - p - dx * width) / (dp - dx) if dp > dx else 0.5 * width
+            if t < 0.0:
+                t = 0.0
+            elif t > width:
+                t = width
             total += ep * (expm1(dp * t) / dp if dp else t)
             total += ephi * (expm1(-dx * (width - t)) / -dx if dx else width - t)
             p, dp, ep = phi, slope + right, ephi
@@ -283,7 +292,8 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
     rounding = 2.0**-53 * (8 + len(pairs) + (n and n * (1 + abs(math.log(abs(u_peak)))))
                            + 2 * math.exp(u_peak + log_mu) + max(abs(lc) for lc, _ in logs))
     scaled = [(lc - shift, r) for lc, r in logs]  # F / e^shift
-    a, b, tails = _window(scaled, n, log_mu, u_peak, math.log(1e-17))
+    beyond = _log_beyond(scaled, n, 0.0, u_peak, 0.0)  # where both _left_end walks start
+    a, b, tails = _window(scaled, n, log_mu, u_peak, beyond, math.log(1e-17))
     guess = math.exp(peak - shift) * math.sqrt(2 * math.pi / (math.exp(u_peak + log_mu) + (n and n / u_peak**2)))
 
     def step(pad, mass, v):  # the step at which the bound for this pad is 1e-4 of rel_tol * v
@@ -291,7 +301,7 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
 
     # Wider pads first; a narrower one is skipped when even M = guess could not beat the
     # best step.  M grows about as (cos pad)^(-max r_j), which the last pad keeps below e^25.
-    masses, best, lo = [], 0.0, _left_end(scaled, n, u_peak, math.log(1e-3))[0]
+    masses, best, lo = [], 0.0, _left_end(scaled, n, u_peak, beyond, math.log(1e-3))[0]
     for pad in (1.5, 1.1, 0.7, min(0.35, 7.0 / math.sqrt(max(r for _, r in pairs)))):
         if step(pad, guess, guess) > best:
             try:
@@ -305,16 +315,17 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
         e = math.frexp(h)[1] - 8
         h = max(math.ldexp(math.floor(math.ldexp(h, -e)), e),  # h rounded down to 8 bits, ...
                 math.ldexp(1.0, math.ceil(math.log2((b - a) / (MAX_NODES - 3)))))  # ... in budget
-        us, exp = [i * h for i in range(math.floor(a / h), math.ceil(b / h) + 1)], math.exp
+        grid, exp = range(math.floor(a / h), math.ceil(b / h) + 1), math.exp  # nodes i h
         if len(pairs) == 1:
             ((c, r),) = pairs
-            terms = [c * exp(r * u - shift - mu_value * exp(u)) * u**n for u in us]
+            terms = [c * exp(r * (u := i * h) - shift - mu_value * exp(u)) * u**n for i in grid]
         else:  # term by term, in this order, which sum(map(abs, terms)) reads
+            us = [i * h for i in grid]
             decays, powers = [mu_value * exp(u) for u in us], [u**n for u in us]
             terms = [c * exp(r * u - shift - d) * p for c, r in pairs for u, d, p in zip(us, decays, powers)]
         bound = min(2 * mass * math.exp(-x) / -math.expm1(-x)  # 2M / (e^x - 1), x = 2 pi pad / h
                     for pad, mass in masses for x in [2 * math.pi * pad / h])
-        return h * math.fsum(terms), bound + tails + rounding * h * sum(map(abs, terms)), len(us)
+        return h * math.fsum(terms), bound + tails + rounding * h * sum(map(abs, terms)), len(grid)
 
     value, err, nodes = attempt(guess)
     if rel_tol * (abs(value) - err) < err < abs(value):

@@ -20,7 +20,8 @@ one positive int denominator, with gcd(denominator, every numerator) = 1.
 Numerators are scaled to the lcm of the inputs' denominators and one gcd
 is divided out at the end; a monomial's own rational coefficient is
 formed only to read (``terms``) or print it.  Multiplying monomials
-adds vectors, and equality is dict equality.
+adds vectors, and equality is dict equality; ``scaled_equal`` tells
+whether two scaled constants are equal by one dict comparison.
 Constants and closed forms print by one walk, ``LeibnizSum``, over one
 denominator and items a log_mu^j K with distinct j and log_mu-free K: a
 constant's items are its ``log_mu_slices``, a closed form's those of each
@@ -612,6 +613,13 @@ def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, Symboli
         j = e[1] if len(e) > 1 else 0
         slices.setdefault(j, {})[_trim(e[:1] + (0,) + e[2:]) if j else e] = c
     return const._den, [(j, _wrap(slices[j])) for j in sorted(slices)]
+
+
+def scaled_equal(a: int, d: int, K: SymbolicConstant, b: int, e: int, L: SymbolicConstant) -> bool:
+    """Whether a/d K == b/e L, for nonzero ints a, b and positive ints d, e: K's numerators times
+    a e and L's denominator against L's times b d and K's denominator, as one dict comparison."""
+    x, y = a * e * L._den, b * d * K._den
+    return len(K._d) == len(L._d) and {m: x * c for m, c in K._d.items()} == {m: y * c for m, c in L._d.items()}
 
 
 class LeibnizSum:

@@ -198,6 +198,45 @@ class TestClosedForm:
         b = ClosedForm([(Fraction(1), GAMMA + LOG_MU_CONST)])
         assert a == b
 
+    def test_equality_agrees_with_terms(self):
+        # == compares forms item by item; it must say what comparing their kernel sums says
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+        prefactors = st.lists(st.tuples(st.integers(0, 3), coeffs, st.integers(-1, 1)), min_size=1, max_size=3)
+
+        def spec(prefactor, twice, n):
+            return IntegralSpec(tuple(PrefactorTerm(*term) for term in prefactor), ArgPoint(twice), n)
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(prefactors, prefactors, st.integers(1, 8), st.integers(0, 4), st.data())
+        def check(prefactor, other, twice, n, data):
+            a, b = eval_general(spec(prefactor, twice, n)), eval_general(spec(other, twice, n))
+            assert (a == b) == (a.terms == b.terms)
+            # the same value by two other routes: from its terms, and with one prefactor term split in two
+            same = ClosedForm(a.terms)
+            assert same == a and a == same and hash(same) == hash(a)
+            i = data.draw(st.integers(0, len(prefactor) - 1))
+            power, coeff, mu_power = prefactor[i]
+            split = prefactor[:i] + [(power, coeff / 3, mu_power), (power, 2 * coeff / 3, mu_power)] + prefactor[i + 1:]
+            assert eval_general(spec(split, twice, n)) == a
+            if not a:
+                return
+            # mutants of one constant: a coefficient changed, a log_mu slice dropped, the exponent moved by 1/2
+            g = data.draw(st.integers(0, len(a.terms) - 1))
+            e, c = a.terms[g]
+            monomials = {m.powers: m.coeff for m in c.terms}
+            chosen = data.draw(st.sampled_from(sorted(monomials, key=repr)))
+            j = dict(chosen).get(LOG_MU, 0)
+            mutants = [(e, SymbolicConstant({**monomials, chosen: monomials[chosen] + 1})),
+                       (e, SymbolicConstant({k: v for k, v in monomials.items() if dict(k).get(LOG_MU, 0) != j})),
+                       (e + HALF, c)]
+            for pair in mutants:
+                mutant = ClosedForm(a.terms[:g] + (pair,) + a.terms[g + 1:])
+                assert mutant != a and a != mutant and mutant.terms != a.terms
+
+        check()
+
     def test_evaluate_binds_mu_both_ways(self, table):
         cf = J(1)  # -(gamma + ln mu)/mu
         for mu in (0.5, 1.0, 2.0, 10.0):

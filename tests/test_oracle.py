@@ -553,19 +553,34 @@ class TestSameBits:
             terms = tuple(PrefactorTerm(p, Fraction(c)) for c, p in prefactor)
             yield IntegralSpec(terms, ArgPoint.of(s), n), mu
 
-    def test_results_keep_their_bits(self, monkeypatch):
+    @staticmethod
+    def digest(cases, monkeypatch):
+        """The number of quadratures of ``cases`` at both tolerances, how many converged, and
+        a digest of their results' bits."""
         # CPython 3.12 made sum() of floats compensated, which moves the last bits of the
         # error estimates, so the oracle sums here left to right, as CPython did before 3.12,
         # and the pin holds under every supported CPython
         monkeypatch.setattr(oracle_module, "sum", lambda items: reduce(operator.add, items, 0), raising=False)
         digest = hashlib.sha256()
-        count = 0
-        for (spec, mu), tol in itertools.product(self.grid(), (1e-10, 1e-13)):
+        count = converged = 0
+        for (spec, mu), tol in itertools.product(cases, (1e-10, 1e-13)):
             r = quadrature(spec, mu, rel_tol=tol)
             digest.update(repr((r.value.hex(), r.abs_error_estimate.hex(), r.nodes_used, r.converged)).encode())
-            count += 1
+            count, converged = count + 1, converged + r.converged
+        return count, converged, digest.hexdigest()
+
+    def test_results_keep_their_bits(self, monkeypatch):
+        count, _, digest = self.digest(self.grid(), monkeypatch)
         assert count == 456
-        assert digest.hexdigest() == "60b569ebae3bb7aab37344466373c60886312901f0adbf3a2cba04144727b3b8"
+        assert digest == "60b569ebae3bb7aab37344466373c60886312901f0adbf3a2cba04144727b3b8"
+
+    def test_one_term_results_keep_their_bits(self, monkeypatch):
+        # one-term integrands beyond the catalog's n <= 3 and mu in [0.5, 10]: log powers to 14,
+        # s to 19/2 and mu three decades either side of 1, each sum in the one-term path
+        cases = [(IntegralSpec.simple(s, n), mu) for n, s, mu in itertools.product(
+            (0, 1, 4, 9, 14), (Fraction(1, 2), 1, Fraction(19, 2)), (1e-3, 1.0, 1e3))]
+        assert self.digest(cases, monkeypatch) == (
+            90, 90, "fcbad3e4400f625fa9e18b7372b9df280dc66ea21737b7dbff0eb64973165692")
 
 
 class TestFiniteDifferences:
