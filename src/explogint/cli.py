@@ -271,9 +271,30 @@ def cmd_weight(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+class _UsageError(Exception):
+    """A usage error (parser, message), which ``main`` words and reports as argparse would."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _usage_message(argv: Sequence[str], message: str) -> str:
+    """argparse's message; when ``eval`` or ``verify`` misses ``expr`` because argparse read the
+    expression, which starts with "-", as an unknown option, a message that says where it goes."""
+    command, *rest = argv or [""]
+    loose = [a for a in rest if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h"]
+    if command not in ("eval", "verify") or not message.endswith("required: expr") or len(loose) != 1:
+        return message
+    flags = " ".join(a for a in rest if a not in (loose[0], "--"))
+    return (f'an expression that starts with "-" must follow "--", as in: '
+            f'explogint {command} {flags + " " if flags else ""}-- "{loose[0]}"')
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="explogint",
         description="Exact closed forms for integrals of p(x) x^(s-1) e^(-mu x) (ln x)^n, "
         "with independent numeric verification.",
@@ -306,7 +327,13 @@ _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "catalog": cmd_catalog, "we
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except _UsageError as exc:
+        parser, message = exc.args
+        parser.print_usage(sys.stderr)
+        parser.exit(2, f"{parser.prog}: error: {_usage_message(argv, message)}\n")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # parse errors among them, which carry a position in args.expr

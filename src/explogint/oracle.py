@@ -149,8 +149,10 @@ def _log_beyond(logs, n: int, pad: float, u: float, decay: float) -> float:
         if len(logs) == 1:  # x - x is 0, or nan for an infinite x, as the log-sum-exp below gives
             return x + (x - x)
         xs.append(x)
-    top = max(xs)
-    return top + math.log(sum(math.exp(x - top) for x in xs))
+    top, total = max(xs), 0.0
+    for x in xs:  # left to right, as sum() did before CPython 3.12, so the bits hold on every version
+        total += math.exp(x - top)
+    return top + math.log(total)
 
 
 def _left_end(logs, n: int, a: float, beyond: float, log_target: float) -> tuple[float, float]:
@@ -319,13 +321,16 @@ def quadrature(spec: IntegralSpec, mu_value: float, rel_tol: float = 1e-10) -> Q
         if len(pairs) == 1:
             ((c, r),) = pairs
             terms = [c * exp(r * (u := i * h) - shift - mu_value * exp(u)) * u**n for i in grid]
-        else:  # term by term, in this order, which sum(map(abs, terms)) reads
+        else:  # term by term, in this order, which the sum of |terms| below reads
             us = [i * h for i in grid]
             decays, powers = [mu_value * exp(u) for u in us], [u**n for u in us]
             terms = [c * exp(r * u - shift - d) * p for c, r in pairs for u, d, p in zip(us, decays, powers)]
         bound = min(2 * mass * math.exp(-x) / -math.expm1(-x)  # 2M / (e^x - 1), x = 2 pi pad / h
                     for pad, mass in masses for x in [2 * math.pi * pad / h])
-        return h * math.fsum(terms), bound + tails + rounding * h * sum(map(abs, terms)), len(grid)
+        magnitude = 0.0
+        for t in terms:  # left to right, as in _log_beyond
+            magnitude += abs(t)
+        return h * math.fsum(terms), bound + tails + rounding * h * magnitude, len(grid)
 
     value, err, nodes = attempt(guess)
     if rel_tol * (abs(value) - err) < err < abs(value):

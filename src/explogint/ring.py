@@ -25,20 +25,22 @@ whether two scaled constants are equal by one dict comparison.
 Constants and closed forms print by one walk, ``LeibnizSum``, over one
 denominator and items a log_mu^j K with distinct j and log_mu-free K: a
 constant's items are its ``log_mu_slices``, a closed form's those of each
-mu exponent.  One text and one JSON printer read the walk's runs of
-monomials of one (gamma, log_mu) power pair, each K's coefficients beside
-its print plan: its runs and, built on each printer's first use, the text
-or JSON powers of each monomial's tail, the entries from position 2 on
-(log2, sqrt_pi, zeta(k)).  A K's plan is built on its first print and kept
-with the K (``_plan_of``), so a warm print of a closed form, whose
-Gamma^(k)(s) blocks live as long as ``gamma_deriv_at``'s cache, formats only
-coefficients; a constant's slices are built per print, and so are their
-plans.  The text of each distinct tail and pair is built once per
-process: a deep closed form has thousands of monomials but only a few
-hundred distinct tails.  Each coefficient is reduced by one gcd against the
-denominator.  They print a coefficient of any length: past
-``sys.get_int_max_str_digits()`` digits, where ``str`` raises, through
-``decimal``, which has no such limit.
+mu exponent.  Its runs, each the next monomials of one (gamma, log_mu)
+power pair in one K, are read in term order; a print keeps per K a
+position, an iterator, in its numerators and one in the tails of its print
+plan: per style, built on that style's first use, the text (plain), the
+text and pi^2 scale (paper) or the JSON powers of each monomial's entries
+from position 2 on (log2, sqrt_pi, zeta(k)).  ``render`` and ``to_json``
+read a run by one loop from those positions.  A K's plan is built on its first print and kept with the K
+(``_plan_of``), so a warm print of a closed form, whose Gamma^(k)(s) blocks
+live as long as ``gamma_deriv_at``'s cache, formats only coefficients; a
+constant's slices are built per print, and so are their plans.  The text
+of each distinct tail and pair is built once per process: a deep closed
+form has thousands of monomials but only a few hundred distinct tails.
+Each coefficient is reduced by one gcd against the denominator and written
+in one string with its sign, tail and pair.  Past
+``sys.get_int_max_str_digits()`` digits, where ``str`` raises, it is
+written through ``decimal``, which has no such limit.
 
 Every constant is built by one accumulation loop,
 :func:`sum_of_products`, which sums ``c * a * b`` over triples into one dict
@@ -319,18 +321,18 @@ class SymbolicConstant:
         return _place(pairs)
 
 
-# The printers walk the runs (g, j, m, pairs) of a ``LeibnizSum``: each pair (c, tail) of a run
-# is the monomial m c / den gamma^g log_mu^j times its tail, the factors from position 2 on of
-# its vector as text or JSON powers, read from its K's ``_Plan``.  The text and powers of
-# each distinct tail and head are built once per process, and plans hold references to them:
-# a deep closed form has thousands of monomials but only a few hundred distinct tails.
+# The printers, ``LeibnizSum.render`` and ``to_json``, walk its runs (D, g, j, i, count): each
+# reads the next ``count`` numerators c and tails of part i (``LeibnizSum._columns``), the
+# monomials m c / den gamma^g log_mu^j tail, each tail from its K's ``_Plan``.  The text and
+# powers of each distinct tail and head are built once per process, and plans hold references
+# to them: a deep closed form has thousands of monomials but only a few hundred distinct tails.
 
 
 @lru_cache(maxsize=None)
 def _tail_text(tail: Exponents, paper_style: bool) -> tuple[str, int]:
-    """The factors of a tail in descending generator order, and the 6^e that a pi^(2e)
-    of paper style puts under the coefficient."""
-    factors = []
+    """The factors of a tail in descending generator order, each after a "*", and the 6^e
+    that a pi^(2e) of paper style puts under the coefficient."""
+    text = ""
     scale = 1
     for i in range(len(tail) + 1, 1, -1):
         k = tail[i - 2]
@@ -338,15 +340,15 @@ def _tail_text(tail: Exponents, paper_style: bool) -> tuple[str, int]:
             continue
         if paper_style and i == zeta_gen(2).index:
             scale = 6**k
-            factors.append("pi^2" if k == 1 else f"pi^{2 * k}")
+            text += "*pi^2" if k == 1 else f"*pi^{2 * k}"
         else:
-            factors.append(_name(i) if k == 1 else f"{_name(i)}^{k}")
-    return "*".join(factors), scale
+            text += f"*{_name(i)}" if k == 1 else f"*{_name(i)}^{k}"
+    return text, scale
 
 
 @lru_cache(maxsize=None)
 def _head_text(g: int, j: int, gamma_name: str) -> str:
-    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in (("log_mu", j), (gamma_name, g)) if k)
+    return "".join(f"*{name}" if k == 1 else f"*{name}^{k}" for name, k in (("log_mu", j), (gamma_name, g)) if k)
 
 
 @lru_cache(maxsize=None)
@@ -371,11 +373,12 @@ class _Plan:
         self._tails: dict = {}
 
     def tails(self, block: dict, style: Union[bool, str]) -> list:
-        """Each monomial's tail in term order: ``_tail_text`` of paper style ``style`` (a bool),
-        or ``_tail_powers`` for style "json"."""
+        """Each monomial's tail in term order: for style "json" its ``_tail_powers``, for paper
+        style (``style`` True) its ``_tail_text`` pair, and in plain style that pair's text."""
         tails = self._tails.get(style)
         if tails is None:
-            tails = self._tails[style] = [_tail_powers(e[2:]) if style == "json" else _tail_text(e[2:], style)
+            tails = self._tails[style] = [_tail_powers(e[2:]) if style == "json" else
+                                          _tail_text(e[2:], True) if style else _tail_text(e[2:], False)[0]
                                           for e in block]
         return tails
 
@@ -385,60 +388,6 @@ def _plan_of(K: SymbolicConstant) -> _Plan:
     if getattr(K, "_plan", None) is None:
         object.__setattr__(K, "_plan", _Plan(K._d))
     return K._plan
-
-
-def _text(runs, den: int, gamma_name: str = "gamma") -> str:
-    """The display form of the runs' monomials, in their order (see ``SymbolicConstant.render``)."""
-    parts: list[str] = []
-    append = parts.append
-    for g, j, m, pairs in runs:
-        head = _head_text(g, j, gamma_name)
-        for num, (text, scale) in pairs:
-            if head:
-                text = f"{text}*{head}" if text else head
-            num *= m
-            if num < 0:
-                sign, num = " - ", -num
-            else:
-                sign = " + "
-            d = den * scale
-            if d != 1:
-                r = gcd(num, d)
-                num, d = num // r, d // r
-            try:
-                mag = str(num) if d == 1 else f"{num}/{d}"
-            except ValueError:  # too many digits for str (module docstring)
-                mag = str(Decimal(num)) if d == 1 else f"{Decimal(num)}/{Decimal(d)}"
-            if not text:
-                append(sign + mag)
-            elif mag == "1":
-                append(sign + text)
-            else:
-                append(f"{sign}{mag}*{text}")
-    if not parts:
-        return "0"
-    first = parts[0]  # the leading term is "body" or "-body"
-    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(parts)
-
-
-def _json(runs, den: int) -> dict:
-    """The JSON form of the runs' monomials, in their order (see ``SymbolicConstant.to_json``)."""
-    terms = []
-    append = terms.append
-    for g, j, m, pairs in runs:
-        head = {"log_mu": j} if j else {}
-        if g:
-            head["gamma"] = g
-        for num, powers in pairs:
-            num *= m
-            r = gcd(num, den)
-            try:
-                coeff = f"{num // r}/{den // r}"
-            except ValueError:  # too many digits for str (module docstring)
-                coeff = "%s/%s" % (Decimal(num // r), Decimal(den // r))
-            append({"coeff": coeff, "powers": dict(powers, **head)})
-    return {"terms": terms}
 
 
 def _json_terms(data) -> list:
@@ -644,16 +593,12 @@ class LeibnizSum:
         self.runs = sorted(((deg + j, g, j, i, count) for i, (j, _, _, plan) in enumerate(self.parts)
                             for deg, g, count in plan.runs), reverse=True)
 
-    def _runs(self, style: Union[bool, str], delta: bool = False):
-        """(g, j, m, the run's (c, tail) pairs) per run, in term order, each tail of ``style``
-        (see ``_Plan.tails``); with ``delta``, those of j = 0.  A part's runs read on from one
-        iterator over its coefficients and one over its tails."""
-        parts = [None if delta and j else (m, iter(block.values()), iter(plan.tails(block, style)))
-                 for j, m, block, plan in self.parts]
-        for _, g, j, i, count in self.runs:
-            if not (delta and j):
-                m, values, tails = parts[i]
-                yield g, j, m, zip(islice(values, count), islice(tails, count))
+    def _columns(self, style: Union[bool, str], delta: bool = False) -> list:
+        """Per part i, (m, numerators, tails), the last two iterators over its K in term order:
+        run (D, g, j, i, count) is the next ``count`` monomials m c / den gamma^g log_mu^j tail of
+        each, each tail of ``style`` (see ``_Plan.tails``); with ``delta``, None where j > 0."""
+        return [None if delta and j else (m, iter(block.values()), iter(plan.tails(block, style)))
+                for j, m, block, plan in self.parts]
 
     def _in_delta(self) -> bool:
         """Whether the sum is a polynomial in delta (see the module docstring)."""
@@ -669,11 +614,64 @@ class LeibnizSum:
         return True
 
     def render(self, paper_style: bool = False) -> str:
+        """The display form (see ``SymbolicConstant.render``): per monomial, one string of its sign,
+        reduced coefficient, tail and head, the last two each a run of "*factor"."""
         delta = paper_style and self._in_delta()
-        return _text(self._runs(paper_style, delta), self.den, "delta" if delta else "gamma")
+        den, gamma_name = self.den, "delta" if delta else "gamma"
+        parts: list[str] = []
+        append = parts.append
+        columns = self._columns(paper_style, delta)
+        for _, g, j, i, count in self.runs:
+            column = columns[i]
+            if column is None:
+                continue
+            m, nums, tails = column
+            head = _head_text(g, j, gamma_name)
+            for tail in islice(tails, count):
+                num = next(nums) * m
+                d = den
+                if paper_style:
+                    tail, scale = tail
+                    d *= scale
+                sign = " + "
+                if num < 0:
+                    sign, num = " - ", -num
+                if d != 1:
+                    r = gcd(num, d)
+                    num, d = num // r, d // r
+                if num == d and (tail or head):  # a coefficient 1, which is not written
+                    append(sign + (tail + head)[1:])
+                    continue
+                try:
+                    append(f"{sign}{num}{tail}{head}" if d == 1 else f"{sign}{num}/{d}{tail}{head}")
+                except ValueError:  # too many digits for str (module docstring)
+                    append(f"{sign}{Decimal(num)}{'' if d == 1 else f'/{Decimal(d)}'}{tail}{head}")
+        if not parts:
+            return "0"
+        first = parts[0]  # the leading term is "body" or "-body"
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(parts)
 
     def to_json(self) -> dict:
-        return _json(self._runs("json"), self.den)
+        """The JSON form (see ``SymbolicConstant.to_json``), by the same walk as ``render``."""
+        den = self.den
+        terms = []
+        append = terms.append
+        columns = self._columns("json")
+        for _, g, j, i, count in self.runs:
+            m, nums, tails = columns[i]
+            head = {"log_mu": j} if j else {}
+            if g:
+                head["gamma"] = g
+            for powers in islice(tails, count):
+                num = next(nums) * m
+                r = gcd(num, den)
+                try:
+                    coeff = f"{num // r}/{den // r}"
+                except ValueError:  # too many digits for str (module docstring)
+                    coeff = "%s/%s" % (Decimal(num // r), Decimal(den // r))
+                append({"coeff": coeff, "powers": dict(powers, **head)})
+        return {"terms": terms}
 
 
 def _walk(const: SymbolicConstant) -> LeibnizSum:

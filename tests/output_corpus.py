@@ -11,7 +11,7 @@ checkouts print the same lines exactly when every command behaves the same:
 
 ``explogint`` is imported from ``PYTHONPATH``; the requests are drawn with
 ``perfbench/draws.py`` next to this file, read only.  The corpus is the
-554 distinct commands below, followed by 74 probes, whose output is
+554 distinct commands below, followed by 79 probes, whose output is
 expected to change when the behaviour they probe does:
 
 - ``verify`` of every verify_mix request of seeds 1-3, as text, ``--json``
@@ -23,7 +23,10 @@ expected to change when the behaviour they probe does:
 
 The probes are the ``PROBES`` integrands under ``eval`` and ``verify``,
 each as text and ``--json`` (40); the ``PARSE_PROBES`` under ``eval`` and
-``eval --json`` (26); and eight flag probes of ``catalog`` and ``weight``.
+``eval --json`` (26); eight flag probes of ``catalog`` and ``weight``; the
+``PRINT_PROBES`` under ``eval`` as text, ``--json`` and ``--paper-style``
+(3); and ``eval`` and ``verify --json`` of an expression that starts with
+``-`` but does not follow ``--``, a usage error (2).
 
 Standard library only; pytest does not collect it (no ``test_`` prefix).
 """
@@ -78,6 +81,13 @@ PARSE_PROBES = [
 ]
 
 
+# Closed forms whose coefficients have more digits than str() writes by default,
+# so the printers write them through decimal.
+PRINT_PROBES = [
+    "x^(2000)*exp(-x)*log(x)",
+]
+
+
 def corpus() -> list[list[str]]:
     commands = []
     for seed in (1, 2, 3):
@@ -96,6 +106,8 @@ def corpus() -> list[list[str]]:
     # catalog checks whose value or peak lies outside the float range
     probes += [["catalog", "--mu", *grid, *extra] for grid in (["1e-8", "--max-n", "40"], ["1e-300"])
                for extra in ([], ["--json"])]
+    probes += [["eval", expr, *extra] for expr in PRINT_PROBES for extra in ([], ["--json"], ["--paper-style"])]
+    probes += [["eval", "-exp(-x)*log(x)"], ["verify", "-x*exp(-x)", "--json"]]
     return [list(c) for c in distinct] + probes
 
 

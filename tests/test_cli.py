@@ -79,6 +79,24 @@ class TestEval:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["integrand"], doc["status"]) == ("-(x + 1)*exp(-2*x)*log(x)", "pass")
 
+    def test_an_expression_that_starts_with_minus_is_told_to_follow_dashes(self, capsys):
+        # argparse reads such an expression as an unknown option, so expr reads as missing
+        for argv, example in ((["eval", "-exp(-x)*log(x)"], 'explogint eval -- "-exp(-x)*log(x)"'),
+                              (["verify", "-x*exp(-x)", "--json"], 'explogint verify --json -- "-x*exp(-x)"')):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, argv
+            assert err.endswith(f'error: an expression that starts with "-" must follow "--", as in: {example}\n')
+            assert err.startswith(f"usage: explogint {argv[0]} ")
+        # other usage errors keep argparse's words
+        for argv, message in ((["eval"], "the following arguments are required: expr"),
+                              (["verify", "--tol", "-1e-8", "x*exp(-x)"], "argument --tol: expected one argument"),
+                              (["eval", "x*exp(-x)", "-x"], "unrecognized arguments: -x")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and capsys.readouterr().err.endswith(f"error: {message}\n"), argv
+
 
     def test_coefficient_past_the_str_digit_limit_prints(self, capsys):
         # Gamma(2001) = 2000! has 5736 digits, more than str() prints by default

@@ -671,6 +671,36 @@ class TestPrintingFromBlocks:
             spec = IntegralSpec(prefactor, ArgPoint(rng.randint(1, 21)), rng.randint(0, 12))
             self.assert_prints_like_the_kernel(eval_general(spec), spec)
 
+    def test_verify_mix_shapes_print_like_the_kernel(self):
+        # the benchmark's deepest shapes: three prefactor terms of degree <= 2, s up to 10, n up to 14
+        import random
+
+        rng = random.Random(2803)
+        for n, twice in ((14, 20), (14, 7), (13, 19), (12, 2), (11, 16)):
+            prefactor = tuple(PrefactorTerm(p, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)))
+                              for p in range(3))
+            spec = IntegralSpec(prefactor, ArgPoint(twice), n)
+            self.assert_prints_like_the_kernel(eval_general(spec), spec)
+
+    def test_a_form_prints_alike_around_another_that_shares_its_blocks(self):
+        # B reads A's Gamma^(k)(s) blocks under other multipliers and at other j (n = 5, not 8),
+        # so its prints walk A's kept plans; A prints the same before and after
+        def prints(cf):
+            return cf.render(), cf.render(paper_style=True), cf.to_json()
+
+        for point in (ArgPoint(5), ArgPoint(8)):
+            a = eval_general(IntegralSpec((PrefactorTerm(0, Fraction(1)), PrefactorTerm(2, Fraction(-3, 5))), point, 8))
+            b = eval_general(IntegralSpec((PrefactorTerm(2, Fraction(7, 9)), PrefactorTerm(0, Fraction(-2))), point, 5))
+            shared = {id(K) for *_, K in form_items(a)} & {id(K) for *_, K in form_items(b)}
+            assert len(shared) == 12  # k = 0..5 at s and at s + 2
+            assert {(a_, j) for _, _, a_, j, K in form_items(a) if id(K) in shared}.isdisjoint(
+                (b_, j) for _, _, b_, j, K in form_items(b) if id(K) in shared)
+            drop_plans(blocks_of(a, b))
+            first = prints(a)
+            assert first == kernel_prints(a), point
+            assert prints(b) == kernel_prints(b), point
+            assert prints(a) == first, point
+
     def test_catalog_forms_print_like_the_kernel(self):
         from explogint.catalog import catalog, param_grid
 

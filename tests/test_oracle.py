@@ -4,14 +4,12 @@ import ast
 import hashlib
 import itertools
 import math
-import operator
 import random
 import subprocess
 import sys
 import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -554,13 +552,10 @@ class TestSameBits:
             yield IntegralSpec(terms, ArgPoint.of(s), n), mu
 
     @staticmethod
-    def digest(cases, monkeypatch):
+    def digest(cases):
         """The number of quadratures of ``cases`` at both tolerances, how many converged, and
-        a digest of their results' bits."""
-        # CPython 3.12 made sum() of floats compensated, which moves the last bits of the
-        # error estimates, so the oracle sums here left to right, as CPython did before 3.12,
-        # and the pin holds under every supported CPython
-        monkeypatch.setattr(oracle_module, "sum", lambda items: reduce(operator.add, items, 0), raising=False)
+        a digest of their results' bits: the shipped oracle's, which sums its floats left to
+        right, so the pins hold under every supported CPython (3.12 made sum() compensated)."""
         digest = hashlib.sha256()
         count = converged = 0
         for (spec, mu), tol in itertools.product(cases, (1e-10, 1e-13)):
@@ -569,17 +564,17 @@ class TestSameBits:
             count, converged = count + 1, converged + r.converged
         return count, converged, digest.hexdigest()
 
-    def test_results_keep_their_bits(self, monkeypatch):
-        count, _, digest = self.digest(self.grid(), monkeypatch)
+    def test_results_keep_their_bits(self):
+        count, _, digest = self.digest(self.grid())
         assert count == 456
         assert digest == "60b569ebae3bb7aab37344466373c60886312901f0adbf3a2cba04144727b3b8"
 
-    def test_one_term_results_keep_their_bits(self, monkeypatch):
+    def test_one_term_results_keep_their_bits(self):
         # one-term integrands beyond the catalog's n <= 3 and mu in [0.5, 10]: log powers to 14,
         # s to 19/2 and mu three decades either side of 1, each sum in the one-term path
         cases = [(IntegralSpec.simple(s, n), mu) for n, s, mu in itertools.product(
             (0, 1, 4, 9, 14), (Fraction(1, 2), 1, Fraction(19, 2)), (1e-3, 1.0, 1e3))]
-        assert self.digest(cases, monkeypatch) == (
+        assert self.digest(cases) == (
             90, 90, "fcbad3e4400f625fa9e18b7372b9df280dc66ea21737b7dbff0eb64973165692")
 
 
