@@ -35,10 +35,10 @@ if TYPE_CHECKING:
     from .generators import Generator
 
 
-def _arc(p: int, q: int, sign: int) -> int:
-    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-BITS, for 0 <= p/q <= 1/3:
+def _arc(p: int, q: int, sign: int, bits: int = BITS) -> int:
+    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-bits, for 0 <= p/q <= 1/3:
     the sum over k of sign^k (p/q)^(2k+1) / (2k + 1)."""
-    total, term, k = 0, (p << BITS) // q, 1
+    total, term, k = 0, (p << bits) // q, 1
     while term:
         total, term, k = total + term // k, sign * term * p * p // (q * q), k + 2
     return total
@@ -56,6 +56,19 @@ def fixed_log(x: float) -> int:
     p, q = m.as_integer_ratio()
     half = _arc(p - q, p + q, 1) if p >= q else -_arc(q - p, p + q, 1)
     return 2 * half + e * _LN2
+
+
+GUARD = 64  # the guard bits of the table's zeta(2)
+
+
+class GuardedInt(int):
+    """A table int at 2^-BITS that also holds its value at 2^-(BITS + guard), ``guarded``, and
+    is its floor: binding raises it to a power with one floor at 2^-BITS (``ring.binder``)."""
+
+    def __new__(cls, guarded: int, guard: int) -> "GuardedInt":
+        obj = super().__new__(cls, guarded >> guard)
+        obj.guarded, obj.guard = guarded, guard
+        return obj
 
 
 class Constants:
@@ -77,13 +90,27 @@ def _borwein() -> tuple[int, list[int]]:
     return d[n], [(-1) ** k * (d[n] - d[k]) << BITS for k in range(n)]
 
 
+def _pi(bits: int) -> int:
+    """pi at 2^-bits, a few units off, by Machin's formula."""
+    return 16 * _arc(1, 5, -1, bits) - 4 * _arc(1, 239, -1, bits)
+
+
 class _ZetaOnRead(dict):
-    """A dict that builds zeta(s) = eta(s)/(1 - 2^(1-s)) at 2^-BITS when a missing one is
-    read by subscript, by Borwein's alternating series (CMS Conf. Proc. 27, 2000)."""
+    """A dict that builds zeta(s) at 2^-BITS when a missing one is read by subscript.
+
+    zeta(2) = pi^2/6 is a ``GuardedInt``, formed from pi at 2^-(BITS + GUARD + 16): engine forms
+    hold no even zeta above zeta(2) (``ring.euler_coefficient``), and binding raises it to
+    powers up to n/2 at log power n, each from the guarded value with one floor.  Every
+    other zeta(s) = eta(s)/(1 - 2^(1-s)) is by Borwein's alternating series (CMS Conf.
+    Proc. 27, 2000); engine forms read only the odd ones."""
 
     def __missing__(self, g: Generator) -> int:
         if (s := getattr(g, "k", 0)) < 2:
             raise KeyError(g)
+        if s == 2:
+            bits = BITS + GUARD + 16
+            self[g] = value = GuardedInt(_pi(bits) ** 2 // (6 << bits + 16), GUARD)
+            return value
         d_n, weights = _borwein()
         eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))
         self[g] = value = (eta << s - 1) // (d_n * ((1 << s - 1) - 1))
@@ -97,9 +124,10 @@ def compute_constants() -> Constants:
 
     Each is an int at 2^-BITS, a few hundred units off at most (measured against
     mpmath): ln 2 and pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34,
-    1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`.
+    1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`, which also holds zeta(2)
+    at 2^-(BITS + GUARD) for binding's powers of it.
     """
-    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)  # Machin's formula
+    pi = _pi(BITS)
     j = (BITS // 5).bit_length()  # pi e^(-4N) < 2^-BITS
     a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
     b = v = 1 << BITS  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)

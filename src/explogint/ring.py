@@ -2,9 +2,14 @@
 
 Every closed form produced by this package has its constant part in the
 polynomial ring Q[gamma, log_mu, log2, sqrt_pi, zeta(2), zeta(3), ...].
-The ring is purely formal: the generators are treated as algebraically
-independent, and pi^2 is always carried as 6*zeta(2) (a pi^2-flavoured
-rendering exists for display only).
+The generators are treated as algebraically independent, but for Euler's
+zeta(2k) = c_k zeta(2)^k: every public constructor (``from_generator``,
+so ``zeta_const``, and ``_place``, so the Mapping constructor, ``from_json``
+and ``parse_constant``) writes each zeta(2k), k >= 2, as c_k zeta(2)^k,
+with c_k built from the tangent numbers in ints (``euler_coefficient``).
+So no constant holds an even zeta above zeta(2), ``==`` is equality of
+numbers for these identities, and products need no reduction.  pi^2 is
+6*zeta(2), and paper style prints each zeta(2)^k as pi^(2k) over 6^k.
 
 This module holds the algebra, the weight grading, the display form
 (``render``) and JSON.  Reading the display form back is
@@ -64,7 +69,10 @@ over K_0's gamma^m T; its delta form is m_0 K_0 with gamma read as delta.
 
 A constant is bound (``binder``) from a ``Constants`` table, the one input
 binding reads, of ints at 2^-BITS, and ``evaluate`` rounds its value to a
-double once; a closed form binds its K through ``fixed_values``.
+double once; a closed form binds its K through ``fixed_values``.  A table
+int that carries guard bits, the process table's zeta(2), is raised to a
+power from its guarded value with one floor, since the reduction folds every
+even zeta into powers of zeta(2), up to n/2 in a form of log power n.
 
 All values are immutable and all operations are pure: nothing of a
 constant's value is written after it is built, and every reader iterates
@@ -84,7 +92,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -152,6 +160,42 @@ def _trim(e: Exponents) -> Exponents:
     return e[:n]
 
 
+_ZETA2, _ZETA4 = zeta_gen(2).index, zeta_gen(4).index  # zeta(2k) sits at 2k + 2
+
+
+def tangent_numbers(n: int) -> list[int]:
+    """T_1 .. T_n (1, 2, 16, 272, ...), tan x = sum_k T_k x^(2k-1) / (2k-1)!, in ints by the
+    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), O(n^2) operations."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+@lru_cache(maxsize=None)
+def euler_coefficient(k: int) -> Fraction:
+    """c_k of Euler's zeta(2k) = c_k zeta(2)^k (c_2 = 2/5, c_3 = 8/35): with
+    |B_2k| = 2k T_k / (4^k (4^k - 1)) and pi^2 = 6 zeta(2), c_k = k T_k 6^k / ((4^k - 1) (2k)!)."""
+    return Fraction(k * tangent_numbers(k)[-1] * 6**k, (4**k - 1) * factorial(2 * k))
+
+
+def _reduced(e: Exponents, c: Scalar) -> tuple[Exponents, Scalar]:
+    """The monomial c e, trimmed, with each zeta(2k), k >= 2, written c_k zeta(2)^k."""
+    if any(e[_ZETA4::2]):
+        v = list(e)
+        for i in range(_ZETA4, len(v), 2):
+            if v[i]:
+                k = i // 2 - 1
+                c *= euler_coefficient(k) ** v[i]
+                v[_ZETA2] += k * v[i]
+                v[i] = 0
+        e = tuple(v)
+    return (_trim(e) if e and not e[-1] else e), c
+
+
 def _grlex_key(item: tuple[Exponents, Scalar]) -> tuple[int, Exponents]:
     # Sorted in reverse: higher total degree first, then the larger exponent
     # at the first generator where two vectors differ.  On trimmed vectors of
@@ -172,7 +216,7 @@ class SymbolicConstant:
     """An element of the generator ring in canonical combined form.
 
     Canonical form: like monomials combined, zero coefficients dropped, one
-    denominator in lowest terms.  The public view (``terms``) lists
+    denominator in lowest terms, no even zeta above zeta(2).  The public view (``terms``) lists
     monomials graded-lexicographically, biggest first.  The empty term list
     is exactly zero.  Instances are immutable and hashable.
     """
@@ -196,9 +240,11 @@ class SymbolicConstant:
 
     @classmethod
     def from_generator(cls, g: Generator, exponent: int = 1) -> "SymbolicConstant":
+        """g^exponent; a zeta(2k) with k >= 2 is c_k^exponent zeta(2)^(k exponent) (module docstring)."""
         if exponent < 0:
             raise ValueError("generator exponents must be nonnegative")
-        return _wrap({(0,) * g.index + (exponent,): 1} if exponent else {(): 1})
+        e, c = _reduced((0,) * g.index + (exponent,), 1) if exponent else ((), 1)
+        return _wrap({e: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -352,9 +398,10 @@ def _head_text(g: int, j: int, gamma_name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _tail_powers(tail: Exponents) -> tuple[tuple[str, int], ...]:
-    """The JSON (name, exponent) pairs of a tail, in descending generator order."""
-    return tuple((_name(i + 2), tail[i]) for i in range(len(tail) - 1, -1, -1) if tail[i])
+def _tail_powers(tail: Exponents) -> dict[str, int]:
+    """The JSON powers of a tail, in descending generator order: one dict per tail, shared by
+    every plan, which ``to_json`` reads only as ``tail | head``."""
+    return {_name(i + 2): tail[i] for i in range(len(tail) - 1, -1, -1) if tail[i]}
 
 
 _HEAD = itemgetter(slice(1))  # a vector's gamma entry, as a tuple of at most one
@@ -484,9 +531,9 @@ def sum_of_products(
 
 
 def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
-    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs.
-    Vectors are trimmed first, so each monomial has one key."""
-    return sum_of_products((c, ONE, _wrap({_trim(e) if e and not e[-1] else e: 1})) for e, c in pairs)
+    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs.  Each monomial is
+    ``_reduced`` first, so it has one key and no even zeta above zeta(2)."""
+    return sum_of_products((c, ONE, _wrap({e: 1})) for e, c in (_reduced(*pair) for pair in pairs))
 
 
 def to_float(num: int, den: int) -> float:
@@ -511,15 +558,21 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
     and tail ``vec[2:]``, each an int at 2^-BITS formed once across the function's calls.
 
     Values: the table's ``fixed`` ints by subscript (``compute_constants()``'s builds a zeta on
-    first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``."""
+    first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``.
+    A power of an int that carries ``guarded`` and ``guard``, its value at 2^-(BITS + guard)
+    (``oracle.GuardedInt``), is formed at that precision and floored once to 2^-BITS; of
+    another int, each power is floored from the one below."""
     fixed = table_ints(table)
 
     @lru_cache(maxsize=None)
-    def power(i: int, k: int) -> int:  # generator i to the k, each power floored from the one below
+    def power(i: int, k: int) -> int:
         try:
             value = x = fixed[_generator(i)]
         except KeyError:
             raise MissingBindingError(_generator(i)) from None
+        guarded = getattr(x, "guarded", None)
+        if guarded is not None:
+            return _guarded_power(guarded, k, BITS + x.guard) >> x.guard
         for _ in range(k - 1):
             value = value * x >> BITS
         return value
@@ -534,6 +587,19 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
 
     return lambda const: (sum(c * part(e[:2], 0) * part(e[2:], 2) for e, c in const._d.items()),
                           const._den << 2 * BITS)
+
+
+def _guarded_power(x: int, k: int, bits: int) -> int:
+    """(x 2^-bits)^k at 2^-bits, by squaring with each product floored there: a relative error
+    of about 2k 2^-bits."""
+    value = 1 << bits
+    while k:
+        if k & 1:
+            value = value * x >> bits
+        k >>= 1
+        if k:
+            x = x * x >> bits
+    return value
 
 
 def fixed_values(items: Iterable[tuple], table: Constants,
@@ -670,7 +736,7 @@ class LeibnizSum:
                     coeff = f"{num // r}/{den // r}"
                 except ValueError:  # too many digits for str (module docstring)
                     coeff = "%s/%s" % (Decimal(num // r), Decimal(den // r))
-                append({"coeff": coeff, "powers": dict(powers, **head)})
+                append({"coeff": coeff, "powers": powers | head})
         return {"terms": terms}
 
 

@@ -8,8 +8,12 @@ points carry the whole lattice.  At b = 1 and b = 1/2 the classical tables
     psi^(m)(1)   = (-1)^(m+1) m! zeta(m+1)                    for m >= 1
     psi^(m)(1/2) = (-1)^(m+1) m! (2^(m+1) - 1) zeta(m+1)      for m >= 1
 
-feed the Leibniz recurrence of Gamma' = Gamma*psi, whose coefficients are
-then all integers.  Every other lattice point is x = b + m, and
+feed the Leibniz recurrence of Gamma' = Gamma*psi.  The ring writes each
+zeta(m+1) of even m + 1 >= 4 as c zeta(2)^((m+1)/2) with Euler's rational c
+(:func:`explogint.ring.euler_coefficient`, c = 2/5 for zeta(4)), so block
+coefficients are rationals whose denominators (5, 7, ...) come from the c,
+and every block is built in that reduced ring: no constant here names an
+even zeta above zeta(2).  Every other lattice point is x = b + m, and
 Gamma(x+1) = x Gamma(x) gives Gamma(b+m+t) = P(t) Gamma(b+t) with
 P(t) = (b+t)(b+1+t)...(b+m-1+t).  At b = 1, P has integer coefficients; at
 b = 1/2, P(t) = 2^(-m) Q(t) with Q(t) = (1+2t)(3+2t)...(2m-1+2t), whose
@@ -77,7 +81,8 @@ class ArgPoint(_ArgPointFields):
 
 @lru_cache(maxsize=None)
 def psi_deriv_at(m: int, x: ArgPoint) -> SymbolicConstant:
-    """Exact psi^(m)(x) at the base points x = 1 and x = 1/2."""
+    """Exact psi^(m)(x) at the base points x = 1 and x = 1/2; an even zeta(m+1) above zeta(2)
+    comes out of ``zeta_const`` as a power of zeta(2)."""
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
     if x.twice not in (1, 2):
@@ -101,7 +106,7 @@ def gamma_deriv_at(k: int, x: ArgPoint) -> SymbolicConstant:
     if m == 0:
         if k == 0:
             return ONE if x.is_integer else SQRT_PI_CONST
-        # G_{j+1} = sum_i C(j,i) psi^(j-i)(b) G_i, all coefficients integers
+        # G_{j+1} = sum_i C(j,i) psi^(j-i)(b) G_i
         j = k - 1
         return sum_of_products(
             (math.comb(j, i), psi_deriv_at(j - i, x), gamma_deriv_at(i, x)) for i in range(j + 1)

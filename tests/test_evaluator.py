@@ -379,7 +379,7 @@ class TestLeibnizAssembly:
     def test_leibniz_sum_arrives_as_one_descending_run_per_term(self):
         # Each Gamma^(k) block is a kernel output, so in term order, and log_mu^(n-k)
         # keeps that order: the form reads n + 1 sorted blocks, and its constant is one run.
-        n = 12
+        n = 14
         ((_, const),) = eval_general(IntegralSpec.simple(Fraction(7, 2), n)).terms
         width = max(map(len, const._d))
         keys = [(sum(e), e + (0,) * (width - len(e))) for e in const._d]

@@ -19,27 +19,27 @@ from explogint.cli import main
 GOLDEN = [
     (
         ["eval", "exp(-x)*log(x)^10", "--json"],
-        "8ceb11dd2621442078efcdd81828bd0ce325628b2d6a9298b49eb54059115e3b",
+        "c8861ab86b7a52186e40e4697f9df70c13aac3ff37d1204aae0a70727bec87b4",
     ),
     (
         ["eval", "(1 - 2*x)*x^(5/2)*exp(-3*x)*log(x)^9", "--json"],
-        "ff8be95899fa90d46dd441e51a49088ad590ca5a7cc524b3b47df4badd9b51f4",
+        "10097580fedf7850932bc7d944cfb38bf291391d6ebdd19910198c23a6a7661c",
     ),
     (
         ["eval", "x^(-1/2)*exp(-2*x)*log(x)^8", "--json", "--paper-style"],
-        "72c1ea3ec118e516dcefea2cc7769635549993e98160674c955482f4a130fa98",
+        "e159d02cf97b7eda5a0b7231bd32191d60b9381249995752c27b9bc55e029cbf",
     ),
     (
         ["eval", "x^(9)*exp(-x)*log(x)^7", "--paper-style"],
-        "5de8af5b310289a56a00709d95b6ba124b0fef9adf490759d7fe7fb043fa22a7",
+        "4c3ce0b4d71a4a6df7e74919836c6f04bcb0d8852d9838ba879229a0c777c1d6",
     ),
     (
         ["verify", "x^(3/2)*exp(-0.5*x)*log(x)^6", "--json"],
-        "497634dfd37abad7253f3a64c55f453c8de457773836d47b45120586af63a11b",
+        "02dbc0f052e3c01accc08871429be6e23862a2e8b71afcfaab340f56c978ee06",
     ),
     (
         ["verify", "(2 + x^(2))*exp(-5*x)*log(x)^5"],
-        "1207f618c329d3312c3ff2c27ef9a1c6f8cc39e0bdadb67df9ee6d2c94b4f7d7",
+        "7a38c62ec423dff16a9cc02424bab6c70eab427d4922583b2efe28959f06f863",
     ),
     (
         ["weight", "--max-n", "12", "--json"],
@@ -47,54 +47,54 @@ GOLDEN = [
     ),
     (
         ["verify", "(1 + 3/2*x)*exp(-0.5*x)*log(x)^13", "--json"],
-        "33ae0e5a03c0658ed6cd7116489841e4ffb1dc0b88f96ce455cd219ed63525fd",
+        "963d76c832e023f182f816b5cbeeb382af5247128b508990bfa52ab1553d7bb9",
     ),
     (
         # shifts of m = 20 and 21 from the base point 1/2
         ["verify", "(3 - x)*x^(39/2)*exp(-3*x)*log(x)^6", "--json"],
-        "0ecf0de9f2e4bc113ed440c0846100a2596d5a0e58ec56ca619462e9d07a165d",
+        "06249890ac47114ad8b3acfac04165c68f0d220db757eb92c6fa90946d9b6ada",
     ),
     (
         # a shift of m = 15 from the base point 1
         ["verify", "x^(15)*exp(-2*x)*log(x)^9", "--json"],
-        "f378412072826adf20e3f075547a83c83c36385e6dd25eaa1073be598ca802b0",
+        "aa7b84298313697f78cc7953d756cc1d3e6f25070184b5eccb01518969b6c370",
     ),
     (
-        # a 604-monomial constant through the delta rewrite, in text mode
+        # a 425-monomial constant through the delta rewrite, in text mode
         ["verify", "x^(7)*exp(-1/2*x)*log(x)^11", "--paper-style"],
-        "5f2f810f3a0f69b43ec8b660c5a8cd53a18d61c09be4105ef9a1791d23aef8a8",
+        "2d9aa67e31bfc476ab844130bba7b917d548c2bf82fb77051e2c96c614bdccfe",
     ),
     (
-        # mixed denominators 3, 4 and 2^m through to_json (587 KB)
+        # mixed denominators 3, 4 and 2^m through to_json (463 KB)
         ["eval", "(2/3 + 5/4*x)*x^(7/2)*exp(-3*x)*log(x)^10", "--json"],
-        "ce604c625513ac00033ada80c8c85dc5b4ffbae42176eac936f1a9dc6d4c3727",
+        "a6afed3bc717c8576446dccba5aae8fffa40f66f3db3ba00d73476bb536b26c9",
     ),
     (
         # PASS at rel err 5.2e-16 (1.1e-12 when bound in doubles): pins the bound value and the reduced text
         ["verify", "(5/4 - x - 3/2*x^(2))*x^(9/2)*exp(-0.168*x)*log(x)^12", "--json"],
-        "512242415a062ff617f7fa67391566fa040c1010db3010cf2efcc6d51bb7a0bb",
+        "d0d7c1fe0f4b52e88cd657fb3f5f74ebfcd5af0b39a91fa96d4734ea5a0a7887",
     ),
     (
-        # n = 24 at the base point 1 (2.26 MB): deep Leibniz products
+        # n = 24 at the base point 1 (0.69 MB): deep Leibniz products
         ["eval", "exp(-x)*log(x)^24", "--json"],
-        "0369db13d2e1686885e58a0d8905b9635b58aeab0403504ad41534628f3aafcc",
+        "526d8f22ef0cf48c41ca7b32bad686883da2c5d32a8c6345dc3550f70a36e52a",
     ),
     (
-        # n = 16 at the base point 1/2 (1.09 MB), where psi(1/2) = -gamma - 2*log2
+        # n = 16 at the base point 1/2 (0.59 MB), where psi(1/2) = -gamma - 2*log2
         # multiplies vectors of different lengths
         ["eval", "x^(-1/2)*exp(-x)*log(x)^16", "--json"],
-        "c481460037457f59cf4f7ac5fb951756107b69eda9ec94a27319eb82fc068379",
+        "95fd2dd9d7bc14e83a9a3660bd0a899463742f3a3791933bc5cc91b347a52691",
     ),
     (
         # the at_mu_1 rendering in paper style: delta and pi^2 .. pi^12 with
         # their 6^e denominators
         ["eval", "x^(1/2)*exp(-x)*log(x)^12", "--json", "--paper-style"],
-        "6ea5464e1fdbf727af81fed8e59a03617cba149b3566144922b168ce21d9f876",
+        "a081694944c35d7c44ae8362c3be030a101cc018e84ba7f4e40e6a995ba85984",
     ),
     (
         # text mode, paper style, pi^4 and pi^6 beside log2 and a pinned mu
         ["eval", "(1 - x)*x^(3/2)*exp(-2*x)*log(x)^6", "--paper-style"],
-        "1c541564c9dcbf362f76ac1ba2cb438fb7b53b6658129dcd0c1e10211eeea515",
+        "5d3e7f930920b884b36bcd5069c48eb5e67df5b2515f506e933df3a25d9e5265",
     ),
     (
         # three binomials multiplied out: like terms merge across factors
@@ -104,12 +104,12 @@ GOLDEN = [
     (
         # three prefactor terms, each a large form in term order; PASS
         ["verify", "(2 - x + 1/3*x^(2))*x^(1/2)*exp(-4*x)*log(x)^11", "--json"],
-        "4825dc35174bae1aacd6349e5cbd85680227c27c462cdc608bac0247521e6581",
+        "41911c3056b18ff7ed52852c4097b94fb6adb921672ebf71cb07b421f9ae8d72",
     ),
     (
         # the mu = 1 path through at_mu_one, in paper style; PASS
         ["verify", "(1 + x)*x^(3/2)*exp(-x)*log(x)^10", "--paper-style"],
-        "a5a3a419ce82386fec08a4744cd55d1f7687e0edc69999dc2e3997971452b31b",
+        "baee5726d1c0b23f2d747cba8dd262d8aca6aa57874ebc09e21025cf06ecf12d",
     ),
     (
         ["catalog", "--json"],

@@ -206,7 +206,11 @@ class TestConstants:
     def test_table_shape(self, table):
         assert {EULER_GAMMA, LOG2, SQRT_PI} <= set(table.fixed)
         assert all(g.k >= 2 for g in set(table.fixed) - {EULER_GAMMA, LOG2, SQRT_PI})
-        assert all(type(x) is int for x in table.fixed.values())
+        # each an int; zeta(2), a GuardedInt, is the floor of its value at 2^-(BITS + GUARD)
+        assert all(type(x) is int for g, x in table.fixed.items() if g != zeta_gen(2))
+        zeta2 = table.fixed[zeta_gen(2)]
+        assert type(zeta2) is oracle_module.GuardedInt and zeta2.guard == oracle_module.GUARD
+        assert zeta2.guarded >> zeta2.guard == zeta2 and type(zeta2.guarded) is int
         with pytest.raises(KeyError):  # ln mu is bound per call, not held
             table.fixed[LOG_MU]
         assert double(LOG2) == math.log(2.0)

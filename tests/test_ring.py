@@ -31,6 +31,7 @@ from explogint.ring import (
     _place,
     _trim,
     _wrap,
+    euler_coefficient,
     generator_from_name,
     grade,
     log_mu_slices,
@@ -136,11 +137,13 @@ class TestGenerator:
     def test_zeta_40_round_trips_through_name_json_and_text(self):
         g = generator_from_name("zeta(40)")
         assert g == zeta_gen(40) and (g.name, g.k, g.weight) == ("zeta(40)", 40, 40)
-        c = SymbolicConstant.from_generator(g, 2) * GAMMA
+        c = SymbolicConstant.from_generator(g, 2) * GAMMA  # zeta(40)^2 is c_20^2 zeta(2)^40
         doc = json.loads(json.dumps(c.to_json()))
-        assert doc == {"terms": [{"coeff": "1/1", "powers": {"zeta(40)": 2, "gamma": 1}}]}
+        c20 = euler_coefficient(20) ** 2
+        assert doc == {"terms": [{"coeff": f"{c20.numerator}/{c20.denominator}", "powers": {"zeta(2)": 40, "gamma": 1}}]}
         assert SymbolicConstant.from_json(doc) == c
-        assert parse_constant(c.render()) == c
+        assert SymbolicConstant.from_json({"terms": [{"coeff": "1", "powers": {"zeta(40)": 2, "gamma": 1}}]}) == c
+        assert parse_constant(c.render()) == c == parse_constant("zeta(40)^2*gamma")
 
     def test_weights(self):
         assert EULER_GAMMA.weight == 1
