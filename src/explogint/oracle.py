@@ -65,9 +65,11 @@ class GuardedInt(int):
     """A table int at 2^-BITS that also holds its value at 2^-(BITS + guard), ``guarded``, and
     is its floor: binding raises it to a power with one floor at 2^-BITS (``ring.binder``)."""
 
-    def __new__(cls, guarded: int, guard: int) -> "GuardedInt":
-        obj = super().__new__(cls, guarded >> guard)
-        obj.guarded, obj.guard = guarded, guard
+    guard = GUARD
+
+    def __new__(cls, guarded: int) -> "GuardedInt":
+        obj = super().__new__(cls, guarded >> GUARD)
+        obj.guarded = guarded
         return obj
 
 
@@ -109,7 +111,7 @@ class _ZetaOnRead(dict):
             raise KeyError(g)
         if s == 2:
             bits = BITS + GUARD + 16
-            self[g] = value = GuardedInt(_pi(bits) ** 2 // (6 << bits + 16), GUARD)
+            self[g] = value = GuardedInt(_pi(bits) ** 2 // (6 << bits + 16))
             return value
         d_n, weights = _borwein()
         eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))

@@ -53,11 +53,13 @@ an error at its own token:
 
 ``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  A zeta
 index or an exponent above :data:`~explogint.ring.MAX_ZETA_INDEX` is an
-error at its token, and so is a delta factor that takes the sum of its
-term's delta exponents above it.  No ring product is formed: a term is one
-coefficient and one exponent vector, pi^(2k) is 6^k zeta(2)^k, delta^d
-expands as sum_j C(d,j) gamma^(d-j) log_mu^j, and every monomial is placed
-into a single dict.
+error at its token, and so is a factor that takes the sum of its term's
+exponents of one constant, or of delta, above it.  No ring product is
+formed: a term is one coefficient and one exponent vector, pi^(2k) is
+6^k zeta(2)^k, zeta(2k)^e is c_k^e zeta(2)^(k e) (Euler's c_k,
+:func:`~explogint.ring.euler_coefficient`, formed only once k e is within
+the cap), delta^d expands as sum_j C(d,j) gamma^(d-j) log_mu^j, and every
+monomial is placed into a single dict.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from math import comb, inf
 from typing import NamedTuple, Optional
 
 from .evaluator import IntegralSpec, PrefactorTerm
-from .ring import MAX_ZETA_INDEX, SymbolicConstant, _place, generator_from_name, zeta_gen
+from .ring import MAX_ZETA_INDEX, _ZETA2, SymbolicConstant, _place, euler_coefficient, generator_from_name, zeta_gen
 from .special_values import ArgPoint
 
 
@@ -401,6 +403,10 @@ class _Parser:
             elif e:
                 vector.extend([0] * (i + 1 - len(vector)))
                 vector[i] += e
+                if vector[i] > MAX_ZETA_INDEX:  # so the term prints as text this parser reads
+                    self._fail(tok, f"exponents of one constant summing to at most {MAX_ZETA_INDEX} in a term"
+                               + (" (zeta(2k) counts as zeta(2)^k, pi^2 as zeta(2))" if i == _ZETA2 else ""),
+                               f"a sum of {vector[i]}")
             if not self.accept("*"):
                 break
         gamma, log_mu, *rest = vector  # entries 0 and 1
@@ -440,7 +446,13 @@ class _Parser:
         if i == "pi":
             if exponent % 2:
                 self._fail(tok, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi", f"'pi^{exponent}'")
-            return 6 ** (exponent // 2), zeta_gen(2).index, exponent // 2  # pi^2 = 6*zeta(2)
+            return 6 ** (exponent // 2), _ZETA2, exponent // 2  # pi^2 = 6*zeta(2)
+        if tok.text == "zeta" and k > 2 and k % 2 == 0:  # zeta(2j) = c_j zeta(2)^j
+            j = k // 2
+            if j * exponent > MAX_ZETA_INDEX:
+                self._fail(tok, f"a power of zeta({k}) = c*zeta(2)^{j} up to zeta(2)^{MAX_ZETA_INDEX}",
+                           f"'zeta({k})^{exponent}'")
+            return euler_coefficient(j) ** exponent, _ZETA2, j * exponent
         return 1, i, exponent
 
 

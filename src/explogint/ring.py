@@ -92,7 +92,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, inf, lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -117,6 +117,9 @@ class MissingBindingError(KeyError):
 
 # The largest zeta index read from outside, and exponent in constant text:
 # zeta(k) is entry k + 2 of a dense vector, and delta^d expands to d + 1 terms.
+# It also caps zeta(2)'s exponent once a reader writes zeta(2k) as c_k zeta(2)^k
+# (``_reduced``), so the c_k powers it forms stay below 4,100 digits, within
+# ``sys.get_int_max_str_digits()``'s default, and what it takes prints text it takes back.
 MAX_ZETA_INDEX = 1000
 
 
@@ -182,16 +185,20 @@ def euler_coefficient(k: int) -> Fraction:
     return Fraction(k * tangent_numbers(k)[-1] * 6**k, (4**k - 1) * factorial(2 * k))
 
 
-def _reduced(e: Exponents, c: Scalar) -> tuple[Exponents, Scalar]:
-    """The monomial c e, trimmed, with each zeta(2k), k >= 2, written c_k zeta(2)^k."""
+def _reduced(e: Exponents, c: Scalar, most: float = MAX_ZETA_INDEX) -> tuple[Exponents, Scalar]:
+    """The monomial c e, trimmed, with each zeta(2k), k >= 2, written c_k zeta(2)^k; a
+    ValueError, before any c_k is raised to a power, when zeta(2)'s exponent would pass
+    ``most``, for a reader MAX_ZETA_INDEX."""
     if any(e[_ZETA4::2]):
         v = list(e)
-        for i in range(_ZETA4, len(v), 2):
-            if v[i]:
-                k = i // 2 - 1
-                c *= euler_coefficient(k) ** v[i]
-                v[_ZETA2] += k * v[i]
-                v[i] = 0
+        folded = [(i // 2 - 1, v[i]) for i in range(_ZETA4, len(v), 2) if v[i]]
+        v[_ZETA2] += sum(k * j for k, j in folded)
+        if v[_ZETA2] > most:
+            raise ValueError(f"zeta(2)'s exponent, with each zeta(2k) written c_k*zeta(2)^k, "
+                             f"must be at most {most}, got {v[_ZETA2]}")
+        for k, j in folded:
+            c *= euler_coefficient(k) ** j
+            v[2 * k + 2] = 0
         e = tuple(v)
     return (_trim(e) if e and not e[-1] else e), c
 
@@ -240,10 +247,11 @@ class SymbolicConstant:
 
     @classmethod
     def from_generator(cls, g: Generator, exponent: int = 1) -> "SymbolicConstant":
-        """g^exponent; a zeta(2k) with k >= 2 is c_k^exponent zeta(2)^(k exponent) (module docstring)."""
+        """g^exponent; a zeta(2k) with k >= 2 is c_k^exponent zeta(2)^(k exponent) (module
+        docstring), with no cap on k exponent: like a product, this reads nothing from outside."""
         if exponent < 0:
             raise ValueError("generator exponents must be nonnegative")
-        e, c = _reduced((0,) * g.index + (exponent,), 1) if exponent else ((), 1)
+        e, c = _reduced((0,) * g.index + (exponent,), 1, inf) if exponent else ((), 1)
         return _wrap({e: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
@@ -559,8 +567,8 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
 
     Values: the table's ``fixed`` ints by subscript (``compute_constants()``'s builds a zeta on
     first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``.
-    A power of an int that carries ``guarded`` and ``guard``, its value at 2^-(BITS + guard)
-    (``oracle.GuardedInt``), is formed at that precision and floored once to 2^-BITS; of
+    A power of an int that carries ``guarded``, its value at 2^-(BITS + guard)
+    (``oracle.GuardedInt``), is formed exactly from that and floored once to 2^-BITS; of
     another int, each power is floored from the one below."""
     fixed = table_ints(table)
 
@@ -572,7 +580,7 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
             raise MissingBindingError(_generator(i)) from None
         guarded = getattr(x, "guarded", None)
         if guarded is not None:
-            return _guarded_power(guarded, k, BITS + x.guard) >> x.guard
+            return guarded**k >> (BITS + x.guard) * k - BITS
         for _ in range(k - 1):
             value = value * x >> BITS
         return value
@@ -587,19 +595,6 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
 
     return lambda const: (sum(c * part(e[:2], 0) * part(e[2:], 2) for e, c in const._d.items()),
                           const._den << 2 * BITS)
-
-
-def _guarded_power(x: int, k: int, bits: int) -> int:
-    """(x 2^-bits)^k at 2^-bits, by squaring with each product floored there: a relative error
-    of about 2k 2^-bits."""
-    value = 1 << bits
-    while k:
-        if k & 1:
-            value = value * x >> bits
-        k >>= 1
-        if k:
-            x = x * x >> bits
-    return value
 
 
 def fixed_values(items: Iterable[tuple], table: Constants,

@@ -13,7 +13,7 @@ import pytest
 from explogint import parse_constant
 from explogint.cli import main
 from explogint.evaluator import eval_general, eval_In
-from explogint.parser import parse_integrand, to_integral_spec
+from explogint.parser import IntegrandSyntaxError, parse_integrand, to_integral_spec
 from explogint.ring import (
     ONE,
     SQRT_PI_CONST,
@@ -84,6 +84,30 @@ def test_the_largest_zeta_index_reduces_quickly():
     const = parse_constant("zeta(1000)")
     assert time.process_time() - start < 0.5
     assert [m.powers for m in const.terms] == [((zeta_gen(2), 500),)]
+
+
+def test_reduced_zeta2_exponent_is_capped_before_any_power_forms():
+    # zeta(1000)^3 would carry c_500^3, 5,792 digits a side, past what str and the readers take
+    start = time.process_time()
+    for text, position in [("zeta(1000)^1000", 0), ("delta^1000*zeta(1000)^1000", 11), ("zeta(1000)^2*zeta(4)", 13)]:
+        with pytest.raises(IntegrandSyntaxError) as exc_info:
+            parse_constant(text)
+        assert exc_info.value.position == position, text
+    every_even = {f"zeta({2 * k})": 1000 for k in range(2, 501)}
+    for powers in [every_even, {"zeta(1000)": 3}, {"zeta(2)": 999, "zeta(4)": 1}]:
+        with pytest.raises(ValueError, match="must be at most 1000"):
+            SymbolicConstant.from_json({"terms": [{"coeff": "1", "powers": powers}]})
+    with pytest.raises(ValueError, match="must be at most 1000"):
+        SymbolicConstant({((zeta_gen(1000), 3),): Fraction(1)})
+    assert time.process_time() - start < 0.5
+
+
+def test_the_largest_reduced_powers_read_back():
+    const = parse_constant("zeta(1000)^2*gamma")
+    assert [m.powers for m in const.terms] == [((parse_constant("gamma").terms[0].powers[0][0], 1), (zeta_gen(2), 1000))]
+    assert parse_constant(const.render()) == const
+    assert SymbolicConstant.from_json(json.loads(json.dumps(const.to_json()))) == const
+    assert SymbolicConstant.from_json({"terms": [{"coeff": "1", "powers": {"zeta(1000)": 2, "gamma": 1}}]}) == const
 
 
 def test_no_engine_block_holds_an_even_zeta_above_zeta2():

@@ -488,6 +488,16 @@ class TestConstantLanguage:
         assert len(parse_constant("delta^1000").terms) == 1001
         assert parse_constant("delta^500*delta^500") == parse_constant("delta^1000")
 
+    def test_exponents_of_one_constant_in_a_term_are_capped_together(self):
+        # so that every constant read prints text that reads back
+        with pytest.raises(IntegrandSyntaxError, match="summing to at most 1000 in a term, found a sum of 2000$") as exc_info:
+            parse_constant("gamma^1000*gamma^1000")
+        assert exc_info.value.position == len("gamma^1000*")
+        assert parse_constant("gamma^500*gamma^500") == parse_constant("gamma^1000")
+        with pytest.raises(IntegrandSyntaxError, match="zeta\\(2k\\) counts as zeta\\(2\\)\\^k") as exc_info:
+            parse_constant("pi^1000*zeta(4)^300*zeta(2)")
+        assert exc_info.value.position == len("pi^1000*")
+
     def test_largest_zeta_index_reads(self):
         assert parse_constant(f"zeta({MAX_ZETA_INDEX})") == zeta_const(MAX_ZETA_INDEX)
 
