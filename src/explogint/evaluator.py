@@ -189,8 +189,8 @@ class ClosedForm:
     def evaluate(self, mu_value: float, table: Constants) -> float:
         """Bind mu numerically, log_mu -> ln(mu) and mu^(-e) -> mu_value^(-e), and the rest by ``table``.
 
-        Every value is an int at 2^-BITS until the end: each K's is rounded down by
-        ``fixed_values``, which keeps it with K beside the table, ln mu is
+        Every value is an int at 2^-BITS until the end: every K's is rounded down by one
+        ``fixed_values`` call, which keeps it with K beside the table, ln mu is
         ``fixed_log(mu_value)``, and each mu^(-e) is scaled by its own binary exponent
         (``_mu_power``).  The groups are summed exactly over one denominator and rounded
         once to the nearest double; ValueError when that lies outside the double range, and
@@ -200,9 +200,9 @@ class ClosedForm:
             raise ValueError("mu must be positive and finite")
         table_ints(table)
         log_mu = fixed_log(mu_value)
-        parts, powers, bind = [], [1 << BITS], None  # powers: (ln mu)^j at 2^-BITS
+        parts, powers = [], [1 << BITS]  # powers: (ln mu)^j at 2^-BITS
+        values = iter(fixed_values((item for _, _, items in self._groups for item in items), table))
         for e, d, items in self._groups:
-            values, bind = fixed_values(items, table, bind)
             total = 0
             for (a, j, _), value in zip(items, values):
                 while len(powers) <= j:

@@ -52,14 +52,13 @@ an error at its own token:
     name     := 'gamma' | 'log_mu' | 'log2' | 'sqrt_pi' | 'delta' | 'pi'
 
 ``delta`` is gamma + log_mu, and ``pi`` takes an even exponent only.  A zeta
-index or an exponent above :data:`~explogint.ring.MAX_ZETA_INDEX` is an
-error at its token, and so is a factor that takes the sum of its term's
-exponents of one constant, or of delta, above it.  No ring product is
-formed: a term is one coefficient and one exponent vector, pi^(2k) is
-6^k zeta(2)^k, zeta(2k)^e is c_k^e zeta(2)^(k e) (Euler's c_k,
-:func:`~explogint.ring.euler_coefficient`, formed only once k e is within
-the cap), delta^d expands as sum_j C(d,j) gamma^(d-j) log_mu^j, and every
-monomial is placed into a single dict.
+index above :data:`~explogint.ring.MAX_ZETA_INDEX`, or an exponent above it
+(twice it for ``pi``), is an error at its token, and so is a factor that takes
+its term past the readers' one cap (:func:`~explogint.ring.top_exponent`).
+No ring product is formed: a term is one coefficient and one exponent vector,
+pi^(2k) is 6^k zeta(2)^k, delta^d expands as sum_j C(d,j) gamma^(d-j)
+log_mu^j, and every monomial is placed into a single dict by ``ring._place``,
+which writes each zeta(2k) as c_k zeta(2)^k.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from math import comb, inf
 from typing import NamedTuple, Optional
 
 from .evaluator import IntegralSpec, PrefactorTerm
-from .ring import MAX_ZETA_INDEX, _ZETA2, SymbolicConstant, _place, euler_coefficient, generator_from_name, zeta_gen
+from .ring import MAX_ZETA_INDEX, _ZETA2, SymbolicConstant, _place, generator_from_name, top_exponent, zeta_gen
 from .special_values import ArgPoint
 
 
@@ -391,22 +390,21 @@ class _Parser:
 
     # cterm := cfactor ('*' cfactor)*
     def parse_constant_term(self, coeff: int) -> list:
-        """One term, signed by ``coeff``, as (vector, coefficient) pairs; delta^d expands."""
+        """One term, signed by ``coeff``, as (vector, coefficient) pairs; delta^d expands.  A
+        factor that takes the term past the readers' cap (``ring.top_exponent``) fails at its token."""
         vector, d = [0, 0], 0
         while True:
             tok, (scalar, i, e) = self.peek(), self.parse_constant_factor()
             coeff *= scalar
             if i == "delta":
                 d += e
-                if d > MAX_ZETA_INDEX:  # delta^d expands into d + 1 terms
-                    self._fail(tok, f"delta exponents summing to at most {MAX_ZETA_INDEX} in a term", f"a sum of {d}")
             elif e:
                 vector.extend([0] * (i + 1 - len(vector)))
                 vector[i] += e
-                if vector[i] > MAX_ZETA_INDEX:  # so the term prints as text this parser reads
-                    self._fail(tok, f"exponents of one constant summing to at most {MAX_ZETA_INDEX} in a term"
-                               + (" (zeta(2k) counts as zeta(2)^k, pi^2 as zeta(2))" if i == _ZETA2 else ""),
-                               f"a sum of {vector[i]}")
+            if (top := top_exponent(vector, d)) > MAX_ZETA_INDEX:  # so the term prints text this parser reads
+                self._fail(tok, "exponents of one constant (delta exponents count toward gamma and log_mu, zeta(2k) "
+                           f"counts as zeta(2)^k, pi^2 as zeta(2)) summing to at most {MAX_ZETA_INDEX} in a term",
+                           f"a sum of {top}")
             if not self.accept("*"):
                 break
         gamma, log_mu, *rest = vector  # entries 0 and 1
@@ -441,18 +439,12 @@ class _Parser:
                 i = generator_from_name(tok.text).index
             except ValueError:
                 self._fail(tok, "a constant")
-        most = MAX_ZETA_INDEX
+        most = 2 * MAX_ZETA_INDEX if i == "pi" else MAX_ZETA_INDEX
         exponent = self.integer(f"an exponent up to {most}", 0, most) if self.accept("^") else 1
         if i == "pi":
             if exponent % 2:
                 self._fail(tok, "an even power of pi (pi^2 = 6*zeta(2)) or sqrt_pi", f"'pi^{exponent}'")
             return 6 ** (exponent // 2), _ZETA2, exponent // 2  # pi^2 = 6*zeta(2)
-        if tok.text == "zeta" and k > 2 and k % 2 == 0:  # zeta(2j) = c_j zeta(2)^j
-            j = k // 2
-            if j * exponent > MAX_ZETA_INDEX:
-                self._fail(tok, f"a power of zeta({k}) = c*zeta(2)^{j} up to zeta(2)^{MAX_ZETA_INDEX}",
-                           f"'zeta({k})^{exponent}'")
-            return euler_coefficient(j) ** exponent, _ZETA2, j * exponent
         return 1, i, exponent
 
 

@@ -14,7 +14,9 @@ numbers for these identities, and products need no reduction.  pi^2 is
 This module holds the algebra, the weight grading, the display form
 (``render``) and JSON.  Reading the display form back is
 :func:`explogint.parser.parse_constant`, which shares the integrand
-language's tokenizer and diagnostics.
+language's tokenizer and diagnostics.  Every reader holds one cap,
+``top_exponent`` <= MAX_ZETA_INDEX: ``_place`` checks it before any c_k
+power forms, and ``parse_constant`` after each factor of a term.
 
 A generator is its position in an exponent vector, which is also its
 order; its name, weight and zeta index follow from the position
@@ -92,9 +94,9 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, islice
-from math import comb, factorial, gcd, inf, lcm
-from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from math import comb, factorial, gcd, lcm
+from operator import itemgetter, mul
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .generators import BITS, EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, Generator, _NAMES, _generator, _name, zeta_gen
 
@@ -115,11 +117,10 @@ class MissingBindingError(KeyError):
         return f"no numeric binding supplied for generator '{self.generator.name}'"
 
 
-# The largest zeta index read from outside, and exponent in constant text:
-# zeta(k) is entry k + 2 of a dense vector, and delta^d expands to d + 1 terms.
-# It also caps zeta(2)'s exponent once a reader writes zeta(2k) as c_k zeta(2)^k
-# (``_reduced``), so the c_k powers it forms stay below 4,100 digits, within
-# ``sys.get_int_max_str_digits()``'s default, and what it takes prints text it takes back.
+# The largest zeta index read from outside, and of ``top_exponent`` in what a reader builds:
+# zeta(k) is entry k + 2 of a dense vector, delta^d expands to d + 1 terms, and the c_k
+# powers a reader forms stay below 4,100 digits, within ``sys.get_int_max_str_digits()``'s
+# default, so what it takes prints text it takes back (paper text's pi^(2k) up to twice it).
 MAX_ZETA_INDEX = 1000
 
 
@@ -185,20 +186,22 @@ def euler_coefficient(k: int) -> Fraction:
     return Fraction(k * tangent_numbers(k)[-1] * 6**k, (4**k - 1) * factorial(2 * k))
 
 
-def _reduced(e: Exponents, c: Scalar, most: float = MAX_ZETA_INDEX) -> tuple[Exponents, Scalar]:
-    """The monomial c e, trimmed, with each zeta(2k), k >= 2, written c_k zeta(2)^k; a
-    ValueError, before any c_k is raised to a power, when zeta(2)'s exponent would pass
-    ``most``, for a reader MAX_ZETA_INDEX."""
+def top_exponent(e: Sequence[int], delta: int = 0) -> int:
+    """The largest exponent of one generator in the monomials that the vector e times delta^delta
+    builds, delta = gamma + log_mu counting toward both and each zeta(2k)^j toward zeta(2) as k j:
+    the one number every reader holds to MAX_ZETA_INDEX."""
+    folded = sum(map(mul, e[_ZETA2::2], range(1, len(e))))  # zeta(2k) sits at 2k + 2
+    return max(delta + max(e[:2], default=0), folded, *e[2:_ZETA2], *e[_ZETA2 + 1::2])
+
+
+def _reduced(e: Exponents, c: Scalar) -> tuple[Exponents, Scalar]:
+    """The monomial c e, trimmed, with each zeta(2k), k >= 2, written c_k zeta(2)^k."""
     if any(e[_ZETA4::2]):
         v = list(e)
-        folded = [(i // 2 - 1, v[i]) for i in range(_ZETA4, len(v), 2) if v[i]]
-        v[_ZETA2] += sum(k * j for k, j in folded)
-        if v[_ZETA2] > most:
-            raise ValueError(f"zeta(2)'s exponent, with each zeta(2k) written c_k*zeta(2)^k, "
-                             f"must be at most {most}, got {v[_ZETA2]}")
-        for k, j in folded:
-            c *= euler_coefficient(k) ** j
-            v[2 * k + 2] = 0
+        for i in range(_ZETA4, len(v), 2):
+            if v[i]:  # zeta(2k) with k = i // 2 - 1
+                c *= euler_coefficient(i // 2 - 1) ** v[i]
+                v[_ZETA2], v[i] = v[_ZETA2] + (i // 2 - 1) * v[i], 0
         e = tuple(v)
     return (_trim(e) if e and not e[-1] else e), c
 
@@ -251,7 +254,7 @@ class SymbolicConstant:
         docstring), with no cap on k exponent: like a product, this reads nothing from outside."""
         if exponent < 0:
             raise ValueError("generator exponents must be nonnegative")
-        e, c = _reduced((0,) * g.index + (exponent,), 1, inf) if exponent else ((), 1)
+        e, c = _reduced((0,) * g.index + (exponent,), 1) if exponent else ((), 1)
         return _wrap({e: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
@@ -539,9 +542,16 @@ def sum_of_products(
 
 
 def _place(pairs: Iterable[tuple[Exponents, Scalar]]) -> SymbolicConstant:
-    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs.  Each monomial is
-    ``_reduced`` first, so it has one key and no even zeta above zeta(2)."""
-    return sum_of_products((c, ONE, _wrap({e: 1})) for e, c in (_reduced(*pair) for pair in pairs))
+    """Sum of ``coeff * monomial(vector)`` over ``(vector, coeff)`` pairs read from outside.  Each
+    monomial is held to the readers' cap (``top_exponent``), before any c_k power forms, and then
+    ``_reduced``, so it has one key and no even zeta above zeta(2)."""
+    placed = []
+    for e, c in pairs:
+        if (top := top_exponent(e)) > MAX_ZETA_INDEX:
+            raise ValueError(f"the exponent of one generator in a monomial, each zeta(2k)^j counted as "
+                             f"zeta(2)^(k*j), must be at most {MAX_ZETA_INDEX}, got {top}")
+        placed.append(_reduced(e, c))
+    return sum_of_products((c, ONE, _wrap({e: 1})) for e, c in placed)
 
 
 def to_float(num: int, den: int) -> float:
@@ -597,12 +607,10 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
                           const._den << 2 * BITS)
 
 
-def fixed_values(items: Iterable[tuple], table: Constants,
-                 bind: Optional[Callable] = None) -> tuple[list[int], Optional[Callable]]:
-    """The value at 2^-BITS, rounded down, of each K of items (a, j, K), and the binder: ``bind``, or
-    ``binder(table)`` made on first need, which the caller passes on to share.  Each value is kept
-    with K beside the table, and read back under that table only."""
-    values = []
+def fixed_values(items: Iterable[tuple], table: Constants) -> list[int]:
+    """The value at 2^-BITS, rounded down, of each K of items (a, j, K), bound by one ``binder(table)``
+    made on first need.  Each value is kept with K beside the table, and read back under that table only."""
+    values, bind = [], None
     for _, _, K in items:
         kept = getattr(K, "_bound", None)
         if kept is None or kept[0] is not table:
@@ -611,7 +619,7 @@ def fixed_values(items: Iterable[tuple], table: Constants,
             kept = (table, (num << BITS) // den)
             object.__setattr__(K, "_bound", kept)
         values.append(kept[1])
-    return values, bind
+    return values
 
 
 def log_mu_slices(const: SymbolicConstant) -> tuple[int, list[tuple[int, SymbolicConstant]]]:

@@ -110,6 +110,14 @@ def test_the_largest_reduced_powers_read_back():
     assert SymbolicConstant.from_json({"terms": [{"coeff": "1", "powers": {"zeta(1000)": 2, "gamma": 1}}]}) == const
 
 
+@pytest.mark.parametrize("text", ["zeta(2)^501", "zeta(2)^1000*gamma"])
+def test_paper_text_past_pi_1000_reads_back(text):
+    # paper style prints zeta(2)^k as pi^(2k), and the parser takes pi^e up to 2*MAX_ZETA_INDEX
+    const = parse_constant(text)
+    assert "*pi^" in const.render(paper_style=True)
+    assert parse_constant(const.render(paper_style=True)) == const
+
+
 def test_no_engine_block_holds_an_even_zeta_above_zeta2():
     requests = draws.verify_mix(1) + draws.deep_log(1)
     forms = [eval_general(to_integral_spec(parse_integrand(req["expr"]))) for req in requests]

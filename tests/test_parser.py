@@ -465,6 +465,9 @@ class TestConstantLanguage:
             ("zeta(1001)", 5),  # a zeta index beyond MAX_ZETA_INDEX
             ("zeta(3000000)", 5),
             ("delta^1001", 6),  # delta^d expands into d + 1 terms
+            ("gamma^1000*delta", 11),  # delta^d counts toward gamma and log_mu
+            ("delta^1000*gamma^5", 11),
+            ("log_mu^1000*delta", 12),
         ],
     )
     def test_rejection_names_the_offending_token(self, text, position):

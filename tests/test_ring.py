@@ -789,6 +789,64 @@ class TestRendering:
             parse_constant("gamma + tau")
 
 
+class TestReadersShareOneCap:
+    """``parse_constant``, ``from_json`` and the Mapping constructor hold one cap,
+    ``ring.top_exponent`` <= MAX_ZETA_INDEX, so whatever one of them takes reads back."""
+
+    @pytest.mark.parametrize("powers", [((EULER_GAMMA, 1001),), ((EULER_GAMMA, 600), (EULER_GAMMA, 600)),
+                                        ((zeta_gen(3), 5000),)])
+    def test_mapping_constructor_is_capped_like_json(self, powers):
+        with pytest.raises(ValueError, match=f"must be at most {MAX_ZETA_INDEX}"):
+            SymbolicConstant({powers: Fraction(1)})
+
+    @staticmethod
+    def near_cap_factor(rng):
+        """(name, exponent) of one factor, its exponent a random share of the cap, in its own units:
+        zeta(2k)^e counts as zeta(2)^(k e) and pi^(2e) as zeta(2)^e."""
+        name = rng.choice(["gamma", "log_mu", "log2", "sqrt_pi", "delta", "pi", "zeta", "zeta"])
+        share = rng.choice([rng.uniform(0.9, 1.05), rng.uniform(0.3, 0.6), rng.uniform(0, 0.05)])
+        if name == "pi":
+            return name, 2 * max(1, round(share * MAX_ZETA_INDEX))
+        weight = 1
+        if name == "zeta":
+            k = rng.randint(2, MAX_ZETA_INDEX)
+            name, weight = f"zeta({k})", k // 2 if k % 2 == 0 else 1
+        return name, max(1, round(share * MAX_ZETA_INDEX / weight))
+
+    def test_whatever_a_reader_takes_reads_back(self):
+        # seeded products near the cap, each read by every reader that can spell it
+        rng = random.Random(4401)
+        taken, rejected, failures = 0, 0, []
+        for _ in range(100):
+            terms = [(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 99)),
+                      [self.near_cap_factor(rng) for _ in range(rng.randint(1, 4))])
+                     for _ in range(rng.randint(1, 2))]
+            text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*" + "*".join(f"{n}^{e}" for n, e in factors)
+                            for c, factors in terms)
+            readers = {"text": lambda: parse_constant(text.removeprefix("+ "))}
+            if not any(n in ("delta", "pi") for _, factors in terms for n, _ in factors):
+                readers["Mapping"] = lambda: SymbolicConstant(
+                    {tuple((generator_from_name(n), e) for n, e in factors): c for c, factors in terms})
+                merged = [(c, {n: sum(e for m, e in factors if m == n) for n, _ in factors}) for c, factors in terms]
+                readers["JSON"] = lambda: SymbolicConstant.from_json(
+                    {"terms": [{"coeff": str(c), "powers": powers} for c, powers in merged]})
+            for reader, read in readers.items():
+                try:
+                    c = read()
+                except ValueError:
+                    rejected += 1
+                    continue
+                taken += 1
+                try:
+                    back = (parse_constant(c.render()), SymbolicConstant.from_json(json.loads(json.dumps(c.to_json()))))
+                except ValueError as exc:
+                    back = (exc,)
+                if back != (c, c):
+                    failures.append((reader, text))
+        assert not failures
+        assert taken > 60 and rejected > 60  # the draws straddle the cap
+
+
 # --- log_mu specialisations against general substitution ----------------------
 
 
