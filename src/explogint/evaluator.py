@@ -24,9 +24,10 @@ order of their sum by sorting only their runs of one degree and gamma
 power; those runs and the text of each monomial's other factors come from
 the K's print plan, kept with the K from its first print, and paper style
 reads its delta test off the items too.  Binding never expands them either:
-each K is bound to an int at 2^-BITS, kept with the K beside the constants
-table it was bound under and read back under that table, and a value is the
-sum of the items, rounded to a double once.
+each K is bound to an int at 2^-BITS (192 bits, the package's one binding
+precision), kept with the K beside the constants table it was bound under
+and read back under that table, and a value is the sum of the items,
+rounded to a double once.
 """
 
 from __future__ import annotations

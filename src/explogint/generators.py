@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 if TYPE_CHECKING:
     from fractions import Fraction
 
-BITS = 128  # binding precision: a generator's value is held as an int at 2^-BITS
+BITS = 192  # binding precision: a generator's value is held as an int at 2^-BITS
 
 
 class _GeneratorFields(NamedTuple):

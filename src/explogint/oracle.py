@@ -1,14 +1,15 @@
 """Independent ground truth: constants, quadrature and the pass rule.
 
 This module supplies one table of the ring generators' values as ints at
-2^-BITS, the only input binding reads, each zeta(k) built on its first
-read, ln of a double in the same arithmetic, high-accuracy quadrature over
-the integral class, and the rule by which a closed form's value passes
-against quadrature.  Of the package it imports at run time only the
-generator identities and the binding precision ``BITS``, from the leaf
-module :mod:`generators`, so it loads none of the ring's algebra, shares
-no code path with the exact engine in :mod:`special_values` /
-:mod:`evaluator`, and agreement between the two sides is evidence.
+2^-BITS, one precision for every entry and the only input binding reads,
+each zeta(k) built on its first read by one series, ln of a double in the
+same arithmetic, high-accuracy quadrature over the integral class, and the
+rule by which a closed form's value passes against quadrature.  Of the
+package it imports at run time only the generator identities and the
+binding precision ``BITS``, from the leaf module :mod:`generators`, so it
+loads none of the ring's algebra, shares no code path with the exact
+engine in :mod:`special_values` / :mod:`evaluator`, and agreement between
+the two sides is evidence.
 
 Quadrature is one trapezoid sum at a step chosen beforehand from a bound
 on the integrand in a strip around the real axis, over a window whose ends
@@ -35,10 +36,10 @@ if TYPE_CHECKING:
     from .generators import Generator
 
 
-def _arc(p: int, q: int, sign: int, bits: int = BITS) -> int:
-    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-bits, for 0 <= p/q <= 1/3:
+def _arc(p: int, q: int, sign: int) -> int:
+    """atan(p/q) (sign = -1) or atanh(p/q) (sign = 1) at 2^-BITS, for 0 <= p/q <= 1/3:
     the sum over k of sign^k (p/q)^(2k+1) / (2k + 1)."""
-    total, term, k = 0, (p << bits) // q, 1
+    total, term, k = 0, (p << BITS) // q, 1
     while term:
         total, term, k = total + term // k, sign * term * p * p // (q * q), k + 2
     return total
@@ -56,21 +57,6 @@ def fixed_log(x: float) -> int:
     p, q = m.as_integer_ratio()
     half = _arc(p - q, p + q, 1) if p >= q else -_arc(q - p, p + q, 1)
     return 2 * half + e * _LN2
-
-
-GUARD = 64  # the guard bits of the table's zeta(2)
-
-
-class GuardedInt(int):
-    """A table int at 2^-BITS that also holds its value at 2^-(BITS + guard), ``guarded``, and
-    is its floor: binding raises it to a power with one floor at 2^-BITS (``ring.binder``)."""
-
-    guard = GUARD
-
-    def __new__(cls, guarded: int) -> "GuardedInt":
-        obj = super().__new__(cls, guarded >> GUARD)
-        obj.guarded = guarded
-        return obj
 
 
 class Constants:
@@ -92,27 +78,15 @@ def _borwein() -> tuple[int, list[int]]:
     return d[n], [(-1) ** k * (d[n] - d[k]) << BITS for k in range(n)]
 
 
-def _pi(bits: int) -> int:
-    """pi at 2^-bits, a few units off, by Machin's formula."""
-    return 16 * _arc(1, 5, -1, bits) - 4 * _arc(1, 239, -1, bits)
-
-
 class _ZetaOnRead(dict):
-    """A dict that builds zeta(s) at 2^-BITS when a missing one is read by subscript.
-
-    zeta(2) = pi^2/6 is a ``GuardedInt``, formed from pi at 2^-(BITS + GUARD + 16): engine forms
-    hold no even zeta above zeta(2) (``ring.euler_coefficient``), and binding raises it to
-    powers up to n/2 at log power n, each from the guarded value with one floor.  Every
-    other zeta(s) = eta(s)/(1 - 2^(1-s)) is by Borwein's alternating series (CMS Conf.
-    Proc. 27, 2000); engine forms read only the odd ones."""
+    """A dict that builds zeta(s) at 2^-BITS when a missing one is read by subscript:
+    zeta(s) = eta(s)/(1 - 2^(1-s)) by Borwein's alternating series (CMS Conf. Proc. 27,
+    2000).  Engine forms read zeta(2) and the odd ones, since they hold no even zeta
+    above zeta(2) (``ring.euler_coefficient``)."""
 
     def __missing__(self, g: Generator) -> int:
         if (s := getattr(g, "k", 0)) < 2:
             raise KeyError(g)
-        if s == 2:
-            bits = BITS + GUARD + 16
-            self[g] = value = GuardedInt(_pi(bits) ** 2 // (6 << bits + 16))
-            return value
         d_n, weights = _borwein()
         eta = sum(w // (k + 1) ** s for k, w in enumerate(weights))
         self[g] = value = (eta << s - 1) // (d_n * ((1 << s - 1) - 1))
@@ -125,11 +99,10 @@ def compute_constants() -> Constants:
     zeta(k), built when binding first reads it; the same table on every call.
 
     Each is an int at 2^-BITS, a few hundred units off at most (measured against
-    mpmath): ln 2 and pi by series, gamma by Brent-McMillan's B1 (Math. Comp. 34,
-    1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`, which also holds zeta(2)
-    at 2^-(BITS + GUARD) for binding's powers of it.
+    mpmath): ln 2 by series, pi by Machin's formula, gamma by Brent-McMillan's
+    B1 (Math. Comp. 34, 1980) at N = 2^j, and zeta(k) by :class:`_ZetaOnRead`.
     """
-    pi = _pi(BITS)
+    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)
     j = (BITS // 5).bit_length()  # pi e^(-4N) < 2^-BITS
     a = u = -j * _LN2  # A_0 = -ln N, A_k = (A_(k-1) N^2/k + B_k)/k
     b = v = 1 << BITS  # B_0 = 1, B_k = (N^k/k!)^2; gamma = sum A_k / sum B_k to within pi e^(-4N)

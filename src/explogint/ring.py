@@ -71,10 +71,10 @@ over K_0's gamma^m T; its delta form is m_0 K_0 with gamma read as delta.
 
 A constant is bound (``binder``) from a ``Constants`` table, the one input
 binding reads, of ints at 2^-BITS, and ``evaluate`` rounds its value to a
-double once; a closed form binds its K through ``fixed_values``.  A table
-int that carries guard bits, the process table's zeta(2), is raised to a
-power from its guarded value with one floor, since the reduction folds every
-even zeta into powers of zeta(2), up to n/2 in a form of log power n.
+double once; a closed form binds its K through ``fixed_values``.  Each power
+of a table int is formed exactly and floored once, which matters most for
+zeta(2): the reduction folds every even zeta into its powers, up to n/2 in a
+form of log power n.
 
 All values are immutable and all operations are pure: nothing of a
 constant's value is written after it is built, and every reader iterates
@@ -167,16 +167,28 @@ def _trim(e: Exponents) -> Exponents:
 _ZETA2, _ZETA4 = zeta_gen(2).index, zeta_gen(4).index  # zeta(2k) sits at 2k + 2
 
 
+# T_1 .. T_j as far as any call has asked, and T_j's column (below); replaced whole, never written in place
+_tangents: tuple[tuple[int, ...], list[int]] = ((1,), [1])
+
+
 def tangent_numbers(n: int) -> list[int]:
     """T_1 .. T_n (1, 2, 16, 272, ...), tan x = sum_k T_k x^(2k-1) / (2k-1)!, in ints by the
-    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), O(n^2) operations."""
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), run one column at a time: T_j's
+    column holds its value after each of the recurrence's j passes, the last being T_j, and
+    T_(j+1)'s follows from it in O(j) operations.  The table grows on demand, so the T_k up to
+    the largest n asked for cost O(n^2) operations once per process."""
+    global _tangents
+    ts, column = _tangents
+    if len(ts) < n:
+        ts = list(ts)
+        for j in range(len(ts) + 1, n + 1):
+            new = [(j - 1) * column[0]]  # pass 1 sets T_j to (j - 1)!
+            for m, below in zip(range(j - 2, -1, -1), column[1:] + [0]):  # m = j - pass
+                new.append(m * below + (m + 2) * new[-1])
+            ts.append(new[-1])
+            column = new
+        _tangents = (tuple(ts), column)
+    return list(ts[:n])
 
 
 @lru_cache(maxsize=None)
@@ -577,23 +589,16 @@ def binder(table: Constants) -> Callable[[SymbolicConstant], tuple[int, int]]:
 
     Values: the table's ``fixed`` ints by subscript (``compute_constants()``'s builds a zeta on
     first read); MissingBindingError when one is absent, TypeError when ``table`` is no ``Constants``.
-    A power of an int that carries ``guarded``, its value at 2^-(BITS + guard)
-    (``oracle.GuardedInt``), is formed exactly from that and floored once to 2^-BITS; of
-    another int, each power is floored from the one below."""
+    A power of a table int is formed exactly and floored once to 2^-BITS."""
     fixed = table_ints(table)
 
     @lru_cache(maxsize=None)
     def power(i: int, k: int) -> int:
         try:
-            value = x = fixed[_generator(i)]
+            x = fixed[_generator(i)]
         except KeyError:
             raise MissingBindingError(_generator(i)) from None
-        guarded = getattr(x, "guarded", None)
-        if guarded is not None:
-            return guarded**k >> (BITS + x.guard) * k - BITS
-        for _ in range(k - 1):
-            value = value * x >> BITS
-        return value
+        return x**k >> BITS * (k - 1)
 
     @lru_cache(maxsize=None)
     def part(vec: Exponents, start: int) -> int:

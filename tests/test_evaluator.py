@@ -15,6 +15,7 @@ from explogint.evaluator import (
     eval_general,
     eval_In,
 )
+from explogint.generators import BITS
 from explogint.oracle import Constants, compute_constants
 from explogint.parser import parse_constant, parse_integrand, to_integral_spec
 from explogint.ring import (
@@ -240,7 +241,7 @@ class TestClosedForm:
     def test_evaluate_binds_mu_both_ways(self, table):
         cf = J(1)  # -(gamma + ln mu)/mu
         for mu in (0.5, 1.0, 2.0, 10.0):
-            expected = -(table.fixed[EULER_GAMMA] / 2**128 + math.log(mu)) / mu
+            expected = -(table.fixed[EULER_GAMMA] / 2**BITS + math.log(mu)) / mu
             assert abs(cf.evaluate(mu, table) - expected) < 1e-14
 
     def test_evaluate_rejects_bad_mu(self, table):
@@ -283,7 +284,7 @@ class TestClosedForm:
             ClosedForm.from_json(doc)
         doc["terms"][0]["mu_exponent"] = "-3/2"
         assert ClosedForm.from_json(doc).evaluate(4.0, compute_constants()) == 8 * (
-            compute_constants().fixed[EULER_GAMMA] / 2**128)
+            compute_constants().fixed[EULER_GAMMA] / 2**BITS)
 
     def test_scaled_and_add(self):
         # doubling every constant is adding the form to itself term by term
@@ -418,7 +419,7 @@ class TestLeibnizAssembly:
     def test_a_block_bound_under_one_map_is_not_read_under_another(self, ints):
         cf = eval_general(to_integral_spec(parse_integrand("x^(5/2)*exp(-2*x)*log(x)^14")))
         table = compute_constants()
-        other = Constants({g: x + (1 << 90) for g, x in ints.items()})  # each 2^-38 larger
+        other = Constants({g: x + (1 << BITS - 38) for g, x in ints.items()})  # each 2^-38 larger
         first = cf.evaluate(2.0, table)
         assert all(bound_under(K) is table for K in blocks_of(cf))  # bound once, kept beside the table
         shifted = cf.evaluate(2.0, other)
@@ -968,11 +969,10 @@ class TestBindingAgainstMpmath:
                     checked += 1
         assert checked >= 80
 
-    @pytest.mark.xfail(strict=True, reason="binding floors every generator power at 2^-128, so gamma^k "
-                       "loses relative precision from about k = 100; ROADMAP items 1 and 15 are the fix")
     def test_high_generator_power_binds(self):
-        # rel err 1.7e-15 at k = 100, 1.7e-10 at 120, 2.2e-3 at 150, and 0.0 from about 160 on;
-        # parse_constant and from_json accept exponents up to 1000
+        # binding floors each generator power at 2^-BITS, so gamma^k loses relative precision as
+        # it nears 2^-BITS, and reads 0.0 from k = 243 on; parse_constant and from_json accept
+        # exponents up to 1000
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 40

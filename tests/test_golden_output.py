@@ -3,7 +3,7 @@
 The hashes fix every character the CLI prints for a few deep commands:
 term order, coefficients, paper-style rendering, JSON layout and the
 verify floats.  A verify float is the closed form bound in ints at
-2^-128, from the constants' own 128-bit ints, and rounded to a double
+2^-BITS, from the constants' own ints at that scale, and rounded to a double
 once, so it does not depend on the term order and is within an ulp or
 so of the exact value.  A change to the ring kernel or the exact engine
 that alters the text shows up here even when the value stays

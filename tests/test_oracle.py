@@ -16,6 +16,7 @@ import pytest
 
 import explogint.oracle as oracle_module
 from explogint.evaluator import IntegralSpec, PrefactorTerm
+from explogint.generators import BITS
 from explogint.oracle import Constants, _strip_mass, compute_constants, quadrature
 from explogint.parser import parse_integrand, to_integral_spec
 from explogint.ring import EULER_GAMMA, LOG2, LOG_MU, SQRT_PI, SymbolicConstant, zeta_gen
@@ -176,7 +177,7 @@ def bernoulli(m: int) -> Fraction:
 
 def double(g) -> float:
     """The process table's int for g, rounded once to the nearest double."""
-    return compute_constants().fixed[g] / 2**128
+    return compute_constants().fixed[g] / 2**BITS
 
 
 class TestConstants:
@@ -206,11 +207,8 @@ class TestConstants:
     def test_table_shape(self, table):
         assert {EULER_GAMMA, LOG2, SQRT_PI} <= set(table.fixed)
         assert all(g.k >= 2 for g in set(table.fixed) - {EULER_GAMMA, LOG2, SQRT_PI})
-        # each an int; zeta(2), a GuardedInt, is the floor of its value at 2^-(BITS + GUARD)
-        assert all(type(x) is int for g, x in table.fixed.items() if g != zeta_gen(2))
-        zeta2 = table.fixed[zeta_gen(2)]
-        assert type(zeta2) is oracle_module.GuardedInt and zeta2.guard == oracle_module.GUARD
-        assert zeta2.guarded >> zeta2.guard == zeta2 and type(zeta2.guarded) is int
+        table.fixed[zeta_gen(2)]  # read, so that zeta(2) is among the entries checked
+        assert all(type(x) is int for x in table.fixed.values())  # each a plain int at 2^-BITS
         with pytest.raises(KeyError):  # ln mu is bound per call, not held
             table.fixed[LOG_MU]
         assert double(LOG2) == math.log(2.0)
@@ -222,10 +220,10 @@ class TestConstants:
         assert fresh.fixed[zeta_gen(7)] == table.fixed[zeta_gen(7)]
         assert set(fresh.fixed) == {EULER_GAMMA, LOG2, SQRT_PI, zeta_gen(7)}
         # a table a caller builds holds exactly the ints it is given
-        mine = Constants({LOG2: 1 << 128})
+        mine = Constants({LOG2: 1 << BITS})
         with pytest.raises(KeyError):
             mine.fixed[zeta_gen(2)]
-        assert dict(mine.fixed) == {LOG2: 1 << 128}
+        assert dict(mine.fixed) == {LOG2: 1 << BITS}
         # the zeta weights are built on the first read, not at import or by the first call
         code = ("import explogint.cli, explogint.oracle as o; o.compute_constants(); "
                 "print(o._borwein.cache_info().currsize)")
@@ -249,7 +247,7 @@ class TestConstants:
         with mpmath.workdps(50):
             expected = {EULER_GAMMA: mpmath.euler, LOG2: mpmath.log(2), SQRT_PI: mpmath.sqrt(mpmath.pi),
                         **{zeta_gen(k): mpmath.zeta(k) for k in range(2, 42)}}
-            assert {g: x / 2**128 for g, x in ints.items()} == {g: float(v) for g, v in expected.items()}
+            assert {g: x / 2**BITS for g, x in ints.items()} == {g: float(v) for g, v in expected.items()}
 
     def test_correctly_rounded_by_the_standard_library(self):
         # zeta(2k) = (-1)^(k+1) B_2k (2 pi)^(2k) / (2 (2k)!), with pi from a series the

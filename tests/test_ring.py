@@ -12,6 +12,7 @@ import pytest
 
 from explogint import parse_constant
 from explogint.evaluator import ClosedForm, IntegralSpec, PrefactorTerm, eval_general
+from explogint.generators import BITS
 from explogint.oracle import Constants, compute_constants, fixed_log
 from explogint.ring import (
     EULER_GAMMA,
@@ -631,7 +632,7 @@ class TestEvaluate:
         # also for a closed form whose blocks are already bound under the process table
         cf = eval_general(IntegralSpec((PrefactorTerm(0, Fraction(1)),), ArgPoint(3), 2))
         cf.evaluate(2.0, table)
-        for plain in ({g: x / 2**128 for g, x in ints.items()}, dict(ints)):
+        for plain in ({g: x / 2**BITS for g, x in ints.items()}, dict(ints)):
             with pytest.raises(TypeError, match="Constants table, not dict"):
                 GAMMA.evaluate(plain)
             with pytest.raises(TypeError, match="Constants table, not dict"):
@@ -644,22 +645,22 @@ class TestEvaluate:
         assert ClosedForm([]).evaluate(1.0, compute_constants()) == 0.0
 
     def test_high_powers_bind_without_recursion(self, table):
-        # each generator's powers are built in a loop, each floored from the one below
+        # each generator power is formed exactly and floored once, with no recursion
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             expected = mpmath.zeta(3) ** 999
         assert abs(parse_constant("zeta(3)^999").evaluate(table) - expected) <= 1e-12 * expected
-        assert parse_constant("gamma^1000").evaluate(table) == 0.0  # below 2^-128 by gamma^160
+        assert parse_constant("gamma^1000").evaluate(table) == 0.0  # below 2^-BITS from gamma^243 on
 
     def test_monomials_are_summed_exactly_then_rounded_once(self):
         # monomials 2^53, 1 and -2^53 sum to 1, where a plain float sum of the first two loses it
         c = rational_const(2**53) * LOG2_CONST + ONE - rational_const(2**53) * SQRT_PI_CONST
-        assert c.evaluate(Constants({LOG2: 1 << 128, SQRT_PI: 1 << 128})) == 1.0
+        assert c.evaluate(Constants({LOG2: 1 << BITS, SQRT_PI: 1 << BITS})) == 1.0
 
     def test_a_sum_beyond_the_float_range_is_a_value_error(self):
         big = rational_const(10**308)
         with pytest.raises(ValueError, match="closed-form value lies outside the float range"):
-            (big * GAMMA + big * LOG2_CONST).evaluate(Constants({EULER_GAMMA: 1 << 128, LOG2: 1 << 128}))
+            (big * GAMMA + big * LOG2_CONST).evaluate(Constants({EULER_GAMMA: 1 << BITS, LOG2: 1 << BITS}))
 
     def test_evaluation_homomorphism(self, ints):
         rng = random.Random(4242)
